@@ -35,7 +35,8 @@ Two implementations live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,6 +49,7 @@ __all__ = [
     "arnoldi_stage_timing",
     "BaseTapMoments",
     "base_tap_moments",
+    "stack_tap_moments",
     "batched_tap_moments",
     "batched_delay_sigma",
 ]
@@ -116,6 +118,9 @@ def arnoldi_stage_timing(network: StageNetwork, input_slew: float) -> StageTimin
 # ----------------------------------------------------------------------
 # Vectorized multi-corner path (used by the incremental evaluator)
 # ----------------------------------------------------------------------
+_Total = Union[float, np.ndarray]
+
+
 @dataclass(frozen=True)
 class BaseTapMoments:
     """Corner-independent moment ingredients of one stage, reduced to its taps.
@@ -125,7 +130,9 @@ class BaseTapMoments:
     linear in capacitance splits in two, and every vector that is bilinear
     (the second-moment ingredients) splits in three by powers of ``w``.  All
     quantities are in raw ohm/fF units (no :data:`OHM_FF_TO_PS` applied); the
-    conversion happens in :func:`batched_tap_moments`.
+    conversion happens in :func:`batched_tap_moments`.  The per-stage totals
+    are floats, or per-tap arrays once :func:`stack_tap_moments` has
+    concatenated several stages.
     """
 
     tap_ids: Tuple[int, ...]
@@ -134,12 +141,12 @@ class BaseTapMoments:
     p_ww_tap: np.ndarray  # sum_path R_e * (sum_sub Cw_k * aW_k)     (w^2 term)
     p_mixed_tap: np.ndarray  # sum_path R_e * (sum_sub Cw*aL + Cl*aW) (w^1 term)
     p_ll_tap: np.ndarray  # sum_path R_e * (sum_sub Cl_k * aL_k)     (w^0 term)
-    wire_cap_total: float  # Kw: total wire capacitance of the stage
-    load_cap_total: float  # Kl: total load capacitance of the stage
-    a0_ww: float  # sum over all nodes of Cw_k * aW_k
-    a0_mixed: float  # sum over all nodes of Cw_k*aL_k + Cl_k*aW_k
-    a0_ll: float  # sum over all nodes of Cl_k * aL_k
-    driver_resistance: float  # unscaled driver resistance
+    wire_cap_total: _Total  # Kw: total wire capacitance of the stage
+    load_cap_total: _Total  # Kl: total load capacitance of the stage
+    a0_ww: _Total  # sum over all nodes of Cw_k * aW_k
+    a0_mixed: _Total  # sum over all nodes of Cw_k*aL_k + Cl_k*aW_k
+    a0_ll: _Total  # sum over all nodes of Cl_k * aL_k
+    driver_resistance: _Total  # unscaled driver resistance
 
 
 def base_tap_moments(base: BaseStageNetwork, split_wire_load: bool = True) -> BaseTapMoments:
@@ -207,6 +214,38 @@ def base_tap_moments(base: BaseStageNetwork, split_wire_load: bool = True) -> Ba
     )
 
 
+def stack_tap_moments(variants: Sequence[BaseTapMoments]) -> BaseTapMoments:
+    """Concatenate stage moments along the tap axis for one batched call.
+
+    Each variant's per-stage totals are repeated once per tap, so
+    :func:`batched_tap_moments` of the result has the variants' tap columns
+    side by side, each equal bit for bit to the variant's own call (the
+    arithmetic is elementwise).
+    """
+    counts = [len(variant.tap_ids) for variant in variants]
+
+    def taps(name: str) -> np.ndarray:
+        return np.concatenate([getattr(variant, name) for variant in variants])
+
+    def totals(name: str) -> np.ndarray:
+        return np.repeat([getattr(variant, name) for variant in variants], counts)
+
+    return BaseTapMoments(
+        tap_ids=tuple(chain.from_iterable(variant.tap_ids for variant in variants)),
+        a_wire_tap=taps("a_wire_tap"),
+        a_load_tap=taps("a_load_tap"),
+        p_ww_tap=taps("p_ww_tap"),
+        p_mixed_tap=taps("p_mixed_tap"),
+        p_ll_tap=taps("p_ll_tap"),
+        wire_cap_total=totals("wire_cap_total"),
+        load_cap_total=totals("load_cap_total"),
+        a0_ww=totals("a0_ww"),
+        a0_mixed=totals("a0_mixed"),
+        a0_ll=totals("a0_ll"),
+        driver_resistance=totals("driver_resistance"),
+    )
+
+
 def batched_tap_moments(
     moments: BaseTapMoments,
     driver_scales: Sequence[float],
@@ -226,13 +265,9 @@ def batched_tap_moments(
     w = np.asarray(wire_cap_scales)[:, None]
     drv = moments.driver_resistance * d_scale
     k = w * moments.wire_cap_total + moments.load_cap_total
-    a = w * moments.a_wire_tap[None, :] + moments.a_load_tap[None, :]
+    a = w * moments.a_wire_tap + moments.a_load_tap
     a0 = w * w * moments.a0_ww + w * moments.a0_mixed + moments.a0_ll
-    p = (
-        w * w * moments.p_ww_tap[None, :]
-        + w * moments.p_mixed_tap[None, :]
-        + moments.p_ll_tap[None, :]
-    )
+    p = w * w * moments.p_ww_tap + w * moments.p_mixed_tap + moments.p_ll_tap
     m1 = OHM_FF_TO_PS * (drv * k + r * a)
     m2 = (OHM_FF_TO_PS**2) * (
         drv * drv * k * k + drv * r * a0 + drv * r * k * a + r * r * p

@@ -30,39 +30,47 @@ and transition are produced in one batched array operation -- no per-corner
 network rebuilds.  The transient (``spice``) engine caches the per-corner
 stage networks and per-input-slew waveform analyses instead.
 
-Dirty-region propagation
-------------------------
-Stage analysis being cached still left arrival/slew propagation itself as a
-full walk over every stage at every corner and transition.  With
-``EvaluatorConfig.dirty_region`` enabled (the default) the evaluator also
-snapshots, per corner, the per-stage propagation *fragments* it produced last
-time (:class:`_StageFrag`: the stage's latency/slew contributions plus the
-arrival/slew/direction state it handed to downstream buffer taps) together
-with the content keys it propagated them from.  On the next evaluation it
-diffs the content keys, closes the dirty set over the stage topology
-(:class:`~repro.analysis.rcnetwork.StageTopology` children -- every stage
-downstream of a changed driver sees changed input slews), re-propagates only
-that region and splices the retained fragments back in verbatim.  Because a
-retained stage provably has only retained ancestors, its inputs are
-bit-identical to a cold evaluation, so the spliced result is too -- the
-goldens and the hypothesis suite in ``tests/analysis`` enforce exactly that.
+Propagation kernel
+------------------
+Arrival times and slews come out of one stage walk,
+:meth:`ClockNetworkEvaluator._walk`, the only code that applies the stage
+recurrence: inversion tracking, gate delay (intrinsic delay plus a fraction
+of the input slew), slew regeneration through buffers and the PERI slew
+combination ``sqrt((ln9 * sigma)^2 + drive^2)`` of :func:`peri_slew`, the one
+slew root (numpy's correctly rounded ``sqrt``).  The walk runs over a leading
+batch axis whose rows are ``(corner, transition, b)``: a nominal
+:meth:`~ClockNetworkEvaluator.evaluate` is ``B = 1``,
+:meth:`~ClockNetworkEvaluator.evaluate_candidates` scores ``B = K`` candidate
+moves and :meth:`~ClockNetworkEvaluator.evaluate_yield` ``B = N`` Monte Carlo
+samples (in blocks that bound memory).  Rows are kept by the transition *at
+the tap*, so an inverting driver swaps each corner's rise and fall input
+rows.  Callers supply only the per-stage ``(rows, taps)`` delay/sigma rows
+and the driver's intrinsic-delay rows -- cached tap models, per-candidate
+stage variants, per-sample moment scalings; the transient engine supplies
+final delay/slew rows through the same per-stage hook at ``B = 1``.  The walk
+returns per-tap arrival/slew arrays plus each row's sink-latency extremes and
+worst slew, which is all :class:`CornerTiming`, :class:`CandidateScore` and
+:class:`~repro.analysis.variation.YieldReport` read.
 
-Batched candidate evaluation
-----------------------------
-:meth:`ClockNetworkEvaluator.evaluate_candidates` scores K independent
-candidate moves in one numpy pass by extending the corners x transitions
-batch axis of the analytical engines to candidates -- the same axis extension
-:meth:`evaluate_yield` applies to Monte Carlo samples.  Each move is applied
-under a journal checkpoint, its dirty stages are captured from
-:meth:`~repro.cts.tree.ClockTree.touched_since`, and the move is rolled back;
-the batched pass then propagates all candidates at once, with per-stage rows
-``[rise x K, fall x K]`` and the operation order mirrored from the scalar
-path so every :class:`CandidateScore` is bit-identical to a full
-:meth:`evaluate` of the same move.  Candidates that change the tree structure
-or a driver's polarity fall back to an honest full evaluation (counted in
-``cache_stats()['candidate_fallbacks']``).  Disable with
-``EvaluatorConfig.candidate_batching`` for A/B measurement; the serial path
-produces the same scores one full evaluation at a time.
+The per-tap arrays double as the retained state.  With
+``EvaluatorConfig.dirty_region`` enabled (the default) the evaluator keeps
+the last nominal walk together with the stage content keys it came from.
+The next evaluation diffs the keys, closes the dirty set over the stage
+topology (:class:`~repro.analysis.rcnetwork.StageTopology` children -- every
+stage downstream of a changed driver sees changed input slews) and walks only
+that region, reading every retained tap from the previous walk's arrays.  A
+retained stage provably has only retained ancestors, so its values are
+bit-identical to a cold evaluation -- the goldens and the hypothesis suites
+in ``tests/analysis`` enforce exactly that.  Candidate scoring is the same
+mechanism ``K`` wide: each move is applied under a journal checkpoint, its
+dirty stages are captured from
+:meth:`~repro.cts.tree.ClockTree.touched_since` and the move is rolled back;
+one walk of the union of the dirty regions, seeded from the last nominal
+walk, then scores every candidate.  Candidates that change the tree structure
+or a driver's polarity fall back to a full evaluation (counted in
+``cache_stats()['candidate_fallbacks']``).  Disabling ``dirty_region`` or
+``candidate_batching`` yields the full-walk and one-evaluation-per-candidate
+references, with bit-identical results.
 """
 
 from __future__ import annotations
@@ -75,11 +83,11 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -89,6 +97,7 @@ from repro.analysis.arnoldi import (
     base_tap_moments,
     batched_delay_sigma,
     batched_tap_moments,
+    stack_tap_moments,
 )
 from repro.analysis.corners import Corner, ispd09_corners, supply_driver_multiplier
 from repro.analysis.elmore import StageTiming
@@ -99,11 +108,10 @@ from repro.analysis.rcnetwork import (
     build_base_stage_network,
     build_stage_network,
     build_stage_topology,
-    extract_stages,
 )
 from repro.analysis.spice import TransientSolverConfig, transient_stage_timing
 from repro.analysis.units import LN9
-from repro.analysis.variation import VariationModel, VariationSamples, YieldReport
+from repro.analysis.variation import VariationModel, YieldReport
 from repro.cts.bufferlib import BufferType
 from repro.cts.tree import ClockTree, TreeNode
 from repro.obs import NULL_TRACER, TracerBase
@@ -117,11 +125,18 @@ __all__ = [
     "CandidateBatch",
     "StageCache",
     "ClockNetworkEvaluator",
+    "peri_slew",
 ]
 
 RISE = "rise"
 FALL = "fall"
 _TRANSITIONS = (RISE, FALL)
+# Kernel rows of one corner are [rise, fall], by the transition at the tap.
+_ROW = {RISE: 0, FALL: 1}
+# Upper bound on the elements of one Monte Carlo block's (rows, taps) array:
+# 32 MiB per per-tap array keeps a ti:1000 x 10k-sample evaluation near
+# 300 MiB peak, and larger blocks measured no faster.
+_YIELD_BLOCK_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -160,12 +175,12 @@ class EvaluatorConfig:
     dirty_region:
         Restrict arrival/slew propagation to the stages whose content keys
         changed since the previous evaluation plus everything downstream of
-        them, splicing retained per-stage results back in verbatim (see the
-        module docstring).  Requires ``incremental``; results are bit-identical
-        to a full propagation.  Disable for A/B measurement.
+        them, reading retained taps from the previous walk (see the module
+        docstring).  Requires ``incremental``; results are bit-identical to a
+        full propagation.  Disable for A/B measurement.
     candidate_batching:
         Let :meth:`ClockNetworkEvaluator.evaluate_candidates` score all
-        candidate moves in one batched numpy pass (analytical engines only).
+        candidate moves in one batched walk (analytical engines only).
         When disabled the same API scores candidates one full evaluation at a
         time, with identical results.  Disable for A/B measurement.
     """
@@ -190,50 +205,80 @@ class EvaluatorConfig:
             raise ValueError("slew limit must be positive")
 
 
-@dataclass
 class CornerTiming:
     """Timing of the whole network at one corner.
 
     ``latency`` and ``slew`` map sink node ids to ``{"rise": ps, "fall": ps}``.
     ``tap_slew`` additionally includes buffer-input taps, which are subject to
-    the same slew limit as sinks.
+    the same slew limit as sinks.  The three dicts are built from the
+    propagation kernel's per-tap arrays on first access (treat them as
+    read-only); the extremes behind :meth:`skew` and :meth:`worst_slew` come
+    straight from the kernel.
     """
 
-    corner: Corner
-    latency: Dict[int, Dict[str, float]]
-    slew: Dict[int, Dict[str, float]]
-    tap_slew: Dict[int, Dict[str, float]]
+    __slots__ = ("corner", "_topo", "_arrival", "_slew", "_high", "_low", "_worst", "_dicts")
+
+    def __init__(self, corner: Corner, topo: StageTopology, walk: "_Walk", row: int) -> None:
+        self.corner = corner
+        self._topo = topo
+        rows = slice(row, row + 2)
+        self._arrival = walk.arrival[rows]
+        self._slew = walk.slew[rows]
+        self._high: List[float] = walk.max_latency[rows].tolist()
+        self._low: List[float] = walk.min_latency[rows].tolist()
+        self._worst: List[float] = walk.worst_slew[rows].tolist()
+        self._dicts: Dict[str, Dict[int, Dict[str, float]]] = {}
+
+    @property
+    def latency(self) -> Dict[int, Dict[str, float]]:
+        return self._per_tap("latency", self._arrival, sinks_only=True)
+
+    @property
+    def slew(self) -> Dict[int, Dict[str, float]]:
+        return self._per_tap("slew", self._slew, sinks_only=True)
+
+    @property
+    def tap_slew(self) -> Dict[int, Dict[str, float]]:
+        return self._per_tap("tap_slew", self._slew, sinks_only=False)
 
     def max_latency(self, transition: Optional[str] = None) -> float:
-        return max(self._latency_values(transition))
+        return max(self._high) if transition is None else self._high[_ROW[transition]]
 
     def min_latency(self, transition: Optional[str] = None) -> float:
-        return min(self._latency_values(transition))
+        return min(self._low) if transition is None else self._low[_ROW[transition]]
 
     def skew(self, transition: Optional[str] = None) -> float:
         """Worst skew; with ``transition=None`` the worse of rise and fall skew."""
         if transition is not None:
-            values = self._latency_values(transition)
-            return max(values) - min(values)
+            row = _ROW[transition]
+            return self._high[row] - self._low[row]
         return max(self.skew(RISE), self.skew(FALL))
 
     def worst_slew(self) -> float:
-        return max(
-            value for per_tap in self.tap_slew.values() for value in per_tap.values()
-        )
+        return max(self._worst)
 
     def slew_violations(self, limit: float) -> List[int]:
         """Tap node ids whose rise or fall slew exceeds ``limit``."""
-        return [
-            node_id
-            for node_id, per_tap in self.tap_slew.items()
-            if max(per_tap.values()) > limit
-        ]
+        over = np.flatnonzero(np.maximum(self._slew[0], self._slew[1]) > limit)
+        tap_ids = self._topo.tap_ids
+        return [tap_ids[col] for col in over.tolist()]
 
-    def _latency_values(self, transition: Optional[str]) -> List[float]:
-        if transition is None:
-            return [v for per_sink in self.latency.values() for v in per_sink.values()]
-        return [per_sink[transition] for per_sink in self.latency.values()]
+    def _per_tap(
+        self, name: str, values: np.ndarray, sinks_only: bool
+    ) -> Dict[int, Dict[str, float]]:
+        table = self._dicts.get(name)
+        if table is None:
+            if sinks_only:
+                ids: Sequence[int] = self._topo.sink_ids
+                values = values[:, self._topo.sink_cols]
+            else:
+                ids = self._topo.tap_ids
+            table = {
+                tap: {RISE: rise, FALL: fall}
+                for tap, rise, fall in zip(ids, values[0].tolist(), values[1].tolist())
+            }
+            self._dicts[name] = table
+        return table
 
 
 @dataclass
@@ -377,61 +422,64 @@ class CandidateBatch:
 
 # Content key of one stage: (driver head, ((edge id, edge revision), ...)).
 _StageKey = Tuple[tuple, tuple]
-# Per-stage analytical model: {(corner, transition): {tap: (delay, sigma)}}.
-_TapModel = Dict[Tuple[str, str], Dict[int, Tuple[float, float]]]
+# Per-stage analytical model: (delay, sigma), each (corner x transition, taps).
+_TapModel = Tuple[np.ndarray, np.ndarray]
 _Driver = Optional[BufferType]
-# Engine adapter handed to _propagate_corner: (index, stage, output_dir,
-# drive_slew) -> iterable of (tap, delay, slew) triples.
-_StageTimingFn = Callable[[int, Stage, str, float], Iterable[Tuple[int, float, float]]]
+# Per-stage hook of the propagation kernel: (stage index, drive slew rows) ->
+# (delay rows, sigma rows -- or final slew rows --, intrinsic gate-delay rows
+# or None for an unbuffered driver).
+_StageRows = Callable[
+    [int, np.ndarray], Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
+]
 
 
-class _StageFrag:
-    """One stage's contribution to a corner's propagated timing.
+def peri_slew(sigma: np.ndarray, drive_slew: np.ndarray) -> np.ndarray:
+    """PERI tap slews ``sqrt((ln9 * sigma)^2 + drive^2)`` -- the one slew root.
 
-    ``latency``/``slew``/``tap_slew`` are the stage's slices of the
-    corresponding :class:`CornerTiming` dicts (both transitions); ``outputs``
-    maps each launch transition to the ``(tap, arrival, slew, direction)``
-    state the stage handed to downstream buffer taps.  Fragments are spliced
-    into later partial propagations by reference, so the dicts are shared
-    between the snapshot and every report built from it -- treat report
-    timing dicts as read-only (nothing in the tree mutates them today).
+    ``sigma`` holds ``(rows, taps)`` intrinsic slew scales and ``drive_slew``
+    the ``(rows,)`` transitions driving them.  The root is numpy's correctly
+    rounded ``sqrt`` at every batch width; C ``pow`` with exponent one half
+    (Python's float power) disagrees with it in the last bit on a fraction
+    of inputs.
+    """
+    wire = LN9 * sigma
+    drive_sq = drive_slew * drive_slew
+    return np.sqrt(wire * wire + drive_sq[:, None])
+
+
+class _Walk(NamedTuple):
+    """Output of one propagation-kernel walk.
+
+    ``arrival``/``slew`` are ``(rows, taps)`` arrays with row
+    ``(2 * corner + transition) * B + b`` (transition 0 = rise at the tap)
+    and columns in :attr:`StageTopology.tap_ids` order.  ``max_latency`` and
+    ``min_latency`` are each row's sink-latency extremes, ``worst_slew`` its
+    worst tap slew.
     """
 
-    __slots__ = ("latency", "slew", "tap_slew", "outputs")
-
-    def __init__(
-        self,
-        latency: Dict[int, Dict[str, float]],
-        slew: Dict[int, Dict[str, float]],
-        tap_slew: Dict[int, Dict[str, float]],
-        outputs: Dict[str, List[Tuple[int, float, float, str]]],
-    ) -> None:
-        self.latency = latency
-        self.slew = slew
-        self.tap_slew = tap_slew
-        self.outputs = outputs
+    arrival: np.ndarray
+    slew: np.ndarray
+    max_latency: np.ndarray
+    min_latency: np.ndarray
+    worst_slew: np.ndarray
 
 
 class _PropagationState:
-    """Snapshot of the last full/partial propagation (dirty-region baseline).
+    """The last nominal walk (dirty-region baseline).
 
-    ``keys`` are the per-stage content keys the fragments were computed from;
-    ``fragments`` maps corner name to the per-stage fragment list.  Valid only
-    while the tree's structure revision matches (the stage decomposition, and
-    hence the index alignment, is a function of it).
+    ``keys`` are the per-stage content keys the walk was computed from.
+    Valid only while the tree's structure revision matches (the stage
+    decomposition, and hence the tap columns, is a function of it).
     """
 
-    __slots__ = ("structure_revision", "keys", "fragments")
+    __slots__ = ("structure_revision", "keys", "walk")
 
     def __init__(
-        self,
-        structure_revision: int,
-        keys: List[Optional[_StageKey]],
-        fragments: Dict[str, List[_StageFrag]],
+        self, structure_revision: int, keys: List[Optional[_StageKey]], walk: _Walk
     ) -> None:
         self.structure_revision = structure_revision
         self.keys = keys
-        self.fragments = fragments
+        self.walk = walk
 
 
 class _CandidateCapture:
@@ -548,46 +596,6 @@ class _CandidateTotals:
         return total_capacitance, wirelength
 
 
-class _BatchPlan:
-    """Corner-independent precompute for one batched candidate scoring pass.
-
-    Holds, per closure stage, the variant delay/sigma row stacks covering
-    every (corner, transition) combination, the per-candidate variant index,
-    the per-candidate intrinsic delays, and the sink/buffer tap columns --
-    everything the per-corner propagation only has to slice, so no moment
-    reduction runs more than once per stage variant.
-    """
-
-    __slots__ = (
-        "n",
-        "closure",
-        "closure_set",
-        "boundary",
-        "seed_stages",
-        "delay",
-        "sigma",
-        "variant_of",
-        "intrinsic",
-        "sink_cols",
-        "buffer_cols",
-        "tap_ids",
-    )
-
-    def __init__(self, n: int, closure: List[int]) -> None:
-        self.n = n
-        self.closure = closure
-        self.closure_set: Set[int] = set(closure)
-        self.boundary: Set[int] = set()
-        self.seed_stages: List[int] = []
-        self.delay: Dict[int, np.ndarray] = {}
-        self.sigma: Dict[int, np.ndarray] = {}
-        self.variant_of: Dict[int, np.ndarray] = {}
-        self.intrinsic: Dict[int, Optional[np.ndarray]] = {}
-        self.sink_cols: Dict[int, List[int]] = {}
-        self.buffer_cols: Dict[int, List[int]] = {}
-        self.tap_ids: Dict[int, Tuple[int, ...]] = {}
-
-
 class StageCache:
     """Content-addressed cache of per-stage analysis results.
 
@@ -598,10 +606,10 @@ class StageCache:
     cache stores
 
     * ``stage topologies`` per tree structure revision (the stage
-      decomposition plus its downstream-adjacency and tap-flag indexes, see
+      decomposition plus its downstream-adjacency and tap-column indexes, see
       :class:`~repro.analysis.rcnetwork.StageTopology`),
-    * ``tap models`` per stage content (batched delay/sigma for every corner
-      and transition; analytical engines),
+    * ``tap models`` per stage content (the ``(corner x transition, taps)``
+      delay/sigma arrays of the analytical engines),
     * ``networks`` per (stage content, corner, transition) and ``timings``
       per (stage content, corner, transition, input slew) for the transient
       engine.
@@ -627,10 +635,9 @@ class StageCache:
         """The tree's stage topology, cached by structure revision.
 
         Safe to share across trees with equal structure revisions: the
-        decomposition, downstream adjacency and (is_sink, has_buffer) tap
-        flags are all functions of the structure revision alone (buffer
-        *presence* changes always bump it; same-site replacement is a
-        content-only change that keeps both flags).
+        decomposition, downstream adjacency and tap columns are all functions
+        of the structure revision alone (buffer *presence* changes always
+        bump it; same-site replacement is a content-only change).
         """
         revision = tree.structure_revision
         topo = self._topologies.get(revision)
@@ -642,10 +649,6 @@ class StageCache:
         else:
             self._topologies.move_to_end(revision)
         return topo
-
-    def stage_list(self, tree: ClockTree) -> List[Stage]:
-        """The tree's stage decomposition, cached by structure revision."""
-        return self.topology(tree).stages
 
     # -- analytical-engine models ------------------------------------------
     def tap_model(self, key: _StageKey) -> Optional[_TapModel]:
@@ -665,7 +668,7 @@ class StageCache:
 
         Keys carry the stage content key plus the wire/load-split flag; the
         entries are shared between :meth:`ClockNetworkEvaluator.evaluate`
-        (which turns them into per-corner tap models) and
+        (which turns them into tap models) and
         :meth:`ClockNetworkEvaluator.evaluate_yield` (which scales them per
         Monte Carlo sample), so a yield evaluation re-reduces only stages
         whose RC content changed since any earlier evaluation of either kind.
@@ -750,7 +753,7 @@ class ClockNetworkEvaluator:
     ``dirty_region`` enabled, arrival/slew propagation is likewise restricted
     to the changed stages and their downstream cone (see the module
     docstring); :meth:`evaluate_candidates` scores whole batches of moves in
-    one numpy pass.  All three layers are bit-identical to cold evaluation.
+    one batched walk.  All three layers are bit-identical to cold evaluation.
     """
 
     def __init__(
@@ -773,6 +776,9 @@ class ClockNetworkEvaluator:
         # The fast corner has the highest supply, the slow corner the lowest.
         self._fast = max(corner_list, key=lambda c: c.vdd).name
         self._slow = min(corner_list, key=lambda c: c.vdd).name
+        position = {corner.name: index for index, corner in enumerate(corner_list)}
+        self._fast_pos = position[self._fast]
+        self._slow_pos = position[self._slow]
         self.cache = StageCache()
         # Structured tracing: callers (the pipeline driver, a profiler) swap
         # in a live Tracer; the default NULL_TRACER keeps the instrumented
@@ -794,11 +800,13 @@ class ClockNetworkEvaluator:
         self.candidate_batches = 0
         self.candidates_scored = 0
         self.candidate_fallbacks = 0
-        # One batched scaling row per (corner, transition) combination.
-        self._combos: List[Tuple[str, str]] = []
+        # One kernel row per (corner, transition) combination, with its
+        # driver/wire scalings and the corner's gate-delay scale.
+        self._combos: List[Tuple[Corner, str]] = []
         driver_scales: List[float] = []
         res_scales: List[float] = []
         cap_scales: List[float] = []
+        gate_scales: List[float] = []
         for corner in corner_list:
             for direction in _TRANSITIONS:
                 asym = (
@@ -806,11 +814,13 @@ class ClockNetworkEvaluator:
                     if direction == RISE
                     else self.config.pull_down_factor
                 )
-                self._combos.append((corner.name, direction))
+                self._combos.append((corner, direction))
                 driver_scales.append(corner.driver_scale * asym)
                 res_scales.append(corner.wire_res_scale)
                 cap_scales.append(corner.wire_cap_scale)
+                gate_scales.append(corner.driver_scale)
         self._combo_scales = (driver_scales, res_scales, cap_scales)
+        self._gate_scale = np.array(gate_scales)
         # With no corner scaling wire capacitance (the ISPD'09 set), the
         # moment reduction can collapse wire and load caps into one component.
         self._split_caps = any(scale != 1.0 for scale in cap_scales)
@@ -852,31 +862,13 @@ class ClockNetworkEvaluator:
     ) -> EvaluationReport:
         self.run_count += 1
         use_cache = self.config.incremental if incremental is None else incremental
-        # Driver buffers are read live from the tree: cached stage lists may
-        # pre-date a same-site buffer re-sizing.
-        topo: Optional[StageTopology] = None
-        if use_cache:
-            topo = self.cache.topology(tree)
-            stages = topo.stages
-            keys, drivers = self._stage_keys(tree, stages)
-            # (is_sink, has_buffer) per tap: a function of the structure
-            # revision (see StageCache.topology), so the cached index is safe.
-            tap_flags = topo.tap_flags
-        else:
-            stages = extract_stages(tree)
-            keys = [None] * len(stages)
-            drivers = [tree.node(stage.driver_id).buffer for stage in stages]
-            tap_flags = {}
-            for stage in stages:
-                for tap in stage.taps:
-                    node = tree.node(tap)
-                    tap_flags[tap] = (node.is_sink, node.buffer is not None)
+        topo, keys, drivers = self._topology_and_keys(tree, use_cache)
         collect = use_cache and self.config.dirty_region
-        recompute: Optional[Set[int]] = None
+        recompute: Optional[List[int]] = None
         prior: Optional[_PropagationState] = None
-        if collect and topo is not None:
+        if collect:
             recompute, prior = self._dirty_frontier(tree, keys, topo)
-        total = len(stages)
+        total = len(topo.stages)
         self._stages_total += total
         if recompute is None:
             self._propagations_full += 1
@@ -889,15 +881,12 @@ class ClockNetworkEvaluator:
             # with dirty_region disabled.
             self.cache.hits += total - len(recompute)
         with self.tracer.span("propagate") as prop_span:
-            corner_results, fragments = self._propagate_corners(
-                tree,
-                stages,
-                keys,
+            walk = self._walk(
+                topo,
                 drivers,
-                tap_flags,
-                recompute=recompute,
-                prior=prior,
-                collect=collect,
+                range(total) if recompute is None else recompute,
+                self._nominal_rows(tree, topo.stages, keys, drivers),
+                prior=None if prior is None else prior.walk,
             )
             if prop_span is not None:
                 prop_span.count("corners", len(self.corners))
@@ -905,13 +894,12 @@ class ClockNetworkEvaluator:
                     "stages", total if recompute is None else len(recompute)
                 )
         if collect:
-            self._prop = _PropagationState(
-                structure_revision=tree.structure_revision,
-                keys=list(keys),
-                fragments=fragments,
-            )
+            self._prop = _PropagationState(tree.structure_revision, keys, walk)
         return EvaluationReport(
-            corners=corner_results,
+            corners={
+                corner.name: CornerTiming(corner, topo, walk, 2 * position)
+                for position, corner in enumerate(self.corners)
+            },
             fast_corner=self._fast,
             slow_corner=self._slow,
             engine=self.config.engine,
@@ -921,62 +909,6 @@ class ClockNetworkEvaluator:
             wirelength=tree.total_wirelength(),
             evaluation_index=self.run_count,
         )
-
-    def _propagate_corners(
-        self,
-        tree: ClockTree,
-        stages: List[Stage],
-        keys: List[Optional[_StageKey]],
-        drivers: List[_Driver],
-        tap_flags: Dict[int, Tuple[bool, bool]],
-        *,
-        recompute: Optional[Set[int]],
-        prior: Optional[_PropagationState],
-        collect: bool,
-    ) -> Tuple[Dict[str, CornerTiming], Dict[str, List[_StageFrag]]]:
-        """Analyze and propagate every corner (the ``propagate`` span body)."""
-        fragments: Dict[str, List[_StageFrag]] = {}
-        corner_results: Dict[str, CornerTiming] = {}
-        if self.config.engine in ("elmore", "arnoldi"):
-            models: List[Optional[_TapModel]] = [
-                None
-                if (recompute is not None and index not in recompute)
-                else self._tap_model(tree, stage, key)
-                for index, (stage, key) in enumerate(zip(stages, keys))
-            ]
-            for corner in self.corners:
-                prior_frags = prior.fragments[corner.name] if prior is not None else None
-                timing, frags = self._corner_from_models(
-                    stages,
-                    models,
-                    drivers,
-                    tap_flags,
-                    corner,
-                    recompute=recompute,
-                    prior=prior_frags,
-                    collect=collect,
-                )
-                corner_results[corner.name] = timing
-                if frags is not None:
-                    fragments[corner.name] = frags
-        else:
-            for corner in self.corners:
-                prior_frags = prior.fragments[corner.name] if prior is not None else None
-                timing, frags = self._corner_transient(
-                    tree,
-                    stages,
-                    keys,
-                    drivers,
-                    tap_flags,
-                    corner,
-                    recompute=recompute,
-                    prior=prior_frags,
-                    collect=collect,
-                )
-                corner_results[corner.name] = timing
-                if frags is not None:
-                    fragments[corner.name] = frags
-        return corner_results, fragments
 
     def cache_stats(self) -> Dict[str, int]:
         """Hit/miss/size statistics of the stage cache plus propagation and
@@ -998,6 +930,121 @@ class ClockNetworkEvaluator:
         self._totals_cache = None
 
     # ------------------------------------------------------------------
+    # The propagation kernel
+    # ------------------------------------------------------------------
+    def _walk(
+        self,
+        topo: StageTopology,
+        drivers: Sequence[_Driver],
+        order: Iterable[int],
+        rows: _StageRows,
+        batch: int = 1,
+        prior: Optional[_Walk] = None,
+    ) -> _Walk:
+        """Propagate arrival times and slews through the stages in ``order``.
+
+        This is the only implementation of the stage recurrence.  ``order``
+        lists stage indices parents first; ``rows(index, drive)`` supplies
+        the stage's ``(rows, taps)`` delay and sigma rows (final slew rows
+        for the transient engine) plus the driver's intrinsic gate-delay rows.
+        Every row of the batch axis ``(corner, transition, b)`` carries the
+        transition at the tap.  A walked stage reads its input from the
+        column of its driver tap, so taps outside ``order`` -- and the
+        walked children of retained parents -- see ``prior``'s values; a
+        ``B = 1`` prior fans out to every batch row.
+        """
+        cfg = self.config
+        transient = cfg.engine == "spice"
+        n_rows = 2 * len(self.corners) * batch
+        if prior is None:
+            arrival = np.empty((n_rows, len(topo.tap_ids)))
+            slew = np.empty_like(arrival)
+        else:
+            fan_out = n_rows // len(prior.arrival)
+            arrival = np.repeat(prior.arrival, fan_out, axis=0)
+            slew = np.repeat(prior.slew, fan_out, axis=0)
+        # An inverting driver swaps the rise and fall rows of every corner.
+        swap = np.arange(n_rows).reshape(-1, 2, batch)[:, ::-1].ravel()
+        source_arrival = np.zeros(n_rows)
+        source_slew = np.full(n_rows, cfg.source_slew)
+        tap_start = topo.tap_start
+        driver_col = topo.driver_col
+        for index in order:
+            col = driver_col[index]
+            if col < 0:
+                in_arrival, in_slew = source_arrival, source_slew
+            else:
+                in_arrival, in_slew = arrival[:, col], slew[:, col]
+            buffer = drivers[index]
+            if buffer is None:
+                drive = in_slew
+            else:
+                if buffer.inverting:
+                    in_arrival, in_slew = in_arrival[swap], in_slew[swap]
+                drive = cfg.buffer_slew_regeneration * in_slew
+            delay, second, gate = rows(index, drive)
+            if gate is not None:
+                in_arrival = in_arrival + (gate + cfg.slew_delay_factor * in_slew)
+            taps = slice(tap_start[index], tap_start[index + 1])
+            arrival[:, taps] = in_arrival[:, None] + delay
+            slew[:, taps] = second if transient else peri_slew(second, drive)
+        latency = arrival.take(topo.sink_cols, axis=1)
+        return _Walk(
+            arrival,
+            slew,
+            latency.max(axis=1, initial=-np.inf),
+            latency.min(axis=1, initial=np.inf),
+            slew.max(axis=1, initial=0.0),
+        )
+
+    def _objectives(
+        self, walk: _Walk, batch: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Skew, CLR, max latency and worst slew of every batch item.
+
+        The same definitions as the :class:`EvaluationReport` properties,
+        applied to each ``b`` of the walk's ``(corner, transition, b)`` rows.
+        """
+        shape = (len(self.corners), 2, batch)
+        high = walk.max_latency.reshape(shape)
+        low = walk.min_latency.reshape(shape)
+        fast, slow = self._fast_pos, self._slow_pos
+        skew = np.maximum(high[fast, 0] - low[fast, 0], high[fast, 1] - low[fast, 1])
+        clr = np.maximum(high[slow, 0] - low[fast, 0], high[slow, 1] - low[fast, 1])
+        max_latency = np.maximum(high[slow, 0], high[slow, 1])
+        worst_slew = walk.worst_slew.reshape(-1, batch).max(axis=0)
+        return skew, clr, max_latency, worst_slew
+
+    def _nominal_rows(
+        self,
+        tree: ClockTree,
+        stages: List[Stage],
+        keys: List[Optional[_StageKey]],
+        drivers: List[_Driver],
+    ) -> _StageRows:
+        """Kernel rows of a nominal (``B = 1``) walk.
+
+        The analytical engines read the cached tap models; the transient
+        engine analyzes the stage at each row's drive slew.
+        """
+        transient = self.config.engine == "spice"
+        gate_scale = self._gate_scale
+
+        def rows(
+            index: int, drive: np.ndarray
+        ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+            stage = stages[index]
+            if transient:
+                delay, second = self._transient_rows(tree, stage, keys[index], drive)
+            else:
+                delay, second = self._tap_model(tree, stage, keys[index])
+            buffer = drivers[index]
+            gate = None if buffer is None else buffer.intrinsic_delay * gate_scale
+            return delay, second, gate
+
+        return rows
+
+    # ------------------------------------------------------------------
     # Batched candidate evaluation
     # ------------------------------------------------------------------
     def evaluate_candidates(
@@ -1013,7 +1060,7 @@ class ClockNetworkEvaluator:
         and calling :meth:`evaluate`.
 
         With ``candidate_batching`` enabled and an analytical engine, all
-        structure-preserving moves are scored in one numpy pass over the
+        structure-preserving moves are scored by one walk over the
         candidates axis (see the module docstring); moves that change the
         tree structure or a driver's polarity fall back to a full evaluation.
         Otherwise every move is scored by a full evaluation -- same results,
@@ -1053,24 +1100,23 @@ class ClockNetworkEvaluator:
         topo = self.cache.topology(tree)
         stages = topo.stages
         keys, drivers = self._stage_keys(tree, stages)
-        # Candidate scoring piggybacks on the dirty-region snapshot: with a
-        # fragment list for the base tree, only the union of the candidates'
-        # dirty closures has to be propagated K-wide and the retained
-        # extremes come from the snapshot.  Refresh the snapshot if the tree
-        # moved since the last evaluate (cheap -- itself a partial pass).
-        prior = self._prop
-        if cfg.dirty_region and (
-            prior is None
-            or prior.structure_revision != tree.structure_revision
-            or prior.keys != keys
-        ):
-            self.evaluate(tree)
+        # Candidate scoring piggybacks on the dirty-region snapshot: with the
+        # base tree's walk at hand, only the union of the candidates' dirty
+        # closures has to be walked K-wide and every retained tap comes from
+        # the snapshot.  Refresh the snapshot if the tree moved since the
+        # last evaluate (cheap -- itself a partial pass).
+        prior: Optional[_PropagationState] = None
+        if cfg.dirty_region:
             prior = self._prop
-        if prior is not None and (
-            prior.structure_revision != tree.structure_revision
-            or prior.keys != keys
-        ):
-            prior = None  # snapshot could not be refreshed (dirty_region off)
+            if (
+                prior is None
+                or prior.structure_revision != tree.structure_revision
+                or prior.keys != keys
+            ):
+                self.evaluate(tree)
+                prior = self._prop
+            assert prior is not None  # evaluate() just took the snapshot
+            keys = prior.keys  # equal content; shared for cheap comparisons
         base_revision = tree.structure_revision
         cached_totals = self._totals_cache
         if (
@@ -1112,10 +1158,9 @@ class ClockNetworkEvaluator:
         if captures:
             self.candidate_batches += 1
             self.candidates_scored += len(captures)
-            # K-wide propagation only has to walk the union of the captured
-            # dirty frontiers closed downstream; with a snapshot available the
-            # retained remainder is spliced in as scalars.  Without one (the
-            # dirty_region toggle is off) the closure is the whole tree.
+            # The K-wide walk covers the union of the captured dirty frontiers
+            # closed downstream; without a snapshot (the dirty_region toggle
+            # is off) it covers the whole tree.
             union_dirty: Set[int] = set()
             for capture in captures:
                 union_dirty.update(capture.dirty_moments)
@@ -1123,22 +1168,16 @@ class ClockNetworkEvaluator:
                 closure = self._downstream_closure(union_dirty, topo)
             else:
                 closure = list(range(len(stages)))
-            base_moments = {
-                index: self._stage_base_moments(
-                    tree, stages[index], keys[index], self._split_caps, count=False
-                )
-                for index in closure
-            }
             for capture, score in zip(
                 captures,
                 self._batched_scores(
-                    stages,
-                    drivers,
+                    tree,
                     topo,
+                    keys,
+                    drivers,
                     closure,
-                    base_moments,
                     captures,
-                    None if prior is None else prior.fragments,
+                    None if prior is None else prior.walk,
                 ),
             ):
                 results[capture.index] = score
@@ -1248,47 +1287,66 @@ class ClockNetworkEvaluator:
 
     def _batched_scores(
         self,
-        stages: List[Stage],
-        drivers: List[_Driver],
+        tree: ClockTree,
         topo: StageTopology,
+        keys: List[Optional[_StageKey]],
+        drivers: List[_Driver],
         closure: List[int],
-        base_moments: Dict[int, BaseTapMoments],
         captures: List[_CandidateCapture],
-        prior_frags: Optional[Dict[str, List[_StageFrag]]],
+        prior: Optional[_Walk],
     ) -> List[CandidateScore]:
-        """Score every captured candidate in one batched pass per corner.
+        """Score every captured candidate in one ``K``-wide walk of ``closure``.
 
-        The skew/CLR/latency/slew extraction below mirrors the corresponding
-        :class:`EvaluationReport` properties operation for operation, so the
-        resulting floats are bit-identical to a full evaluation of each move.
+        A stage a candidate left untouched uses the base tree's rows, a dirty
+        one the candidate's own variant rows; one moment reduction covers
+        every variant of every closure stage, side by side on the tap axis.
+        Driver presence and polarity are uniform across candidates by
+        construction (divergent moves fell back), so the base tree's drivers
+        steer the walk.
         """
-        plan = self._batch_plan(
-            stages, drivers, topo, closure, base_moments, captures,
-            retained=prior_frags is not None,
-        )
-        per_corner = {
-            corner.name: self._candidate_corner(
-                stages,
-                drivers,
-                corner,
-                2 * position,
-                plan,
-                None if prior_frags is None else prior_frags[corner.name],
+        batch = len(captures)
+        stages = topo.stages
+        variants: List[BaseTapMoments] = []
+        columns: Dict[int, np.ndarray] = {}  # stage -> (candidates, taps)
+        width = 0
+        for index in closure:
+            base = self._stage_base_moments(
+                tree, stages[index], keys[index], self._split_caps, count=False
             )
-            for position, corner in enumerate(self.corners)
-        }
-        fast = per_corner[self._fast]
-        slow = per_corner[self._slow]
-        skew = np.maximum(
-            fast["max"][RISE] - fast["min"][RISE], fast["max"][FALL] - fast["min"][FALL]
-        )
-        clr = np.maximum(
-            slow["max"][RISE] - fast["min"][RISE], slow["max"][FALL] - fast["min"][FALL]
-        )
-        max_latency = np.maximum(slow["max"][RISE], slow["max"][FALL])
-        worst_slew = per_corner[self.corners[0].name]["slew"]
-        for corner in self.corners[1:]:
-            worst_slew = np.maximum(worst_slew, per_corner[corner.name]["slew"])
+            taps = len(base.tap_ids)
+            start = np.full(batch, width)
+            variants.append(base)
+            width += taps
+            for column, capture in enumerate(captures):
+                moments = capture.dirty_moments.get(index)
+                if moments is not None:
+                    start[column] = width
+                    variants.append(moments)
+                    width += taps
+            columns[index] = start[:, None] + np.arange(taps)
+        delay, sigma = self._delay_sigma(stack_tap_moments(variants))
+
+        def rows(
+            index: int, drive: np.ndarray
+        ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+            cols = columns[index]
+            taps = cols.shape[1]
+            # (corner x transition, candidates, taps) -> kernel rows.
+            stage_delay = delay[:, cols].reshape(-1, taps)
+            stage_sigma = sigma[:, cols].reshape(-1, taps)
+            buffer = drivers[index]
+            if buffer is None:
+                return stage_delay, stage_sigma, None
+            intrinsic: List[float] = []
+            for capture in captures:
+                driver = capture.dirty_drivers.get(index, buffer)
+                assert driver is not None  # presence is uniform (fallback)
+                intrinsic.append(driver.intrinsic_delay)
+            gate = np.multiply.outer(self._gate_scale, intrinsic).ravel()
+            return stage_delay, stage_sigma, gate
+
+        walk = self._walk(topo, drivers, closure, rows, batch=batch, prior=prior)
+        skew, clr, max_latency, worst_slew = self._objectives(walk, batch)
         return [
             CandidateScore(
                 index=capture.index,
@@ -1307,7 +1365,7 @@ class ClockNetworkEvaluator:
         ]
 
     def _downstream_closure(
-        self, dirty: Set[int], topo: StageTopology
+        self, dirty: Iterable[int], topo: StageTopology
     ) -> List[int]:
         """Dirty stage indices closed over downstream stages, in stage order.
 
@@ -1324,223 +1382,6 @@ class ClockNetworkEvaluator:
             stack.extend(topo.children[index])
         return sorted(closure)
 
-    def _batch_plan(
-        self,
-        stages: List[Stage],
-        drivers: List[_Driver],
-        topo: StageTopology,
-        closure: List[int],
-        base_moments: Dict[int, BaseTapMoments],
-        captures: List[_CandidateCapture],
-        retained: bool,
-    ) -> _BatchPlan:
-        """Corner-independent precompute shared by every corner's propagation.
-
-        One moment/delay reduction per stage variant covers all (corner,
-        transition) rows at once (the same row layout as the cached tap
-        models), so the per-corner walks only slice.
-        """
-        use_d2m = self.config.engine == "arnoldi"
-        tap_flags = topo.tap_flags
-        plan = _BatchPlan(len(captures), closure)
-        n = plan.n
-        for index in closure:
-            buffer = drivers[index]
-            plan.boundary.add(stages[index].driver_id)
-            variant_moments: List[BaseTapMoments] = [base_moments[index]]
-            variant_of = np.zeros(n, dtype=np.intp)
-            for column, capture in enumerate(captures):
-                moments = capture.dirty_moments.get(index)
-                if moments is not None:
-                    variant_of[column] = len(variant_moments)
-                    variant_moments.append(moments)
-            delays: List[np.ndarray] = []
-            sigmas: List[np.ndarray] = []
-            for moments in variant_moments:
-                m1, m2 = batched_tap_moments(moments, *self._combo_scales)
-                delay_rows, sigma_rows = batched_delay_sigma(m1, m2, use_d2m=use_d2m)
-                delays.append(delay_rows)
-                sigmas.append(sigma_rows)
-            plan.delay[index] = np.stack(delays)  # (variants, combos, taps)
-            plan.sigma[index] = np.stack(sigmas)
-            plan.variant_of[index] = variant_of
-            if buffer is None:
-                plan.intrinsic[index] = None
-            else:
-                values = np.empty(n)
-                for column, capture in enumerate(captures):
-                    driver = capture.dirty_drivers.get(index, buffer)
-                    assert driver is not None  # presence is uniform (fallback)
-                    values[column] = driver.intrinsic_delay
-                plan.intrinsic[index] = values
-            tap_ids = base_moments[index].tap_ids
-            plan.tap_ids[index] = tap_ids
-            plan.sink_cols[index] = [
-                col for col, tap in enumerate(tap_ids) if tap_flags[tap][0]
-            ]
-            plan.buffer_cols[index] = [
-                col for col, tap in enumerate(tap_ids) if tap_flags[tap][1]
-            ]
-        if retained:
-            # Retained stages whose outputs feed a closure stage: the only
-            # fragments boundary seeding has to scan.
-            seen: Set[int] = set()
-            for index in closure:
-                parent = topo.stage_of_edge.get(stages[index].driver_id)
-                if (
-                    parent is not None
-                    and parent not in plan.closure_set
-                    and parent not in seen
-                ):
-                    seen.add(parent)
-                    plan.seed_stages.append(parent)
-        return plan
-
-    def _candidate_corner(
-        self,
-        stages: List[Stage],
-        drivers: List[_Driver],
-        corner: Corner,
-        rise_row: int,
-        plan: _BatchPlan,
-        prior_frags: Optional[List[_StageFrag]],
-    ) -> Dict:
-        """Vectorized arrival/slew propagation of all candidates at one corner.
-
-        The candidates axis replaces :meth:`_propagate_corner`'s scalars with
-        length-``K`` arrays, exactly like :meth:`_corner_yield` does for
-        Monte Carlo samples; the operation order matches the scalar path so
-        unit rows keep bit parity.  Only the closure stages (the union of
-        the candidates' dirty frontiers, closed downstream) are walked:
-        stages outside it time identically for every candidate, so their
-        boundary outputs seed the closure inputs and their sink/slew extremes
-        enter as scalars read off the snapshot fragments.  That splice is
-        bit-exact because the max/min over closure sinks merged with the
-        retained extremes equals the global max/min.  Stages a candidate left
-        untouched index into the shared base-tree rows; dirty stages get
-        their own variant rows.  Driver presence and polarity are uniform
-        across candidates by construction (divergent moves fell back), so
-        direction tracking stays scalar.
-        """
-        cfg = self.config
-        n = plan.n
-        fall_row = rise_row + 1
-        closure = plan.closure
-        closure_set = plan.closure_set
-        stage_delay: Dict[int, np.ndarray] = {}
-        stage_sigma: Dict[int, np.ndarray] = {}
-        for index in closure:
-            variant_of = plan.variant_of[index]
-            # Candidate rows [rise x n, fall x n], mirroring _corner_yield.
-            stage_delay[index] = np.concatenate(
-                (
-                    plan.delay[index][variant_of, rise_row, :],
-                    plan.delay[index][variant_of, fall_row, :],
-                )
-            )
-            stage_sigma[index] = np.concatenate(
-                (
-                    plan.sigma[index][variant_of, rise_row, :],
-                    plan.sigma[index][variant_of, fall_row, :],
-                )
-            )
-
-        # Retained contribution: every stage outside the closure times
-        # identically for all candidates, so its extremes are scalars.
-        ret_max = {t: -np.inf for t in _TRANSITIONS}
-        ret_min = {t: np.inf for t in _TRANSITIONS}
-        ret_slew = 0.0
-        if prior_frags is not None:
-            for index, frag in enumerate(prior_frags):
-                if index in closure_set:
-                    continue
-                for per_sink in frag.latency.values():
-                    for transition, value in per_sink.items():
-                        if value > ret_max[transition]:
-                            ret_max[transition] = value
-                        if value < ret_min[transition]:
-                            ret_min[transition] = value
-                for per_tap in frag.tap_slew.values():
-                    for value in per_tap.values():
-                        if value > ret_slew:
-                            ret_slew = value
-
-        root_id = stages[0].driver_id
-        max_lat = {t: np.full(n, ret_max[t]) for t in _TRANSITIONS}
-        min_lat = {t: np.full(n, ret_min[t]) for t in _TRANSITIONS}
-        worst_slew = np.full(n, ret_slew)
-        boundary = plan.boundary
-        for launch in _TRANSITIONS:
-            arrival_at: Dict[int, Union[float, np.ndarray]] = {root_id: 0.0}
-            slew_at: Dict[int, Union[float, np.ndarray]] = {
-                root_id: cfg.source_slew
-            }
-            direction_at: Dict[int, str] = {root_id: launch}
-            if prior_frags is not None:
-                # Closure-boundary inputs come from retained-stage outputs;
-                # scalars here broadcast against the K-wide rows below.
-                for index in plan.seed_stages:
-                    for tap, arrival, slew, output_dir in (
-                        prior_frags[index].outputs[launch]
-                    ):
-                        if tap in boundary:
-                            arrival_at[tap] = arrival
-                            slew_at[tap] = slew
-                            direction_at[tap] = output_dir
-            for index in closure:
-                stage = stages[index]
-                buffer = drivers[index]
-                input_arrival = arrival_at[stage.driver_id]
-                input_slew = slew_at[stage.driver_id]
-                input_dir = direction_at[stage.driver_id]
-                if buffer is not None and buffer.inverting:
-                    output_dir = FALL if input_dir == RISE else RISE
-                else:
-                    output_dir = input_dir
-                gate_delay: Union[float, np.ndarray]
-                stage_intrinsic = plan.intrinsic[index]
-                if buffer is None or stage_intrinsic is None:
-                    drive_slew = input_slew
-                    gate_delay = 0.0
-                else:
-                    drive_slew = cfg.buffer_slew_regeneration * input_slew
-                    gate_delay = (
-                        stage_intrinsic * corner.driver_scale
-                        + cfg.slew_delay_factor * input_slew
-                    )
-                row0 = 0 if output_dir == RISE else n
-                base_arrival = input_arrival + gate_delay
-                if isinstance(base_arrival, np.ndarray):
-                    base_arrival = base_arrival[:, None]
-                drive_sq = drive_slew * drive_slew
-                if isinstance(drive_sq, np.ndarray):
-                    drive_sq = drive_sq[:, None]
-                delay = stage_delay[index][row0 : row0 + n, :]
-                sigma = stage_sigma[index][row0 : row0 + n, :]
-                tap_arrival = base_arrival + delay  # (n, taps)
-                wire_slew = LN9 * sigma
-                tap_slew_value = (wire_slew * wire_slew + drive_sq) ** 0.5
-                if tap_slew_value.shape[1]:
-                    np.maximum(
-                        worst_slew, tap_slew_value.max(axis=1), out=worst_slew
-                    )
-                cols = plan.sink_cols[index]
-                if cols:
-                    sinks = tap_arrival[:, cols]
-                    np.maximum(
-                        max_lat[output_dir], sinks.max(axis=1), out=max_lat[output_dir]
-                    )
-                    np.minimum(
-                        min_lat[output_dir], sinks.min(axis=1), out=min_lat[output_dir]
-                    )
-                tap_ids = plan.tap_ids[index]
-                for col in plan.buffer_cols[index]:
-                    tap = tap_ids[col]
-                    arrival_at[tap] = tap_arrival[:, col]
-                    slew_at[tap] = tap_slew_value[:, col]
-                    direction_at[tap] = output_dir
-        return {"max": max_lat, "min": min_lat, "slew": worst_slew}
-
     # ------------------------------------------------------------------
     # Monte Carlo variation evaluation
     # ------------------------------------------------------------------
@@ -1556,15 +1397,14 @@ class ClockNetworkEvaluator:
         """Evaluate ``tree`` under ``samples`` Monte Carlo variation scenarios.
 
         Per-stage perturbations are drawn from ``model`` and applied on top
-        of every evaluator corner; all scenarios are analyzed in batched
-        numpy passes over the cached per-stage moment reductions (one
-        :func:`~repro.analysis.arnoldi.batched_tap_moments` call per stage
-        and corner covers every sample and both transitions at once), so the
+        of every evaluator corner; the propagation kernel then walks every
+        scenario over its batch axis, in blocks of samples that bound memory
+        (one :func:`~repro.analysis.arnoldi.batched_tap_moments` call per
+        stage and block covers every corner, transition and sample), so the
         cost per scenario is orders of magnitude below a per-sample
         :meth:`evaluate` loop.  A zero-variance model reproduces the nominal
         evaluation bit-for-bit: sampling returns multipliers of exactly 1.0
-        and the arithmetic below mirrors the nominal path operation for
-        operation.
+        and the nominal path runs the same kernel.
 
         Only the analytical engines can be batched this way; the transient
         engine raises.  ``skew_limit_ps`` sets the yield threshold of the
@@ -1584,8 +1424,8 @@ class ClockNetworkEvaluator:
             # library-wide base seed rather than OS entropy.
             rng = derive_rng(seed, "evaluate-yield")
         self.yield_run_count += 1
-        use_cache = self.config.incremental
-        stages, keys, drivers = self._stages_and_keys(tree, use_cache)
+        topo, keys, drivers = self._topology_and_keys(tree, self.config.incremental)
+        stages = topo.stages
         positions = np.array(
             [
                 (tree.node(stage.driver_id).position.x, tree.node(stage.driver_id).position.y)
@@ -1598,30 +1438,58 @@ class ClockNetworkEvaluator:
             self._stage_base_moments(tree, stage, key, split)
             for stage, key in zip(stages, keys)
         ]
-        tap_flags: Dict[int, Tuple[bool, bool]] = {}
-        for stage in stages:
-            for tap in stage.taps:
-                node = tree.node(tap)
-                tap_flags[tap] = (node.is_sink, node.buffer is not None)
-
-        per_corner = {
-            corner.name: self._corner_yield(
-                stages, moments, drivers, tap_flags, corner, draws, samples
-            )
+        cfg = self.config
+        use_d2m = cfg.engine == "arnoldi"
+        driver_mult = [
+            draws.driver * supply_driver_multiplier(corner.vdd, draws.vdd_shift)
             for corner in self.corners
-        }
+        ]
+        block = max(
+            1, _YIELD_BLOCK_ELEMENTS // (2 * len(self.corners) * max(1, len(topo.tap_ids)))
+        )
 
-        fast = per_corner[self._fast]
-        slow = per_corner[self._slow]
-        skew = np.maximum(
-            fast["max"][RISE] - fast["min"][RISE], fast["max"][FALL] - fast["min"][FALL]
-        )
-        clr = np.maximum(
-            slow["max"][RISE] - fast["min"][RISE], slow["max"][FALL] - fast["min"][FALL]
-        )
-        worst_slew = per_corner[self.corners[0].name]["slew"]
-        for corner in self.corners[1:]:
-            worst_slew = np.maximum(worst_slew, per_corner[corner.name]["slew"])
+        def block_rows(block_samples: slice) -> _StageRows:
+            def rows(
+                index: int, drive: np.ndarray
+            ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+                d_rows: List[np.ndarray] = []
+                r_rows: List[np.ndarray] = []
+                w_rows: List[np.ndarray] = []
+                gates: List[np.ndarray] = []
+                for corner, mult in zip(self.corners, driver_mult):
+                    stage_driver = mult[block_samples, index]
+                    wire_res = corner.wire_res_scale * draws.wire_res[block_samples, index]
+                    wire_cap = corner.wire_cap_scale * draws.wire_cap[block_samples, index]
+                    d_rows += [
+                        (corner.driver_scale * cfg.pull_up_factor) * stage_driver,
+                        (corner.driver_scale * cfg.pull_down_factor) * stage_driver,
+                    ]
+                    r_rows += [wire_res, wire_res]
+                    w_rows += [wire_cap, wire_cap]
+                    gates += [corner.driver_scale * stage_driver] * 2
+                m1, m2 = batched_tap_moments(
+                    moments[index],
+                    np.concatenate(d_rows),
+                    np.concatenate(r_rows),
+                    np.concatenate(w_rows),
+                )
+                delay, sigma = batched_delay_sigma(m1, m2, use_d2m=use_d2m)
+                buffer = drivers[index]
+                if buffer is None:
+                    return delay, sigma, None
+                return delay, sigma, buffer.intrinsic_delay * np.concatenate(gates)
+
+            return rows
+
+        parts: List[Tuple[np.ndarray, ...]] = []
+        for low in range(0, samples, block):
+            high = min(low + block, samples)
+            walk = self._walk(
+                topo, drivers, range(len(stages)), block_rows(slice(low, high)),
+                batch=high - low,
+            )
+            parts.append(self._objectives(walk, high - low))
+        skew, clr, _, worst_slew = (np.concatenate(columns) for columns in zip(*parts))
         return YieldReport(
             n_samples=samples,
             engine=self.config.engine,
@@ -1635,101 +1503,24 @@ class ClockNetworkEvaluator:
             worst_slew_samples=worst_slew,
         )
 
-    def _corner_yield(
-        self,
-        stages: List[Stage],
-        moments: List[BaseTapMoments],
-        drivers: List[_Driver],
-        tap_flags: Dict[int, Tuple[bool, bool]],
-        corner: Corner,
-        draws: VariationSamples,
-        n: int,
-    ) -> Dict:
-        """Vectorized arrival/slew propagation of all samples at one corner.
-
-        The sample axis replaces :meth:`_propagate_corner`'s scalars with
-        length-``n`` arrays; the stage loop, inversion tracking and slew
-        model are carried over verbatim (and in the same operation order, so
-        unit multipliers keep bit parity with the nominal path).  Returns
-        running per-sample sink-latency extrema per transition plus the
-        per-sample worst tap slew.
-        """
-        cfg = self.config
-        use_d2m = cfg.engine == "arnoldi"
-        up_scale = corner.driver_scale * cfg.pull_up_factor
-        down_scale = corner.driver_scale * cfg.pull_down_factor
-        supply_mult = supply_driver_multiplier(corner.vdd, draws.vdd_shift)
-        driver_mult = draws.driver * supply_mult
-
-        # One batched moment pass per stage: rows are [rise x n, fall x n].
-        stage_models: List[Tuple[np.ndarray, np.ndarray]] = []
-        for index in range(len(stages)):
-            stage_driver = driver_mult[:, index]
-            d_rows = np.concatenate((up_scale * stage_driver, down_scale * stage_driver))
-            r_rows = np.tile(corner.wire_res_scale * draws.wire_res[:, index], 2)
-            w_rows = np.tile(corner.wire_cap_scale * draws.wire_cap[:, index], 2)
-            m1, m2 = batched_tap_moments(moments[index], d_rows, r_rows, w_rows)
-            stage_models.append(batched_delay_sigma(m1, m2, use_d2m=use_d2m))
-
-        root_id = stages[0].driver_id
-        max_lat = {t: np.full(n, -np.inf) for t in _TRANSITIONS}
-        min_lat = {t: np.full(n, np.inf) for t in _TRANSITIONS}
-        worst_slew = np.zeros(n)
-        for launch in _TRANSITIONS:
-            arrival_at: Dict[int, np.ndarray] = {root_id: np.zeros(n)}
-            slew_at: Dict[int, np.ndarray] = {root_id: np.full(n, cfg.source_slew)}
-            direction_at: Dict[int, str] = {root_id: launch}
-            for index, (stage, buffer) in enumerate(zip(stages, drivers)):
-                driver_id = stage.driver_id
-                input_arrival = arrival_at[driver_id]
-                input_slew = slew_at[driver_id]
-                input_dir = direction_at[driver_id]
-                if buffer is not None and buffer.inverting:
-                    output_dir = FALL if input_dir == RISE else RISE
-                else:
-                    output_dir = input_dir
-                gate_delay: Union[float, np.ndarray]
-                if buffer is None:
-                    drive_slew = input_slew
-                    gate_delay = 0.0
-                else:
-                    drive_slew = cfg.buffer_slew_regeneration * input_slew
-                    gate_delay = (
-                        buffer.intrinsic_delay * (corner.driver_scale * driver_mult[:, index])
-                        + cfg.slew_delay_factor * input_slew
-                    )
-                delay, sigma = stage_models[index]
-                row0 = 0 if output_dir == RISE else n
-                base_arrival = input_arrival + gate_delay
-                drive_sq = drive_slew * drive_slew
-                for column, tap in enumerate(moments[index].tap_ids):
-                    tap_arrival = base_arrival + delay[row0 : row0 + n, column]
-                    wire_slew = LN9 * sigma[row0 : row0 + n, column]
-                    tap_slew_value = (wire_slew * wire_slew + drive_sq) ** 0.5
-                    is_sink, has_buffer = tap_flags[tap]
-                    np.maximum(worst_slew, tap_slew_value, out=worst_slew)
-                    if is_sink:
-                        np.maximum(max_lat[output_dir], tap_arrival, out=max_lat[output_dir])
-                        np.minimum(min_lat[output_dir], tap_arrival, out=min_lat[output_dir])
-                    if has_buffer:
-                        arrival_at[tap] = tap_arrival
-                        slew_at[tap] = tap_slew_value
-                        direction_at[tap] = output_dir
-        return {"max": max_lat, "min": min_lat, "slew": worst_slew}
-
     # ------------------------------------------------------------------
     # Stage bookkeeping
     # ------------------------------------------------------------------
-    def _stages_and_keys(
+    def _topology_and_keys(
         self, tree: ClockTree, use_cache: bool
-    ) -> Tuple[List[Stage], List[Optional[_StageKey]], List[_Driver]]:
+    ) -> Tuple[StageTopology, List[Optional[_StageKey]], List[_Driver]]:
+        """Stage topology, content keys and live driver buffers of ``tree``.
+
+        Drivers are read live from the tree: a cached topology may pre-date
+        a same-site buffer re-sizing.
+        """
         if not use_cache:
-            stages = extract_stages(tree)
-            drivers = [tree.node(stage.driver_id).buffer for stage in stages]
-            return stages, [None] * len(stages), drivers
-        stages = self.cache.stage_list(tree)
-        keys, drivers = self._stage_keys(tree, stages)
-        return stages, keys, drivers
+            topo = build_stage_topology(tree)
+            drivers = [tree.node(stage.driver_id).buffer for stage in topo.stages]
+            return topo, [None] * len(topo.stages), drivers
+        topo = self.cache.topology(tree)
+        keys, drivers = self._stage_keys(tree, topo.stages)
+        return topo, keys, drivers
 
     def _stage_keys(
         self, tree: ClockTree, stages: List[Stage]
@@ -1758,14 +1549,16 @@ class ClockNetworkEvaluator:
 
     def _dirty_frontier(
         self, tree: ClockTree, keys: List[Optional[_StageKey]], topo: StageTopology
-    ) -> Tuple[Optional[Set[int]], Optional[_PropagationState]]:
-        """Stages to re-propagate, or (None, None) to force a full walk.
+    ) -> Tuple[Optional[List[int]], Optional[_PropagationState]]:
+        """Stages to re-propagate in stage order, or (None, None) to force a
+        full walk.
 
         The dirty set is the content-key mismatches against the last
         propagation snapshot, closed over downstream stages (a changed stage
         changes the input arrival/slew of everything below its taps).  The
         complement -- retained stages -- then provably has only retained
-        ancestors, which is what makes fragment splicing bit-identical.
+        ancestors, which is what makes reading them from the snapshot
+        bit-identical.
         """
         prop = self._prop
         if (
@@ -1774,19 +1567,12 @@ class ClockNetworkEvaluator:
             or len(prop.keys) != len(keys)
         ):
             return None, None
-        recompute: Set[int] = set()
-        stack = [
+        dirty = (
             index
             for index, (old, new) in enumerate(zip(prop.keys, keys))
             if old != new
-        ]
-        while stack:
-            index = stack.pop()
-            if index in recompute:
-                continue
-            recompute.add(index)
-            stack.extend(topo.children[index])
-        return recompute, prop
+        )
+        return self._downstream_closure(dirty, topo), prop
 
     # ------------------------------------------------------------------
     # Analytical engines: batched per-stage tap models
@@ -1794,7 +1580,7 @@ class ClockNetworkEvaluator:
     def _tap_model(
         self, tree: ClockTree, stage: Stage, key: Optional[_StageKey]
     ) -> _TapModel:
-        """Per-stage ``{(corner, transition): {tap: (delay, sigma)}}`` mapping.
+        """The stage's ``(corner x transition, taps)`` delay and sigma rows.
 
         ``delay`` is the wire delay from the driver switching instant and
         ``sigma`` the intrinsic slew scale; both are independent of the input
@@ -1806,22 +1592,16 @@ class ClockNetworkEvaluator:
             cached = self.cache.tap_model(key)
             if cached is not None:
                 return cached
-        moments = self._stage_base_moments(tree, stage, key, self._split_caps, count=False)
-        m1, m2 = batched_tap_moments(moments, *self._combo_scales)
-        delay, sigma = batched_delay_sigma(
-            m1, m2, use_d2m=(self.config.engine == "arnoldi")
+        model = self._delay_sigma(
+            self._stage_base_moments(tree, stage, key, self._split_caps, count=False)
         )
-        model: _TapModel = {}
-        for row, combo in enumerate(self._combos):
-            delays = delay[row]
-            sigmas = sigma[row]
-            model[combo] = {
-                tap: (delays[column], sigmas[column])
-                for column, tap in enumerate(moments.tap_ids)
-            }
         if key is not None:
             self.cache.store_tap_model(key, model)
         return model
+
+    def _delay_sigma(self, moments: BaseTapMoments) -> _TapModel:
+        m1, m2 = batched_tap_moments(moments, *self._combo_scales)
+        return batched_delay_sigma(m1, m2, use_d2m=(self.config.engine == "arnoldi"))
 
     def _stage_base_moments(
         self,
@@ -1833,8 +1613,8 @@ class ClockNetworkEvaluator:
     ) -> BaseTapMoments:
         """The stage's corner-independent moment reduction, cached by content.
 
-        Shared by the per-corner tap models of :meth:`evaluate`, the Monte
-        Carlo batches of :meth:`evaluate_yield` and the candidate batches of
+        Shared by the tap models of :meth:`evaluate`, the Monte Carlo batches
+        of :meth:`evaluate_yield` and the candidate batches of
         :meth:`evaluate_candidates`, so whichever runs first pays for the
         numpy reduction and the others reuse it for every stage whose RC
         content is unchanged.
@@ -1850,175 +1630,22 @@ class ClockNetworkEvaluator:
             self.cache.store_base_moments(cache_key, moments)
         return moments
 
-    def _corner_from_models(
-        self,
-        stages: List[Stage],
-        models: List[Optional[_TapModel]],
-        drivers: List[_Driver],
-        tap_flags: Dict[int, Tuple[bool, bool]],
-        corner: Corner,
-        recompute: Optional[Set[int]] = None,
-        prior: Optional[List[_StageFrag]] = None,
-        collect: bool = False,
-    ) -> Tuple[CornerTiming, Optional[List[_StageFrag]]]:
-        def stage_timing(
-            index: int, stage: Stage, output_dir: str, drive_slew: float
-        ) -> Iterator[Tuple[int, float, float]]:
-            model = models[index]
-            assert model is not None  # retained stages are never re-timed
-            drive_sq = drive_slew * drive_slew
-            for tap, (delay, sigma) in model[(corner.name, output_dir)].items():
-                wire_slew = LN9 * sigma
-                yield tap, delay, (wire_slew * wire_slew + drive_sq) ** 0.5
-
-        return self._propagate_corner(
-            stages, drivers, tap_flags, corner, stage_timing, recompute, prior, collect
-        )
-
     # ------------------------------------------------------------------
     # Transient (SPICE-substitute) engine
     # ------------------------------------------------------------------
-    def _corner_transient(
-        self,
-        tree: ClockTree,
-        stages: List[Stage],
-        keys: List[Optional[_StageKey]],
-        drivers: List[_Driver],
-        tap_flags: Dict[int, Tuple[bool, bool]],
-        corner: Corner,
-        recompute: Optional[Set[int]] = None,
-        prior: Optional[List[_StageFrag]] = None,
-        collect: bool = False,
-    ) -> Tuple[CornerTiming, Optional[List[_StageFrag]]]:
-        def stage_timing(
-            index: int, stage: Stage, output_dir: str, drive_slew: float
-        ) -> List[Tuple[int, float, float]]:
+    def _transient_rows(
+        self, tree: ClockTree, stage: Stage, key: Optional[_StageKey], drive: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The stage's delay and slew rows, one transient analysis per row."""
+        delay = np.empty((len(self._combos), len(stage.taps)))
+        slew = np.empty_like(delay)
+        for row, (corner, direction) in enumerate(self._combos):
             timing = self._transient_stage_timing(
-                tree, stage, keys[index], corner, output_dir, drive_slew
+                tree, stage, key, corner, direction, float(drive[row])
             )
-            return [(tap, timing.delay[tap], timing.slew[tap]) for tap in stage.taps]
-
-        return self._propagate_corner(
-            stages, drivers, tap_flags, corner, stage_timing, recompute, prior, collect
-        )
-
-    # ------------------------------------------------------------------
-    # Shared arrival/slew propagation
-    # ------------------------------------------------------------------
-    def _propagate_corner(
-        self,
-        stages: List[Stage],
-        drivers: List[_Driver],
-        tap_flags: Dict[int, Tuple[bool, bool]],
-        corner: Corner,
-        stage_timing: _StageTimingFn,
-        recompute: Optional[Set[int]] = None,
-        prior: Optional[List[_StageFrag]] = None,
-        collect: bool = False,
-    ) -> Tuple[CornerTiming, Optional[List[_StageFrag]]]:
-        """Propagate both launch transitions through the ordered stages.
-
-        ``stage_timing(index, stage, output_dir, drive_slew)`` yields
-        ``(tap, delay, slew)`` triples for one stage; everything else --
-        inversion tracking, gate delay, slew regeneration, sink/buffer
-        bookkeeping -- is engine-independent and lives only here.
-
-        The walk is stage-major with both launch transitions carried side by
-        side, so that a stage outside ``recompute`` can be skipped entirely:
-        its fragment from ``prior`` (same content key, hence bit-identical
-        inputs and outputs) is spliced into the result dicts and its
-        downstream state re-seeded from the recorded outputs.  With
-        ``recompute=None`` every stage is computed -- a full propagation.
-        ``collect=True`` additionally returns the per-stage fragment list for
-        the next dirty-region diff.
-        """
-        cfg = self.config
-        root_id = stages[0].driver_id
-        latency: Dict[int, Dict[str, float]] = {}
-        slew: Dict[int, Dict[str, float]] = {}
-        tap_slew: Dict[int, Dict[str, float]] = {}
-        arrival_at: Dict[str, Dict[int, float]] = {
-            launch: {root_id: 0.0} for launch in _TRANSITIONS
-        }
-        slew_at: Dict[str, Dict[int, float]] = {
-            launch: {root_id: cfg.source_slew} for launch in _TRANSITIONS
-        }
-        direction_at: Dict[str, Dict[int, str]] = {
-            launch: {root_id: launch} for launch in _TRANSITIONS
-        }
-        frags: Optional[List[_StageFrag]] = [] if collect else None
-        for index, (stage, buffer) in enumerate(zip(stages, drivers)):
-            if recompute is not None and index not in recompute:
-                assert prior is not None
-                frag = prior[index]
-                latency.update(frag.latency)
-                slew.update(frag.slew)
-                tap_slew.update(frag.tap_slew)
-                for launch in _TRANSITIONS:
-                    arrivals = arrival_at[launch]
-                    slews = slew_at[launch]
-                    directions = direction_at[launch]
-                    for tap, tap_arrival, tap_slew_value, output_dir in frag.outputs[
-                        launch
-                    ]:
-                        arrivals[tap] = tap_arrival
-                        slews[tap] = tap_slew_value
-                        directions[tap] = output_dir
-                if frags is not None:
-                    frags.append(frag)
-                continue
-            frag_latency: Dict[int, Dict[str, float]] = {}
-            frag_slew: Dict[int, Dict[str, float]] = {}
-            frag_tap_slew: Dict[int, Dict[str, float]] = {}
-            frag_outputs: Dict[str, List[Tuple[int, float, float, str]]] = {
-                RISE: [],
-                FALL: [],
-            }
-            driver_id = stage.driver_id
-            for launch in _TRANSITIONS:
-                input_arrival = arrival_at[launch][driver_id]
-                input_slew = slew_at[launch][driver_id]
-                input_dir = direction_at[launch][driver_id]
-                if buffer is not None and buffer.inverting:
-                    output_dir = FALL if input_dir == RISE else RISE
-                else:
-                    output_dir = input_dir
-                if buffer is None:
-                    drive_slew = input_slew
-                    gate_delay = 0.0
-                else:
-                    drive_slew = cfg.buffer_slew_regeneration * input_slew
-                    gate_delay = (
-                        buffer.intrinsic_delay * corner.driver_scale
-                        + cfg.slew_delay_factor * input_slew
-                    )
-                arrivals = arrival_at[launch]
-                slews = slew_at[launch]
-                directions = direction_at[launch]
-                outputs = frag_outputs[launch]
-                for tap, delay, tap_slew_value in stage_timing(
-                    index, stage, output_dir, drive_slew
-                ):
-                    tap_arrival = input_arrival + gate_delay + delay
-                    is_sink, has_buffer = tap_flags[tap]
-                    frag_tap_slew.setdefault(tap, {})[output_dir] = tap_slew_value
-                    if is_sink:
-                        frag_latency.setdefault(tap, {})[output_dir] = tap_arrival
-                        frag_slew.setdefault(tap, {})[output_dir] = tap_slew_value
-                    if has_buffer:
-                        arrivals[tap] = tap_arrival
-                        slews[tap] = tap_slew_value
-                        directions[tap] = output_dir
-                        outputs.append((tap, tap_arrival, tap_slew_value, output_dir))
-            latency.update(frag_latency)
-            slew.update(frag_slew)
-            tap_slew.update(frag_tap_slew)
-            if frags is not None:
-                frags.append(
-                    _StageFrag(frag_latency, frag_slew, frag_tap_slew, frag_outputs)
-                )
-        timing = CornerTiming(corner=corner, latency=latency, slew=slew, tap_slew=tap_slew)
-        return timing, frags
+            delay[row] = [timing.delay[tap] for tap in stage.taps]
+            slew[row] = [timing.slew[tap] for tap in stage.taps]
+        return delay, slew
 
     def _transient_stage_timing(
         self,
@@ -2037,8 +1664,9 @@ class ClockNetworkEvaluator:
             # quantizing the key would change results.  The cost is that any
             # upstream slew wiggle produces a fresh key for every downstream
             # stage ("float-key thrash") -- dirty-region propagation sidesteps
-            # the repeated lookups for retained stages, and the measured hit
-            # rates before/after are recorded by benchmarks/propagation_smoke.
+            # the repeated lookups for retained stages, and the `propagation`
+            # perf case (`repro perf run --case propagation`) gates the hit
+            # and miss deltas before/after.
             timing_key = (key, corner.name, output_dir, drive_slew)
             cached = self.cache.timing(timing_key)
             if cached is not None:

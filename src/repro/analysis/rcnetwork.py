@@ -15,7 +15,7 @@ electrical model, only the solution accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -152,22 +152,31 @@ class StageTopology:
     Everything here depends only on the tree's *structure* (topology, buffer
     sites, sink roles), never on electrical content, so one instance stays
     valid for as long as the tree's structure revision does -- the evaluator
-    caches it next to the stage list and uses it for dirty-region closure and
-    candidate dirty-set mapping without re-walking the tree:
+    caches it next to the stage list and uses it for dirty-region closure,
+    candidate dirty-set mapping and the propagation kernel's tap columns
+    without re-walking the tree:
 
     * ``children[i]`` -- indices of the stages driven by stage ``i``'s taps;
     * ``stage_of_edge`` -- tree node id -> index of the stage that contains
       the node's parent edge (tap edges belong to the stage above the tap);
     * ``stage_of_driver`` -- driver node id -> index of the stage it drives;
-    * ``tap_flags`` -- ``(is_sink, has_buffer)`` per tap, shared by every
-      corner/launch propagation sweep.
+    * ``tap_ids`` -- every tap, stage by stage in ``Stage.taps`` order: the
+      column order of the evaluator's per-tap arrays, with stage ``i``'s taps
+      at columns ``tap_start[i]:tap_start[i + 1]``;
+    * ``driver_col[i]`` -- the column of stage ``i``'s driver tap (-1 for
+      the source stage);
+    * ``sink_cols`` / ``sink_ids`` -- the columns and node ids of sink taps.
     """
 
     stages: List[Stage]
     children: List[List[int]]
     stage_of_edge: Dict[int, int]
     stage_of_driver: Dict[int, int]
-    tap_flags: Dict[int, Tuple[bool, bool]]
+    tap_ids: List[int]
+    tap_start: List[int]
+    driver_col: List[int]
+    sink_cols: np.ndarray
+    sink_ids: List[int]
 
 
 def build_stage_topology(tree: ClockTree, stages: Optional[List[Stage]] = None) -> StageTopology:
@@ -177,22 +186,32 @@ def build_stage_topology(tree: ClockTree, stages: Optional[List[Stage]] = None) 
     stage_of_driver = {stage.driver_id: index for index, stage in enumerate(stages)}
     children: List[List[int]] = [[] for _ in stages]
     stage_of_edge: Dict[int, int] = {}
-    tap_flags: Dict[int, Tuple[bool, bool]] = {}
+    tap_ids: List[int] = []
+    tap_start = [0]
+    sink_cols: List[int] = []
+    column_of: Dict[int, int] = {}
     for index, stage in enumerate(stages):
         for edge in stage.edges:
             stage_of_edge[edge] = index
         for tap in stage.taps:
-            node = tree.node(tap)
-            tap_flags[tap] = (node.is_sink, node.buffer is not None)
+            column_of[tap] = len(tap_ids)
+            if tree.node(tap).is_sink:
+                sink_cols.append(len(tap_ids))
+            tap_ids.append(tap)
             downstream = stage_of_driver.get(tap)
             if downstream is not None:
                 children[index].append(downstream)
+        tap_start.append(len(tap_ids))
     return StageTopology(
         stages=stages,
         children=children,
         stage_of_edge=stage_of_edge,
         stage_of_driver=stage_of_driver,
-        tap_flags=tap_flags,
+        tap_ids=tap_ids,
+        tap_start=tap_start,
+        driver_col=[column_of.get(stage.driver_id, -1) for stage in stages],
+        sink_cols=np.array(sink_cols, dtype=np.intp),
+        sink_ids=[tap_ids[col] for col in sink_cols],
     )
 
 

@@ -6,8 +6,7 @@ owns one :class:`~concurrent.futures.ProcessPoolExecutor` that is created on
 first use and reused across every subsequent call, so repeated small requests
 -- the traffic shape of a synthesis service, as opposed to a nightly sweep --
 pay the worker spawn cost once instead of per call
-(``benchmarks/service_smoke.py`` tracks the difference as
-``BENCH_service.json``).
+(``repro perf run --case service`` tracks the difference).
 
 The facade speaks the typed API end to end:
 

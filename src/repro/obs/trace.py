@@ -13,7 +13,7 @@ Design constraints, in order:
    ``tracer.enabled`` and skip their counter bookkeeping entirely;
    :data:`NULL_TRACER` hands out one cached no-op context manager, so an
    instrumented-but-untraced call costs an attribute read and a branch
-   (``benchmarks/trace_smoke.py`` holds the ti:200 flow to <2% overhead).
+   (``repro perf run --case trace`` holds the ti:200 flow to <2% overhead).
 2. **Traces never feed fingerprints.**  Content addresses come from job
    identity (:mod:`repro.store.fingerprint`), records attach only the
    compact :class:`TraceSummary`, and the full artifact quarantines

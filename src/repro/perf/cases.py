@@ -1,7 +1,7 @@
-"""The registered perf cases -- the five bench smokes, absorbed, plus serve.
+"""The registered perf cases, each run with ``repro perf run --case <name>``.
 
-Each case reproduces one ``benchmarks/*_smoke.py`` measurement as a
-registered :class:`~repro.perf.case.PerfCase`: the workload runs under the
+Each case is one measurement as a registered
+:class:`~repro.perf.case.PerfCase`: the workload runs under the
 supplied tracer (so span paths and span counters land in the ledger entry),
 every timed region is a span (``span.total_s`` after the ``with`` block --
 no raw ``time.perf_counter`` calls, per the ``untimed-wallclock`` rule),
@@ -9,8 +9,6 @@ deterministic facts become counters or deterministic checks, and the old
 hard acceptance floors (variation 20x, dirty-region 5x, candidate batch 3x,
 disabled-trace overhead <2%) become ``timing=True`` checks so they gate in
 ``repro perf compare`` without contaminating the byte-stable remainder.
-
-The smoke scripts remain as thin CLI wrappers over these cases.
 """
 
 from __future__ import annotations
@@ -57,10 +55,10 @@ def _prefixed(prefix: str, stats: Dict[str, int]) -> Dict[str, int]:
 class EvaluatorCase(PerfCase):
     """The 200-sink TI Contango flow as one traced runner job.
 
-    Absorbs ``benchmarks/perf_smoke.py``: the flow's evaluator counters
-    (evaluations, cache hits/misses, propagation splits) arrive through the
-    span tree, quality metrics stay with the store regression gate, and the
-    old best-of-3 wall-clock becomes the entry's median over repeats.
+    Run with ``repro perf run --case evaluator``: the flow's evaluator
+    counters (evaluations, cache hits/misses, propagation splits) arrive
+    through the span tree, quality metrics stay with the store regression
+    gate, and the wall-clock is the entry's median over repeats.
     """
 
     name = "evaluator"
@@ -90,8 +88,8 @@ class EvaluatorCase(PerfCase):
 class VariationCase(PerfCase):
     """Batched vs per-sample Monte Carlo skew-yield evaluation.
 
-    Absorbs ``benchmarks/variation_smoke.py``: the zero-variance bit-parity
-    check stays deterministic, the 20x-over-serial floor becomes a timing
+    Run with ``repro perf run --case variation``: the zero-variance
+    bit-parity check is deterministic, the 20x-over-serial floor is a timing
     check, and both wall-clocks land in the ``timings.extra`` series.
     """
 
@@ -199,8 +197,8 @@ class VariationCase(PerfCase):
 class ServiceCase(PerfCase):
     """Warm-pool vs per-call-pool dispatch of many tiny jobs.
 
-    Absorbs ``benchmarks/service_smoke.py``: the reuse invariant (one pool
-    for the whole warm run, identical fingerprints either way) gates
+    Run with ``repro perf run --case service``: the reuse invariant (one
+    pool for the whole warm run, identical fingerprints either way) gates
     deterministically; the speedup stays an untracked trajectory because a
     1-core host serializes both variants onto the same CPU.
     """
@@ -264,10 +262,10 @@ class ServiceCase(PerfCase):
 class PropagationCase(PerfCase):
     """Dirty-region re-evaluation and batched candidate scoring.
 
-    Absorbs ``benchmarks/propagation_smoke.py``: bit-parity against the
+    Run with ``repro perf run --case propagation``: bit-parity against the
     cold/serial references gates deterministically, the 5x (dirty) and 3x
-    (batch) floors become timing checks, and the float-keyed timing-cache
-    finding's hit/miss deltas become counters so the finding itself is
+    (batch) floors are timing checks, and the float-keyed timing-cache
+    finding's hit/miss deltas are counters so the finding itself is
     regression-gated.
     """
 
@@ -460,7 +458,7 @@ class PropagationCase(PerfCase):
 class TraceCase(PerfCase):
     """Tracing parity and the disabled-instrumentation overhead ceiling.
 
-    Absorbs ``benchmarks/trace_smoke.py``: traced/untraced record parity
+    Run with ``repro perf run --case trace``: traced/untraced record parity
     and fingerprint equality gate deterministically; the <2% disabled
     overhead ceiling (per-event null-span cost scaled by the traced run's
     span count, against the untraced flow runtime) is a timing check.

@@ -24,8 +24,8 @@ process boundary in either direction.
 
 The module is the substrate of :class:`repro.api.service.SynthesisService`
 (whose warm pool streams through the shared :func:`dispatch_jobs` loop), of
-the ``python -m repro`` command line (see :mod:`repro.cli`), and of
-``benchmarks/perf_smoke.py`` / ``benchmarks/variation_smoke.py``.
+the ``python -m repro`` command line (see :mod:`repro.cli`), and of the
+``evaluator`` and ``variation`` perf cases (``repro perf run --case <name>``).
 """
 
 from __future__ import annotations

@@ -7,6 +7,11 @@ reproduce the Table III stage records captured from the monolithic
 pre-refactor flow on the seeded 200-sink TI instance *bit-for-bit* (wall
 clock excluded).  The default policy -- retry with halved growth -- is then
 asserted to be no worse.
+
+The same runs pin the evaluator's ``cache_stats()`` block, which rides on
+every ``RunRecord`` as ``evaluator_cache``: a propagation change that looks
+up one extra tap model, or walks one extra stage, shows up here before it
+reaches a stored record.
 """
 
 import json
@@ -24,7 +29,10 @@ from repro.core import (
     register_pass,
     resolve_pipeline,
 )
+from repro.api.jobs import JobSpec
+from repro.core.config import BATCHED_PIPELINE
 from repro.core.pipeline import PassContext
+from repro.runner import run_job
 from repro.testing import make_small_instance
 from repro.workloads import generate_ti_benchmark
 
@@ -36,6 +44,27 @@ def ti200():
     return generate_ti_benchmark(200)
 
 
+def cache_block(hits, misses, moments, full, partial, propagated, total, batches=0, scored=0):
+    """An ``evaluator_cache`` block of an analytical-engine flow."""
+    return {
+        "hits": hits,
+        "misses": misses,
+        "evictions": 0,
+        "tap_models": misses,
+        "base_moments": moments,
+        "networks": 0,
+        "timings": 0,
+        "stage_lists": 2,
+        "propagations_full": full,
+        "propagations_partial": partial,
+        "stages_propagated": propagated,
+        "stages_total": total,
+        "candidate_batches": batches,
+        "candidates_scored": scored,
+        "candidate_fallbacks": 0,
+    }
+
+
 class TestGoldenParity:
     def test_pipeline_flow_reproduces_pre_refactor_stage_table(self, ti200):
         golden = json.loads(GOLDEN_PATH.read_text())["stage_table"]
@@ -45,6 +74,7 @@ class TestGoldenParity:
         for row in table:
             row.pop("elapsed_s")  # wall-clock: not reproducible bit-for-bit
         assert table == golden
+        assert result.evaluator_cache == cache_block(771, 609, 609, 3, 27, 882, 1380)
 
     def test_default_retry_policy_matches_its_own_golden(self, ti200):
         # The retry-at-halved-growth policy is instance-dependent: it beat the
@@ -57,6 +87,15 @@ class TestGoldenParity:
         assert result.skew == pytest.approx(golden["skew_ps"], abs=1e-9)
         assert result.clr == pytest.approx(golden["clr_ps"], abs=1e-9)
         assert not result.require_report().has_slew_violation
+        assert result.evaluator_cache == cache_block(666, 622, 622, 3, 25, 965, 1288)
+
+    def test_batched_pipeline_cache_accounting(self):
+        record = run_job(
+            JobSpec(instance="scenario:banks:sinks=40", pipeline=BATCHED_PIPELINE, seed=1)
+        )
+        assert record.evaluator_cache == cache_block(
+            424, 258, 1067, 3, 19, 498, 682, batches=23, scored=63
+        )
 
 
 class TestRegistry:
