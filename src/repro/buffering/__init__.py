@@ -3,9 +3,10 @@
 * :mod:`repro.buffering.candidates` -- legal buffer-station generation along
   tree edges and the slew-driven maximum-load model.
 * :mod:`repro.buffering.vanginneken` -- the van Ginneken dynamic program with
-  non-dominated option pruning (the "fast buffer insertion" of the paper).
-* :mod:`repro.buffering.fast_buffering` -- the composite-inverter sweep that
-  re-runs the DP with increasingly strong parallel inverters and keeps the
+  non-dominated option pruning (the "fast buffer insertion" of the paper),
+  run for a whole ladder of buffer types over one plan of the tree.
+* :mod:`repro.buffering.fast_buffering` -- the composite-inverter sweep: one
+  ladder walk over increasingly strong parallel inverters, keeping the
   strongest solution within the power budget (Section IV-C).
 """
 
@@ -14,7 +15,12 @@ from repro.buffering.candidates import (
     enumerate_stations,
     max_drivable_capacitance,
 )
-from repro.buffering.vanginneken import BufferInsertionResult, VanGinnekenInserter
+from repro.buffering.vanginneken import (
+    BufferInsertionResult,
+    VanGinnekenInserter,
+    apply_insertion,
+    run_ladder,
+)
 from repro.buffering.fast_buffering import (
     BufferSizingSweepResult,
     insert_buffers_with_sizing,
@@ -26,6 +32,8 @@ __all__ = [
     "max_drivable_capacitance",
     "BufferInsertionResult",
     "VanGinnekenInserter",
+    "run_ladder",
+    "apply_insertion",
     "BufferSizingSweepResult",
     "insert_buffers_with_sizing",
 ]

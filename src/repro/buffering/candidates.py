@@ -19,7 +19,12 @@ from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
-__all__ = ["BufferStation", "enumerate_stations", "max_drivable_capacitance"]
+__all__ = [
+    "BufferStation",
+    "enumerate_stations",
+    "is_legal_site",
+    "max_drivable_capacitance",
+]
 
 
 def max_drivable_capacitance(
@@ -44,6 +49,26 @@ def max_drivable_capacitance(
     if budget <= 0.0:
         return 0.0
     return budget / (buffer.output_res * OHM_FF_TO_PS)
+
+
+def is_legal_site(
+    point: Point,
+    obstacles: Optional[ObstacleSet] = None,
+    die: Optional[Rect] = None,
+    legality: Optional[Callable[[Point], bool]] = None,
+) -> bool:
+    """Whether a buffer may be placed at ``point``.
+
+    A ``legality`` callback overrides the default rule: inside the die and
+    outside every obstacle.
+    """
+    if legality is not None:
+        return legality(point)
+    if die is not None and not die.contains_point(point):
+        return False
+    if obstacles is not None and obstacles.blocks_point(point):
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -82,15 +107,6 @@ def enumerate_stations(
     if spacing <= 0.0:
         raise ValueError("station spacing must be positive")
 
-    def _is_legal(point: Point) -> bool:
-        if legality is not None:
-            return legality(point)
-        if die is not None and not die.contains_point(point):
-            return False
-        if obstacles is not None and obstacles.blocks_point(point):
-            return False
-        return True
-
     stations: Dict[int, List[BufferStation]] = {}
     for node in tree.nodes():
         if node.parent is None:
@@ -111,7 +127,7 @@ def enumerate_stations(
                         distance_from_child=dist,
                         fraction_from_parent=fraction_from_parent,
                         position=position,
-                        legal=_is_legal(position),
+                        legal=is_legal_site(position, obstacles, die, legality),
                     )
                 )
         stations[node.node_id] = edge_stations

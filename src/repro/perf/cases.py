@@ -13,7 +13,7 @@ disabled-trace overhead <2%) become ``timing=True`` checks so they gate in
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,14 +22,20 @@ from repro.analysis.variation import VariationModel, default_variation_model
 from repro.api.jobs import JobSpec
 from repro.api.records import stable_record
 from repro.api.service import SynthesisService
+from repro.buffering import enumerate_stations, insert_buffers_with_sizing
 from repro.core import ContangoFlow, FlowConfig
+from repro.core.composite import analyze_composites
+from repro.cts.spec import ClockNetworkInstance
+from repro.cts.tree import ClockTree
 from repro.obs import NULL_TRACER, Span, Tracer, TracerBase, summarize
 from repro.perf.case import CaseCheck, CaseOutcome, PerfCase, register_case
-from repro.runner import run_job
+from repro.runner import resolve_instance, run_job
 from repro.seeding import derive_rng
+from repro.testing import make_initial_tree
 from repro.workloads import generate_ti_benchmark, instance_fingerprint
 
 __all__ = [
+    "BufferingCase",
     "EvaluatorCase",
     "VariationCase",
     "ServiceCase",
@@ -81,6 +87,81 @@ class EvaluatorCase(PerfCase):
         outcome = CaseOutcome()
         outcome.counters["slew_violations"] = int(record.summary.slew_violations)
         outcome.counters.update(_prefixed("cache_", record.evaluator_cache))
+        return outcome
+
+
+@register_case
+class BufferingCase(PerfCase):
+    """The INITIAL stage's composite-inverter buffering sweep on two trees.
+
+    Run with ``repro perf run --case buffering``: the default flow's
+    four-inverter sweep on the ti:4000 seed-1 DME tree (no obstacles, few
+    stations) and on the ``scenario:maze:sinks=160`` seed-0 tree after
+    obstacle repair (detoured, station-dense edges).  Each candidate's
+    buffer count, the chosen candidate and the station counts (all and
+    legal) are counters; each sweep is timed by its own span.
+    """
+
+    name = "buffering"
+    description = "INITIAL ladder sweep: ti:4000 DME tree + repaired maze:160 tree"
+    repeats = 3
+
+    #: (counter prefix, instance spec, seed)
+    TREES = (("ti4000", "ti:4000", 1), ("maze160", "scenario:maze:sinks=160", 0))
+
+    def __init__(self) -> None:
+        self._inputs: List[Tuple[str, ClockNetworkInstance, ClockTree]] = []
+
+    def _trees(self) -> List[Tuple[str, ClockNetworkInstance, ClockTree]]:
+        if not self._inputs:
+            for label, spec, seed in self.TREES:
+                instance = resolve_instance(JobSpec(instance=spec, seed=seed))
+                self._inputs.append((label, instance, make_initial_tree(instance)))
+        return self._inputs
+
+    def fingerprint(self) -> str:
+        return "+".join(instance_fingerprint(instance) for _, instance, _ in self._trees())
+
+    def run_once(self, tracer: TracerBase) -> CaseOutcome:
+        config = FlowConfig()
+        outcome = CaseOutcome()
+        for label, instance, tree in self._trees():
+            ladder = analyze_composites(
+                instance.buffer_library,
+                max_parallel=config.composite_max_parallel,
+                ladder_steps=config.composite_ladder_steps,
+            ).ladder
+            obstacles = instance.obstacles if len(instance.obstacles) else None
+            with tracer.span(f"sweep_{label}") as span:
+                sweep = insert_buffers_with_sizing(
+                    tree,
+                    ladder,
+                    capacitance_limit=instance.capacitance_limit,
+                    power_reserve=config.power_reserve,
+                    slew_limit=instance.slew_limit,
+                    slew_margin=config.buffering_slew_margin,
+                    station_spacing=config.station_spacing,
+                    obstacles=obstacles,
+                    die=instance.die,
+                    max_options=config.max_dp_options,
+                )
+            outcome.timings[f"{label}_sweep_s"] = _span_s(span)
+            stations = [
+                station
+                for edge in enumerate_stations(
+                    tree,
+                    spacing=config.station_spacing,
+                    obstacles=obstacles,
+                    die=instance.die,
+                ).values()
+                for station in edge
+            ]
+            outcome.counters[f"{label}_stations"] = len(stations)
+            outcome.counters[f"{label}_stations_legal"] = sum(s.legal for s in stations)
+            for index, candidate in enumerate(sweep.outcomes):
+                outcome.counters[f"{label}_buffers_{index}"] = candidate.buffer_count
+                if candidate is sweep.chosen:
+                    outcome.counters[f"{label}_chosen"] = index
         return outcome
 
 

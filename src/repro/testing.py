@@ -15,8 +15,10 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
+from repro.core.composite import analyze_composites
 from repro.cts import ClockTree, Sink, ispd09_buffer_library, ispd09_wire_library
 from repro.cts.dme import build_zero_skew_tree
+from repro.cts.obstacle_avoid import repair_obstacle_violations
 from repro.cts.spec import ClockNetworkInstance
 from repro.cts.topology import SinkInstance
 from repro.geometry import Obstacle, ObstacleSet, Point, Rect
@@ -27,6 +29,7 @@ __all__ = [
     "make_small_instance",
     "make_manual_tree",
     "make_zst_tree",
+    "make_initial_tree",
 ]
 
 
@@ -99,6 +102,31 @@ def make_zst_tree(sink_count: int = 24, seed: int = 7, die_size: float = 3000.0)
     return build_zero_skew_tree(
         sinks, Point(die_size / 2.0, 0.0), ispd09_wire_library().widest, source_resistance=80.0
     )
+
+
+def make_initial_tree(instance: ClockNetworkInstance) -> ClockTree:
+    """The tree the INITIAL stage buffers, under the default flow settings.
+
+    A zero-skew DME tree over the instance's sinks, repaired around its
+    obstacles with the composite driver the stage uses -- what
+    ``InitialSynthesisPass`` hands to the buffer-insertion sweep.
+    """
+    tree = build_zero_skew_tree(
+        instance.sinks,
+        instance.source,
+        instance.wire_library.default,
+        source_resistance=instance.source_resistance,
+        obstacles=instance.obstacles,
+    )
+    if len(instance.obstacles):
+        repair_obstacle_violations(
+            tree,
+            instance.obstacles,
+            die=instance.die,
+            driver=analyze_composites(instance.buffer_library).preferred_base,
+            slew_limit=instance.slew_limit,
+        )
+    return tree
 
 
 def tree_fingerprint(tree: ClockTree) -> tuple:

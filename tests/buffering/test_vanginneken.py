@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import ClockNetworkEvaluator, EvaluatorConfig
-from repro.buffering.vanginneken import Option, VanGinnekenInserter
+from repro.buffering.vanginneken import VanGinnekenInserter, _prune, run_ladder
 from repro.cts import ispd09_buffer_library, ispd09_wire_library
 from repro.geometry import Obstacle, ObstacleSet, Point, Rect
 
@@ -14,47 +14,94 @@ BUFS = ispd09_buffer_library()
 COMPOSITE = BUFS.by_name("INV_S").parallel(8)
 
 
+def opt(cap, req, tau):
+    """A DP option with no buffer and no parents."""
+    return (cap, req, tau, 0, None, ())
+
+
+def prune(options, max_options=32):
+    return _prune(list(options), max_options)
+
+
+#: Lowest cap, worst req and tau of every option below: it neither
+#: dominates nor is dominated, and sorts first.
+LOOSE = opt(1.0, -50.0, 5.0)
+
+
 class TestOptionDominance:
+    """Pruning keeps exactly the options no other option dominates.
+
+    Two options go through the pair fast path, three or more through the
+    sorted scan, so each case runs alone and beside :data:`LOOSE`, in both
+    input orders.
+    """
+
     def test_dominates_all_axes(self):
-        better = Option(cap=10.0, req=-5.0, tau=1.0)
-        worse = Option(cap=20.0, req=-9.0, tau=2.0)
-        assert better.dominates(worse)
-        assert not worse.dominates(better)
+        better = opt(10.0, -5.0, 1.0)
+        worse = opt(20.0, -9.0, 2.0)
+        for extra in ([], [LOOSE]):
+            for options in ([better, worse], [worse, better]):
+                assert prune(options + extra) == extra + [better]
 
     def test_incomparable_options(self):
-        low_cap = Option(cap=10.0, req=-20.0, tau=1.0)
-        fast = Option(cap=50.0, req=-5.0, tau=1.0)
-        assert not low_cap.dominates(fast)
-        assert not fast.dominates(low_cap)
+        """Both stay, in ``(cap, -req, tau)`` order."""
+        low_cap = opt(10.0, -20.0, 1.0)
+        fast = opt(50.0, -5.0, 1.0)
+        # Equal cap: the better req sorts first, even with the worse tau.
+        sharp = opt(10.0, -19.0, 2.0)
+        for pair in ([low_cap, fast], [sharp, low_cap]):
+            for extra in ([], [LOOSE]):
+                for options in (pair, pair[::-1]):
+                    assert prune(options + extra) == extra + pair
 
     def test_equal_options_do_not_dominate(self):
-        a = Option(cap=10.0, req=-5.0, tau=1.0)
-        b = Option(cap=10.0, req=-5.0, tau=1.0)
-        assert not a.dominates(b)
+        a = opt(10.0, -5.0, 1.0)
+        b = opt(10.0, -5.0, 1.0)
+        for extra in ([], [LOOSE]):
+            kept = prune([a, b] + extra)
+            assert len(kept) == 2 + len(extra)
+            assert [o for o in kept if o is a or o is b] == [a, b]
+
+    def test_near_equal_counts_as_equal(self):
+        """A cheaper option 1e-13 worse on req or tau still dominates."""
+        worse = opt(20.0, -5.0, 1.0)
+        for cheaper in (opt(10.0, -5.0 - 1e-13, 1.0), opt(10.0, -5.0, 1.0 + 1e-13)):
+            for extra in ([], [LOOSE]):
+                assert prune([worse, cheaper] + extra) == extra + [cheaper]
+
+    def test_options_within_tolerance_do_not_dominate(self):
+        """1e-13 apart on one axis is inside the 1e-12 tolerance: both stay."""
+        base = [10.0, -5.0, 1.0]
+        for axis in range(3):
+            for delta in (1e-13, -1e-13):
+                moved = list(base)
+                moved[axis] += delta
+                a, b = opt(*base), opt(*moved)
+                assert len(prune([a, b])) == 2
+                assert len(prune([a, b, LOOSE])) == 3
 
 
 class TestPruning:
     def test_dominated_options_removed(self):
-        inserter = VanGinnekenInserter(COMPOSITE)
         options = [
-            Option(cap=10.0, req=-5.0, tau=1.0),
-            Option(cap=20.0, req=-9.0, tau=2.0),
-            Option(cap=50.0, req=-2.0, tau=1.0),
+            opt(10.0, -5.0, 1.0),
+            opt(20.0, -9.0, 2.0),
+            opt(50.0, -2.0, 1.0),
         ]
-        kept = inserter._prune(options)
-        assert len(kept) == 2
+        assert prune(options) == [options[0], options[2]]
 
     def test_overflow_keeps_frontier_extremes(self):
-        inserter = VanGinnekenInserter(COMPOSITE, max_options=4)
-        options = [Option(cap=10.0 * i, req=-100.0 + i, tau=0.0) for i in range(1, 40)]
-        kept = inserter._prune(options)
+        options = [opt(10.0 * i, -100.0 + i, 0.0) for i in range(1, 40)]
+        kept = prune(options, max_options=4)
         assert len(kept) == 4
-        caps = [o.cap for o in kept]
+        caps = [o[0] for o in kept]
         assert min(caps) == 10.0 and max(caps) == 390.0
 
     def test_max_options_validation(self):
         with pytest.raises(ValueError):
             VanGinnekenInserter(COMPOSITE, max_options=2)
+        with pytest.raises(ValueError):
+            run_ladder(make_zst_tree(sink_count=6), [COMPOSITE], max_options=3)
 
 
 class TestInsertion:
