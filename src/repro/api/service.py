@@ -1,12 +1,13 @@
 """`SynthesisService`: the long-lived, warm-pool execution facade.
 
-Where :class:`repro.runner.BatchRunner` is one-shot (spin a pool up, run one
-batch, tear it down), a :class:`SynthesisService` is built to *stay up*: it
-owns one :class:`~concurrent.futures.ProcessPoolExecutor` that is created on
-first use and reused across every subsequent call, so repeated small requests
--- the traffic shape of a synthesis service, as opposed to a nightly sweep --
-pay the worker spawn cost once instead of per call
-(``repro perf run --case service`` tracks the difference).
+The service is the one owner of worker processes in the package: the CLI,
+the :mod:`repro.serve` scheduler and the perf cases all fan jobs out through
+it, while :mod:`repro.runner` only executes one job at a time.  It is built
+to *stay up*: it owns one :class:`~concurrent.futures.ProcessPoolExecutor`
+that is created on first use and reused across every subsequent call, so
+repeated small requests -- the traffic shape of a synthesis service, as
+opposed to a nightly sweep -- pay the worker spawn cost once instead of per
+call (``repro perf run --case service`` tracks the difference).
 
 The facade speaks the typed API end to end:
 
@@ -35,11 +36,12 @@ from __future__ import annotations
 
 import time
 import traceback
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
+    Dict,
     Iterable,
     Iterator,
     List,
@@ -54,7 +56,6 @@ from repro.api.jobs import Job, JobMatrix, JobSpec, McJobSpec, MonteCarloAxes
 from repro.api.records import ErrorRecord, McRecord, Record, RunRecord
 from repro.runner import (
     JobError,
-    dispatch_jobs,
     error_record,
     execute_job_guarded,
     execute_job_traced,
@@ -214,7 +215,7 @@ class SynthesisService:
         arrives first) and completions stream in *completion* order; in-process
         execution interleaves started/completed in job order.  Every completed
         record is appended to the attached store before its event is
-        delivered.
+        delivered; a store write that raises is re-raised here instead.
 
         ``progress=True`` additionally emits one ``kind="progress"`` heartbeat
         per *still-pending* job after every completion (``note`` says how far
@@ -232,20 +233,21 @@ class SynthesisService:
         if self.max_workers == 1:
             for index, job in enumerate(job_list):
                 yield JobEvent(index=index, total=total, job=job, kind="started")
-                record = self._worker(job)
-                self._record(record)
+                record = self._dispatch(job).result()
                 yield JobEvent(index=index, total=total, job=job, record=record)
                 if progress:
                     yield from self._progress_events(
                         job_list, pending=range(index + 1, total), done=index + 1
                     )
             return
-        pool = self._pool()
+        futures: Dict["Future[Record]", int] = {}
         for index, job in enumerate(job_list):
+            futures[self._dispatch(job)] = index
             yield JobEvent(index=index, total=total, job=job, kind="started")
         pending_set = set(range(total))
-        for index, record in dispatch_jobs(pool, job_list, self._worker):
-            self._record(record)
+        for future in as_completed(futures):
+            index = futures[future]
+            record = future.result()
             pending_set.discard(index)
             yield JobEvent(
                 index=index, total=total, job=job_list[index], record=record
@@ -272,27 +274,29 @@ class SynthesisService:
                 note=note,
             )
 
-    def _record(self, record: Record) -> None:
-        if self.store is not None:
-            self.store.append(record, run_id=self.run_id)
-
     def submit(self, job: Job) -> "Future[Record]":
         """Dispatch one job and return a future for its record, never blocking
         on the *result* (at ``max_workers=1`` the job runs inline before the
         call returns, exactly like every other in-process code path).
 
-        The returned future always resolves to a :class:`Record` -- pool
-        infrastructure failures (a dead worker, a broken pipe) degrade to the
-        job's :class:`~repro.api.records.ErrorRecord` just as they do in
-        :func:`repro.runner.dispatch_jobs` -- and the record is appended to
-        the attached store *before* the future resolves, so a waiter that
-        sees the result can rely on it being recorded.  This is the
-        :mod:`repro.serve` scheduler's dispatch primitive: it hands the
-        future to ``asyncio.wrap_future`` and awaits it off-loop.
+        The returned future resolves to a :class:`Record` -- a failed job and
+        pool infrastructure failures (a dead worker, a broken pipe) alike
+        degrade to the job's :class:`~repro.api.records.ErrorRecord` -- and
+        the record is appended to the attached store *before* the future
+        resolves, so a waiter that sees the result can rely on it being
+        recorded.  A store write that raises resolves the future with that
+        error instead.  This is the :mod:`repro.serve` scheduler's dispatch
+        primitive: it hands the future to ``asyncio.wrap_future`` and awaits
+        it off-loop.
         """
         if self._closed:
             raise RuntimeError("SynthesisService is closed")
         self.jobs_dispatched += 1
+        return self._dispatch(job)
+
+    def _dispatch(self, job: Job) -> "Future[Record]":
+        """Run ``job`` inline or hand it to the pool (the one dispatch path of
+        :meth:`submit` and :meth:`stream`)."""
         result: "Future[Record]" = Future()
         result.set_running_or_notify_cancel()
         if self.max_workers == 1:
@@ -300,21 +304,30 @@ class SynthesisService:
                 record = self._worker(job)
             except Exception:  # the guarded worker never raises; belt-and-braces
                 record = error_record(job, traceback.format_exc())
-            self._record(record)
-            result.set_result(record)
+            self._settle(result, record)
             return result
-        pool_future = self._pool().submit(self._worker, job)
 
         def _resolve(done: "Future[Record]") -> None:
             try:
                 record = done.result()
             except Exception:  # pool infrastructure failure
                 record = error_record(job, traceback.format_exc())
-            self._record(record)
-            result.set_result(record)
+            self._settle(result, record)
 
-        pool_future.add_done_callback(_resolve)
+        self._pool().submit(self._worker, job).add_done_callback(_resolve)
         return result
+
+    def _settle(self, result: "Future[Record]", record: Record) -> None:
+        """Store ``record``, then resolve ``result`` with it -- or with the
+        store's error: ``concurrent.futures`` logs and swallows an exception
+        raised by a done-callback, which would leave ``result`` pending."""
+        try:
+            if self.store is not None:
+                self.store.append(record, run_id=self.run_id)
+        except Exception as error:
+            result.set_exception(error)
+        else:
+            result.set_result(record)
 
     def run(
         self, jobs: Iterable[Job], on_event: Optional[EventCallback] = None

@@ -6,7 +6,7 @@ Every subcommand is a thin adapter over the typed public API
 :class:`~repro.api.service.SynthesisService`, and renders the streamed typed
 records (:mod:`repro.api.records`) as JSON files and text tables.
 
-Six subcommands:
+Ten subcommands:
 
 * ``repro run`` -- expand an instance x flow x engine matrix into jobs, fan
   them across ``--jobs`` worker processes, stream one JSON record per job
@@ -24,10 +24,6 @@ Six subcommands:
   supply/process scenarios (batched through the vectorized moment path) with
   a per-job seeded RNG; ``--gated`` switches synthesis to the
   variation-aware pipeline (p95-skew-gated IVC rounds);
-* ``repro bench`` -- the runner's own performance smoke: a fixed 4-job
-  matrix timed at ``--jobs 1`` and ``--jobs 4``, with the wall-clocks and
-  speedup written to ``--summary-json`` so parallel scaling is tracked
-  across PRs;
 * ``repro table`` -- re-render saved per-job JSON records as Table IV (and,
   with ``--stages``, per-run Table III stage tables);
 * ``repro profile`` -- run one job under a live :class:`repro.obs.Tracer`
@@ -45,13 +41,15 @@ Six subcommands:
   (``--output``); ``perf compare`` diffs two ledgers/merged files with a
   hard exact-match gate on deterministic counters and soft IQR-banded gates
   on timings, localizing timing regressions to the moved span subtree;
-  ``perf trend`` renders per-case history tables across a ledger.
+  ``perf trend`` renders per-case history tables across a ledger;
 * ``repro serve`` -- the HTTP/JSON job server: an asyncio scheduler over one
   warm :class:`~repro.api.service.SynthesisService` pool with bounded
   fair queueing, in-flight coalescing of identical submissions and a
   content-addressed result cache over the attached run store.  The serving
   stack (and :mod:`asyncio` itself) is imported only inside this handler,
-  so the plain batch commands never load it.
+  so the plain batch commands never load it;
+* ``repro lint`` -- run the :mod:`repro.lintkit` invariant linter over
+  source paths (``src/`` by default) as a text or version-stable JSON report.
 
 ``repro --version`` prints the installed package version.  The JSON output
 flags are uniform across subcommands: ``--output-dir DIR`` streams one
@@ -71,7 +69,6 @@ Examples::
     python -m repro mc --instance ti:200 --samples 1000 --seed 7 \
         --family correlated --jobs 4 --output-dir mc-results
     python -m repro mc --instance ti:200 --samples 500 --gated
-    python -m repro bench --summary-json BENCH_runner.json
     python -m repro table --input results --stages
     python -m repro profile scenario:banks:clusters=8 --flow contango
     python -m repro trace results/store@nightly
@@ -86,7 +83,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -401,22 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run every job under a tracer and attach its trace summary to "
         "the record (read back with 'repro trace')",
-    )
-
-    bench = sub.add_parser(
-        "bench", help="time a fixed 4-job matrix at --jobs 1 vs --jobs 4"
-    )
-    bench.add_argument("--sinks", type=int, default=200, help="TI instance size (default 200)")
-    bench.add_argument("--matrix", type=int, default=4, help="jobs in the matrix (default 4)")
-    bench.add_argument("--workers", type=int, default=4, help="parallel worker count (default 4)")
-    bench.add_argument(
-        "--summary-json",
-        "--output",
-        dest="summary_json",
-        default="BENCH_runner.json",
-        metavar="FILE",
-        help="where to write the speedup record (default BENCH_runner.json; "
-        "--output is a deprecated alias)",
     )
 
     table = sub.add_parser("table", help="render saved per-job JSON as Table IV / III")
@@ -974,73 +954,6 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     return _run_batch(args, jobs, table=table_mc, progress=_progress_mc)
 
 
-def _aggregate_cache_stats(stats_iter) -> Dict[str, int]:
-    """Sum per-run integer evaluator cache counters into one dict."""
-    totals: Dict[str, int] = {}
-    for stats in stats_iter:
-        for key, value in (stats or {}).items():
-            if isinstance(value, int):
-                totals[key] = totals.get(key, 0) + value
-    return totals
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    # Distinct seeds make the matrix a realistic mixed workload rather than
-    # one instance computed four times.
-    jobs = [
-        JobSpec(instance=f"ti:{args.sinks}", seed=7 + offset)
-        for offset in range(args.matrix)
-    ]
-    with SynthesisService(max_workers=1) as service:
-        serial = service.run(jobs)
-    with SynthesisService(max_workers=args.workers) as service:
-        parallel = service.run(jobs)
-    failures = serial.failures + parallel.failures
-    cpu_count = os.cpu_count() or 1
-    payload = {
-        "benchmark": f"runner_{args.matrix}job_ti{args.sinks}_arnoldi",
-        "jobs": args.matrix,
-        "workers": args.workers,
-        # Speedup is bounded by the cores actually available; record them so
-        # a 1-core box's ~1.0x is not mistaken for a runner regression.
-        "cpu_count": cpu_count,
-        # On a single-core box parallel ~= serial by construction; flag the
-        # measurement so downstream gates skip it instead of failing on it.
-        "speedup_meaningful": cpu_count > 1,
-        "serial_wall_clock_s": round(serial.wall_clock_s, 4),
-        "parallel_wall_clock_s": round(parallel.wall_clock_s, 4),
-        "speedup": round(serial.wall_clock_s / parallel.wall_clock_s, 3)
-        if parallel.wall_clock_s > 0
-        else None,
-        "job_runtimes_s": [
-            round(record.wall_clock_s or 0.0, 4)
-            for record in serial.records
-            if isinstance(record, RunRecord)
-        ],
-        # Aggregated evaluator cache/dirty-region counters across the serial
-        # runs -- the evidence trail for incremental-evaluation speedups.
-        "evaluator_cache": _aggregate_cache_stats(
-            record.evaluator_cache
-            for record in serial.records
-            if isinstance(record, RunRecord)
-        ),
-        "failures": len(failures),
-    }
-    Path(args.summary_json).write_text(json.dumps(payload, indent=2) + "\n")
-    print(json.dumps(payload, indent=2))
-    if cpu_count == 1:
-        print(
-            "bench: single-CPU host -- speedup is not meaningful "
-            "(speedup_meaningful=false in the record)",
-            file=sys.stderr,
-        )
-    if failures:
-        for failure in failures:
-            print(f"job {failure.job} failed:\n{failure.error}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_table(args: argparse.Namespace) -> int:
     source = Path(args.input)
     paths = sorted(source.glob("*.json")) if source.is_dir() else [source]
@@ -1483,8 +1396,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_compare(args)
     if args.command == "mc":
         return _cmd_mc(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "profile":
         return _cmd_profile(args)
     if args.command == "trace":

@@ -15,7 +15,6 @@ import ast
 from typing import (
     Any,
     Dict,
-    FrozenSet,
     Iterator,
     List,
     Mapping,
@@ -289,19 +288,12 @@ class PoolUnpicklableRule(LintRule):
 
     Lambdas and nested (closure) functions cannot cross the
     ``ProcessPoolExecutor`` boundary; they fail only at dispatch time, deep
-    inside a batch.  Flag them at the ``submit``/``BatchRunner``/
-    ``dispatch_jobs`` call site instead.
+    inside a batch.  Flag them at the ``submit`` call site instead.
     """
 
     name = "pool-unpicklable"
-    description = (
-        "lambda/nested function handed to ProcessPoolExecutor.submit or a "
-        "batch-runner worker slot"
-    )
-    defaults: Mapping[str, Any] = {
-        "runner_calls": ("BatchRunner", "dispatch_jobs"),
-        "worker_kwarg": "worker",
-    }
+    description = "lambda/nested function handed to ProcessPoolExecutor.submit"
+    defaults: Mapping[str, Any] = {}
 
     def check(
         self,
@@ -310,14 +302,16 @@ class PoolUnpicklableRule(LintRule):
         options: Mapping[str, Any],
     ) -> Iterator[Finding]:
         severity = _severity(self, options)
-        runner_calls = frozenset(_option_names(options, "runner_calls"))
-        worker_kwarg = str(options.get("worker_kwarg", "worker"))
         nested = self._nested_callables(ctx)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            candidates = self._worker_candidates(ctx, node, runner_calls, worker_kwarg)
-            for candidate in candidates:
+            func = node.func
+            if not (isinstance(func, ast.Attribute) and func.attr == "submit"):
+                continue
+            # pool.submit(fn, *args): the callable and every payload arg
+            # cross the process boundary.
+            for candidate in list(node.args) + [kw.value for kw in node.keywords]:
                 problem = self._unpicklable(candidate, nested)
                 if problem is None:
                     continue
@@ -329,33 +323,6 @@ class PoolUnpicklableRule(LintRule):
                     "pass a module-level function instead",
                     severity,
                 )
-
-    def _worker_candidates(
-        self,
-        ctx: ModuleContext,
-        call: ast.Call,
-        runner_calls: FrozenSet[str],
-        worker_kwarg: str,
-    ) -> List[ast.expr]:
-        """The argument expressions that must be picklable for this call."""
-        func = call.func
-        if isinstance(func, ast.Attribute) and func.attr == "submit":
-            # pool.submit(fn, *args): the callable and every payload arg
-            # cross the process boundary.
-            return list(call.args) + [kw.value for kw in call.keywords]
-        name: Optional[str] = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name in runner_calls:
-            candidates = [
-                kw.value for kw in call.keywords if kw.arg == worker_kwarg
-            ]
-            if len(call.args) >= 3:  # positional worker slot of both APIs
-                candidates.append(call.args[2])
-            return candidates
-        return []
 
     @staticmethod
     def _nested_callables(ctx: ModuleContext) -> Set[str]:

@@ -13,6 +13,7 @@ disabled-trace overhead <2%) become ``timing=True`` checks so they gate in
 
 from __future__ import annotations
 
+import os
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
     "EvaluatorCase",
     "VariationCase",
     "ServiceCase",
+    "RunnerCase",
     "PropagationCase",
     "TraceCase",
     "ServeCase",
@@ -334,6 +336,87 @@ class ServiceCase(PerfCase):
                 name="cold_warm_fingerprints_equal",
                 ok=bool(cold_fps) and cold_fps == warm_fps,
                 detail="pool reuse does not change job results",
+            )
+        )
+        return outcome
+
+
+@register_case
+class RunnerCase(PerfCase):
+    """A small synthesis matrix in-process vs across pool workers.
+
+    Run with ``repro perf run --case runner``: the 4-job ``ti:200``
+    arnoldi matrix (seeds 7-10) runs through ``SynthesisService`` at one
+    worker (in-process) and at four.  The pooled records must equal the
+    in-process ones outside wall-clock fields, in job order.  The speedup
+    is a timing check that only has to exceed 1.0x on hosts with at least
+    four CPUs; ``speedup_meaningful`` records whether the host had more
+    than one, so a 1-CPU host's ~1.0x is not read as a regression.
+    """
+
+    name = "runner"
+    description = f"ti:{SINKS} {ENGINE} 4-job matrix: in-process vs 4 pool workers"
+    repeats = 2
+
+    INSTANCE = f"ti:{SINKS}"
+    JOBS = 4
+    WORKERS = 4
+    FIRST_SEED = 7
+
+    def __init__(self) -> None:
+        self._fingerprint = ""
+
+    def jobs(self) -> List[JobSpec]:
+        # Distinct seeds make the matrix a mixed workload rather than one
+        # instance computed several times.
+        return [
+            JobSpec(instance=self.INSTANCE, engine=ENGINE, seed=self.FIRST_SEED + offset)
+            for offset in range(self.JOBS)
+        ]
+
+    def fingerprint(self) -> str:
+        if not self._fingerprint:
+            self._fingerprint = "+".join(
+                instance_fingerprint(resolve_instance(job)) for job in self.jobs()
+            )
+        return self._fingerprint
+
+    def run_once(self, tracer: TracerBase) -> CaseOutcome:
+        jobs = self.jobs()
+        with tracer.span("serial") as serial_span:
+            with SynthesisService(max_workers=1) as service:
+                serial = service.run(jobs)
+        with tracer.span("parallel") as parallel_span:
+            with SynthesisService(max_workers=self.WORKERS) as service:
+                parallel = service.run(jobs)
+        serial_s, parallel_s = _span_s(serial_span), _span_s(parallel_span)
+        speedup = serial_s / parallel_s if parallel_s > 0 else 0.0
+        cpu_count = os.cpu_count() or 1
+
+        outcome = CaseOutcome()
+        outcome.counters["jobs"] = len(jobs)
+        outcome.counters["workers"] = self.WORKERS
+        outcome.counters["failures"] = len(serial.failures) + len(parallel.failures)
+        outcome.timings["serial_s"] = serial_s
+        outcome.timings["parallel_s"] = parallel_s
+        outcome.timings["speedup"] = speedup
+        outcome.timings["speedup_meaningful"] = float(cpu_count > 1)
+        outcome.checks.append(
+            CaseCheck(
+                name="pooled_records_match_in_process",
+                ok=[stable_record(record) for record in serial.records]
+                == [stable_record(record) for record in parallel.records],
+                detail="pooled records equal the in-process ones outside "
+                "wall-clock fields, in job order",
+            )
+        )
+        outcome.checks.append(
+            CaseCheck(
+                name="pooled_speedup",
+                ok=speedup > 1.0 or cpu_count < 4,
+                detail=f"{self.WORKERS} pool workers {speedup:.2f}x over in-process "
+                f"on {cpu_count} CPUs (must exceed 1.0x with 4 or more)",
+                timing=True,
             )
         )
         return outcome

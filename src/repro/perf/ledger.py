@@ -1,12 +1,14 @@
-"""Append-only JSONL performance ledger (the :class:`RunStore` idioms).
+"""Append-only JSONL performance ledger.
 
 One line per perf-case entry, exactly as :func:`repro.perf.case.run_case`
 produced it, plus a ``recorded_at`` stamp tucked *inside the entry's
 ``timings`` block* -- the stamp is wall-clock metadata, so it lives with
 the wall-clock and :func:`repro.obs.strip_timings` keeps ledger lines
-byte-comparable across runs.  Appending never rewrites existing lines;
-the schema version rides on every line and readers reject lines from a
-newer schema rather than misinterpreting them.
+byte-comparable across runs.  The lines are written and read by
+:class:`~repro.store.log.AppendOnlyLog`, as the run store's are: appending
+never rewrites existing lines, a torn last line is skipped and repaired,
+and readers reject lines from a newer schema rather than misinterpreting
+them.
 
 Entries are keyed by ``(case, fingerprint, package_version)`` -- the
 trajectory of one case on one workload across package versions is the
@@ -16,12 +18,12 @@ entries whose case and fingerprint agree.
 
 from __future__ import annotations
 
-import json
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.perf.case import PERF_SCHEMA
+from repro.store.log import AppendOnlyLog
 
 __all__ = ["PerfLedger", "entry_key"]
 
@@ -42,6 +44,7 @@ class PerfLedger:
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
+        self.log = AppendOnlyLog(self.path, "ledger", PERF_SCHEMA)
 
     @property
     def path(self) -> Path:
@@ -66,9 +69,7 @@ class PerfLedger:
         stored = dict(entry)
         stored["timings"] = dict(stored.get("timings", {}))
         stored["timings"]["recorded_at"] = datetime.now(timezone.utc).isoformat()
-        self.root.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(stored, sort_keys=True) + "\n")
+        self.log.append(stored)
         return stored
 
     # ------------------------------------------------------------------
@@ -81,26 +82,8 @@ class PerfLedger:
         package_version: Optional[str] = None,
     ) -> List[Dict[str, Any]]:
         """Stored entries, in append order, filtered by the key axes."""
-        if not self.path.exists():
-            return []
         selected: List[Dict[str, Any]] = []
-        for line_number, line in enumerate(
-            self.path.read_text(encoding="utf-8").splitlines(), 1
-        ):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{self.path}:{line_number}: corrupt ledger line: {exc}"
-                ) from exc
-            schema = entry.get("schema")
-            if not isinstance(schema, int) or schema > PERF_SCHEMA:
-                raise ValueError(
-                    f"{self.path}:{line_number}: schema {schema!r} is newer than "
-                    f"supported version {PERF_SCHEMA}"
-                )
+        for entry in self.log.read():
             if case is not None and entry.get("case") != case:
                 continue
             if fingerprint is not None and entry.get("fingerprint") != fingerprint:

@@ -1,4 +1,4 @@
-"""Parallel batch runner: fan a job matrix across worker processes.
+"""Job execution: run one synthesis or Monte Carlo job into its typed record.
 
 One *job* is one synthesis run -- an instance spec ("ti:200",
 "ispd09:ispd09f22", "scenario:maze:sinks=64", optionally scaled), a flow (the
@@ -6,9 +6,10 @@ integrated Contango pipeline or one of the Table IV baselines), an evaluation
 engine, and an optional custom pass pipeline.  Job identity lives in the
 unified :mod:`repro.api.jobs` model (:class:`JobSpec`, :class:`McJobSpec`,
 expanded from a :class:`~repro.api.jobs.JobMatrix`); this module owns the
-*execution* side: materializing instances, running flows, and fanning jobs
-across a :class:`~concurrent.futures.ProcessPoolExecutor` while streaming one
-typed :mod:`repro.api.records` record per job as it completes.
+*execution* side: materializing instances, running flows, and turning each
+job into one typed :mod:`repro.api.records` record.  Fanning jobs across
+worker processes is :class:`repro.api.service.SynthesisService`'s job; the
+guarded workers here are what it hands to its pool.
 
 Monte Carlo variation jobs (:class:`McJobSpec`) synthesize the network and
 then evaluate it under thousands of sampled supply/process scenarios
@@ -22,19 +23,16 @@ Workers regenerate their instance from the spec (the generators are seeded
 and deterministic), so nothing heavier than a tiny dataclass crosses the
 process boundary in either direction.
 
-The module is the substrate of :class:`repro.api.service.SynthesisService`
-(whose warm pool streams through the shared :func:`dispatch_jobs` loop), of
-the ``python -m repro`` command line (see :mod:`repro.cli`), and of the
-``evaluator`` and ``variation`` perf cases (``repro perf run --case <name>``).
+The module is the substrate of :class:`repro.api.service.SynthesisService`,
+of the ``python -m repro`` command line (see :mod:`repro.cli`), and of the
+registered perf cases (``repro perf run --case <name>``).
 """
 
 from __future__ import annotations
 
 import time
 import traceback
-from concurrent.futures import Executor, ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.analysis import ClockNetworkEvaluator, EvaluatorConfig
 from repro.analysis.variation import VariationModel, default_variation_model
@@ -47,7 +45,6 @@ from repro.api.records import (
     McRecord,
     Record,
     RunRecord,
-    RunSummary,
     YieldSummary,
     mc_table_row,
     record_from_dict,
@@ -72,8 +69,6 @@ __all__ = [
     "McJobSpec",
     "sanitize_spec",
     "JobError",
-    "BatchResult",
-    "BatchRunner",
     "available_flows",
     "resolve_instance",
     "job_flow_config",
@@ -84,8 +79,6 @@ __all__ = [
     "execute_job",
     "execute_job_guarded",
     "execute_job_traced",
-    "run_mc_job_guarded",
-    "dispatch_jobs",
     "error_record",
     "variation_model_for",
     "render_table",
@@ -391,23 +384,25 @@ def spec_fingerprint(spec: Job) -> str:
 # ----------------------------------------------------------------------
 # Worker entry points
 # ----------------------------------------------------------------------
-def execute_job(spec: Job) -> Union[RunRecord, McRecord]:
-    """Run one job of either kind and return its typed record."""
+def execute_job(
+    spec: Job, tracer: Optional[Tracer] = None
+) -> Union[RunRecord, McRecord]:
+    """Run one job of either kind (under ``tracer``, if given) into its record."""
     if isinstance(spec, McJobSpec):
-        return run_mc_job(spec)
+        return run_mc_job(spec, tracer=tracer)
     if isinstance(spec, JobSpec):
-        return run_job(spec)
+        return run_job(spec, tracer=tracer)
     raise TypeError(f"not an executable job spec: {spec!r}")
 
 
-def execute_job_guarded(spec: Job) -> Record:
+def execute_job_guarded(spec: Job, tracer: Optional[Tracer] = None) -> Record:
     """Worker entry point: never raises, so one bad job cannot kill the batch.
 
-    Handles synthesis and Monte Carlo jobs alike -- the one default worker of
-    :class:`BatchRunner` and :class:`~repro.api.service.SynthesisService`.
+    Handles synthesis and Monte Carlo jobs alike -- the default worker of
+    :class:`~repro.api.service.SynthesisService`.
     """
     try:
-        return execute_job(spec)
+        return execute_job(spec, tracer)
     except Exception:
         return error_record(spec, traceback.format_exc())
 
@@ -419,134 +414,7 @@ def execute_job_traced(spec: Job) -> Record:
     record crosses the process boundary, so tracing a pool-fanned batch needs
     no extra IPC -- workers serialize their spans back alongside the result.
     """
-    try:
-        if isinstance(spec, McJobSpec):
-            return run_mc_job(spec, tracer=Tracer())
-        if isinstance(spec, JobSpec):
-            return run_job(spec, tracer=Tracer())
-        raise TypeError(f"not an executable job spec: {spec!r}")
-    except Exception:
-        return error_record(spec, traceback.format_exc())
-
-
-#: Backward-compatible aliases for the historical per-kind guarded workers.
-_run_job_guarded = execute_job_guarded
-run_mc_job_guarded = execute_job_guarded
-
-
-def dispatch_jobs(
-    pool: Executor,
-    jobs: Sequence[Job],
-    worker: Callable[[Job], Record] = execute_job_guarded,
-) -> Iterator[Tuple[int, Record]]:
-    """Fan ``jobs`` across ``pool``, yielding ``(index, record)`` as each completes.
-
-    The one submit/as_completed loop shared by :class:`BatchRunner` and
-    :class:`~repro.api.service.SynthesisService`: a failure raised by the
-    pool *infrastructure* (a dead worker, a broken pipe) -- as opposed to the
-    job, which the guarded worker already catches -- is converted into an
-    :class:`~repro.api.records.ErrorRecord` for its job instead of killing
-    the whole batch.
-    """
-    futures = {pool.submit(worker, spec): index for index, spec in enumerate(jobs)}
-    for future in as_completed(futures):
-        index = futures[future]
-        try:
-            yield index, future.result()
-        except Exception:
-            yield index, error_record(jobs[index], traceback.format_exc())
-
-
-# ----------------------------------------------------------------------
-# The batch runner
-# ----------------------------------------------------------------------
-@dataclass
-class BatchResult:
-    """Outcome of one batch: per-job typed records (in job order) plus timing."""
-
-    records: List[Record]
-    wall_clock_s: float
-    workers: int
-
-    @property
-    def failures(self) -> List[ErrorRecord]:
-        return [record for record in self.records if isinstance(record, ErrorRecord)]
-
-    @property
-    def summaries(self) -> List[RunSummary]:
-        return [
-            record.summary
-            for record in self.records
-            if isinstance(record, RunRecord) and record.summary is not None
-        ]
-
-
-class BatchRunner:
-    """Fans a list of job specs across worker processes.
-
-    ``max_workers=1`` runs in-process (no pool overhead, deterministic log
-    order); anything higher uses a :class:`ProcessPoolExecutor` and streams
-    results as they finish.  ``on_result(index, record)`` fires once per
-    completed job either way -- the CLI uses it to write per-job JSON and
-    print progress lines while the rest of the batch is still running.
-
-    The default ``worker`` (:func:`execute_job_guarded`) runs synthesis and
-    Monte Carlo jobs alike; any module-level function mapping a picklable
-    spec to a record fits.  ``executor`` lends the runner an already-running
-    pool instead of spinning one up per :meth:`run` call (a lent executor is
-    never shut down here), so repeated batches can share warm workers just
-    like :class:`~repro.api.service.SynthesisService` does.
-    """
-
-    def __init__(
-        self,
-        jobs: Sequence[Job],
-        max_workers: int = 1,
-        worker: Callable[[Job], Record] = execute_job_guarded,
-        executor: Optional[Executor] = None,
-    ) -> None:
-        if not jobs:
-            raise ValueError("a batch needs at least one job")
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self.jobs = list(jobs)
-        self.max_workers = max_workers
-        self.worker = worker
-        self.executor = executor
-
-    def run(
-        self, on_result: Optional[Callable[[int, Record], None]] = None
-    ) -> BatchResult:
-        # Batch-level wall-clock field; per-job attribution is the tracer's.
-        start = time.perf_counter()  # repro: lint-ok[untimed-wallclock]
-        records: List[Optional[Record]] = [None] * len(self.jobs)
-        if self.executor is None and self.max_workers == 1:
-            for index, spec in enumerate(self.jobs):
-                record = self.worker(spec)
-                records[index] = record
-                if on_result is not None:
-                    on_result(index, record)
-        elif self.executor is not None:
-            self._dispatch(self.executor, records, on_result)
-        else:
-            with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-                self._dispatch(pool, records, on_result)
-        return BatchResult(
-            records=[record for record in records if record is not None],
-            wall_clock_s=time.perf_counter() - start,  # repro: lint-ok[untimed-wallclock]
-            workers=self.max_workers,
-        )
-
-    def _dispatch(
-        self,
-        pool: Executor,
-        records: List[Optional[Record]],
-        on_result: Optional[Callable[[int, Record], None]],
-    ) -> None:
-        for index, record in dispatch_jobs(pool, self.jobs, self.worker):
-            records[index] = record
-            if on_result is not None:
-                on_result(index, record)
+    return execute_job_guarded(spec, Tracer())
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ and any parameter change yields a statistically independent instance.
 
 Families register themselves in :data:`SCENARIO_REGISTRY` and are addressable
 everywhere an instance spec is accepted (``repro run``, ``repro sweep``, the
-:class:`~repro.runner.BatchRunner`) as::
+:class:`~repro.api.service.SynthesisService`) as::
 
     scenario:<family>                      # all defaults
     scenario:<family>:k1=v1,k2=v2          # overrides, any order

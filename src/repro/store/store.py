@@ -6,21 +6,23 @@ envelope::
     {"schema": 1, "run_id": "...", "recorded_at": "...Z",
      "fingerprint": "<sha256>", "record": {<runner job record>}}
 
-Appending never rewrites existing lines, so concurrent sweeps from one
-process are safe and the file is a faithful experiment log -- ``repro
-compare`` and the query helpers select slices of it by run id and job axes.
-The schema version is per line; readers reject lines from a *newer* schema
-rather than misinterpreting them.
+The lines are written and read by :class:`~repro.store.log.AppendOnlyLog`:
+appending never rewrites existing lines and is serialized by a file lock, so
+concurrent sweeps from several processes are safe and the file is a faithful
+experiment log -- ``repro compare`` and the query helpers select slices of it
+by run id and job axes.  A crash mid-append leaves a torn last line that
+readers skip and the next append truncates.  The schema version is per line;
+readers reject lines from a *newer* schema rather than misinterpreting them.
 """
 
 from __future__ import annotations
 
-import json
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.api.records import Record, record_from_dict
+from repro.store.log import AppendOnlyLog
 
 __all__ = ["STORE_SCHEMA_VERSION", "RunStore"]
 
@@ -34,11 +36,12 @@ class RunStore:
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
+        self.log = AppendOnlyLog(self.path, "store", STORE_SCHEMA_VERSION)
         # Fingerprint -> latest record, built lazily on the first
-        # latest_by_fingerprint() call and maintained on append.  The file
-        # size at indexing time detects out-of-band appends (another store
-        # handle on the same directory): a mismatch invalidates the index
-        # and the next lookup rebuilds it from the file.
+        # latest_by_fingerprint() call and maintained on append, plus the
+        # bytes of complete lines it covers.  A file of any other size has
+        # grown behind this handle's back (another handle or process
+        # appended) or ends in a torn line, so the next lookup rebuilds it.
         self._fingerprint_index: Optional[Dict[str, Dict]] = None
         self._indexed_bytes = -1
 
@@ -90,16 +93,13 @@ class RunStore:
             "fingerprint": record.get("fingerprint"),
             "record": record,
         }
-        self.root.mkdir(parents=True, exist_ok=True)
-        size_before = self._file_size()
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(envelope, sort_keys=True) + "\n")
+        start, end = self.log.append(envelope)
         if self._fingerprint_index is not None:
-            if size_before == self._indexed_bytes:
-                # Nothing was appended behind our back: extend in place.
+            if start == self._indexed_bytes:
+                # The line landed right after the indexed bytes: extend in place.
                 if envelope["fingerprint"] is not None:
                     self._fingerprint_index[str(envelope["fingerprint"])] = record
-                self._indexed_bytes = self._file_size()
+                self._indexed_bytes = end
             else:
                 # Out-of-band growth; drop the index and rebuild on demand.
                 self._fingerprint_index = None
@@ -117,24 +117,8 @@ class RunStore:
         engine: Optional[str] = None,
     ) -> List[Dict]:
         """Stored envelopes, in append order, filtered by the given axes."""
-        if not self.path.exists():
-            return []
         selected: List[Dict] = []
-        for line_number, line in enumerate(
-            self.path.read_text(encoding="utf-8").splitlines(), 1
-        ):
-            if not line.strip():
-                continue
-            try:
-                envelope = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{self.path}:{line_number}: corrupt store line: {exc}") from exc
-            schema = envelope.get("schema")
-            if not isinstance(schema, int) or schema > STORE_SCHEMA_VERSION:
-                raise ValueError(
-                    f"{self.path}:{line_number}: schema {schema!r} is newer than "
-                    f"supported version {STORE_SCHEMA_VERSION}"
-                )
+        for envelope in self.log.read():
             record = envelope.get("record", {})
             if run_id is not None and envelope.get("run_id") != run_id:
                 continue
@@ -147,9 +131,6 @@ class RunStore:
             selected.append(envelope)
         return selected
 
-    def _file_size(self) -> int:
-        return self.path.stat().st_size if self.path.exists() else 0
-
     def latest_by_fingerprint(self, fingerprint: str) -> Optional[Dict]:
         """The most recently appended record with this content fingerprint.
 
@@ -159,21 +140,21 @@ class RunStore:
         on every :meth:`append`.  Appends from *other* handles on the same
         directory are detected by file growth and trigger a rebuild, so the
         index never serves a stale miss for a record that is already on
-        disk.  Error records store ``fingerprint: null`` and are therefore
-        never returned -- a failure must not shadow (or impersonate) a
-        completed computation.
+        disk.  The index covers complete lines only: while the file ends in
+        a torn line its size never matches, so every lookup re-reads until a
+        read sees no torn tail -- even when a repair replaced the tail with a
+        line of exactly the same length.  Error records store
+        ``fingerprint: null`` and are therefore never returned -- a failure
+        must not shadow (or impersonate) a completed computation.
         """
-        if (
-            self._fingerprint_index is None
-            or self._file_size() != self._indexed_bytes
-        ):
+        if self._fingerprint_index is None or self.log.size() != self._indexed_bytes:
             index: Dict[str, Dict] = {}
             for envelope in self.entries():
                 stored = envelope.get("fingerprint")
                 if stored is not None:
                     index[str(stored)] = envelope["record"]
             self._fingerprint_index = index
-            self._indexed_bytes = self._file_size()
+            self._indexed_bytes = self.log.complete_bytes
         return self._fingerprint_index.get(fingerprint)
 
     def records(self, **filters: Optional[str]) -> List[Dict]:

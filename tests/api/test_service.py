@@ -1,11 +1,15 @@
 """Tests for the warm-pool SynthesisService facade (repro.api.service)."""
 
+import asyncio
+
 import pytest
 
 from repro.api.jobs import JobMatrix, JobSpec, McJobSpec, MonteCarloAxes
 from repro.api.records import ErrorRecord, McRecord, RunRecord
 from repro.api.service import JobEvent, SynthesisService
 from repro.runner import JobError
+from repro.serve import JobScheduler
+from repro.serve.session import FAILED
 from repro.store import RunStore
 
 FAST = ("initial",)  # initial-tree-only pipeline keeps service tests quick
@@ -141,6 +145,14 @@ class TestStreaming:
         assert isinstance(batch.records[0], RunRecord)
         assert len(batch.failures) == 1
 
+    def test_failed_job_yields_error_record_not_crash(self):
+        events = []
+        with SynthesisService() as service:
+            batch = service.run(self.jobs(), on_event=events.append)
+        assert sorted(e.index for e in events if e.kind == "completed") == [0, 1]
+        assert len(batch.failures) == 1
+        assert "unknown instance spec" in batch.failures[0].error
+
     def test_empty_stream_is_empty(self):
         with SynthesisService() as service:
             assert list(service.stream([])) == []
@@ -252,6 +264,46 @@ class TestSubmit:
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
             service.submit(JobSpec(instance="ti:20"))
+
+
+class FullStore(RunStore):
+    """A store whose every append fails, as on a full disk."""
+
+    def append(self, record, run_id):
+        raise OSError(28, "No space left on device")
+
+
+class TestFailingStore:
+    """A store write that raises must surface as an error, never a hang."""
+
+    job = JobSpec(instance="ti:20", engine="elmore", pipeline=FAST)
+
+    def test_pooled_submit_resolves_with_the_store_error(self, tmp_path):
+        with SynthesisService(max_workers=2, store=FullStore(tmp_path)) as service:
+            future = service.submit(self.job)
+            with pytest.raises(OSError, match="No space left"):
+                future.result(timeout=30)
+
+    def test_pooled_stream_raises_the_store_error(self, tmp_path):
+        with SynthesisService(max_workers=2, store=FullStore(tmp_path)) as service:
+            with pytest.raises(OSError, match="No space left"):
+                list(service.stream([self.job]))
+
+    def test_scheduled_job_fails_instead_of_hanging(self, tmp_path):
+        async def scenario():
+            scheduler = JobScheduler(service, max_queue=4)
+            await scheduler.start()
+            try:
+                state = await scheduler.submit(self.job)
+                await asyncio.wait_for(scheduler.drain(), timeout=30)
+            finally:
+                await scheduler.close(drain=False)  # never wait on a hung job
+            return state
+
+        with SynthesisService(max_workers=2, store=FullStore(tmp_path)) as service:
+            state = asyncio.run(scenario())
+        assert state.status == FAILED
+        assert "No space left" in state.record.error
 
 
 class TestAttachedStore:

@@ -2,8 +2,6 @@
 
 from concurrent.futures import ProcessPoolExecutor
 
-from repro.runner import BatchRunner, dispatch_jobs
-
 
 def run_all(jobs):
     results = []
@@ -13,13 +11,13 @@ def run_all(jobs):
     return results
 
 
-def run_batch(jobs):
+def run_nested(pool, jobs):
     def local_worker(spec):
         return spec.run()
 
-    return BatchRunner(jobs, 4, worker=local_worker)
+    return [pool.submit(local_worker, job) for job in jobs]
 
 
-def run_dispatch(pool, jobs):
+def run_named(pool, jobs):
     handler = lambda spec: spec.run()  # noqa: E731
-    return dispatch_jobs(pool, jobs, handler)
+    return [pool.submit(handler, job) for job in jobs]

@@ -2,8 +2,6 @@
 
 from concurrent.futures import ProcessPoolExecutor
 
-from repro.runner import BatchRunner, dispatch_jobs
-
 
 def worker(spec):
     return spec.run()
@@ -15,11 +13,7 @@ def run_all(jobs):
     return futures
 
 
-def run_batch(jobs):
-    return BatchRunner(jobs, 4, worker=worker)
-
-
-def run_dispatch(pool, jobs):
+def run_sorted(pool, jobs):
     # Lambdas outside the pool boundary stay legal.
     ordered = sorted(jobs, key=lambda job: job.seed)
-    return dispatch_jobs(pool, ordered, worker)
+    return [pool.submit(worker, job) for job in ordered]

@@ -1,6 +1,7 @@
 """Unit tests for the PerfCase registry and the run_case entry builder."""
 
 import json
+import os
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.perf.case import (
     run_case,
     timing_stats,
 )
+from repro.perf.cases import RunnerCase
 
 
 class TinyCase(PerfCase):
@@ -62,9 +64,14 @@ class WobblyCase(TinyCase):
 
 class TestRegistry:
     def test_built_in_cases_are_registered(self):
-        assert {"evaluator", "variation", "service", "propagation", "trace"} <= set(
-            available_cases()
-        )
+        assert {
+            "evaluator",
+            "variation",
+            "service",
+            "runner",
+            "propagation",
+            "trace",
+        } <= set(available_cases())
 
     def test_register_requires_a_name(self, monkeypatch):
         monkeypatch.setattr("repro.perf.case.CASE_REGISTRY", {})
@@ -161,3 +168,35 @@ class TestRunCase:
     def test_registry_holds_classes_not_instances(self):
         for name in available_cases():
             assert isinstance(CASE_REGISTRY[name], type)
+
+
+class SmallRunnerCase(RunnerCase):
+    """The runner case shrunk to a 2-job ti:30 matrix on 2 workers."""
+
+    INSTANCE = "ti:30"
+    JOBS = 2
+    WORKERS = 2
+    repeats = 1
+
+
+class TestRunnerCase:
+    def test_records_counters_parity_and_a_truthful_speedup_flag(self):
+        entry = run_case(SmallRunnerCase())
+        counters = entry["counters"]
+        assert (counters["jobs"], counters["workers"], counters["failures"]) == (2, 2, 0)
+        checks = {check["name"]: check["ok"] for check in entry["checks"]}
+        assert checks["pooled_records_match_in_process"]
+        assert {"serial", "parallel"} <= set(entry["timings"]["spans"])
+        # The single-CPU flag must be present and truthful, so downstream
+        # gates can trust it instead of re-deriving it.
+        extra = entry["timings"]["extra"]
+        cpu_count = os.cpu_count() or 1
+        assert extra["speedup_meaningful"]["median"] == float(cpu_count > 1)
+        assert extra["serial_s"]["median"] > 0.0
+        assert extra["parallel_s"]["median"] > 0.0
+        (speedup_check,) = entry["timings"]["checks"]
+        if cpu_count >= 4:
+            # With real cores available the pooled matrix must win; on a
+            # starved host only both timings are required.
+            assert extra["speedup"]["median"] > 1.0
+            assert speedup_check["ok"]

@@ -4,12 +4,12 @@ import json
 
 import pytest
 
+from repro.api.service import SynthesisService
 from repro.cli import main
 from repro.runner import (
-    BatchRunner,
     McJobSpec,
+    execute_job_guarded,
     run_mc_job,
-    run_mc_job_guarded,
     table_mc,
     variation_model_for,
 )
@@ -108,7 +108,7 @@ class TestRunMcJob:
             McJobSpec(instance="ti:30", gated=True, gate_samples=1)
 
     def test_guarded_worker_reports_errors(self):
-        record = run_mc_job_guarded(McJobSpec(instance="nope:1", samples=8))
+        record = execute_job_guarded(McJobSpec(instance="nope:1", samples=8))
         assert record.error is not None
         assert "unknown instance spec" in record.error
         # The failure envelope keeps the job-identity axes for compare.
@@ -124,14 +124,17 @@ class TestMcBatchAndTable:
         ]
 
     def test_parallel_matches_serial_bit_for_bit(self):
-        serial = BatchRunner(self.jobs(), max_workers=1, worker=run_mc_job_guarded).run()
-        parallel = BatchRunner(self.jobs(), max_workers=2, worker=run_mc_job_guarded).run()
+        with SynthesisService(max_workers=1) as service:
+            serial = service.run(self.jobs())
+        with SynthesisService(max_workers=2) as service:
+            parallel = service.run(self.jobs())
         assert [r.yield_ for r in serial.records] == [
             r.yield_ for r in parallel.records
         ]
 
     def test_table_mc_renders_yield_columns(self):
-        batch = BatchRunner(self.jobs(), max_workers=1, worker=run_mc_job_guarded).run()
+        with SynthesisService() as service:
+            batch = service.run(self.jobs())
         rendered = table_mc(batch.records)
         assert "p95[ps]" in rendered
         assert "yield[%]" in rendered

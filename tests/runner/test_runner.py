@@ -1,13 +1,12 @@
-"""Tests for the batch runner and the ``python -m repro`` CLI."""
+"""Tests for job execution (repro.runner) and the ``python -m repro`` CLI."""
 
 import json
-import os
 
 import pytest
 
+from repro.api.service import SynthesisService
 from repro.cli import main
 from repro.runner import (
-    BatchRunner,
     JobSpec,
     McJobSpec,
     available_flows,
@@ -99,61 +98,10 @@ class TestRunJob:
             run_job(JobSpec(instance="ti:30", flow="nope"))
 
 
-class TestBatchRunner:
-    def jobs(self):
-        return [
-            JobSpec(instance="ti:30", engine="elmore"),
-            JobSpec(instance="ti:30", flow="unoptimized_dme", engine="elmore"),
-        ]
-
-    def test_serial_batch_preserves_job_order(self):
-        batch = BatchRunner(self.jobs(), max_workers=1).run()
-        assert [r.flow for r in batch.records] == ["contango", "unoptimized_dme"]
-        assert not batch.failures
-
-    def test_parallel_batch_matches_serial_results(self):
-        serial = BatchRunner(self.jobs(), max_workers=1).run()
-        parallel = BatchRunner(self.jobs(), max_workers=2).run()
-
-        def comparable(record):
-            summary = record.summary.to_record()
-            summary.pop("runtime_s")
-            return (record.job, summary)
-
-        assert [comparable(r) for r in serial.records] == [
-            comparable(r) for r in parallel.records
-        ]
-
-    def test_failed_job_yields_error_record_not_crash(self):
-        jobs = [JobSpec(instance="ti:30", engine="elmore"), JobSpec(instance="nope:1")]
-        events = []
-        batch = BatchRunner(jobs, max_workers=1).run(
-            on_result=lambda index, record: events.append(index)
-        )
-        assert sorted(events) == [0, 1]
-        assert len(batch.failures) == 1
-        assert "unknown instance spec" in batch.failures[0].error
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            BatchRunner([], max_workers=1)
-
-    def test_lent_executor_is_reused_and_never_shut_down(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            first = BatchRunner(self.jobs(), max_workers=2, executor=pool).run()
-            # A second batch on the same pool proves run() did not shut it down.
-            second = BatchRunner(self.jobs(), max_workers=2, executor=pool).run()
-        assert not first.failures and not second.failures
-        assert [r.job for r in first.records] == [r.job for r in second.records]
-
-
 class TestTables:
     def test_table_iv_renders_one_row_per_job(self):
-        batch = BatchRunner(
-            [JobSpec(instance="ti:30", engine="elmore")], max_workers=1
-        ).run()
+        with SynthesisService() as service:
+            batch = service.run([JobSpec(instance="ti:30", engine="elmore")])
         rendered = table_iv(batch.records)
         assert "CLR[ps]" in rendered
         assert "contango" in rendered
@@ -220,35 +168,6 @@ class TestCli:
         code = main(["run"])
         assert code == 2
         assert "--instance" in capsys.readouterr().err
-
-    def test_bench_writes_speedup_record(self, tmp_path, capsys):
-        output = tmp_path / "BENCH_runner.json"
-        code = main(
-            ["bench", "--sinks", "30", "--matrix", "2", "--workers", "2",
-             "--summary-json", str(output)]
-        )
-        assert code == 0
-        payload = json.loads(output.read_text())
-        assert payload["jobs"] == 2
-        assert payload["serial_wall_clock_s"] > 0.0
-        assert payload["parallel_wall_clock_s"] > 0.0
-        assert payload["failures"] == 0
-        # The single-CPU annotation must always be present and truthful, so
-        # downstream gates can trust it instead of re-deriving it.
-        assert payload["speedup_meaningful"] == ((os.cpu_count() or 1) > 1)
-        if (os.cpu_count() or 1) >= 4:
-            # With real cores available the parallel matrix must win; on a
-            # starved CI box we only require it recorded both timings.
-            assert payload["speedup"] > 1.0
-
-    def test_bench_output_flag_is_a_compatible_alias(self, tmp_path, capsys):
-        output = tmp_path / "BENCH_runner.json"
-        code = main(
-            ["bench", "--sinks", "20", "--matrix", "1", "--workers", "1",
-             "--output", str(output)]
-        )
-        assert code == 0
-        assert json.loads(output.read_text())["jobs"] == 1
 
     def test_version_flag_prints_package_version(self, capsys):
         from repro.cli import package_version
