@@ -301,6 +301,30 @@ class EvaluationReport:
         return self.corners[self.fast_corner]
 
     @property
+    def topology(self) -> StageTopology:
+        """The stage decomposition the report was walked on.
+
+        Its ``structure_revision`` names the tree structure the report's
+        stage indices and tap columns belong to.
+        """
+        return self.nominal._topo
+
+    def stage_worst_slews(self) -> List[float]:
+        """Each stage's worst tap slew (ps), in :attr:`topology` stage order.
+
+        The maximum over corners, transitions and the stage's taps, floored
+        at 0.0 (a stage without taps reads 0.0).
+        """
+        topo = self.topology
+        worst_tap = np.max(
+            [timing._slew.max(axis=0) for timing in self.corners.values()], axis=0
+        )
+        stage_of_tap = np.repeat(np.arange(len(topo.stages)), np.diff(topo.tap_start))
+        worst = np.zeros(len(topo.stages))
+        np.maximum.at(worst, stage_of_tap, worst_tap)
+        return worst.tolist()
+
+    @property
     def skew(self) -> float:
         """Nominal skew: worse of rise/fall skew at the fast corner."""
         return self.nominal.skew()
@@ -540,58 +564,50 @@ class _CandidateTotals:
     candidate move touches a handful.  The template records every node's
     contributions in node-table order once per batch; a candidate's totals
     substitute the touched nodes' current contributions and re-sum in the
-    same order, which is bit-identical to the full walk (untouched nodes
-    contribute the exact same floats, non-contributing nodes exact zeros,
-    and adding 0.0 is exact).
+    same order and the same way as the full walk, which is bit-identical to
+    it (untouched nodes contribute the exact same floats, non-contributing
+    nodes exact zeros, and adding 0.0 is exact).  The capacitance components
+    accumulate strictly left to right, as the loop in
+    :meth:`~repro.cts.tree.ClockTree.total_capacitance` does; the builtin
+    ``sum`` is compensated from Python 3.12 on, so it serves only the
+    wirelength, which :meth:`~repro.cts.tree.ClockTree.total_wirelength`
+    sums with it too.
     """
 
-    __slots__ = ("pos", "wire", "buffers", "sinks", "lengths")
+    __slots__ = ("pos", "caps", "lengths")
 
     def __init__(self, tree: ClockTree) -> None:
         self.pos: Dict[int, int] = {}
-        self.wire: List[float] = []
-        self.buffers: List[float] = []
-        self.sinks: List[float] = []
+        columns: List[Tuple[float, float, float]] = []
         self.lengths: List[float] = []
         for index, node in enumerate(tree.nodes()):
             self.pos[node.node_id] = index
             wire, buffers, sinks, length = _node_contribution(node)
-            self.wire.append(wire)
-            self.buffers.append(buffers)
-            self.sinks.append(sinks)
+            columns.append((wire, buffers, sinks))
             self.lengths.append(length)
+        # (wire, buffer, sink) rows, one column per node.
+        self.caps = np.array(columns).T.copy()
 
     def candidate_totals(
         self, tree: ClockTree, touched: Iterable[int]
     ) -> Tuple[float, float]:
         """(total capacitance, wirelength) of ``tree`` with a move applied."""
-        saved: List[Tuple[int, float, float, float, float]] = []
+        saved: List[Tuple[int, np.ndarray, float]] = []
         for node_id in touched:
             index = self.pos.get(node_id)
             if index is None:
                 continue
-            saved.append(
-                (
-                    index,
-                    self.wire[index],
-                    self.buffers[index],
-                    self.sinks[index],
-                    self.lengths[index],
-                )
-            )
+            saved.append((index, self.caps[:, index].copy(), self.lengths[index]))
             wire, buffers, sinks, length = _node_contribution(tree.node(node_id))
-            self.wire[index] = wire
-            self.buffers[index] = buffers
-            self.sinks[index] = sinks
+            self.caps[:, index] = (wire, buffers, sinks)
             self.lengths[index] = length
         try:
-            total_capacitance = sum(self.wire) + sum(self.buffers) + sum(self.sinks)
+            wire, buffers, sinks = np.add.accumulate(self.caps, axis=1)[:, -1].tolist()
+            total_capacitance = wire + buffers + sinks
             wirelength = sum(self.lengths)
         finally:
-            for index, wire, buffers, sinks, length in saved:
-                self.wire[index] = wire
-                self.buffers[index] = buffers
-                self.sinks[index] = sinks
+            for index, column, length in saved:
+                self.caps[:, index] = column
                 self.lengths[index] = length
         return total_capacitance, wirelength
 

@@ -165,7 +165,8 @@ class StageTopology:
       at columns ``tap_start[i]:tap_start[i + 1]``;
     * ``driver_col[i]`` -- the column of stage ``i``'s driver tap (-1 for
       the source stage);
-    * ``sink_cols`` / ``sink_ids`` -- the columns and node ids of sink taps.
+    * ``sink_cols`` / ``sink_ids`` -- the columns and node ids of sink taps;
+    * ``structure_revision`` -- the tree structure revision it was built at.
     """
 
     stages: List[Stage]
@@ -177,6 +178,7 @@ class StageTopology:
     driver_col: List[int]
     sink_cols: np.ndarray
     sink_ids: List[int]
+    structure_revision: int
 
 
 def build_stage_topology(tree: ClockTree, stages: Optional[List[Stage]] = None) -> StageTopology:
@@ -212,6 +214,7 @@ def build_stage_topology(tree: ClockTree, stages: Optional[List[Stage]] = None) 
         driver_col=[column_of.get(stage.driver_id, -1) for stage in stages],
         sink_cols=np.array(sink_cols, dtype=np.intp),
         sink_ids=[tap_ids[col] for col in sink_cols],
+        structure_revision=tree.structure_revision,
     )
 
 

@@ -335,14 +335,9 @@ class IvcEngine:
         after ``max_consecutive_rejections`` rejections in a row, or on the
         first vacuous round (``empty_note`` records why).
         """
-        state = IvcState(report=self.report)
-        best_objective = objective_value(self.report, self.objective)
-        if self.gate is not None:
-            self.gate.prime(self.tree, self.report)
-        for attempt in range(1, max_rounds + 1):
-            state.iteration = attempt
-            state.report = self.report
-            outcome = ivc_round(
+
+        def play(state: IvcState, best_objective: float) -> IvcOutcome:
+            return ivc_round(
                 self.tree,
                 self.evaluator,
                 lambda: propose(state),
@@ -351,28 +346,10 @@ class IvcEngine:
                 constraints=self.constraints,
                 gate=self.gate,
             )
-            if outcome.changed == 0:
-                if empty_note is not None:
-                    self.result.notes.append(empty_note)
-                break
-            if not outcome.accepted:
-                self.result.notes.append(
-                    reject_note.format(reason=outcome.reason, iteration=state.iteration)
-                )
-                METRICS.count("ivc.rounds_rejected")
-                state.consecutive_rejections += 1
-                state.aggressiveness *= rejection_decay
-                if state.consecutive_rejections >= max_consecutive_rejections:
-                    break
-                continue
-            METRICS.count("ivc.rounds_accepted")
-            state.consecutive_rejections = 0
-            self.report = outcome.report
-            best_objective = objective_value(outcome.report, self.objective)
-            self.result.rounds += 1
-            self.result.edges_changed += outcome.changed
-            self.result.improved = True
-        return self.finish()
+
+        return self._drive(
+            play, max_rounds, empty_note, max_consecutive_rejections, rejection_decay, reject_note
+        )
 
     # ------------------------------------------------------------------
     def run_batched(
@@ -403,25 +380,18 @@ class IvcEngine:
         replayed after its scoring rollback.
 
         Rejection bookkeeping (notes, aggressiveness decay, the consecutive
-        rejection cap, the vacuous-round stop) matches :meth:`run`.
+        rejection cap, the vacuous-round stop) is :meth:`run`'s.
         """
         if not candidate_scales:
             raise ValueError("candidate_scales must not be empty")
-        state = IvcState(report=self.report)
-        best_objective = objective_value(self.report, self.objective)
-        if self.gate is not None:
-            self.gate.prime(self.tree, self.report)
-        for attempt in range(1, max_rounds + 1):
-            state.iteration = attempt
-            state.report = self.report
+
+        def play(state: IvcState, best_objective: float) -> IvcOutcome:
             moves = [
                 self._scaled_move(propose, state, scale) for scale in candidate_scales
             ]
             batch = self.evaluator.evaluate_candidates(self.tree, moves)
             if all(score.changed == 0 for score in batch):
-                if empty_note is not None:
-                    self.result.notes.append(empty_note)
-                break
+                return IvcOutcome(accepted=False, changed=0, report=None, reason=None)
             viable: List[CandidateScore] = [
                 score
                 for score in batch
@@ -437,7 +407,9 @@ class IvcEngine:
                         score.index,
                     ),
                 )
-                outcome = ivc_round(
+                # A non-deterministic propose that goes vacuous on replay
+                # ends the loop like any other vacuous round.
+                return ivc_round(
                     self.tree,
                     self.evaluator,
                     moves[winner.index],
@@ -446,29 +418,53 @@ class IvcEngine:
                     constraints=self.constraints,
                     gate=self.gate,
                 )
-                if outcome.changed == 0:
-                    # A non-deterministic propose went vacuous on replay;
-                    # treat it like any other vacuous round.
-                    if empty_note is not None:
-                        self.result.notes.append(empty_note)
+            # Every candidate was triaged away: report the first real
+            # candidate's reason, mirroring a rejected ivc_round.
+            reason: Optional[str] = REASON_NO_IMPROVEMENT
+            for score in batch:
+                if score.changed > 0:
+                    reason = (
+                        self.constraints(score)  # type: ignore[arg-type]
+                        or REASON_NO_IMPROVEMENT
+                    )
                     break
-            else:
-                # Every candidate was triaged away: report the first real
-                # candidate's reason, mirroring a rejected ivc_round.
-                reason: Optional[str] = REASON_NO_IMPROVEMENT
-                for score in batch:
-                    if score.changed > 0:
-                        reason = (
-                            self.constraints(score)  # type: ignore[arg-type]
-                            or REASON_NO_IMPROVEMENT
-                        )
-                        break
-                outcome = IvcOutcome(
-                    accepted=False,
-                    changed=max(score.changed for score in batch),
-                    report=None,
-                    reason=reason,
-                )
+            return IvcOutcome(
+                accepted=False,
+                changed=max(score.changed for score in batch),
+                report=None,
+                reason=reason,
+            )
+
+        return self._drive(
+            play, max_rounds, empty_note, max_consecutive_rejections, rejection_decay, reject_note
+        )
+
+    def _drive(
+        self,
+        play: Callable[[IvcState, float], IvcOutcome],
+        max_rounds: int,
+        empty_note: Optional[str],
+        max_consecutive_rejections: int,
+        rejection_decay: float,
+        reject_note: str,
+    ) -> PassResult:
+        """The round loop and its bookkeeping, shared by :meth:`run` and :meth:`run_batched`.
+
+        ``play(state, best_objective)`` runs one round; a vacuous outcome
+        (``changed == 0``) stops the loop.
+        """
+        state = IvcState(report=self.report)
+        best_objective = objective_value(self.report, self.objective)
+        if self.gate is not None:
+            self.gate.prime(self.tree, self.report)
+        for attempt in range(1, max_rounds + 1):
+            state.iteration = attempt
+            state.report = self.report
+            outcome = play(state, best_objective)
+            if outcome.changed == 0:
+                if empty_note is not None:
+                    self.result.notes.append(empty_note)
+                break
             if not outcome.accepted:
                 self.result.notes.append(
                     reject_note.format(reason=outcome.reason, iteration=state.iteration)

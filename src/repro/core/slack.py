@@ -8,7 +8,10 @@ tree edge ``e``:
 
 the amounts by which a sink (edge) may be unilaterally slowed down (sped up)
 without increasing the clock skew.  Lemma 1 gives the O(n) propagation of sink
-slacks to edge slacks, Lemma 2 the monotonicity along root-to-sink paths, and
+slacks to edge slacks -- an edge's slack is the minimum over its children's,
+which :func:`annotate_tree_slacks` folds in one bottom-up pass over the
+tree's memoized :meth:`~repro.cts.tree.ClockTree.sink_postorder` -- Lemma 2
+the monotonicity along root-to-sink paths, and
 Proposition 1 the per-edge budgets ``Delta(e) = Slack(e) - Slack(parent(e))``
 whose application drives every skew optimization in Contango: slowing each
 edge down by exactly ``Delta_slow(e)`` produces a zero-skew tree.
@@ -108,21 +111,30 @@ def annotate_tree_slacks(
     corners: Optional[Sequence[str]] = None,
     transitions: Iterable[str] = ("rise", "fall"),
 ) -> SlackAnnotation:
-    """Propagate sink slacks to every edge (Lemma 1) and compute the deltas (Prop. 1)."""
+    """Propagate sink slacks to every edge (Lemma 1) and compute the deltas (Prop. 1).
+
+    Edge slacks are keyed in ``tree.nodes()`` order and cover every node
+    with a downstream sink.
+    """
     sink_slacks = compute_sink_slacks(report, corners=corners, transitions=transitions)
     annotation = SlackAnnotation(sink=sink_slacks)
 
-    downstream = tree.downstream_sinks_map()
+    # Lemma 1 bottom-up: the minimum over the children's minima is the
+    # minimum over every downstream sink.
+    slow: Dict[int, float] = {}
+    fast: Dict[int, float] = {}
+    slow_of, fast_of = slow.__getitem__, fast.__getitem__
+    for node_id, children in tree.sink_postorder():
+        if children:
+            slow[node_id] = min(map(slow_of, children))
+            fast[node_id] = min(map(fast_of, children))
+        else:
+            slow[node_id] = sink_slacks.slow[node_id]
+            fast[node_id] = sink_slacks.fast[node_id]
     for node in tree.nodes():
-        sinks_below = downstream[node.node_id]
-        if not sinks_below:
-            continue
-        annotation.edge_slow[node.node_id] = min(
-            sink_slacks.slow[s] for s in sinks_below
-        )
-        annotation.edge_fast[node.node_id] = min(
-            sink_slacks.fast[s] for s in sinks_below
-        )
+        if node.node_id in slow:
+            annotation.edge_slow[node.node_id] = slow[node.node_id]
+            annotation.edge_fast[node.node_id] = fast[node.node_id]
 
     for node in tree.nodes():
         if node.node_id not in annotation.edge_slow:

@@ -19,14 +19,22 @@ This module holds the pieces those passes share:
   downsizing or snaking an edge is predicted analytically from the edge's
   stage-local downstream capacitance and then scaled by a correction factor
   measured with a single evaluation of a few independently perturbed mid-tree
-  edges (the paper's ``Tws`` / ``Twn`` calibration runs).
+  edges (the paper's ``Tws`` / ``Twn`` calibration runs).  The probe
+  perturbs the live tree under a checkpoint and rolls back after the
+  evaluation, so no clone is taken.
+
+The whole-tree analytics every proposal reads are memoized on the tree
+(:meth:`~repro.cts.tree.ClockTree.memoized`): stage-local capacitance on
+the tree's revision, so a rejected round or the K proposals of a batched
+round reuse it, and the slew budget's stage map is the
+:class:`~repro.analysis.rcnetwork.StageTopology` the report was walked on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.evaluator import ClockNetworkEvaluator, EvaluationReport
 from repro.analysis.units import OHM_FF_TO_PS
@@ -100,15 +108,28 @@ def stage_local_downstream_capacitance(tree: ClockTree) -> Dict[int, float]:
     stage*: downstream wire, sink pins, and the input pins of the next-stage
     buffers.  Buffers isolate their subtrees, so capacitance beyond them does
     not load the edge.
+
+    Memoized on the tree's revision (see
+    :meth:`~repro.cts.tree.ClockTree.memoized`): the returned mapping is
+    shared, read-only.
     """
+    return tree.memoized(
+        "stage_local_downstream_capacitance", lambda: _stage_local_caps(tree)
+    )
+
+
+def _stage_local_caps(tree: ClockTree) -> Dict[int, float]:
     caps: Dict[int, float] = {}
+    half_edge: Dict[int, float] = {}
     for node in tree.postorder():
-        local = tree.node_load_capacitance(node.node_id)
-        local += 0.5 * tree.edge_capacitance(node.node_id)
+        node_id = node.node_id
+        half = half_edge[node_id] = 0.5 * tree.edge_capacitance(node_id)
+        local = tree.node_load_capacitance(node_id)
+        local += half
         if not node.has_buffer:
             for child in node.children:
-                local += caps[child] + 0.5 * tree.edge_capacitance(child)
-        caps[node.node_id] = local
+                local += caps[child] + half_edge[child]
+        caps[node_id] = local
     return caps
 
 
@@ -159,22 +180,24 @@ class SlewBudget:
 
 
 def stage_slew_headroom(tree: ClockTree, report: EvaluationReport) -> SlewBudget:
-    """Build the :class:`SlewBudget` of ``tree`` from an evaluation report."""
-    from repro.analysis.rcnetwork import extract_stages  # local import to avoid cycles
+    """Build the :class:`SlewBudget` of ``tree`` from an evaluation report.
 
-    edge_to_stage: Dict[int, int] = {}
-    headroom: Dict[int, float] = {}
-    for stage_index, stage in enumerate(extract_stages(tree)):
-        worst = 0.0
-        for timing in report.corners.values():
-            for tap in stage.taps:
-                per_tap = timing.tap_slew.get(tap)
-                if per_tap:
-                    worst = max(worst, max(per_tap.values()))
-        headroom[stage_index] = report.slew_limit - worst
-        for edge in stage.edges:
-            edge_to_stage[edge] = stage_index
-    return SlewBudget(edge_to_stage, headroom)
+    The stages are those of the :class:`~repro.analysis.rcnetwork.StageTopology`
+    the report was walked on, which must be ``tree``'s current stage
+    decomposition: a report of another structure revision raises
+    :class:`ValueError`.
+    """
+    topology = report.topology
+    if topology.structure_revision != tree.structure_revision:
+        raise ValueError(
+            f"report was walked on structure revision {topology.structure_revision}, "
+            f"the tree is at {tree.structure_revision}"
+        )
+    headroom = {
+        stage: report.slew_limit - worst
+        for stage, worst in enumerate(report.stage_worst_slews())
+    }
+    return SlewBudget(topology.stage_of_edge, headroom)
 
 
 # ----------------------------------------------------------------------
@@ -299,6 +322,22 @@ def _max_latency_increase(
     return worst
 
 
+def _probe_evaluation(
+    tree: ClockTree,
+    evaluator: ClockNetworkEvaluator,
+    perturb: Callable[[int], None],
+    edges: Sequence[int],
+) -> EvaluationReport:
+    """Evaluate ``tree`` with ``perturb`` applied to every edge, then roll back."""
+    token = tree.checkpoint()
+    try:
+        for node_id in edges:
+            perturb(node_id)
+        return evaluator.evaluate(tree)
+    finally:
+        tree.rollback_to(token)
+
+
 def _calibration_factor(ratios: List[float]) -> float:
     """Aggregate measured/analytic ratios into one conservative factor.
 
@@ -322,10 +361,11 @@ def calibrate_downsize_model(
     """Calibrate the wiresizing impact model with one probe evaluation.
 
     Up to ``sample_edges`` independent mid-tree edges (or the explicitly
-    supplied ``edge_ids``) are downsized on a clone of the tree; a single
-    evaluation then measures each edge's worst downstream latency increase,
-    and the ratio to the analytic prediction becomes the model's calibration
-    factor.  Returns None when no probe edge can be downsized.
+    supplied ``edge_ids``) are downsized in ``tree`` under a checkpoint; a
+    single evaluation then measures each edge's worst downstream latency
+    increase, the tree is rolled back (revisions included), and the ratio to
+    the analytic prediction becomes the model's calibration factor.  Returns
+    None when no probe edge can be downsized.
     """
     stage_cap = stage_local_downstream_capacitance(tree)
     model = DownsizeModel(calibration=1.0, stage_cap=stage_cap)
@@ -343,10 +383,14 @@ def calibrate_downsize_model(
     ]
     if not edges:
         return None
-    probe = tree.clone()
-    for node_id in edges:
-        probe.set_wire_type(node_id, wirelib.narrower(probe.node(node_id).wire_type))
-    perturbed = evaluator.evaluate(probe)
+    perturbed = _probe_evaluation(
+        tree,
+        evaluator,
+        lambda node_id: tree.set_wire_type(
+            node_id, wirelib.narrower(tree.node(node_id).wire_type)
+        ),
+        edges,
+    )
     downstream = tree.downstream_sinks_map()
     ratios: List[float] = []
     for node_id in edges:
@@ -385,10 +429,9 @@ def calibrate_snake_model(
     edges = [e for e in edges if tree.node(e).wire_type is not None]
     if not edges:
         return None
-    probe = tree.clone()
-    for node_id in edges:
-        probe.add_snake(node_id, unit_length)
-    perturbed = evaluator.evaluate(probe)
+    perturbed = _probe_evaluation(
+        tree, evaluator, lambda node_id: tree.add_snake(node_id, unit_length), edges
+    )
     downstream = tree.downstream_sinks_map()
     ratios: List[float] = []
     for node_id in edges:

@@ -23,7 +23,10 @@ re-analyze only what actually changed:
 * the tree carries a **structure revision**
   (:attr:`ClockTree.structure_revision`), bumped whenever the decomposition
   into buffer stages can change -- children added, edges split, subtrees
-  re-parented or removed, buffers placed on or removed from a node.
+  re-parented or removed, buffers placed on or removed from a node;
+* the tree also carries one **whole-tree revision**
+  (:attr:`ClockTree.revision`), which every mutation moves: it takes the
+  value each node-revision bump, structure bump or node creation just drew.
 
 Revisions are drawn from one process-global monotonic counter, so a
 ``(node_id, revision)`` pair observed anywhere uniquely identifies that
@@ -31,7 +34,19 @@ node's content at that moment: clones share revisions (their content is
 identical at clone time) while any later edit, in either tree, produces a
 revision never seen before.  That property is what lets the evaluator use
 revisions as content-addressed cache keys across snapshots, probes and
-rollbacks.
+rollbacks.  Equally, two trees (or two moments of one tree) with equal
+whole-tree revisions hold equal nodes and links.  The source resistance is
+a plain attribute outside every revision.
+
+Whole-tree analytics are memoized on the tree (:meth:`ClockTree.memoized`):
+a value is kept under a name together with the revision it was computed at
+-- :attr:`~ClockTree.revision` for values that read electrical content,
+:attr:`~ClockTree.structure_revision` for values that read topology alone
+(:meth:`~ClockTree.downstream_sinks_map`, :meth:`~ClockTree.sink_postorder`)
+-- and recomputed only once that revision moves.  Since a rollback restores
+both revisions verbatim and a clone copies them (and the memo), a memoized
+value is exact by construction across rollbacks and clones.  Memoized
+values are shared between callers: treat them as read-only.
 
 Checkpoints
 -----------
@@ -43,11 +58,15 @@ checkpoint API replaces that on the hot path:
   from then on every mutator records an O(1) pre-image of each node it is
   about to touch (first touch per node per checkpoint only);
 * :meth:`ClockTree.rollback_to` undoes everything back to the token in
-  O(touched nodes), restoring node *revisions* verbatim so content-addressed
-  caches (the evaluator's stage cache) recognise the rolled-back state as
-  already analyzed;
+  O(touched nodes), restoring node *revisions*, the structure revision and
+  the whole-tree revision verbatim so content-addressed caches (the
+  evaluator's stage cache, the tree's own memo) recognise the rolled-back
+  state as already analyzed;
 * :meth:`ClockTree.release` closes an accepted transaction and drops its
-  journal entries.
+  journal entries; the whole-tree revision stays where the edits moved it.
+
+Analyses that probe the tree (the wire-delay model calibrations) perturb it
+under a checkpoint, evaluate and roll back, rather than editing a clone.
 
 Checkpoints nest and must be released/rolled back LIFO.  With no checkpoint
 outstanding the journal hooks are a single branch per mutation.  Code that
@@ -64,7 +83,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.cts.bufferlib import BufferType
 from repro.cts.wirelib import WireType
@@ -190,8 +209,11 @@ class ClockTree:
         self.source_resistance = source_resistance
         self._node_revision: Dict[int, int] = {}
         self._structure_revision = next(_REVISIONS)
+        self._revision = self._structure_revision
+        self._memo: Dict[str, Tuple[int, Any]] = {}
         self._journal: List[tuple] = []
-        self._checkpoints: List[int] = []
+        # (journal token, whole-tree revision at the checkpoint), innermost last.
+        self._checkpoints: List[Tuple[int, int]] = []
         self._journaled: List[set] = []
         self.root_id = self._new_node(source_position, NodeKind.SOURCE, parent=None)
 
@@ -206,7 +228,7 @@ class ClockTree:
         node_id = self._next_id
         self._next_id += 1
         self._nodes[node_id] = TreeNode(node_id=node_id, position=position, kind=kind, parent=parent)
-        self._node_revision[node_id] = next(_REVISIONS)
+        self._revision = self._node_revision[node_id] = next(_REVISIONS)
         if self._checkpoints:
             self._journal.append(("create", node_id))
         return node_id
@@ -223,6 +245,32 @@ class ClockTree:
         sites, hence identical buffer-stage decompositions.
         """
         return self._structure_revision
+
+    @property
+    def revision(self) -> int:
+        """Revision of the whole tree: moved by every mutation.
+
+        Two trees (or two snapshots of one tree) with equal revisions have
+        identical nodes, links and edge contents; :meth:`memoized` keys
+        content-dependent analytics on it.
+        """
+        return self._revision
+
+    def memoized(self, name: str, compute: Callable[[], Any], structural: bool = False) -> Any:
+        """``compute()``, memoized under ``name`` until the tree's revision moves.
+
+        The value is keyed on :attr:`revision`, or on
+        :attr:`structure_revision` when ``structural`` says it reads topology
+        alone.  Revisions are never reused, so a hit is exact; the value is
+        shared with every later caller and must be treated as read-only.
+        """
+        key = self._structure_revision if structural else self._revision
+        entry = self._memo.get(name)
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        value = compute()
+        self._memo[name] = (key, value)
+        return value
 
     def node_revision(self, node_id: int) -> int:
         """Revision of one node's electrical content (see module docstring)."""
@@ -245,13 +293,13 @@ class ClockTree:
         for code that edits :class:`TreeNode` attributes directly (e.g.
         bespoke geometry surgery) so that incremental consumers stay sound.
         """
-        self._node_revision[node_id] = next(_REVISIONS)
+        self._revision = self._node_revision[node_id] = next(_REVISIONS)
 
     def touch_structure(self) -> None:
         """Mark the tree topology / buffer-site set as changed."""
         if self._checkpoints:
             self._journal.append(("structure", self._structure_revision))
-        self._structure_revision = next(_REVISIONS)
+        self._revision = self._structure_revision = next(_REVISIONS)
 
     # ------------------------------------------------------------------
     # Journal-revision checkpoints (transactional snapshots)
@@ -266,19 +314,20 @@ class ClockTree:
         consumed in LIFO order.
         """
         token = len(self._journal)
-        self._checkpoints.append(token)
+        self._checkpoints.append((token, self._revision))
         self._journaled.append(set())
         return token
 
     def rollback_to(self, token: int) -> None:
         """Undo every mutation made since :meth:`checkpoint` returned ``token``.
 
-        Node revisions and the structure revision are restored verbatim, so
-        caches keyed by them (the evaluator's stage cache) recognise the
-        rolled-back state as already analyzed -- exactly like a
-        :meth:`copy_state_from` restore, at O(touched nodes) cost.
+        Node revisions, the structure revision and the whole-tree revision
+        are restored verbatim, so caches keyed by them (the evaluator's stage
+        cache, :meth:`memoized` values) recognise the rolled-back state as
+        already analyzed -- exactly like a :meth:`copy_state_from` restore,
+        at O(touched nodes) cost.
         """
-        self._pop_checkpoint(token)
+        self._revision = self._pop_checkpoint(token)
         while len(self._journal) > token:
             entry = self._journal.pop()
             kind = entry[0]
@@ -305,13 +354,14 @@ class ClockTree:
         if not self._checkpoints:
             self._journal.clear()
 
-    def _pop_checkpoint(self, token: int) -> None:
-        if not self._checkpoints or self._checkpoints[-1] != token:
+    def _pop_checkpoint(self, token: int) -> int:
+        """Close the innermost checkpoint; returns the revision it saved."""
+        if not self._checkpoints or self._checkpoints[-1][0] != token:
             raise ValueError(
                 "checkpoint tokens must be rolled back / released in LIFO order"
             )
-        self._checkpoints.pop()
         self._journaled.pop()
+        return self._checkpoints.pop()[1]
 
     def touched_since(self, token: int) -> Set[int]:
         """Node ids journaled since the innermost open checkpoint ``token``.
@@ -324,7 +374,7 @@ class ClockTree:
         *created* since the checkpoint are not included -- creation always
         bumps the structure revision, which callers must check separately.
         """
-        if not self._checkpoints or self._checkpoints[-1] != token:
+        if not self._checkpoints or self._checkpoints[-1][0] != token:
             raise ValueError("touched_since requires the innermost open checkpoint token")
         return set(self._journaled[-1])
 
@@ -499,7 +549,14 @@ class ClockTree:
         return [n for n in self.preorder(node_id) if n.is_sink]
 
     def downstream_sinks_map(self) -> Dict[int, List[int]]:
-        """Map every node id to the ids of its downstream sinks (O(n) total via postorder)."""
+        """Map every node id to the ids of its downstream sinks.
+
+        Memoized on the structure revision (see :meth:`memoized`): the map
+        and its lists are shared, read-only.
+        """
+        return self.memoized("downstream_sinks_map", self._downstream_sinks, structural=True)
+
+    def _downstream_sinks(self) -> Dict[int, List[int]]:
         result: Dict[int, List[int]] = {}
         for node in self.postorder():
             if node.is_sink:
@@ -510,6 +567,31 @@ class ClockTree:
                     collected.extend(result[child])
                 result[node.node_id] = collected
         return result
+
+    def sink_postorder(self) -> List[Tuple[int, Tuple[int, ...]]]:
+        """Every node with a downstream sink, bottom-up, with its children that have one.
+
+        Entries are ``(node_id, children)`` with the children in
+        ``node.children`` order; sinks are exactly the entries without
+        children.  One pass over it folds a per-sink quantity into every
+        edge (the O(n) slack propagation of :mod:`repro.core.slack`).
+        Memoized on the structure revision (see :meth:`memoized`): the list
+        is shared, read-only.
+        """
+        return self.memoized("sink_postorder", self._sink_postorder, structural=True)
+
+    def _sink_postorder(self) -> List[Tuple[int, Tuple[int, ...]]]:
+        order: List[Tuple[int, Tuple[int, ...]]] = []
+        reached: Set[int] = set()
+        for node in self.postorder():
+            children: Tuple[int, ...] = ()
+            if node.kind is not NodeKind.SINK:
+                children = tuple(filter(reached.__contains__, node.children))
+                if not children:
+                    continue
+            reached.add(node.node_id)
+            order.append((node.node_id, children))
+        return order
 
     # ------------------------------------------------------------------
     # Electrical aggregates
@@ -841,8 +923,9 @@ class ClockTree:
         snapshotting roughly an order of magnitude cheaper than a generic
         ``copy.deepcopy`` -- snapshots sit on the hot path of every
         Improvement- & Violation-Checking round.  Revisions are copied
-        verbatim: the clone has identical content, so it shares cache
-        identity until either tree is edited.
+        verbatim (the whole-tree revision and its memo included): the clone
+        has identical content, so it shares cache identity until either tree
+        is edited.
         """
         twin = ClockTree.__new__(ClockTree)
         twin._nodes = {node_id: _copy_node(node) for node_id, node in self._nodes.items()}
@@ -852,6 +935,8 @@ class ClockTree:
         twin.root_id = self.root_id
         twin._node_revision = dict(self._node_revision)
         twin._structure_revision = self._structure_revision
+        twin._revision = self._revision
+        twin._memo = dict(self._memo)
         # Checkpoints do not transfer: the clone starts transaction-free.
         twin._journal = []
         twin._checkpoints = []
@@ -880,6 +965,7 @@ class ClockTree:
         self.root_id = other.root_id
         self._node_revision = dict(other._node_revision)
         self._structure_revision = other._structure_revision
+        self._revision = other._revision
 
     # ------------------------------------------------------------------
     # Validation

@@ -12,6 +12,8 @@ import pytest
 from repro.analysis import ClockNetworkEvaluator, EvaluatorConfig
 from repro.analysis.evaluator import CandidateBatch, CandidateScore
 from repro.cts import ispd09_buffer_library, ispd09_wire_library
+from repro.cts.tree import ClockTree, Sink
+from repro.geometry import Point
 from tests.analysis.test_incremental import buffered_zst_tree
 
 WIRES = ispd09_wire_library()
@@ -96,6 +98,30 @@ class TestBatchedParity:
         for score, report in zip(batch, reference_scores(tree, moves)):
             assert_score_matches_report(score, report)
         assert evaluator.cache_stats()["candidate_fallbacks"] == 1
+
+    def test_total_capacitance_adds_left_to_right_like_the_tree(self):
+        # 1.0 + 1e-16 + 1e-16 is 1.0 added left to right, as
+        # ClockTree.total_capacitance does, but 1.0000000000000002 under a
+        # compensated sum (the builtin sum() from Python 3.12 on).
+        tree = ClockTree(Point(0.0, 0.0), default_wire=WIRES.widest)
+        sinks = [
+            tree.add_sink(tree.root_id, Point(0.0, 0.0), Sink(name, cap))
+            for name, cap in (("a", 1.0), ("b", 1e-16), ("c", 1e-16))
+        ]
+        evaluator = ClockNetworkEvaluator(EvaluatorConfig(engine="arnoldi"))
+        evaluator.evaluate(tree)
+
+        def move():
+            tree.add_snake(sinks[0], 0.0)
+            return 1
+
+        batch = evaluator.evaluate_candidates(tree, [move])
+        assert batch.batched == 1
+        move()
+        report = evaluator.evaluate(tree)
+        assert report.total_capacitance == tree.total_capacitance() == 1.0
+        assert batch[0].total_capacitance == report.total_capacitance
+        assert batch[0].wirelength == report.wirelength
 
     def test_vacuous_candidate_scores_changed_zero(self):
         tree = buffered_zst_tree()

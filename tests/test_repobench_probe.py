@@ -1,16 +1,24 @@
-"""The repository benchmark's layer probe resolves every target in ``src/``.
+"""The repository benchmark's layer probe resolves and fires every target in ``src/``.
 
 ``repobench/probe.py`` wraps public functions at the module or class
-attribute their callers look them up through, and refuses to trace when one
-is missing.  A rename under ``src/`` would otherwise surface only when the
-benchmark runs; this test makes it fail the unit suite instead.
+attribute their callers look them up through; a traced run fails when one
+is missing or, on the workload it belongs to, never called.  A rename or a
+refactor under ``src/`` that silences a target would otherwise surface only
+when the traced benchmark runs; these tests make it fail the unit suite
+instead, on one small job per workload.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.api.jobs import JobSpec, McJobSpec
+from repro.core.config import BATCHED_PIPELINE
 from repro.obs import Tracer
+from repro.runner import run_job, run_mc_job, spec_fingerprint
+from repro.store.store import RunStore
 
 PROBE_PATH = Path(__file__).resolve().parents[1] / "repobench" / "probe.py"
 
@@ -37,3 +45,39 @@ def test_every_probe_target_resolves_and_is_restored(monkeypatch):
             assert vars(owner)[name] is not original, name
     for owner, name, original in wrapped:
         assert vars(owner)[name] is original, name
+
+
+def flow_large(tmp_path):
+    run_job(JobSpec(instance="ti:200", seed=2))
+
+
+def sweep_obstacles(tmp_path):
+    # The smallest job found to accept an IVC round, so ClockTree.release fires.
+    run_job(JobSpec(instance="scenario:macros:sinks=24", pipeline=BATCHED_PIPELINE, seed=0))
+
+
+def yield_mc(tmp_path):
+    run_mc_job(McJobSpec(instance="ti:30", samples=200, seed=7))
+    run_mc_job(McJobSpec(instance="ti:30", gated=True, seed=7))
+
+
+def store_replay(tmp_path):
+    spec = JobSpec(instance="ti:24", seed=1)
+    RunStore(tmp_path).append(run_job(spec), run_id="writer")
+    assert RunStore(tmp_path).latest_by_fingerprint(spec_fingerprint(spec)) is not None
+
+
+@pytest.mark.parametrize(
+    "workload, jobs",
+    [
+        ("flow-large", flow_large),
+        ("sweep-obstacles", sweep_obstacles),
+        ("yield-mc", yield_mc),
+        ("store-replay", store_replay),
+    ],
+)
+def test_every_probe_target_fires_on_its_workload(monkeypatch, tmp_path, workload, jobs):
+    probe = load_probe(monkeypatch)
+    with probe.Probe(Tracer()) as installed:
+        jobs(tmp_path)
+    assert installed.silent(workload) == []
