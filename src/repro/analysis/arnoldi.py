@@ -14,11 +14,18 @@ Two implementations live here:
   per-network recurrences on a :class:`StageNetwork` (any topological node
   order, one corner at a time), kept as the public single-stage API;
 * the **vectorized batch path** used by the incremental evaluator:
-  :func:`base_tap_moments` reduces a corner-independent
-  :class:`~repro.analysis.rcnetwork.BaseStageNetwork` to a handful of
-  per-tap base vectors with numpy prefix sums (no per-segment Python loop),
-  and :func:`batched_tap_moments` turns those into exact ``m1``/``m2`` for
-  *every* corner and transition at once.  The factorization rests on the
+  :func:`reduce_stage_batch` reduces a whole
+  :class:`~repro.analysis.rcnetwork.StageBatch` -- many stages laid out as
+  zero-padded ``(stages, width)`` segment rows -- to a handful of per-tap
+  base vectors per stage with row-wise numpy prefix sums (no per-segment
+  Python loop; only each stage's totals are taken stage by stage), and
+  :func:`batched_tap_moments` turns those into exact ``m1``/``m2`` for
+  *every* corner and transition at once.  The row-wise reduction is
+  bit-identical to reducing each stage on its own: a row's cumulative sums
+  never read past the row's end into its padding, the subtree-removal terms
+  come from one ``bincount`` whose bins are private to each row (weights
+  added in input order), and each stage's totals are ``.sum()`` over the
+  row's own leading entries.  The factorization rests on the
   corner model being a per-stage scaling: with wire scales ``r`` (res) and
   ``w`` (cap, applied to wire capacitance only) and total driver resistance
   ``D``, the moment recurrences separate into
@@ -34,21 +41,20 @@ Two implementations live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.analysis.elmore import StageTiming
-from repro.analysis.rcnetwork import BaseStageNetwork, StageNetwork, path_sums, subtree_interval_sums
+from repro.analysis.rcnetwork import StageBatch, StageNetwork
 from repro.analysis.units import LN2, LN9, OHM_FF_TO_PS
 
 __all__ = [
     "stage_moments",
     "arnoldi_stage_timing",
     "BaseTapMoments",
-    "base_tap_moments",
+    "reduce_stage_batch",
     "stack_tap_moments",
     "batched_tap_moments",
     "batched_delay_sigma",
@@ -121,8 +127,7 @@ def arnoldi_stage_timing(network: StageNetwork, input_slew: float) -> StageTimin
 _Total = Union[float, np.ndarray]
 
 
-@dataclass(frozen=True)
-class BaseTapMoments:
+class BaseTapMoments(NamedTuple):
     """Corner-independent moment ingredients of one stage, reduced to its taps.
 
     Capacitance enters in two components -- wire (``w``-scaled by
@@ -132,7 +137,8 @@ class BaseTapMoments:
     quantities are in raw ohm/fF units (no :data:`OHM_FF_TO_PS` applied); the
     conversion happens in :func:`batched_tap_moments`.  The per-stage totals
     are floats, or per-tap arrays once :func:`stack_tap_moments` has
-    concatenated several stages.
+    concatenated several stages.  :func:`reduce_stage_batch` returns the
+    per-tap vectors as views into one batch-wide array.
     """
 
     tap_ids: Tuple[int, ...]
@@ -149,12 +155,54 @@ class BaseTapMoments:
     driver_resistance: _Total  # unscaled driver resistance
 
 
-def base_tap_moments(base: BaseStageNetwork, split_wire_load: bool = True) -> BaseTapMoments:
-    """Reduce a base stage network to the per-tap moment base vectors.
+def _row_interval_sums(values: np.ndarray, end_index: np.ndarray) -> np.ndarray:
+    """Per-node sums of ``values`` over each node's subtree interval, row-wise.
 
-    Every per-segment accumulation (downstream capacitance, the two path-sum
-    sweeps of the m1/m2 recurrences) runs as numpy prefix sums over the whole
-    segment array at once.
+    ``end_index`` is :attr:`StageBatch.end_index`: one flat index into the
+    ``(stages, width + 1)`` prefix array per node.
+    """
+    rows, width = values.shape
+    prefix = np.zeros((rows, width + 1))
+    np.add.accumulate(values, axis=1, out=prefix[:, 1:])
+    return prefix.ravel()[end_index] - prefix[:, :width]
+
+
+def _row_path_sums(values: np.ndarray, end_index: np.ndarray) -> np.ndarray:
+    """Per-node sums of ``values`` over the root-to-node path, row-wise.
+
+    Node ``j`` contributes to node ``i`` exactly when ``i`` lies in ``j``'s
+    subtree interval, so scattering ``+values[j]`` at ``j`` and
+    ``-values[j]`` at the interval end turns the path sum into one
+    cumulative sum over the difference row.  The scatter is one
+    ``bincount`` over per-row bins (duplicate interval ends accumulate in
+    input order); bin ``width`` of a row collects the ends past it and is
+    dropped.
+    """
+    rows, width = values.shape
+    removal = np.bincount(
+        end_index.ravel(), weights=values.ravel(), minlength=rows * (width + 1)
+    ).reshape(rows, width + 1)[:, :width]
+    return np.add.accumulate(values - removal, axis=1)
+
+
+def _row_totals(values: np.ndarray, sizes: List[int]) -> List[float]:
+    """Each row's total over its own ``sizes[s]`` leading entries.
+
+    ``np.add.reduce`` of the contiguous leading slice is what ``.sum()`` of
+    a stage's own 1-D array computes (never ``np.add.reduceat``, whose
+    summation order differs).
+    """
+    add = np.add.reduce
+    return [float(add(row[:size])) for row, size in zip(values, sizes)]
+
+
+def reduce_stage_batch(batch: StageBatch, split_wire_load: bool = True) -> List[BaseTapMoments]:
+    """Reduce every stage of a laid-out batch to its per-tap moment base vectors.
+
+    Every accumulation (downstream capacitance, the two path-sum sweeps of
+    the m1/m2 recurrences) runs as one row-wise numpy pass over the whole
+    batch; only the per-stage totals and the per-stage result records are
+    produced stage by stage.
 
     ``split_wire_load=False`` collapses wire and load capacitance into the
     (never ``w``-scaled) load component, halving the reduction work.  It is
@@ -162,56 +210,60 @@ def base_tap_moments(base: BaseStageNetwork, split_wire_load: bool = True) -> Ba
     :func:`batched_tap_moments` has ``wire_cap_scale == 1.0`` -- true for the
     ISPD'09 corner set -- in which case the results are identical.
     """
-    cap_w = base.wire_capacitance
-    cap_l = base.load_capacitance
-    res = base.resistance
-    end = base.subtree_end
-    taps = base.tap_indices
-    if not split_wire_load:
-        cap = cap_w + cap_l
-        cdown = subtree_interval_sums(cap, end)
-        a = path_sums(res * cdown, end)
-        weighted = cap * a
-        p = path_sums(res * subtree_interval_sums(weighted, end), end)
-        zeros = np.zeros(len(taps))
-        return BaseTapMoments(
-            tap_ids=tuple(base.tap_ids),
-            a_wire_tap=zeros,
-            a_load_tap=a[taps],
-            p_ww_tap=zeros,
-            p_mixed_tap=zeros,
-            p_ll_tap=p[taps],
-            wire_cap_total=0.0,
-            load_cap_total=float(cap.sum()),
-            a0_ww=0.0,
-            a0_mixed=0.0,
-            a0_ll=float(weighted.sum()),
-            driver_resistance=base.driver_resistance,
+    res = batch.resistance
+    end = batch.end_index
+    taps = batch.tap_index
+    sizes = batch.sizes
+    if split_wire_load:
+        cap_w = batch.wire_capacitance
+        cap_l = batch.load_capacitance
+        a_w = _row_path_sums(res * _row_interval_sums(cap_w, end), end)
+        a_l = _row_path_sums(res * _row_interval_sums(cap_l, end), end)
+        weighted_ww = cap_w * a_w
+        weighted_mixed = cap_w * a_l + cap_l * a_w
+        weighted_ll = cap_l * a_l
+        p_ww = _row_path_sums(res * _row_interval_sums(weighted_ww, end), end)
+        p_mixed = _row_path_sums(res * _row_interval_sums(weighted_mixed, end), end)
+        p_ll = _row_path_sums(res * _row_interval_sums(weighted_ll, end), end)
+        tap_a_w = a_w.ravel()[taps]
+        tap_p_ww = p_ww.ravel()[taps]
+        tap_p_mixed = p_mixed.ravel()[taps]
+        wire_totals = _row_totals(cap_w, sizes)
+        ww_totals = _row_totals(weighted_ww, sizes)
+        mixed_totals = _row_totals(weighted_mixed, sizes)
+    else:
+        cap_l = batch.wire_capacitance + batch.load_capacitance
+        a_l = _row_path_sums(res * _row_interval_sums(cap_l, end), end)
+        weighted_ll = cap_l * a_l
+        p_ll = _row_path_sums(res * _row_interval_sums(weighted_ll, end), end)
+        tap_a_w = tap_p_ww = tap_p_mixed = np.zeros(len(taps))
+        wire_totals = ww_totals = mixed_totals = [0.0] * len(sizes)
+    tap_a_l = a_l.ravel()[taps]
+    tap_p_ll = p_ll.ravel()[taps]
+    load_totals = _row_totals(cap_l, sizes)
+    ll_totals = _row_totals(weighted_ll, sizes)
+    moments: List[BaseTapMoments] = []
+    low = 0
+    for row, tap_ids in enumerate(batch.tap_ids):
+        cols = slice(low, low + len(tap_ids))
+        low = cols.stop
+        moments.append(
+            BaseTapMoments(
+                tap_ids,
+                tap_a_w[cols],
+                tap_a_l[cols],
+                tap_p_ww[cols],
+                tap_p_mixed[cols],
+                tap_p_ll[cols],
+                wire_totals[row],
+                load_totals[row],
+                ww_totals[row],
+                mixed_totals[row],
+                ll_totals[row],
+                batch.driver_resistance[row],
+            )
         )
-    cdown_w = subtree_interval_sums(cap_w, end)
-    cdown_l = subtree_interval_sums(cap_l, end)
-    a_w = path_sums(res * cdown_w, end)
-    a_l = path_sums(res * cdown_l, end)
-    weighted_ww = cap_w * a_w
-    weighted_mixed = cap_w * a_l + cap_l * a_w
-    weighted_ll = cap_l * a_l
-    p_ww = path_sums(res * subtree_interval_sums(weighted_ww, end), end)
-    p_mixed = path_sums(res * subtree_interval_sums(weighted_mixed, end), end)
-    p_ll = path_sums(res * subtree_interval_sums(weighted_ll, end), end)
-    return BaseTapMoments(
-        tap_ids=tuple(base.tap_ids),
-        a_wire_tap=a_w[taps],
-        a_load_tap=a_l[taps],
-        p_ww_tap=p_ww[taps],
-        p_mixed_tap=p_mixed[taps],
-        p_ll_tap=p_ll[taps],
-        wire_cap_total=float(cap_w.sum()),
-        load_cap_total=float(cap_l.sum()),
-        a0_ww=float(weighted_ww.sum()),
-        a0_mixed=float(weighted_mixed.sum()),
-        a0_ll=float(weighted_ll.sum()),
-        driver_resistance=base.driver_resistance,
-    )
+    return moments
 
 
 def stack_tap_moments(variants: Sequence[BaseTapMoments]) -> BaseTapMoments:
@@ -228,7 +280,7 @@ def stack_tap_moments(variants: Sequence[BaseTapMoments]) -> BaseTapMoments:
         return np.concatenate([getattr(variant, name) for variant in variants])
 
     def totals(name: str) -> np.ndarray:
-        return np.repeat([getattr(variant, name) for variant in variants], counts)
+        return np.array([getattr(variant, name) for variant in variants]).repeat(counts)
 
     return BaseTapMoments(
         tap_ids=tuple(chain.from_iterable(variant.tap_ids for variant in variants)),

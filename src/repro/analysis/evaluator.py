@@ -23,12 +23,34 @@ including evaluations of clones, probes and rolled-back snapshots, which
 share revisions with the tree they were copied from.
 
 For the analytical engines (``elmore``/``arnoldi``) each stage is reduced
-once per content revision to a few base vectors
-(:func:`repro.analysis.arnoldi.base_tap_moments`, built with numpy prefix
-sums over all segments at once) from which delays and slews at *every* corner
-and transition are produced in one batched array operation -- no per-corner
-network rebuilds.  The transient (``spice``) engine caches the per-corner
+once per content revision to a few base vectors from which delays and slews
+at *every* corner and transition are produced in one batched array
+operation -- no per-corner network rebuilds.  An evaluation handles its
+*stage misses* (stages whose tap model is not cached) as one batch: it looks
+every stage up in walk order (one hit or miss each), reads the misses'
+per-edge content in one Python pass
+(:class:`~repro.analysis.rcnetwork.StageContent`), lays all their segments
+out as zero-padded numpy rows
+(:func:`~repro.analysis.rcnetwork.lay_out_stages`, whose structure comes
+from the cached :class:`~repro.analysis.rcnetwork.StageTopology`), reduces
+the rows at once (:func:`~repro.analysis.arnoldi.reduce_stage_batch`) and
+makes every missed tap model with one :meth:`~ClockNetworkEvaluator._delay_sigma`
+call -- bit-identical to building and reducing each stage on its own.
+:meth:`~ClockNetworkEvaluator.evaluate_yield` reduces its stages in one
+batch too, and candidate scoring reads each move's dirty stages while the
+move is applied and reduces every capture's reads together after the moves
+are rolled back.  The transient (``spice``) engine caches the per-corner
 stage networks and per-input-slew waveform analyses instead.
+
+Between evaluations the evaluator keeps one *revision snapshot* of the tree
+(:class:`_RevisionSnapshot`): node ids in node-table order with their
+revisions and per-node capacitance/wirelength contributions, plus every
+stage's content key.  Refreshing it recomputes only the nodes whose revision
+moved and the keys of the stages owning them, and it yields the report's
+capacitance and wirelength totals bit-identical to
+:meth:`~repro.cts.tree.ClockTree.total_capacitance` and
+:meth:`~repro.cts.tree.ClockTree.total_wirelength`.  A cold evaluation
+(``incremental=False``) reads and writes neither cache nor snapshot.
 
 Propagation kernel
 ------------------
@@ -94,20 +116,21 @@ import numpy as np
 
 from repro.analysis.arnoldi import (
     BaseTapMoments,
-    base_tap_moments,
     batched_delay_sigma,
     batched_tap_moments,
+    reduce_stage_batch,
     stack_tap_moments,
 )
 from repro.analysis.corners import Corner, ispd09_corners, supply_driver_multiplier
 from repro.analysis.elmore import StageTiming
 from repro.analysis.rcnetwork import (
     Stage,
+    StageContent,
     StageNetwork,
     StageTopology,
-    build_base_stage_network,
     build_stage_network,
     build_stage_topology,
+    lay_out_stages,
 )
 from repro.analysis.spice import TransientSolverConfig, transient_stage_timing
 from repro.analysis.units import LN9
@@ -509,15 +532,20 @@ class _PropagationState:
 class _CandidateCapture:
     """What one applied-then-rolled-back candidate move left behind.
 
-    ``dirty_moments``/``dirty_drivers`` hold the re-reduced base moments and
-    the live driver for each stage the move touched; every other stage reuses
-    the shared base-tree reduction in the batched pass.
+    ``dirty_moments``/``dirty_drivers`` hold the base moments and the live
+    driver for each stage the move touched; every other stage reuses the
+    shared base-tree reduction in the batched pass.  A dirty stage whose
+    moments were not cached is only read while the move is applied:
+    ``pending`` maps it to its slot in the batch's shared
+    :class:`~repro.analysis.rcnetwork.StageContent`, and its moments join
+    ``dirty_moments`` once the batch has been reduced.
     """
 
     __slots__ = (
         "index",
         "changed",
         "dirty_moments",
+        "pending",
         "dirty_drivers",
         "total_capacitance",
         "wirelength",
@@ -528,6 +556,7 @@ class _CandidateCapture:
         index: int,
         changed: int,
         dirty_moments: Dict[int, BaseTapMoments],
+        pending: Dict[int, int],
         dirty_drivers: Dict[int, _Driver],
         total_capacitance: float,
         wirelength: float,
@@ -535,6 +564,7 @@ class _CandidateCapture:
         self.index = index
         self.changed = changed
         self.dirty_moments = dirty_moments
+        self.pending = pending
         self.dirty_drivers = dirty_drivers
         self.total_capacitance = total_capacitance
         self.wirelength = wirelength
@@ -557,59 +587,189 @@ def _node_contribution(node: TreeNode) -> Tuple[float, float, float, float]:
     return wire, buffers, sinks, length
 
 
-class _CandidateTotals:
-    """Per-node contribution template for candidate capacitance/wirelength.
+def _stage_key(
+    tree: ClockTree, stage: Stage, revisions: Dict[int, int]
+) -> Tuple[_StageKey, _Driver]:
+    """The stage's content key and its live driver buffer."""
+    driver_id = stage.driver_id
+    buffer = tree.node(driver_id).buffer
+    if buffer is None:
+        # The source stage is driven through the source resistance, which
+        # is not covered by any node revision.
+        head: tuple = (driver_id, revisions[driver_id], tree.source_resistance)
+    else:
+        head = (driver_id, revisions[driver_id])
+    return (head, tuple((edge, revisions[edge]) for edge in stage.edges)), buffer
 
-    ``total_capacitance``/``total_wirelength`` walk every node, but a
-    candidate move touches a handful.  The template records every node's
-    contributions in node-table order once per batch; a candidate's totals
-    substitute the touched nodes' current contributions and re-sum in the
-    same order and the same way as the full walk, which is bit-identical to
-    it (untouched nodes contribute the exact same floats, non-contributing
-    nodes exact zeros, and adding 0.0 is exact).  The capacitance components
-    accumulate strictly left to right, as the loop in
-    :meth:`~repro.cts.tree.ClockTree.total_capacitance` does; the builtin
-    ``sum`` is compensated from Python 3.12 on, so it serves only the
-    wirelength, which :meth:`~repro.cts.tree.ClockTree.total_wirelength`
-    sums with it too.
+
+def _stage_keys(
+    tree: ClockTree, stages: List[Stage]
+) -> Tuple[List[Optional[_StageKey]], List[_Driver]]:
+    """Every stage's content key and live driver, computed afresh."""
+    revisions = tree.node_revisions
+    keys: List[Optional[_StageKey]] = []
+    drivers: List[_Driver] = []
+    for stage in stages:
+        key, buffer = _stage_key(tree, stage, revisions)
+        keys.append(key)
+        drivers.append(buffer)
+    return keys, drivers
+
+
+class _RevisionSnapshot:
+    """One tree state's report totals and stage keys, refreshed by node revision.
+
+    :meth:`refresh` brings the snapshot to a tree.  It holds the node ids in
+    node-table order -- the order
+    :meth:`~repro.cts.tree.ClockTree.total_capacitance` sums in -- with their
+    revisions and each node's (wire, buffer, sink, length) contributions.
+    If the ids, their order or the structure revision differ it rebuilds;
+    otherwise it recomputes only the nodes whose revision moved, since a
+    revision names a node's content (a rolled-back ``remove_subtree``
+    re-inserts nodes at the end of the node table under their old
+    revisions, which is why the order is checked).  Stage keys and live
+    drivers are recomputed only for the stages owning a moved node -- its
+    parent edge (``stage_of_edge``) or the stage it drives
+    (``stage_of_driver``) -- and all of them when the topology or the source
+    resistance differ.  Key and driver lists are replaced, never edited, so
+    callers may keep the lists they were given.
+
+    Totals add left to right, as the tree's own walks do: the capacitance
+    components with ``np.add.accumulate``, like the loop of
+    :meth:`~repro.cts.tree.ClockTree.total_capacitance`, and the wirelength
+    with the builtin ``sum``, like
+    :meth:`~repro.cts.tree.ClockTree.total_wirelength` (``sum`` is
+    compensated from Python 3.12 on, so it serves only the wirelength).
+    Non-contributing nodes hold exact zeros, and adding 0.0 is exact, so
+    both totals are bit-identical to the tree's walks.
     """
 
-    __slots__ = ("pos", "caps", "lengths")
+    __slots__ = (
+        "ids",
+        "pos",
+        "revisions",
+        "structure_revision",
+        "revision",
+        "caps",
+        "lengths",
+        "totals_cache",
+        "topo",
+        "source_resistance",
+        "keys",
+        "drivers",
+    )
 
-    def __init__(self, tree: ClockTree) -> None:
+    def __init__(self) -> None:
+        self.ids: List[int] = []
         self.pos: Dict[int, int] = {}
-        columns: List[Tuple[float, float, float]] = []
+        self.revisions = np.zeros(0, dtype=np.int64)
+        self.structure_revision = -1
+        self.revision = -1
+        # (wire, buffer, sink) rows, one column per node.
+        self.caps = np.zeros((3, 0))
         self.lengths: List[float] = []
-        for index, node in enumerate(tree.nodes()):
-            self.pos[node.node_id] = index
-            wire, buffers, sinks, length = _node_contribution(node)
+        self.totals_cache: Optional[Tuple[float, float]] = None
+        self.topo: Optional[StageTopology] = None
+        self.source_resistance = 0.0
+        self.keys: List[Optional[_StageKey]] = []
+        self.drivers: List[_Driver] = []
+
+    def refresh(
+        self, tree: ClockTree, topo: StageTopology
+    ) -> Tuple[List[Optional[_StageKey]], List[_Driver]]:
+        """Bring the snapshot to ``tree``; returns its stage keys and drivers."""
+        revisions = tree.node_revisions
+        ids = tree.node_ids()
+        moved_stages: Optional[Set[int]] = set()  # None: every stage
+        if ids != self.ids or tree.structure_revision != self.structure_revision:
+            self._rebuild(tree, ids)
+            moved_stages = None
+        elif tree.revision != self.revision:
+            current = np.fromiter(
+                map(revisions.__getitem__, ids), dtype=np.int64, count=len(ids)
+            )
+            moved = np.flatnonzero(current != self.revisions).tolist()
+            self.revisions = current
+            stage_of_edge = topo.stage_of_edge
+            stage_of_driver = topo.stage_of_driver
+            for index in moved:
+                node_id = ids[index]
+                wire, buffers, sinks, length = _node_contribution(tree.node(node_id))
+                self.caps[:, index] = (wire, buffers, sinks)
+                self.lengths[index] = length
+                for owner in (stage_of_edge.get(node_id), stage_of_driver.get(node_id)):
+                    if owner is not None:
+                        moved_stages.add(owner)
+            if moved:
+                self.totals_cache = None
+        self.revision = tree.revision
+        if (
+            moved_stages is None
+            or topo is not self.topo
+            or tree.source_resistance != self.source_resistance
+        ):
+            self.keys, self.drivers = _stage_keys(tree, topo.stages)
+            self.topo = topo
+            self.source_resistance = tree.source_resistance
+        elif moved_stages:
+            keys = list(self.keys)
+            drivers = list(self.drivers)
+            for index in moved_stages:
+                keys[index], drivers[index] = _stage_key(tree, topo.stages[index], revisions)
+            self.keys, self.drivers = keys, drivers
+        return self.keys, self.drivers
+
+    def _rebuild(self, tree: ClockTree, ids: List[int]) -> None:
+        revisions = tree.node_revisions
+        self.ids = ids
+        self.pos = {node_id: index for index, node_id in enumerate(ids)}
+        self.revisions = np.fromiter(
+            map(revisions.__getitem__, ids), dtype=np.int64, count=len(ids)
+        )
+        self.structure_revision = tree.structure_revision
+        columns: List[Tuple[float, float, float]] = []
+        self.lengths = []
+        for node_id in ids:
+            wire, buffers, sinks, length = _node_contribution(tree.node(node_id))
             columns.append((wire, buffers, sinks))
             self.lengths.append(length)
-        # (wire, buffer, sink) rows, one column per node.
         self.caps = np.array(columns).T.copy()
+        self.totals_cache = None
+
+    def totals(self) -> Tuple[float, float]:
+        """(total capacitance, wirelength) of the tree last refreshed to."""
+        if self.totals_cache is None:
+            self.totals_cache = self._sum(self.caps, self.lengths)
+        return self.totals_cache
 
     def candidate_totals(
         self, tree: ClockTree, touched: Iterable[int]
     ) -> Tuple[float, float]:
-        """(total capacitance, wirelength) of ``tree`` with a move applied."""
-        saved: List[Tuple[int, np.ndarray, float]] = []
+        """(total capacitance, wirelength) of ``tree`` with a move applied.
+
+        The snapshot holds the tree before the move; a copy with the touched
+        nodes' current contributions in their places is re-summed.
+        """
+        caps = self.caps
+        lengths = self.lengths
+        copied = False
         for node_id in touched:
             index = self.pos.get(node_id)
             if index is None:
                 continue
-            saved.append((index, self.caps[:, index].copy(), self.lengths[index]))
-            wire, buffers, sinks, length = _node_contribution(tree.node(node_id))
-            self.caps[:, index] = (wire, buffers, sinks)
-            self.lengths[index] = length
-        try:
-            wire, buffers, sinks = np.add.accumulate(self.caps, axis=1)[:, -1].tolist()
-            total_capacitance = wire + buffers + sinks
-            wirelength = sum(self.lengths)
-        finally:
-            for index, column, length in saved:
-                self.caps[:, index] = column
-                self.lengths[index] = length
-        return total_capacitance, wirelength
+            if not copied:
+                caps = caps.copy()
+                lengths = list(lengths)
+                copied = True
+            caps[0, index], caps[1, index], caps[2, index], lengths[index] = (
+                _node_contribution(tree.node(node_id))
+            )
+        return self._sum(caps, lengths)
+
+    @staticmethod
+    def _sum(caps: np.ndarray, lengths: List[float]) -> Tuple[float, float]:
+        wire, buffers, sinks = np.add.accumulate(caps, axis=1)[:, -1].tolist()
+        return wire + buffers + sinks, sum(lengths)
 
 
 class StageCache:
@@ -804,11 +964,9 @@ class ClockNetworkEvaluator:
         # (surfaced through cache_stats() so reported speedups stay
         # attributable to the layer that produced them).
         self._prop: Optional[_PropagationState] = None
-        # Candidate-totals template, reusable while the tree content (stage
-        # keys) and structure are unchanged between evaluate_candidates calls.
-        self._totals_cache: Optional[
-            Tuple[int, List[Optional[_StageKey]], _CandidateTotals]
-        ] = None
+        # Report totals and stage keys of the last tree evaluated with the
+        # cache on, refreshed node by node as revisions move.
+        self._snapshot = _RevisionSnapshot()
         self._propagations_full = 0
         self._propagations_partial = 0
         self._stages_propagated = 0
@@ -896,12 +1054,13 @@ class ClockNetworkEvaluator:
             # longer has to look up: credit them so hit rates stay comparable
             # with dirty_region disabled.
             self.cache.hits += total - len(recompute)
+        order = range(total) if recompute is None else recompute
         with self.tracer.span("propagate") as prop_span:
             walk = self._walk(
                 topo,
                 drivers,
-                range(total) if recompute is None else recompute,
-                self._nominal_rows(tree, topo.stages, keys, drivers),
+                order,
+                self._nominal_rows(tree, topo, order, keys, drivers),
                 prior=None if prior is None else prior.walk,
             )
             if prop_span is not None:
@@ -911,6 +1070,11 @@ class ClockNetworkEvaluator:
                 )
         if collect:
             self._prop = _PropagationState(tree.structure_revision, keys, walk)
+        if use_cache:
+            total_capacitance, wirelength = self._snapshot.totals()
+        else:
+            total_capacitance = tree.total_capacitance()
+            wirelength = tree.total_wirelength()
         return EvaluationReport(
             corners={
                 corner.name: CornerTiming(corner, topo, walk, 2 * position)
@@ -920,9 +1084,9 @@ class ClockNetworkEvaluator:
             slow_corner=self._slow,
             engine=self.config.engine,
             slew_limit=self.config.slew_limit,
-            total_capacitance=tree.total_capacitance(),
+            total_capacitance=total_capacitance,
             capacitance_limit=self.capacitance_limit,
-            wirelength=tree.total_wirelength(),
+            wirelength=wirelength,
             evaluation_index=self.run_count,
         )
 
@@ -943,7 +1107,7 @@ class ClockNetworkEvaluator:
         """Drop all cached stage analyses (results are unaffected)."""
         self.cache.clear()
         self._prop = None
-        self._totals_cache = None
+        self._snapshot = _RevisionSnapshot()
 
     # ------------------------------------------------------------------
     # The propagation kernel
@@ -1034,26 +1198,29 @@ class ClockNetworkEvaluator:
     def _nominal_rows(
         self,
         tree: ClockTree,
-        stages: List[Stage],
+        topo: StageTopology,
+        order: Sequence[int],
         keys: List[Optional[_StageKey]],
         drivers: List[_Driver],
     ) -> _StageRows:
-        """Kernel rows of a nominal (``B = 1``) walk.
+        """Kernel rows of a nominal (``B = 1``) walk of the stages ``order``.
 
-        The analytical engines read the cached tap models; the transient
-        engine analyzes the stage at each row's drive slew.
+        The analytical engines read tap models, the misses among them built
+        in one batch before the walk; the transient engine analyzes the
+        stage at each row's drive slew.
         """
         transient = self.config.engine == "spice"
         gate_scale = self._gate_scale
+        stages = topo.stages
+        models = {} if transient else self._tap_models(tree, topo, order, keys)
 
         def rows(
             index: int, drive: np.ndarray
         ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-            stage = stages[index]
             if transient:
-                delay, second = self._transient_rows(tree, stage, keys[index], drive)
+                delay, second = self._transient_rows(tree, stages[index], keys[index], drive)
             else:
-                delay, second = self._tap_model(tree, stage, keys[index])
+                delay, second = models[index]
             buffer = drivers[index]
             gate = None if buffer is None else buffer.intrinsic_delay * gate_scale
             return delay, second, gate
@@ -1115,7 +1282,7 @@ class ClockNetworkEvaluator:
             )
         topo = self.cache.topology(tree)
         stages = topo.stages
-        keys, drivers = self._stage_keys(tree, stages)
+        keys, drivers = self._snapshot.refresh(tree, topo)
         # Candidate scoring piggybacks on the dirty-region snapshot: with the
         # base tree's walk at hand, only the union of the candidates' dirty
         # closures has to be walked K-wide and every retained tap comes from
@@ -1134,33 +1301,29 @@ class ClockNetworkEvaluator:
             assert prior is not None  # evaluate() just took the snapshot
             keys = prior.keys  # equal content; shared for cheap comparisons
         base_revision = tree.structure_revision
-        cached_totals = self._totals_cache
-        if (
-            cached_totals is not None
-            and cached_totals[0] == base_revision
-            and cached_totals[1] == keys
-        ):
-            totals = cached_totals[2]
-        else:
-            totals = _CandidateTotals(tree)
-            self._totals_cache = (base_revision, keys, totals)
         results: List[Optional[CandidateScore]] = [None] * len(moves)
         captures: List[_CandidateCapture] = []
+        # Dirty stages read while their move was applied, reduced together
+        # after the loop; ``slot_of`` maps each content key to its slot.
+        content = StageContent()
+        slot_of: Dict[tuple, int] = {}
         fallbacks = 0
         for index, move in enumerate(moves):
             token = tree.checkpoint()
+            fell_back = False
             try:
                 changed = move()
                 if changed == 0:
                     results[index] = self._vacuous_score(index)
                     continue
                 capture = self._capture_candidate(
-                    tree, token, index, changed, stages, drivers, base_revision,
-                    topo, totals,
+                    tree, token, index, changed, topo, drivers, base_revision,
+                    content, slot_of,
                 )
                 if capture is None:
                     # Structure or driver polarity changed: score honestly
                     # with a full evaluation while the move is applied.
+                    fell_back = True
                     fallbacks += 1
                     self.candidate_fallbacks += 1
                     report = self.evaluate(tree)
@@ -1171,6 +1334,13 @@ class ClockNetworkEvaluator:
                     captures.append(capture)
             finally:
                 tree.rollback_to(token)
+            if fell_back:
+                # The fallback evaluation moved the snapshot to the applied
+                # move; the next captures' totals need the base tree.
+                self._snapshot.refresh(tree, topo)
+        reduced = self._reduce(topo, content, self._split_caps)
+        for cache_key, slot in slot_of.items():
+            self.cache.store_base_moments(cache_key, reduced[slot])
         if captures:
             self.candidate_batches += 1
             self.candidates_scored += len(captures)
@@ -1179,6 +1349,8 @@ class ClockNetworkEvaluator:
             # is off) it covers the whole tree.
             union_dirty: Set[int] = set()
             for capture in captures:
+                for stage_index, slot in capture.pending.items():
+                    capture.dirty_moments[stage_index] = reduced[slot]
                 union_dirty.update(capture.dirty_moments)
             if prior is not None:
                 closure = self._downstream_closure(union_dirty, topo)
@@ -1254,13 +1426,18 @@ class ClockNetworkEvaluator:
         token: int,
         index: int,
         changed: int,
-        stages: List[Stage],
+        topo: StageTopology,
         drivers: List[_Driver],
         base_revision: int,
-        topo: StageTopology,
-        totals: _CandidateTotals,
+        content: StageContent,
+        slot_of: Dict[tuple, int],
     ) -> Optional[_CandidateCapture]:
-        """Capture an applied move's dirty stages, or None to force fallback."""
+        """Capture an applied move's dirty stages, or None to force fallback.
+
+        A dirty stage whose moments are not cached is only read here, into
+        the batch's shared ``content``; the caller reduces every capture's
+        reads in one batch once the moves are rolled back.
+        """
         if tree.structure_revision != base_revision:
             return None
         touched = tree.touched_since(token)
@@ -1273,12 +1450,13 @@ class ClockNetworkEvaluator:
             if stage_index is not None:
                 dirty_stages.add(stage_index)
         revisions = tree.node_revisions
+        split = self._split_caps
         dirty_moments: Dict[int, BaseTapMoments] = {}
+        slots: Dict[int, int] = {}
         dirty_drivers: Dict[int, _Driver] = {}
         for stage_index in dirty_stages:
-            stage = stages[stage_index]
             base_buffer = drivers[stage_index]
-            key, buffer = self._stage_key(tree, stage, revisions)
+            key, buffer = _stage_key(tree, topo.stages[stage_index], revisions)
             if (buffer is None) != (base_buffer is None):
                 return None
             if (
@@ -1287,15 +1465,23 @@ class ClockNetworkEvaluator:
                 and buffer.inverting != base_buffer.inverting
             ):
                 return None
-            dirty_moments[stage_index] = self._stage_base_moments(
-                tree, stage, key, self._split_caps, count=False
-            )
+            cache_key = (key, split)
+            moments = self.cache.base_moments(cache_key, count=False)
+            if moments is not None:
+                dirty_moments[stage_index] = moments
+            else:
+                slot = slot_of.get(cache_key)
+                if slot is None:
+                    slot = slot_of[cache_key] = len(content)
+                    content.read(tree, topo, stage_index, self.config.max_segment_length)
+                slots[stage_index] = slot
             dirty_drivers[stage_index] = buffer
-        total_capacitance, wirelength = totals.candidate_totals(tree, touched)
+        total_capacitance, wirelength = self._snapshot.candidate_totals(tree, touched)
         return _CandidateCapture(
             index=index,
             changed=changed,
             dirty_moments=dirty_moments,
+            pending=slots,
             dirty_drivers=dirty_drivers,
             total_capacitance=total_capacitance,
             wirelength=wirelength,
@@ -1314,21 +1500,19 @@ class ClockNetworkEvaluator:
         """Score every captured candidate in one ``K``-wide walk of ``closure``.
 
         A stage a candidate left untouched uses the base tree's rows, a dirty
-        one the candidate's own variant rows; one moment reduction covers
+        one the candidate's own variant rows; the closure's base moments
+        come from one batch reduction and one ``_delay_sigma`` call covers
         every variant of every closure stage, side by side on the tap axis.
         Driver presence and polarity are uniform across candidates by
         construction (divergent moves fell back), so the base tree's drivers
         steer the walk.
         """
         batch = len(captures)
-        stages = topo.stages
         variants: List[BaseTapMoments] = []
         columns: Dict[int, np.ndarray] = {}  # stage -> (candidates, taps)
         width = 0
-        for index in closure:
-            base = self._stage_base_moments(
-                tree, stages[index], keys[index], self._split_caps, count=False
-            )
+        bases = self._base_moments(tree, topo, closure, keys, self._split_caps, count=False)
+        for index, base in zip(closure, bases):
             taps = len(base.tap_ids)
             start = np.full(batch, width)
             variants.append(base)
@@ -1450,10 +1634,7 @@ class ClockNetworkEvaluator:
         )
         draws = model.sample(samples, rng, positions=positions)
         split = self._split_caps or model.perturbs_wire_cap
-        moments = [
-            self._stage_base_moments(tree, stage, key, split)
-            for stage, key in zip(stages, keys)
-        ]
+        moments = self._base_moments(tree, topo, range(len(stages)), keys, split, count=True)
         cfg = self.config
         use_d2m = cfg.engine == "arnoldi"
         driver_mult = [
@@ -1535,33 +1716,8 @@ class ClockNetworkEvaluator:
             drivers = [tree.node(stage.driver_id).buffer for stage in topo.stages]
             return topo, [None] * len(topo.stages), drivers
         topo = self.cache.topology(tree)
-        keys, drivers = self._stage_keys(tree, topo.stages)
+        keys, drivers = self._snapshot.refresh(tree, topo)
         return topo, keys, drivers
-
-    def _stage_keys(
-        self, tree: ClockTree, stages: List[Stage]
-    ) -> Tuple[List[Optional[_StageKey]], List[_Driver]]:
-        revisions = tree.node_revisions
-        keys: List[Optional[_StageKey]] = []
-        drivers: List[_Driver] = []
-        for stage in stages:
-            key, buffer = self._stage_key(tree, stage, revisions)
-            keys.append(key)
-            drivers.append(buffer)
-        return keys, drivers
-
-    def _stage_key(
-        self, tree: ClockTree, stage: Stage, revisions: Dict[int, int]
-    ) -> Tuple[_StageKey, _Driver]:
-        driver_id = stage.driver_id
-        buffer = tree.node(driver_id).buffer
-        if buffer is None:
-            # The source stage is driven through the source resistance, which
-            # is not covered by any node revision.
-            head: tuple = (driver_id, revisions[driver_id], tree.source_resistance)
-        else:
-            head = (driver_id, revisions[driver_id])
-        return (head, tuple((edge, revisions[edge]) for edge in stage.edges)), buffer
 
     def _dirty_frontier(
         self, tree: ClockTree, keys: List[Optional[_StageKey]], topo: StageTopology
@@ -1593,58 +1749,99 @@ class ClockNetworkEvaluator:
     # ------------------------------------------------------------------
     # Analytical engines: batched per-stage tap models
     # ------------------------------------------------------------------
-    def _tap_model(
-        self, tree: ClockTree, stage: Stage, key: Optional[_StageKey]
-    ) -> _TapModel:
-        """The stage's ``(corner x transition, taps)`` delay and sigma rows.
+    def _tap_models(
+        self,
+        tree: ClockTree,
+        topo: StageTopology,
+        order: Iterable[int],
+        keys: List[Optional[_StageKey]],
+    ) -> Dict[int, _TapModel]:
+        """The ``(corner x transition, taps)`` delay and sigma rows of ``order``.
 
         ``delay`` is the wire delay from the driver switching instant and
         ``sigma`` the intrinsic slew scale; both are independent of the input
         transition, which enters only in the final PERI combination during
-        propagation -- that is what makes the cached model reusable no matter
-        how upstream stages change.
+        propagation -- that is what makes a cached model reusable no matter
+        how upstream stages change.  Stages are looked up one by one in
+        ``order`` (one cache hit or miss each); the misses are reduced in
+        one batch and modelled by one :meth:`_delay_sigma` call.
         """
-        if key is not None:
-            cached = self.cache.tap_model(key)
-            if cached is not None:
-                return cached
-        model = self._delay_sigma(
-            self._stage_base_moments(tree, stage, key, self._split_caps, count=False)
-        )
-        if key is not None:
-            self.cache.store_tap_model(key, model)
-        return model
+        models: Dict[int, _TapModel] = {}
+        missed: List[int] = []
+        for index in order:
+            key = keys[index]
+            model = None if key is None else self.cache.tap_model(key)
+            if model is None:
+                missed.append(index)
+            else:
+                models[index] = model
+        if not missed:
+            return models
+        moments = self._base_moments(tree, topo, missed, keys, self._split_caps, count=False)
+        delay, sigma = self._delay_sigma(stack_tap_moments(moments))
+        low = 0
+        for index, base in zip(missed, moments):
+            cols = slice(low, low + len(base.tap_ids))
+            low = cols.stop
+            model = (delay[:, cols], sigma[:, cols])
+            models[index] = model
+            key = keys[index]
+            if key is not None:
+                self.cache.store_tap_model(key, model)
+        return models
 
     def _delay_sigma(self, moments: BaseTapMoments) -> _TapModel:
         m1, m2 = batched_tap_moments(moments, *self._combo_scales)
         return batched_delay_sigma(m1, m2, use_d2m=(self.config.engine == "arnoldi"))
 
-    def _stage_base_moments(
+    def _base_moments(
         self,
         tree: ClockTree,
-        stage: Stage,
-        key: Optional[_StageKey],
+        topo: StageTopology,
+        indices: Iterable[int],
+        keys: List[Optional[_StageKey]],
         split: bool,
-        count: bool = True,
-    ) -> BaseTapMoments:
-        """The stage's corner-independent moment reduction, cached by content.
+        count: bool,
+    ) -> List[BaseTapMoments]:
+        """The stages' corner-independent moment reductions, cached by content.
 
         Shared by the tap models of :meth:`evaluate`, the Monte Carlo batches
         of :meth:`evaluate_yield` and the candidate batches of
         :meth:`evaluate_candidates`, so whichever runs first pays for the
-        numpy reduction and the others reuse it for every stage whose RC
-        content is unchanged.
+        reduction and the others reuse it for every stage whose RC content
+        is unchanged.  The stages not cached are read from ``tree`` and
+        reduced in one batch.  ``count=False`` skips the hit/miss
+        accounting: the nominal tap-model path already counts once per stage
+        lookup, and one re-analyzed stage should keep counting as one miss.
         """
-        cache_key = (key, split) if key is not None else None
-        if cache_key is not None:
-            cached = self.cache.base_moments(cache_key, count=count)
-            if cached is not None:
-                return cached
-        base = build_base_stage_network(tree, stage, self.config.max_segment_length)
-        moments = base_tap_moments(base, split_wire_load=split)
-        if cache_key is not None:
-            self.cache.store_base_moments(cache_key, moments)
+        content = StageContent()
+        lookups: List[Tuple[Optional[BaseTapMoments], Optional[tuple]]] = []
+        for index in indices:
+            key = keys[index]
+            cache_key = None if key is None else (key, split)
+            cached = None
+            if cache_key is not None:
+                cached = self.cache.base_moments(cache_key, count=count)
+            if cached is None:
+                content.read(tree, topo, index, self.config.max_segment_length)
+            lookups.append((cached, cache_key))
+        reduced = iter(self._reduce(topo, content, split))
+        moments: List[BaseTapMoments] = []
+        for cached, cache_key in lookups:
+            if cached is None:
+                cached = next(reduced)
+                if cache_key is not None:
+                    self.cache.store_base_moments(cache_key, cached)
+            moments.append(cached)
         return moments
+
+    def _reduce(
+        self, topo: StageTopology, content: StageContent, split: bool
+    ) -> List[BaseTapMoments]:
+        """Lay out and reduce every stage read into ``content``, in read order."""
+        if not content:
+            return []
+        return reduce_stage_batch(lay_out_stages(topo, content), split_wire_load=split)
 
     # ------------------------------------------------------------------
     # Transient (SPICE-substitute) engine

@@ -6,34 +6,52 @@ next buffer inputs (and sinks) are reached.  Each stage is an RC tree -- wires
 contribute distributed RC (modelled as a chain of lumped segments) and the
 taps (buffer inputs, sinks) contribute load capacitance.
 
-All timing engines (:mod:`repro.analysis.elmore`, :mod:`repro.analysis.arnoldi`
-and the transient solver in :mod:`repro.analysis.spice`) consume the same
-:class:`StageNetwork` representation, so switching engines never changes the
-electrical model, only the solution accuracy.
+Two constructions share that electrical model:
+
+* :func:`build_stage_network` builds one stage's :class:`StageNetwork` at
+  one corner; the reference recurrences in :mod:`repro.analysis.elmore` and
+  :mod:`repro.analysis.arnoldi` and the transient solver in
+  :mod:`repro.analysis.spice` consume it;
+* the analytical engines of the incremental evaluator build many stages at
+  once, corner-independent, in two steps that keep structure and content
+  apart.  Structure lives in the :class:`StageTopology`: each stage's
+  edge-level :class:`StageLayout` (parent edge, subtree end, taps) is
+  derived once per tree structure revision.  :class:`StageContent` then
+  reads only electrical content, one Python pass over the stages' edges
+  (segment count, segment resistance, half segment capacitance, tap load),
+  and :func:`lay_out_stages` turns that into zero-padded ``(stages, width)``
+  segment rows with numpy alone, never reading the tree.  The rows are
+  reduced to moments by :func:`repro.analysis.arnoldi.reduce_stage_batch`.
+
+The analytical rows differ from :func:`build_stage_network` in two
+deliberate, sub-femtosecond ways: the regularization resistance of a
+zero-length or wire-less edge is corner-scaled (by ``wire_res_scale``, when
+the engine scales the whole row), and the ``_MIN_RESISTANCE`` clamp of a
+segment applies before corner scaling rather than after it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.corners import Corner
 from repro.cts.bufferlib import BufferType
-from repro.cts.tree import ClockTree, TreeNode
+from repro.cts.tree import ClockTree, NodeKind, TreeNode
 
 __all__ = [
     "Stage",
+    "StageLayout",
     "StageTopology",
     "StageNetwork",
-    "BaseStageNetwork",
+    "StageContent",
+    "StageBatch",
     "extract_stages",
     "build_stage_topology",
     "build_stage_network",
-    "build_base_stage_network",
-    "subtree_interval_sums",
-    "path_sums",
+    "lay_out_stages",
 ]
 
 # Resistance used for zero-length connections so the nodal matrix stays regular.
@@ -145,6 +163,28 @@ def extract_stages(tree: ClockTree) -> List[Stage]:
     return stages
 
 
+class StageLayout(NamedTuple):
+    """Edge-level structure of one stage, positions in ``Stage.edges`` order.
+
+    ``Stage.edges`` is a DFS preorder below the driver (subtrees contiguous),
+    the order the stage's segments are laid out in:
+
+    * ``parent_pos[k]`` -- position of edge ``k``'s parent edge, -1 when the
+      parent is the stage driver;
+    * ``subtree_end[k]`` -- exclusive end position of edge ``k``'s subtree;
+    * ``tap_pos`` -- the positions of the stage's taps, in ``Stage.taps``
+      order;
+    * ``is_tap[k]`` -- whether edge ``k`` ends at a tap;
+    * ``tap_ids`` -- ``Stage.taps`` as a tuple.
+    """
+
+    parent_pos: np.ndarray
+    subtree_end: np.ndarray
+    tap_pos: np.ndarray
+    is_tap: List[bool]
+    tap_ids: Tuple[int, ...]
+
+
 @dataclass
 class StageTopology:
     """A stage decomposition plus the per-structure-revision indexes over it.
@@ -153,8 +193,8 @@ class StageTopology:
     sites, sink roles), never on electrical content, so one instance stays
     valid for as long as the tree's structure revision does -- the evaluator
     caches it next to the stage list and uses it for dirty-region closure,
-    candidate dirty-set mapping and the propagation kernel's tap columns
-    without re-walking the tree:
+    candidate dirty-set mapping, the propagation kernel's tap columns and the
+    batched stage-network layout without re-walking the tree:
 
     * ``children[i]`` -- indices of the stages driven by stage ``i``'s taps;
     * ``stage_of_edge`` -- tree node id -> index of the stage that contains
@@ -166,6 +206,7 @@ class StageTopology:
     * ``driver_col[i]`` -- the column of stage ``i``'s driver tap (-1 for
       the source stage);
     * ``sink_cols`` / ``sink_ids`` -- the columns and node ids of sink taps;
+    * ``layouts[i]`` -- stage ``i``'s edge-level :class:`StageLayout`;
     * ``structure_revision`` -- the tree structure revision it was built at.
     """
 
@@ -178,6 +219,7 @@ class StageTopology:
     driver_col: List[int]
     sink_cols: np.ndarray
     sink_ids: List[int]
+    layouts: List[StageLayout]
     structure_revision: int
 
 
@@ -214,7 +256,31 @@ def build_stage_topology(tree: ClockTree, stages: Optional[List[Stage]] = None) 
         driver_col=[column_of.get(stage.driver_id, -1) for stage in stages],
         sink_cols=np.array(sink_cols, dtype=np.intp),
         sink_ids=[tap_ids[col] for col in sink_cols],
+        layouts=[_stage_layout(tree, stage) for stage in stages],
         structure_revision=tree.structure_revision,
+    )
+
+
+def _stage_layout(tree: ClockTree, stage: Stage) -> StageLayout:
+    """The edge-level structure of ``stage``; ``stage.edges`` is a DFS preorder."""
+    position = {edge: pos for pos, edge in enumerate(stage.edges)}
+    parent_pos = [position.get(tree.node(edge).parent, -1) for edge in stage.edges]
+    # Parents precede children, so one reverse sweep closes every subtree.
+    subtree_end = list(range(1, len(parent_pos) + 1))
+    for pos in range(len(parent_pos) - 1, -1, -1):
+        par = parent_pos[pos]
+        if par >= 0 and subtree_end[pos] > subtree_end[par]:
+            subtree_end[par] = subtree_end[pos]
+    tap_pos = [position[tap] for tap in stage.taps]
+    is_tap = [False] * len(parent_pos)
+    for pos in tap_pos:
+        is_tap[pos] = True
+    return StageLayout(
+        parent_pos=np.array(parent_pos, dtype=np.intp),
+        subtree_end=np.array(subtree_end, dtype=np.intp),
+        tap_pos=np.array(tap_pos, dtype=np.intp),
+        is_tap=is_tap,
+        tap_ids=tuple(stage.taps),
     )
 
 
@@ -300,140 +366,189 @@ def build_stage_network(
     )
 
 
-@dataclass
-class BaseStageNetwork:
-    """Corner-independent lumped RC arrays of one stage, in DFS preorder.
+class StageContent:
+    """The electrical content of a batch of stages, read edge by edge.
 
-    This is the vectorized counterpart of :class:`StageNetwork`: wire
-    resistances and capacitances are stored *unscaled* (nominal corner) as
-    numpy arrays, so a timing engine can apply any number of corner /
-    transition scalings as batched array arithmetic instead of rebuilding the
-    network per corner.  Capacitance is kept in two components because
-    corners scale them differently: ``wire_capacitance`` (subject to
-    ``wire_cap_scale``) and ``load_capacitance`` (sink pins, tap buffer
-    input pins and the driver's output cap -- never corner-scaled, matching
-    :func:`build_stage_network`).  Network nodes are guaranteed to be in DFS
-    preorder (parents before children, subtrees contiguous);
-    ``subtree_end[i]`` is the exclusive end of node ``i``'s subtree interval,
-    which makes subtree aggregations (downstream capacitance,
-    capacitance-weighted moments) plain prefix-sum differences and
-    root-to-node path sums a scatter-add plus one cumulative sum -- no
-    per-node Python loops.
+    :meth:`read` appends one stage: its driver's resistance and output load,
+    and per edge in ``Stage.edges`` order the lumped segment count, the
+    segment resistance, half the segment capacitance and the tap load, with
+    the formulas of :func:`build_stage_network` at the nominal corner
+    (unscaled wire RC; the ``_MIN_RESISTANCE`` clamp applied to the unscaled
+    resistance).  Reading needs the tree; laying the batch out
+    (:func:`lay_out_stages`) needs only this record and the topology, so a
+    caller can read stages of several tree states (candidate moves applied
+    and rolled back in turn) and lay them all out at once.
     """
 
-    parent: np.ndarray
+    __slots__ = (
+        "stages",
+        "driver_resistance",
+        "driver_load",
+        "segments",
+        "resistance",
+        "half_capacitance",
+        "tap_load",
+    )
+
+    def __init__(self) -> None:
+        self.stages: List[int] = []
+        self.driver_resistance: List[float] = []
+        self.driver_load: List[float] = []
+        self.segments: List[int] = []
+        self.resistance: List[float] = []
+        self.half_capacitance: List[float] = []
+        self.tap_load: List[float] = []
+
+    def __len__(self) -> int:
+        return len(self.stages)
+
+    def read(
+        self, tree: ClockTree, topo: StageTopology, index: int, max_segment_length: float
+    ) -> None:
+        """Append the content of stage ``index`` of ``topo`` as ``tree`` holds it now."""
+        stage = topo.stages[index]
+        driver = tree.node(stage.driver_id).buffer
+        self.stages.append(index)
+        if driver is None:
+            self.driver_resistance.append(tree.source_resistance)
+            self.driver_load.append(0.0)
+        else:
+            self.driver_resistance.append(driver.output_res)
+            self.driver_load.append(driver.output_cap)
+        add_segments = self.segments.append
+        add_resistance = self.resistance.append
+        add_half = self.half_capacitance.append
+        add_load = self.tap_load.append
+        sink_kind = NodeKind.SINK
+        for node, is_tap in zip(map(tree.node, stage.edges), topo.layouts[index].is_tap):
+            # The segmentation of _add_edge_segments, unscaled: the count
+            # clamped to [1, 32], the resistance clamped from below.
+            length = node.route_length() + node.snake_length
+            wire = node.wire_type
+            if wire is None or length <= 0.0:
+                add_segments(1)
+                add_resistance(_MIN_RESISTANCE)
+                add_half(0.0)
+            else:
+                count = int(length // max_segment_length)
+                if length % max_segment_length:
+                    count += 1
+                if count > 32:
+                    count = 32
+                elif count < 1:
+                    count = 1
+                seg_len = length / count
+                seg_res = wire.resistance(seg_len)
+                add_segments(count)
+                add_resistance(_MIN_RESISTANCE if _MIN_RESISTANCE > seg_res else seg_res)
+                add_half(wire.capacitance(seg_len) / 2.0)
+            # The load of _tap_load.
+            load = 0.0
+            if node.kind is sink_kind and node.sink is not None:
+                load += node.sink.capacitance
+            if is_tap and node.buffer is not None:
+                load += node.buffer.input_cap
+            add_load(load)
+
+
+class StageBatch(NamedTuple):
+    """Corner-independent lumped RC rows of a batch of stages.
+
+    Row ``s`` is stage ``s`` of the :class:`StageContent` it was laid out
+    from: its network nodes at columns ``0 .. sizes[s] - 1`` in DFS preorder
+    (column 0 the driver output, then every edge's segment chain in
+    ``Stage.edges`` order), zero-padded to the batch width.  Wire and load
+    capacitance stay separate because corners scale only the wire part.
+    ``end_index`` holds, per column, ``s * (width + 1)`` plus the exclusive
+    end of the node's subtree interval (``width`` for padding): one flat
+    index into a ``(stages, width + 1)`` prefix array, or one bincount bin
+    per row.  ``tap_index`` holds the flat ``(stages, width)`` index of every
+    tap, stage by stage in ``Stage.taps`` order.
+    """
+
     resistance: np.ndarray
     wire_capacitance: np.ndarray
     load_capacitance: np.ndarray
-    subtree_end: np.ndarray
-    tap_ids: List[int]
-    tap_indices: np.ndarray
-    driver_resistance: float
-    total_capacitance: float
-
-    @property
-    def size(self) -> int:
-        return len(self.parent)
+    end_index: np.ndarray
+    sizes: List[int]
+    tap_index: np.ndarray
+    tap_ids: List[Tuple[int, ...]]
+    driver_resistance: List[float]
 
 
-def subtree_interval_sums(values: np.ndarray, subtree_end: np.ndarray) -> np.ndarray:
-    """Per-node sums of ``values`` over each node's subtree (vectorized).
+def lay_out_stages(topo: StageTopology, content: StageContent) -> StageBatch:
+    """Lay the stages of ``content`` out as zero-padded segment rows (numpy only).
 
-    Requires DFS-preorder indexing with ``subtree_end`` intervals, as built by
-    :func:`build_base_stage_network`.
+    Each edge becomes a chain of ``segments`` lumped nodes: the first hangs
+    off the last node of the parent edge (or the driver node), and every
+    node of the chain spans the edge's whole subtree interval.  A node's
+    wire capacitance is its own half segment plus the halves of its child
+    segments, added in segment creation order by ``np.add.at`` (which
+    applies repeated indices in order) -- the order ``_add_edge_segments``
+    accumulates them in.  Requires ``content`` to hold at least one stage.
     """
-    prefix = np.concatenate(([0.0], np.cumsum(values)))
-    return prefix[subtree_end] - prefix[: len(values)]
+    rows = len(content.stages)
+    layouts = [topo.layouts[index] for index in content.stages]
+    edge_counts = [len(layout.is_tap) for layout in layouts]
+    edge_start = np.zeros(rows + 1, dtype=np.intp)
+    np.add.accumulate(edge_counts, out=edge_start[1:])
+    # The batch's index of the first edge of each edge's (and tap's) stage.
+    row_first = edge_start[:-1].repeat(edge_counts)
+    tap_first = edge_start[:-1].repeat([len(layout.tap_ids) for layout in layouts])
+    segments = np.array(content.segments, dtype=np.intp)
+    # seg_cum[e]: segments in the batch before edge e.
+    seg_cum = np.zeros(len(segments) + 1, dtype=np.intp)
+    np.add.accumulate(segments, out=seg_cum[1:])
+    row_segments = seg_cum[edge_start]
+    sizes = row_segments[1:] - row_segments[:-1] + 1
+    width = int(sizes.max())
+    row_start = np.arange(0, rows * width, width)
+    # Segment t of the batch lands at flat index t + shift[row]: column 0
+    # of each row is the driver node, the row's segments follow in order.
+    shift = row_start + 1 - row_segments[:-1]
+    row_segment_counts = sizes - 1
+    segment_shift = shift.repeat(row_segment_counts)
+    flat = np.arange(len(segment_shift)) + segment_shift
+    edge_first = seg_cum[:-1]
+    first_flat = flat[edge_first]
+    last_flat = first_flat + (segments - 1)
+    parent_pos = np.concatenate([layout.parent_pos for layout in layouts])
+    # The first segment of an edge hangs off the parent edge's last node,
+    # or off the driver node (its row's start); every other one off its
+    # predecessor.
+    edge_parent = last_flat[row_first + parent_pos]
+    from_driver = parent_pos < 0
+    edge_parent[from_driver] = first_flat[row_first[from_driver]] - 1
+    parent = flat - 1
+    parent[edge_first] = edge_parent
+    # Each node spans its edge's subtree: up to the first node of the edge at
+    # ``subtree_end`` (or the row's end), as a flat (stages, width + 1) index.
+    end_edge = seg_cum[row_first + np.concatenate([layout.subtree_end for layout in layouts])]
+    half = np.array(content.half_capacitance).repeat(segments)
 
-
-def path_sums(values: np.ndarray, subtree_end: np.ndarray) -> np.ndarray:
-    """Per-node sums of ``values`` over the root-to-node path (vectorized).
-
-    Node ``j`` contributes to node ``i`` exactly when ``i`` lies in ``j``'s
-    subtree interval ``[j, subtree_end[j])``, so scattering ``+values[j]`` at
-    ``j`` and ``-values[j]`` at ``subtree_end[j]`` turns the path sum into one
-    cumulative sum over the difference array.  The scatter uses ``bincount``
-    (duplicate interval ends accumulate) rather than ``np.subtract.at``,
-    which is an order of magnitude slower on small arrays.
-    """
-    n = len(values)
-    removal = np.bincount(subtree_end, weights=values, minlength=n + 1)[:n]
-    return np.cumsum(values - removal)
-
-
-def build_base_stage_network(
-    tree: ClockTree,
-    stage: Stage,
-    max_segment_length: float = 100.0,
-) -> BaseStageNetwork:
-    """Build the corner-independent lumped RC network of a stage.
-
-    Performs the same segmentation as :func:`build_stage_network` at the
-    nominal corner, but returns numpy arrays in DFS preorder together with
-    the subtree intervals needed by the vectorized engines.  Corner scalings
-    (wire RC, driver strength, rise/fall asymmetry) are applied later by the
-    engines as batched scalar multiplies; wire and load capacitance are kept
-    separate so that ``wire_cap_scale`` touches only the wire component,
-    exactly as in the per-corner builder.  The only (deliberate) deviation:
-    the tiny regularization resistance of zero-length connections is scaled
-    by ``wire_res_scale`` here but not in :func:`build_stage_network` --
-    a sub-femtosecond effect.
-    """
-    driver_node = tree.node(stage.driver_id)
-    driver_buffer = driver_node.buffer
-    parent: List[int] = [-1]
-    resistance: List[float] = [0.0]
-    wire_cap: List[float] = [0.0]
-    load_cap: List[float] = [0.0]
-    tree_to_net: Dict[int, int] = {stage.driver_id: 0}
-
-    if driver_buffer is not None:
-        load_cap[0] += driver_buffer.output_cap
-        base_res = driver_buffer.output_res
-    else:
-        base_res = tree.source_resistance
-
-    stage_edge_set = set(stage.edges)
-    stage_tap_set = set(stage.taps)
-
-    stack = [child for child in driver_node.children if child in stage_edge_set]
-    order: List[int] = []
-    while stack:
-        node_id = stack.pop()
-        order.append(node_id)
-        node = tree.node(node_id)
-        if node_id in stage_tap_set:
-            continue
-        stack.extend(c for c in node.children if c in stage_edge_set)
-
-    for node_id in order:
-        node = tree.node(node_id)
-        parent_net = tree_to_net[node.parent]
-        net_idx = _add_edge_segments(
-            node, parent_net, parent, resistance, wire_cap, 1.0, 1.0, max_segment_length
-        )
-        load_cap.extend([0.0] * (len(wire_cap) - len(load_cap)))
-        tree_to_net[node_id] = net_idx
-        load_cap[net_idx] += _tap_load(tree, node, node_id in stage_tap_set)
-
-    n = len(parent)
-    subtree_end = list(range(1, n + 1))
-    for idx in range(n - 1, 0, -1):
-        par = parent[idx]
-        if subtree_end[idx] > subtree_end[par]:
-            subtree_end[par] = subtree_end[idx]
-
-    tap_ids = list(stage.taps)
-    return BaseStageNetwork(
-        parent=np.asarray(parent, dtype=np.int32),
-        resistance=np.asarray(resistance),
-        wire_capacitance=np.asarray(wire_cap),
-        load_capacitance=np.asarray(load_cap),
-        subtree_end=np.asarray(subtree_end, dtype=np.int32),
-        tap_ids=tap_ids,
-        tap_indices=np.asarray([tree_to_net[t] for t in tap_ids], dtype=np.int32),
-        driver_resistance=base_res,
-        total_capacitance=float(sum(wire_cap) + sum(load_cap)),
+    size = rows * width
+    resistance = np.zeros(size)
+    resistance[flat] = np.array(content.resistance).repeat(segments)
+    wire = np.zeros(size)
+    wire[flat] = half
+    np.add.at(wire, parent, half)
+    load = np.zeros(size)
+    load[row_start] = content.driver_load
+    load[last_flat] = content.tap_load
+    row_end = row_start + np.arange(rows)
+    end = (row_end + width).repeat(width)
+    end[row_start] = row_end + sizes
+    end[flat] = end_edge.repeat(segments) + (shift + np.arange(rows)).repeat(row_segment_counts)
+    tap_index = last_flat[tap_first + np.concatenate([layout.tap_pos for layout in layouts])]
+    return StageBatch(
+        resistance=resistance.reshape(rows, width),
+        wire_capacitance=wire.reshape(rows, width),
+        load_capacitance=load.reshape(rows, width),
+        end_index=end.reshape(rows, width),
+        sizes=sizes.tolist(),
+        tap_index=tap_index,
+        tap_ids=[layout.tap_ids for layout in layouts],
+        driver_resistance=content.driver_resistance,
     )
 
 

@@ -204,7 +204,7 @@ class VariationModel:
 
         The evaluator uses this to decide whether the moment reduction must
         keep wire and load capacitance separate (see
-        :func:`repro.analysis.arnoldi.base_tap_moments`).
+        :func:`repro.analysis.arnoldi.reduce_stage_batch`).
         """
         if self.wire_cap_sigma > 0.0:
             return True

@@ -99,6 +99,28 @@ class TestBatchedParity:
             assert_score_matches_report(score, report)
         assert evaluator.cache_stats()["candidate_fallbacks"] == 1
 
+    def test_candidates_after_a_fallback_are_totalled_against_the_base_tree(self):
+        # The fallback evaluates the tree with its buffer placed; the snake
+        # scored after it must not count that buffer's capacitance.
+        tree = buffered_zst_tree()
+        evaluator = ClockNetworkEvaluator(EvaluatorConfig(engine="arnoldi"))
+        evaluator.evaluate(tree)
+        unbuffered = next(
+            n.node_id
+            for n in tree.nodes()
+            if not n.is_sink and n.parent is not None and not n.has_buffer
+        )
+
+        def structural_move():
+            tree.place_buffer(unbuffered, BUFS.by_name("INV_S").parallel(8))
+            return 1
+
+        moves = [structural_move] + snake_moves(tree)[:1]
+        batch = evaluator.evaluate_candidates(tree, moves)
+        assert batch.fallbacks == 1 and batch.batched == 1
+        for score, report in zip(batch, reference_scores(tree, moves)):
+            assert_score_matches_report(score, report)
+
     def test_total_capacitance_adds_left_to_right_like_the_tree(self):
         # 1.0 + 1e-16 + 1e-16 is 1.0 added left to right, as
         # ClockTree.total_capacitance does, but 1.0000000000000002 under a
@@ -115,6 +137,37 @@ class TestBatchedParity:
             tree.add_snake(sinks[0], 0.0)
             return 1
 
+        batch = evaluator.evaluate_candidates(tree, [move])
+        assert batch.batched == 1
+        move()
+        report = evaluator.evaluate(tree)
+        assert report.total_capacitance == tree.total_capacitance() == 1.0
+        assert batch[0].total_capacitance == report.total_capacitance
+        assert batch[0].wirelength == report.wirelength
+
+    def test_totals_follow_node_order_after_a_rolled_back_remove_subtree(self):
+        # A rolled-back remove_subtree re-inserts the removed nodes at the end
+        # of the node table under their old revisions.  Summed in the new
+        # order (1.0, 1e-16, then 1e-16) the capacitance is 1.0, as
+        # evaluate() reports; the old order gives 1.0000000000000002.
+        tree = ClockTree(Point(0.0, 0.0), default_wire=WIRES.widest)
+        sinks = [
+            tree.add_sink(tree.root_id, Point(0.0, 0.0), Sink(name, cap))
+            for name, cap in (("a", 1e-16), ("b", 1e-16), ("c", 1.0))
+        ]
+        evaluator = ClockNetworkEvaluator(EvaluatorConfig(engine="arnoldi"))
+        evaluator.evaluate(tree)
+
+        def move():
+            tree.add_snake(sinks[2], 0.0)
+            return 1
+
+        assert evaluator.evaluate_candidates(tree, [move])[0].total_capacitance == (
+            1.0000000000000002
+        )
+        token = tree.checkpoint()
+        tree.remove_subtree(sinks[0])
+        tree.rollback_to(token)
         batch = evaluator.evaluate_candidates(tree, [move])
         assert batch.batched == 1
         move()

@@ -18,13 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import ClockNetworkEvaluator, EvaluatorConfig
-from repro.analysis.arnoldi import base_tap_moments, batched_delay_sigma, batched_tap_moments
+from repro.analysis.arnoldi import batched_delay_sigma, batched_tap_moments
 from repro.analysis.evaluator import peri_slew
-from repro.analysis.rcnetwork import build_base_stage_network, extract_stages
+from repro.analysis.rcnetwork import extract_stages
 from repro.analysis.units import LN9
 from repro.core import ContangoFlow, FlowConfig
 from repro.cts import ispd09_wire_library
 from repro.workloads import generate_ti_benchmark
+from tests.analysis.stage_reference import base_tap_moments, build_base_stage_network
 
 TRANSITIONS = ("rise", "fall")
 WIRES = list(ispd09_wire_library())
