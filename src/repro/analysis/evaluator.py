@@ -74,10 +74,9 @@ returns per-tap arrival/slew arrays plus each row's sink-latency extremes and
 worst slew, which is all :class:`CornerTiming`, :class:`CandidateScore` and
 :class:`~repro.analysis.variation.YieldReport` read.
 
-The per-tap arrays double as the retained state.  With
-``EvaluatorConfig.dirty_region`` enabled (the default) the evaluator keeps
-the last nominal walk together with the stage content keys it came from.
-The next evaluation diffs the keys, closes the dirty set over the stage
+The per-tap arrays double as the retained state.  Every cached evaluation
+keeps its nominal walk together with the stage content keys it came from.
+The next one diffs the keys, closes the dirty set over the stage
 topology (:class:`~repro.analysis.rcnetwork.StageTopology` children -- every
 stage downstream of a changed driver sees changed input slews) and walks only
 that region, reading every retained tap from the previous walk's arrays.  A
@@ -90,9 +89,10 @@ dirty stages are captured from
 one walk of the union of the dirty regions, seeded from the last nominal
 walk, then scores every candidate.  Candidates that change the tree structure
 or a driver's polarity fall back to a full evaluation (counted in
-``cache_stats()['candidate_fallbacks']``).  Disabling ``dirty_region`` or
-``candidate_batching`` yields the full-walk and one-evaluation-per-candidate
-references, with bit-identical results.
+``cache_stats()['candidate_fallbacks']``).  The transient engine scores
+every candidate by a full evaluation.  The cold path, ``evaluate(tree,
+incremental=False)``, walks every stage without cache or snapshot and is
+the reference all of this is tested against.
 """
 
 from __future__ import annotations
@@ -124,6 +124,8 @@ from repro.analysis.arnoldi import (
 from repro.analysis.corners import Corner, ispd09_corners, supply_driver_multiplier
 from repro.analysis.elmore import StageTiming
 from repro.analysis.rcnetwork import (
+    PULL_DOWN_FACTOR,
+    PULL_UP_FACTOR,
     Stage,
     StageContent,
     StageNetwork,
@@ -160,6 +162,17 @@ _ROW = {RISE: 0, FALL: 1}
 # 32 MiB per per-tap array keeps a ti:1000 x 10k-sample evaluation near
 # 300 MiB peak, and larger blocks measured no faster.
 _YIELD_BLOCK_ELEMENTS = 1 << 22
+# Input transition time of the clock source, in ps.
+SOURCE_SLEW = 10.0
+# Fraction of the input slew added to a buffer's gate delay (first-order
+# model of slew-dependent gate delay).
+SLEW_DELAY_FACTOR = 0.08
+# Fraction of the input transition that survives through a switching
+# inverter and shapes its output ramp.  Inverters regenerate the edge, so the
+# output slew is dominated by the driver's own R*C and only weakly coupled to
+# the input slew; without this attenuation slews would (unphysically)
+# accumulate down the buffer chain.
+BUFFER_SLEW_REGENERATION = 0.25
 
 
 @dataclass(frozen=True)
@@ -175,51 +188,14 @@ class EvaluatorConfig:
         :func:`repro.analysis.rcnetwork.build_stage_network`).
     slew_limit:
         Maximum allowed 10-90% transition time at any tap, in ps.
-    source_slew:
-        Input transition time of the clock source, in ps.
-    slew_delay_factor:
-        Fraction of the input slew added to a buffer's gate delay (first-order
-        model of slew-dependent gate delay).
-    buffer_slew_regeneration:
-        Fraction of the input transition that survives through a switching
-        inverter and shapes its output ramp.  Inverters regenerate the edge,
-        so the output slew is dominated by the driver's own R*C and only
-        weakly coupled to the input slew; without this attenuation slews would
-        (unphysically) accumulate down the buffer chain.
-    pull_up_factor, pull_down_factor:
-        Asymmetry of the driver resistance for rising and falling outputs.
     solver:
         Numerical settings for the transient engine.
-    incremental:
-        Enable the :class:`StageCache` so that repeated evaluations only
-        re-analyze stages whose RC content changed.  Results are identical to
-        cold evaluation; disable only for debugging or memory-constrained
-        runs.
-    dirty_region:
-        Restrict arrival/slew propagation to the stages whose content keys
-        changed since the previous evaluation plus everything downstream of
-        them, reading retained taps from the previous walk (see the module
-        docstring).  Requires ``incremental``; results are bit-identical to a
-        full propagation.  Disable for A/B measurement.
-    candidate_batching:
-        Let :meth:`ClockNetworkEvaluator.evaluate_candidates` score all
-        candidate moves in one batched walk (analytical engines only).
-        When disabled the same API scores candidates one full evaluation at a
-        time, with identical results.  Disable for A/B measurement.
     """
 
     engine: str = "spice"
     max_segment_length: float = 100.0
     slew_limit: float = 100.0
-    source_slew: float = 10.0
-    slew_delay_factor: float = 0.08
-    buffer_slew_regeneration: float = 0.25
-    pull_up_factor: float = 1.08
-    pull_down_factor: float = 0.95
     solver: TransientSolverConfig = field(default_factory=TransientSolverConfig)
-    incremental: bool = True
-    dirty_region: bool = True
-    candidate_batching: bool = True
 
     def __post_init__(self) -> None:
         if self.engine not in ("elmore", "arnoldi", "spice"):
@@ -925,11 +901,11 @@ class ClockNetworkEvaluator:
     stands in for the paper's "number of SPICE runs" metric in Table V, and a
     :class:`StageCache` making repeated evaluations incremental: only stages
     whose RC content changed since *any* earlier evaluation (of this tree or
-    of a snapshot sharing its revisions) are re-analyzed.  With
-    ``dirty_region`` enabled, arrival/slew propagation is likewise restricted
-    to the changed stages and their downstream cone (see the module
-    docstring); :meth:`evaluate_candidates` scores whole batches of moves in
-    one batched walk.  All three layers are bit-identical to cold evaluation.
+    of a snapshot sharing its revisions) are re-analyzed.  Arrival/slew
+    propagation is likewise restricted to the changed stages and their
+    downstream cone (see the module docstring), and
+    :meth:`evaluate_candidates` scores whole batches of moves in one batched
+    walk.  All three layers are bit-identical to cold evaluation.
     """
 
     def __init__(
@@ -983,11 +959,7 @@ class ClockNetworkEvaluator:
         gate_scales: List[float] = []
         for corner in corner_list:
             for direction in _TRANSITIONS:
-                asym = (
-                    self.config.pull_up_factor
-                    if direction == RISE
-                    else self.config.pull_down_factor
-                )
+                asym = PULL_UP_FACTOR if direction == RISE else PULL_DOWN_FACTOR
                 self._combos.append((corner, direction))
                 driver_scales.append(corner.driver_scale * asym)
                 res_scales.append(corner.wire_res_scale)
@@ -1000,14 +972,12 @@ class ClockNetworkEvaluator:
         self._split_caps = any(scale != 1.0 for scale in cap_scales)
 
     # ------------------------------------------------------------------
-    def evaluate(
-        self, tree: ClockTree, incremental: Optional[bool] = None
-    ) -> EvaluationReport:
+    def evaluate(self, tree: ClockTree, incremental: bool = True) -> EvaluationReport:
         """Run one Clock-Network Evaluation of ``tree`` at every corner.
 
-        With ``incremental`` left at ``None`` the :class:`EvaluatorConfig`
-        decides whether the stage cache is used; passing ``False`` forces a
-        cold evaluation (identical results, no cache reads or writes).
+        By default the evaluation reads and updates the stage cache, the
+        revision snapshot and the retained walk; ``incremental=False`` forces
+        a cold evaluation (identical results, no cache reads or writes).
         """
         tracer = self.tracer
         if not tracer.enabled:
@@ -1031,16 +1001,12 @@ class ClockNetworkEvaluator:
                 )
         return report
 
-    def _evaluate_inner(
-        self, tree: ClockTree, incremental: Optional[bool]
-    ) -> EvaluationReport:
+    def _evaluate_inner(self, tree: ClockTree, use_cache: bool) -> EvaluationReport:
         self.run_count += 1
-        use_cache = self.config.incremental if incremental is None else incremental
         topo, keys, drivers = self._topology_and_keys(tree, use_cache)
-        collect = use_cache and self.config.dirty_region
         recompute: Optional[List[int]] = None
         prior: Optional[_PropagationState] = None
-        if collect:
+        if use_cache:
             recompute, prior = self._dirty_frontier(tree, keys, topo)
         total = len(topo.stages)
         self._stages_total += total
@@ -1050,9 +1016,9 @@ class ClockNetworkEvaluator:
         else:
             self._propagations_partial += 1
             self._stages_propagated += len(recompute)
-            # Retained stages are exactly the cache hits the propagation no
-            # longer has to look up: credit them so hit rates stay comparable
-            # with dirty_region disabled.
+            # ``hits`` counts one lookup per stage per evaluation, and every
+            # record's ``evaluator_cache`` pins that count: credit each
+            # retained stage with the hit it no longer has to look up.
             self.cache.hits += total - len(recompute)
         order = range(total) if recompute is None else recompute
         with self.tracer.span("propagate") as prop_span:
@@ -1068,9 +1034,8 @@ class ClockNetworkEvaluator:
                 prop_span.count(
                     "stages", total if recompute is None else len(recompute)
                 )
-        if collect:
-            self._prop = _PropagationState(tree.structure_revision, keys, walk)
         if use_cache:
+            self._prop = _PropagationState(tree.structure_revision, keys, walk)
             total_capacitance, wirelength = self._snapshot.totals()
         else:
             total_capacitance = tree.total_capacitance()
@@ -1133,8 +1098,7 @@ class ClockNetworkEvaluator:
         walked children of retained parents -- see ``prior``'s values; a
         ``B = 1`` prior fans out to every batch row.
         """
-        cfg = self.config
-        transient = cfg.engine == "spice"
+        transient = self.config.engine == "spice"
         n_rows = 2 * len(self.corners) * batch
         if prior is None:
             arrival = np.empty((n_rows, len(topo.tap_ids)))
@@ -1146,7 +1110,7 @@ class ClockNetworkEvaluator:
         # An inverting driver swaps the rise and fall rows of every corner.
         swap = np.arange(n_rows).reshape(-1, 2, batch)[:, ::-1].ravel()
         source_arrival = np.zeros(n_rows)
-        source_slew = np.full(n_rows, cfg.source_slew)
+        source_slew = np.full(n_rows, SOURCE_SLEW)
         tap_start = topo.tap_start
         driver_col = topo.driver_col
         for index in order:
@@ -1161,10 +1125,10 @@ class ClockNetworkEvaluator:
             else:
                 if buffer.inverting:
                     in_arrival, in_slew = in_arrival[swap], in_slew[swap]
-                drive = cfg.buffer_slew_regeneration * in_slew
+                drive = BUFFER_SLEW_REGENERATION * in_slew
             delay, second, gate = rows(index, drive)
             if gate is not None:
-                in_arrival = in_arrival + (gate + cfg.slew_delay_factor * in_slew)
+                in_arrival = in_arrival + (gate + SLEW_DELAY_FACTOR * in_slew)
             taps = slice(tap_start[index], tap_start[index + 1])
             arrival[:, taps] = in_arrival[:, None] + delay
             slew[:, taps] = second if transient else peri_slew(second, drive)
@@ -1242,12 +1206,11 @@ class ClockNetworkEvaluator:
         happen if the move were committed, bit-identical to applying the move
         and calling :meth:`evaluate`.
 
-        With ``candidate_batching`` enabled and an analytical engine, all
-        structure-preserving moves are scored by one walk over the
-        candidates axis (see the module docstring); moves that change the
-        tree structure or a driver's polarity fall back to a full evaluation.
-        Otherwise every move is scored by a full evaluation -- same results,
-        one evaluation per candidate.
+        With an analytical engine, all structure-preserving moves are scored
+        by one walk over the candidates axis (see the module docstring);
+        moves that change the tree structure or a driver's polarity fall back
+        to a full evaluation.  The transient engine scores every move by a
+        full evaluation.
         """
         tracer = self.tracer
         if not tracer.enabled:
@@ -1265,13 +1228,7 @@ class ClockNetworkEvaluator:
     ) -> CandidateBatch:
         if not moves:
             return CandidateBatch(scores=[], batched=0, fallbacks=0)
-        cfg = self.config
-        batchable = (
-            cfg.candidate_batching
-            and cfg.incremental
-            and cfg.engine in ("elmore", "arnoldi")
-        )
-        if not batchable:
+        if self.config.engine == "spice":
             return CandidateBatch(
                 scores=[
                     self._serial_candidate(tree, index, move)
@@ -1281,25 +1238,21 @@ class ClockNetworkEvaluator:
                 fallbacks=0,
             )
         topo = self.cache.topology(tree)
-        stages = topo.stages
         keys, drivers = self._snapshot.refresh(tree, topo)
-        # Candidate scoring piggybacks on the dirty-region snapshot: with the
-        # base tree's walk at hand, only the union of the candidates' dirty
-        # closures has to be walked K-wide and every retained tap comes from
-        # the snapshot.  Refresh the snapshot if the tree moved since the
-        # last evaluate (cheap -- itself a partial pass).
-        prior: Optional[_PropagationState] = None
-        if cfg.dirty_region:
+        # Candidate scoring is seeded from the last nominal walk: only the
+        # union of the candidates' dirty closures has to be walked K-wide and
+        # every retained tap comes from that walk.  Re-evaluate if the tree
+        # moved since the last evaluate (cheap -- itself a partial pass).
+        prior = self._prop
+        if (
+            prior is None
+            or prior.structure_revision != tree.structure_revision
+            or prior.keys != keys
+        ):
+            self.evaluate(tree)
             prior = self._prop
-            if (
-                prior is None
-                or prior.structure_revision != tree.structure_revision
-                or prior.keys != keys
-            ):
-                self.evaluate(tree)
-                prior = self._prop
-            assert prior is not None  # evaluate() just took the snapshot
-            keys = prior.keys  # equal content; shared for cheap comparisons
+        assert prior is not None  # evaluate() just kept its walk
+        keys = prior.keys  # equal content; shared for cheap comparisons
         base_revision = tree.structure_revision
         results: List[Optional[CandidateScore]] = [None] * len(moves)
         captures: List[_CandidateCapture] = []
@@ -1345,27 +1298,17 @@ class ClockNetworkEvaluator:
             self.candidate_batches += 1
             self.candidates_scored += len(captures)
             # The K-wide walk covers the union of the captured dirty frontiers
-            # closed downstream; without a snapshot (the dirty_region toggle
-            # is off) it covers the whole tree.
+            # closed downstream.
             union_dirty: Set[int] = set()
             for capture in captures:
                 for stage_index, slot in capture.pending.items():
                     capture.dirty_moments[stage_index] = reduced[slot]
                 union_dirty.update(capture.dirty_moments)
-            if prior is not None:
-                closure = self._downstream_closure(union_dirty, topo)
-            else:
-                closure = list(range(len(stages)))
+            closure = self._downstream_closure(union_dirty, topo)
             for capture, score in zip(
                 captures,
                 self._batched_scores(
-                    tree,
-                    topo,
-                    keys,
-                    drivers,
-                    closure,
-                    captures,
-                    None if prior is None else prior.walk,
+                    tree, topo, keys, drivers, closure, captures, prior.walk
                 ),
             ):
                 results[capture.index] = score
@@ -1495,7 +1438,7 @@ class ClockNetworkEvaluator:
         drivers: List[_Driver],
         closure: List[int],
         captures: List[_CandidateCapture],
-        prior: Optional[_Walk],
+        prior: _Walk,
     ) -> List[CandidateScore]:
         """Score every captured candidate in one ``K``-wide walk of ``closure``.
 
@@ -1624,7 +1567,7 @@ class ClockNetworkEvaluator:
             # library-wide base seed rather than OS entropy.
             rng = derive_rng(seed, "evaluate-yield")
         self.yield_run_count += 1
-        topo, keys, drivers = self._topology_and_keys(tree, self.config.incremental)
+        topo, keys, drivers = self._topology_and_keys(tree, use_cache=True)
         stages = topo.stages
         positions = np.array(
             [
@@ -1635,8 +1578,7 @@ class ClockNetworkEvaluator:
         draws = model.sample(samples, rng, positions=positions)
         split = self._split_caps or model.perturbs_wire_cap
         moments = self._base_moments(tree, topo, range(len(stages)), keys, split, count=True)
-        cfg = self.config
-        use_d2m = cfg.engine == "arnoldi"
+        use_d2m = self.config.engine == "arnoldi"
         driver_mult = [
             draws.driver * supply_driver_multiplier(corner.vdd, draws.vdd_shift)
             for corner in self.corners
@@ -1658,8 +1600,8 @@ class ClockNetworkEvaluator:
                     wire_res = corner.wire_res_scale * draws.wire_res[block_samples, index]
                     wire_cap = corner.wire_cap_scale * draws.wire_cap[block_samples, index]
                     d_rows += [
-                        (corner.driver_scale * cfg.pull_up_factor) * stage_driver,
-                        (corner.driver_scale * cfg.pull_down_factor) * stage_driver,
+                        (corner.driver_scale * PULL_UP_FACTOR) * stage_driver,
+                        (corner.driver_scale * PULL_DOWN_FACTOR) * stage_driver,
                     ]
                     r_rows += [wire_res, wire_res]
                     w_rows += [wire_cap, wire_cap]
@@ -1896,8 +1838,6 @@ class ClockNetworkEvaluator:
                 corner=corner,
                 max_segment_length=cfg.max_segment_length,
                 rise=(output_dir == RISE),
-                pull_up_factor=cfg.pull_up_factor,
-                pull_down_factor=cfg.pull_down_factor,
             )
             if network_key is not None:
                 self.cache.store_network(network_key, network)

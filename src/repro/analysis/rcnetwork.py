@@ -56,6 +56,9 @@ __all__ = [
 
 # Resistance used for zero-length connections so the nodal matrix stays regular.
 _MIN_RESISTANCE = 1e-3
+# Asymmetry of the driver resistance for rising and falling outputs.
+PULL_UP_FACTOR = 1.08
+PULL_DOWN_FACTOR = 0.95
 
 
 @dataclass
@@ -138,7 +141,6 @@ def extract_stages(tree: ClockTree) -> List[Stage]:
     while pending:
         driver_id = pending.pop(0)
         driver_node = tree.node(driver_id)
-        buffer = driver_node.buffer if driver_id != tree.root_id else driver_node.buffer
         stage = Stage(
             driver_id=driver_id,
             driver_buffer=driver_node.buffer,
@@ -290,15 +292,14 @@ def build_stage_network(
     corner: Optional[Corner] = None,
     max_segment_length: float = 100.0,
     rise: bool = True,
-    pull_up_factor: float = 1.08,
-    pull_down_factor: float = 0.95,
 ) -> StageNetwork:
     """Build the lumped RC network of a stage at a given corner.
 
     Wire edges longer than ``max_segment_length`` micrometres are divided into
     several lumped RC segments so that resistive shielding of long wires is
     captured (a single lumped segment would overestimate far-end delay and
-    underestimate near-end slew).
+    underestimate near-end slew).  The driver resistance carries the rising
+    (``PULL_UP_FACTOR``) or falling (``PULL_DOWN_FACTOR``) output's asymmetry.
     """
     wire_r_scale = corner.wire_res_scale if corner is not None else 1.0
     wire_c_scale = corner.wire_cap_scale if corner is not None else 1.0
@@ -315,21 +316,10 @@ def build_stage_network(
     if driver_buffer is not None:
         capacitance[0] += driver_buffer.output_cap
 
-    stage_edge_set = set(stage.edges)
     stage_tap_set = set(stage.taps)
 
-    # Walk the stage edges top-down so parents are created before children.
-    stack = [child for child in driver_node.children if child in stage_edge_set]
-    order: List[int] = []
-    while stack:
-        node_id = stack.pop()
-        order.append(node_id)
-        node = tree.node(node_id)
-        if node_id in stage_tap_set:
-            continue
-        stack.extend(c for c in node.children if c in stage_edge_set)
-
-    for node_id in order:
+    # ``Stage.edges`` is a DFS preorder, so parents are created before children.
+    for node_id in stage.edges:
         node = tree.node(node_id)
         parent_net = tree_to_net[node.parent]
         net_idx = _add_edge_segments(
@@ -350,7 +340,7 @@ def build_stage_network(
         base_res = driver_buffer.output_res
     else:
         base_res = tree.source_resistance
-    asym = pull_up_factor if rise else pull_down_factor
+    asym = PULL_UP_FACTOR if rise else PULL_DOWN_FACTOR
     driver_resistance = base_res * driver_scale * asym
 
     for tap in stage.taps:
@@ -597,7 +587,5 @@ def _add_edge_segments(
         # The far half of the segment cap belongs to the new node; the near
         # half belongs to its parent.
         capacitance[current_parent] += seg_cap / 2.0
-        # Re-balance: we added the full cap as half to each side already.
-        capacitance[last_index] += 0.0
         current_parent = last_index
     return last_index

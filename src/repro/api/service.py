@@ -76,10 +76,9 @@ class JobEvent:
     * ``"completed"`` -- the job finished; ``record`` carries its typed
       result (an :class:`~repro.api.records.ErrorRecord` on failure).
     * ``"progress"`` -- a mid-batch heartbeat for a job that is still
-      pending: :meth:`SynthesisService.stream` emits one per still-waiting
-      job after every completion when asked (``progress=True``), and the
-      :mod:`repro.serve` scheduler forwards them down per-client streams.
-      ``note`` carries the human-readable heartbeat text.
+      pending: the :mod:`repro.serve` scheduler publishes one to every
+      still-queued job's stream.  ``note`` carries the human-readable
+      heartbeat text.  :meth:`SynthesisService.stream` never emits one.
 
     ``cached`` marks a completion served from the content-addressed result
     cache of :mod:`repro.serve` (no worker ran for *this* submission); both
@@ -206,8 +205,8 @@ class SynthesisService:
     # ------------------------------------------------------------------
     # Core streaming execution
     # ------------------------------------------------------------------
-    def stream(self, jobs: Iterable[Job], progress: bool = False) -> Iterator[JobEvent]:
-        """Execute ``jobs``, yielding ``started``/``progress``/``completed`` events.
+    def stream(self, jobs: Iterable[Job]) -> Iterator[JobEvent]:
+        """Execute ``jobs``, yielding ``started``/``completed`` events.
 
         Every job produces a ``kind="started"`` event when it is handed to a
         worker and a ``kind="completed"`` event when it finishes.  With
@@ -216,12 +215,6 @@ class SynthesisService:
         execution interleaves started/completed in job order.  Every completed
         record is appended to the attached store before its event is
         delivered; a store write that raises is re-raised here instead.
-
-        ``progress=True`` additionally emits one ``kind="progress"`` heartbeat
-        per *still-pending* job after every completion (``note`` says how far
-        the batch is), so a consumer watching one job of a long batch sees
-        monotone liveness instead of silence until its own completion.  The
-        default leaves the event sequence exactly as it has always been.
         """
         job_list = list(jobs)
         if not job_list:
@@ -235,43 +228,15 @@ class SynthesisService:
                 yield JobEvent(index=index, total=total, job=job, kind="started")
                 record = self._dispatch(job).result()
                 yield JobEvent(index=index, total=total, job=job, record=record)
-                if progress:
-                    yield from self._progress_events(
-                        job_list, pending=range(index + 1, total), done=index + 1
-                    )
             return
         futures: Dict["Future[Record]", int] = {}
         for index, job in enumerate(job_list):
             futures[self._dispatch(job)] = index
             yield JobEvent(index=index, total=total, job=job, kind="started")
-        pending_set = set(range(total))
         for future in as_completed(futures):
             index = futures[future]
-            record = future.result()
-            pending_set.discard(index)
             yield JobEvent(
-                index=index, total=total, job=job_list[index], record=record
-            )
-            if progress:
-                yield from self._progress_events(
-                    job_list,
-                    pending=sorted(pending_set),
-                    done=total - len(pending_set),
-                )
-
-    @staticmethod
-    def _progress_events(
-        job_list: List[Job], pending: Iterable[int], done: int
-    ) -> Iterator[JobEvent]:
-        total = len(job_list)
-        note = f"{done}/{total} completed"
-        for index in pending:
-            yield JobEvent(
-                index=index,
-                total=total,
-                job=job_list[index],
-                kind="progress",
-                note=note,
+                index=index, total=total, job=job_list[index], record=future.result()
             )
 
     def submit(self, job: Job) -> "Future[Record]":

@@ -369,9 +369,8 @@ class IvcEngine:
         with the state's aggressiveness multiplied by that scale, and scores
         all candidates in one
         :meth:`~repro.analysis.evaluator.ClockNetworkEvaluator.evaluate_candidates`
-        batch (one numpy pass when candidate batching is enabled; the same
-        scores via serial evaluations when it is not -- the evaluator switch
-        is the A/B toggle, this loop is oblivious to it).  The best candidate
+        batch (one numpy pass under the analytical engines, serial evaluations
+        under the transient engine; the loop is oblivious).  The best candidate
         that satisfies the constraints and improves the objective is then
         re-applied through :func:`ivc_round`, which re-evaluates it
         authoritatively and runs the acceptance gate -- so the committed

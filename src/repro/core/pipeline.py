@@ -558,10 +558,9 @@ class VariationAwareBottomLevelPass(BottomLevelPass):
 # ----------------------------------------------------------------------
 # Each variant runs the same optimization loop, but every round proposes one
 # candidate per aggressiveness scale and commits the best gate-approved one
-# (IvcEngine.run_batched).  With EvaluatorConfig.candidate_batching enabled
-# the K candidates are scored in a single numpy evaluation along the batch
-# axis; with it disabled they fall back to serial scoring, so the variants
-# double as the A/B switch for the batched evaluator path.  Select them via
+# (IvcEngine.run_batched).  Under the analytical engines the K candidates are
+# scored in a single numpy evaluation along the batch axis; the transient
+# engine scores them one full evaluation at a time.  Select them via
 # ``FlowConfig(pipeline=list(BATCHED_PIPELINE))`` or per stage
 # (``--pipeline initial,tbsz,twsz_k,...``).
 _BATCH_SCALES: Tuple[float, ...] = (1.0, 0.5, 0.25)

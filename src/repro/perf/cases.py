@@ -13,6 +13,7 @@ disabled-trace overhead <2%) become ``timing=True`` checks so they gate in
 
 from __future__ import annotations
 
+import operator
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -422,15 +423,23 @@ class RunnerCase(PerfCase):
         return outcome
 
 
+# The six objective values an ``EvaluationReport`` and a ``CandidateScore`` share.
+_OBJECTIVES = operator.attrgetter(
+    "skew", "clr", "max_latency", "worst_slew", "total_capacitance", "wirelength"
+)
+
+
 @register_case
 class PropagationCase(PerfCase):
     """Dirty-region re-evaluation and batched candidate scoring.
 
-    Run with ``repro perf run --case propagation``: bit-parity against the
-    cold/serial references gates deterministically, the 5x (dirty) and 3x
-    (batch) floors are timing checks, and the float-keyed timing-cache
-    finding's hit/miss deltas are counters so the finding itself is
-    regression-gated.
+    Run with ``repro perf run --case propagation``.  Two references gate
+    bit parity deterministically: a cold ``evaluate(tree,
+    incremental=False)`` and a serial loop that applies each candidate move
+    under a checkpoint, evaluates and rolls back (:meth:`_serial_scores`).
+    The 5x (dirty) and 3x (batch) floors over those references are timing
+    checks, and the float-keyed timing-cache finding's hit/miss deltas are
+    counters so the finding itself is regression-gated.
     """
 
     name = "propagation"
@@ -451,13 +460,27 @@ class PropagationCase(PerfCase):
             self._fingerprint = instance_fingerprint(generate_ti_benchmark(SINKS))
         return self._fingerprint
 
-    def _make_evaluator(self, instance: Any, **overrides: Any) -> ClockNetworkEvaluator:
-        config: Dict[str, Any] = dict(engine=ENGINE, slew_limit=instance.slew_limit)
-        config.update(overrides)
+    @staticmethod
+    def _make_evaluator(instance: Any, engine: str = ENGINE) -> ClockNetworkEvaluator:
         return ClockNetworkEvaluator(
-            config=EvaluatorConfig(**config),
+            config=EvaluatorConfig(engine=engine, slew_limit=instance.slew_limit),
             capacitance_limit=instance.capacitance_limit,
         )
+
+    @staticmethod
+    def _serial_scores(
+        evaluator: ClockNetworkEvaluator, tree: Any, moves: List[Any]
+    ) -> List[Tuple[float, ...]]:
+        """Score each move by applying it, evaluating and rolling it back."""
+        scores: List[Tuple[float, ...]] = []
+        for move in moves:
+            token = tree.checkpoint()
+            try:
+                move()
+                scores.append(_OBJECTIVES(evaluator.evaluate(tree)))
+            finally:
+                tree.rollback_to(token)
+        return scores
 
     @staticmethod
     def _reports_bit_identical(a: Any, b: Any) -> bool:
@@ -533,23 +556,17 @@ class PropagationCase(PerfCase):
         moves = self._candidate_moves(tree)
         batched_eval = self._make_evaluator(instance)
         batched_eval.evaluate(tree)
-        serial_eval = self._make_evaluator(instance, candidate_batching=False)
+        serial_eval = self._make_evaluator(instance)
         serial_eval.evaluate(tree)
         batched = batched_eval.evaluate_candidates(tree, moves)
-        serial = serial_eval.evaluate_candidates(tree, moves)
-        batch_parity = all(
-            fast.skew == slow.skew
-            and fast.clr == slow.clr
-            and fast.max_latency == slow.max_latency
-            and fast.worst_slew == slow.worst_slew
-            for fast, slow in zip(batched, serial)
-        )
+        serial = self._serial_scores(serial_eval, tree, moves)
+        batch_parity = serial == [_OBJECTIVES(score) for score in batched]
         with tracer.span("batched_candidates") as batched_span:
             for _ in range(self.BATCH_REPEATS):
                 batched_eval.evaluate_candidates(tree, moves)
         with tracer.span("serial_candidates") as serial_span:
             for _ in range(self.BATCH_REPEATS):
-                serial_eval.evaluate_candidates(tree, moves)
+                self._serial_scores(serial_eval, tree, moves)
         batched_s = _span_s(batched_span) / self.BATCH_REPEATS
         serial_s = _span_s(serial_span) / self.BATCH_REPEATS
         batch_speedup = serial_s / batched_s if batched_s > 0 else 0.0
@@ -566,21 +583,16 @@ class PropagationCase(PerfCase):
                 .require_tree()
             )
             edge = self._deepest_buffer_edge(small_tree)
-            for label, dirty_region in (("nodirty", False), ("dirty", True)):
-                spice = self._make_evaluator(
-                    small, engine="spice", dirty_region=dirty_region
-                )
-                spice.evaluate(small_tree)
-                warm = spice.cache_stats()
-                small_tree.add_snake(edge, 0.25)
-                spice.evaluate(small_tree)
-                stats = spice.cache_stats()
-                outcome.counters[f"timing_cache_{label}_hits_delta"] = (
-                    stats["hits"] - warm["hits"]
-                )
-                outcome.counters[f"timing_cache_{label}_misses_delta"] = (
-                    stats["misses"] - warm["misses"]
-                )
+            spice = self._make_evaluator(small, engine="spice")
+            spice.evaluate(small_tree)
+            warm = spice.cache_stats()
+            small_tree.add_snake(edge, 0.25)
+            spice.evaluate(small_tree)
+            stats = spice.cache_stats()
+            outcome.counters["timing_cache_dirty_hits_delta"] = stats["hits"] - warm["hits"]
+            outcome.counters["timing_cache_dirty_misses_delta"] = (
+                stats["misses"] - warm["misses"]
+            )
 
         outcome.timings["dirty_touch_s"] = touch_s
         outcome.timings["cold_eval_s"] = cold_s

@@ -11,6 +11,11 @@ below its driver and builds numpy arrays of its lumped segments,
 :func:`repro.analysis.arnoldi.reduce_stage_batch` and requires the same
 floats bit for bit.  Keep it as it is: it is the operation order the batch
 must match.
+
+:func:`reference_stage_network` is the transient engine's per-corner
+builder as it was when it re-derived the stage's edge order with its own
+walk below the driver; :func:`repro.analysis.rcnetwork.build_stage_network`
+must still build the same network from ``Stage.edges``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,15 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.analysis.arnoldi import BaseTapMoments, batched_delay_sigma, batched_tap_moments
-from repro.analysis.rcnetwork import Stage, _add_edge_segments, _tap_load
+from repro.analysis.corners import Corner
+from repro.analysis.rcnetwork import (
+    PULL_DOWN_FACTOR,
+    PULL_UP_FACTOR,
+    Stage,
+    StageNetwork,
+    _add_edge_segments,
+    _tap_load,
+)
 from repro.cts.tree import ClockTree
 
 
@@ -236,3 +249,64 @@ def reference_tap_model(
     moments = base_tap_moments(base, split_wire_load=split)
     m1, m2 = batched_tap_moments(moments, *evaluator._combo_scales)
     return batched_delay_sigma(m1, m2, use_d2m=(evaluator.config.engine == "arnoldi"))
+
+
+def reference_stage_network(
+    tree: ClockTree,
+    stage: Stage,
+    corner: Corner,
+    max_segment_length: float,
+    rise: bool,
+) -> StageNetwork:
+    """One stage's lumped RC network at ``corner``, edges found by a walk.
+
+    The edge order comes from a stack walk below the driver over
+    ``set(stage.edges)``, stopping at taps.
+    """
+    driver_node = tree.node(stage.driver_id)
+    driver_buffer = driver_node.buffer
+    parent: List[int] = [-1]
+    resistance: List[float] = [0.0]
+    capacitance: List[float] = [0.0]
+    tree_to_net: Dict[int, int] = {stage.driver_id: 0}
+    if driver_buffer is not None:
+        capacitance[0] += driver_buffer.output_cap
+
+    stage_edge_set = set(stage.edges)
+    stage_tap_set = set(stage.taps)
+    stack = [child for child in driver_node.children if child in stage_edge_set]
+    order: List[int] = []
+    while stack:
+        node_id = stack.pop()
+        order.append(node_id)
+        if node_id in stage_tap_set:
+            continue
+        stack.extend(c for c in tree.node(node_id).children if c in stage_edge_set)
+
+    for node_id in order:
+        node = tree.node(node_id)
+        net_idx = _add_edge_segments(
+            node,
+            tree_to_net[node.parent],
+            parent,
+            resistance,
+            capacitance,
+            corner.wire_res_scale,
+            corner.wire_cap_scale,
+            max_segment_length,
+        )
+        tree_to_net[node_id] = net_idx
+        capacitance[net_idx] += _tap_load(tree, node, node_id in stage_tap_set)
+
+    base_res = (
+        driver_buffer.output_res if driver_buffer is not None else tree.source_resistance
+    )
+    asym = PULL_UP_FACTOR if rise else PULL_DOWN_FACTOR
+    return StageNetwork(
+        parent=parent,
+        resistance=resistance,
+        capacitance=capacitance,
+        tap_index={tap: tree_to_net[tap] for tap in stage.taps},
+        driver_resistance=base_res * corner.driver_scale * asym,
+        total_capacitance=sum(capacitance),
+    )

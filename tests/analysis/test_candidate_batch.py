@@ -74,6 +74,9 @@ class TestBatchedParity:
             assert score.batched
             assert score.changed == 2
             assert_score_matches_report(score, report)
+        stats = evaluator.cache_stats()
+        assert stats["candidate_batches"] == 1
+        assert stats["candidates_scored"] == len(moves)
 
     def test_structure_changing_candidate_falls_back_and_still_matches(self):
         tree = buffered_zst_tree()
@@ -206,27 +209,6 @@ class TestBatchedParity:
 
 
 class TestSerialFallbackModes:
-    def test_candidate_batching_disabled_gives_identical_scores(self):
-        tree = buffered_zst_tree()
-        moves = snake_moves(tree)
-        batched_eval = ClockNetworkEvaluator(EvaluatorConfig(engine="arnoldi"))
-        batched_eval.evaluate(tree)
-        batched = batched_eval.evaluate_candidates(tree, moves)
-        serial_eval = ClockNetworkEvaluator(
-            EvaluatorConfig(engine="arnoldi", candidate_batching=False)
-        )
-        serial_eval.evaluate(tree)
-        serial = serial_eval.evaluate_candidates(tree, moves)
-        assert serial.batched == 0
-        for fast, slow in zip(batched, serial):
-            assert fast.skew == slow.skew
-            assert fast.clr == slow.clr
-            assert fast.max_latency == slow.max_latency
-            assert fast.worst_slew == slow.worst_slew
-        assert serial_eval.cache_stats()["candidate_batches"] == 0
-        assert batched_eval.cache_stats()["candidate_batches"] == 1
-        assert batched_eval.cache_stats()["candidates_scored"] == len(moves)
-
     def test_spice_engine_scores_serially_with_matching_results(self):
         from repro.testing import make_manual_tree
 

@@ -31,12 +31,10 @@ def assert_reports_bit_identical(actual, expected):
     assert actual.summary() == expected.summary()
 
 
-def check_sequence(engine, steps, seed, dirty_region=True, use_cache=True):
+def check_sequence(engine, steps, seed, use_cache=True):
     """Apply ``steps`` seeded mutations; assert incremental == cold each time."""
     tree = buffered_zst_tree()
-    evaluator = ClockNetworkEvaluator(
-        EvaluatorConfig(engine=engine, dirty_region=dirty_region)
-    )
+    evaluator = ClockNetworkEvaluator(EvaluatorConfig(engine=engine))
     evaluator.evaluate(tree, incremental=use_cache)
     rng = random.Random(seed)
     for step in range(steps):
@@ -69,21 +67,14 @@ class TestMutationSequencesBitIdentical:
 
     @settings(max_examples=6, deadline=None)
     @given(steps=st.integers(min_value=1, max_value=4), seed=st.integers(0, 2**16))
-    def test_dirty_region_disabled(self, steps, seed):
-        check_sequence("arnoldi", steps, seed, dirty_region=False)
-
-    @settings(max_examples=6, deadline=None)
-    @given(steps=st.integers(min_value=1, max_value=4), seed=st.integers(0, 2**16))
     def test_cache_bypassed(self, steps, seed):
         check_sequence("arnoldi", steps, seed, use_cache=False)
 
 
 class TestDirtyRegionStats:
-    def warm_evaluator(self, dirty_region=True):
+    def warm_evaluator(self):
         tree = buffered_zst_tree()
-        evaluator = ClockNetworkEvaluator(
-            EvaluatorConfig(engine="arnoldi", dirty_region=dirty_region)
-        )
+        evaluator = ClockNetworkEvaluator(EvaluatorConfig(engine="arnoldi"))
         evaluator.evaluate(tree)
         return tree, evaluator
 
@@ -119,16 +110,6 @@ class TestDirtyRegionStats:
         tree.split_edge(edge, 0.5)
         evaluator.evaluate(tree)
         assert evaluator.cache_stats()["propagations_full"] == 2
-
-    def test_disabled_dirty_region_never_goes_partial(self):
-        tree, evaluator = self.warm_evaluator(dirty_region=False)
-        sink = tree.sinks()[0].node_id
-        tree.add_snake(sink, 25.0)
-        evaluator.evaluate(tree)
-        evaluator.evaluate(tree)
-        stats = evaluator.cache_stats()
-        assert stats["propagations_partial"] == 0
-        assert stats["propagations_full"] == 3
 
     def test_dirty_region_touches_downstream_of_touched_driver(self):
         # Scaling a buffer dirties its own stage; every stage downstream of

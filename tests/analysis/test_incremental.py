@@ -246,9 +246,8 @@ class TestCacheBehaviour:
 
     def test_incremental_flag_off_bypasses_cache(self):
         tree = buffered_zst_tree()
-        config = EvaluatorConfig(engine="arnoldi", incremental=False)
-        evaluator = ClockNetworkEvaluator(config)
-        evaluator.evaluate(tree)
+        evaluator = ClockNetworkEvaluator(EvaluatorConfig(engine="arnoldi"))
+        evaluator.evaluate(tree, incremental=False)
         stats = evaluator.cache_stats()
         assert stats["tap_models"] == 0
         assert stats["hits"] == 0
@@ -264,6 +263,7 @@ class TestCornerScalingEquivalence:
         from repro.analysis.arnoldi import arnoldi_stage_timing
         from repro.analysis.corners import Corner
         from repro.analysis.elmore import elmore_stage_timing
+        from repro.analysis.evaluator import SOURCE_SLEW
         from repro.analysis.rcnetwork import build_stage_network, extract_stages
 
         tree = make_zst_tree(sink_count=8)  # unbuffered: one source stage
@@ -274,18 +274,15 @@ class TestCornerScalingEquivalence:
         report = evaluator.evaluate(tree)
         stage = extract_stages(tree)[0]
         reference_engine = arnoldi_stage_timing if engine == "arnoldi" else elmore_stage_timing
-        cfg = evaluator.config
         for rise, transition in ((True, "rise"), (False, "fall")):
             network = build_stage_network(
                 tree,
                 stage,
                 corner=corner,
-                max_segment_length=cfg.max_segment_length,
+                max_segment_length=evaluator.config.max_segment_length,
                 rise=rise,
-                pull_up_factor=cfg.pull_up_factor,
-                pull_down_factor=cfg.pull_down_factor,
             )
-            timing = reference_engine(network, cfg.source_slew)
+            timing = reference_engine(network, SOURCE_SLEW)
             latency = report.corners["wirecorner"].latency
             tap_slew = report.corners["wirecorner"].tap_slew
             for sink in tree.sinks():

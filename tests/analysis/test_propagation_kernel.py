@@ -19,8 +19,13 @@ from hypothesis import strategies as st
 
 from repro.analysis import ClockNetworkEvaluator, EvaluatorConfig
 from repro.analysis.arnoldi import batched_delay_sigma, batched_tap_moments
-from repro.analysis.evaluator import peri_slew
-from repro.analysis.rcnetwork import extract_stages
+from repro.analysis.evaluator import (
+    BUFFER_SLEW_REGENERATION,
+    SLEW_DELAY_FACTOR,
+    SOURCE_SLEW,
+    peri_slew,
+)
+from repro.analysis.rcnetwork import PULL_DOWN_FACTOR, PULL_UP_FACTOR, extract_stages
 from repro.analysis.units import LN9
 from repro.core import ContangoFlow, FlowConfig
 from repro.cts import ispd09_wire_library
@@ -37,7 +42,7 @@ def oracle_timing(tree, config, corners):
     split = any(corner.wire_cap_scale != 1.0 for corner in corners)
     combos = [(corner, t) for corner in corners for t in TRANSITIONS]
     drive_scales = [
-        c.driver_scale * (config.pull_up_factor if t == "rise" else config.pull_down_factor)
+        c.driver_scale * (PULL_UP_FACTOR if t == "rise" else PULL_DOWN_FACTOR)
         for c, t in combos
     ]
     models = []
@@ -55,7 +60,7 @@ def oracle_timing(tree, config, corners):
         latency, slew, tap_slew = {}, {}, {}
         for launch in TRANSITIONS:
             root = tree.root_id
-            state = {root: (0.0, config.source_slew, launch)}
+            state = {root: (0.0, SOURCE_SLEW, launch)}
             for stage, (delay, sigma) in zip(stages, models):
                 arrival, in_slew, direction = state[stage.driver_id]
                 buffer = tree.node(stage.driver_id).buffer
@@ -63,9 +68,9 @@ def oracle_timing(tree, config, corners):
                 if buffer is not None:
                     if buffer.inverting:
                         direction = "fall" if direction == "rise" else "rise"
-                    drive = config.buffer_slew_regeneration * in_slew
+                    drive = BUFFER_SLEW_REGENERATION * in_slew
                     gate = buffer.intrinsic_delay * corner.driver_scale
-                    arrival = arrival + (gate + config.slew_delay_factor * in_slew)
+                    arrival = arrival + (gate + SLEW_DELAY_FACTOR * in_slew)
                 row = 2 * position + TRANSITIONS.index(direction)
                 for col, tap in enumerate(stage.taps):
                     tap_arrival = arrival + delay[row][col]

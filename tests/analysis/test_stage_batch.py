@@ -9,7 +9,10 @@ moments of every stage and the tap models made from them -- on random trees
 with zero-length and wire-less edges, edges short enough for the resistance
 clamp, edges at the 32-segment cap, snakes, buffered taps and non-binary
 branching, for random subsets of stages in random order, with wire and load
-capacitance split or collapsed and several segment lengths.
+capacitance split or collapsed and several segment lengths.  A second
+property pins the transient engine's per-corner builder,
+:func:`~repro.analysis.rcnetwork.build_stage_network`, to its walk-based
+oracle on the same trees.
 """
 
 import random
@@ -22,12 +25,18 @@ from hypothesis import strategies as st
 from repro.analysis import ClockNetworkEvaluator, EvaluatorConfig
 from repro.analysis.arnoldi import reduce_stage_batch
 from repro.analysis.corners import Corner
-from repro.analysis.rcnetwork import StageContent, build_stage_topology, lay_out_stages
+from repro.analysis.rcnetwork import (
+    StageContent,
+    build_stage_network,
+    build_stage_topology,
+    lay_out_stages,
+)
 from repro.cts import ClockTree, Sink, ispd09_buffer_library, ispd09_wire_library
 from repro.geometry import Point
 from tests.analysis.stage_reference import (
     base_tap_moments,
     build_base_stage_network,
+    reference_stage_network,
     reference_tap_model,
 )
 
@@ -157,6 +166,31 @@ def test_batch_equals_the_per_stage_oracle(seed, split, max_segment_length, engi
     misses = rng.sample(stages, rng.randint(1, len(stages)))
     assert_moments_match(tree, topo, misses, max_segment_length, split)
     assert_tap_models_match(tree, topo, misses, max_segment_length, split, engine)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    max_segment_length=st.sampled_from([100.0, 37.5, 250.0]),
+)
+def test_stage_network_equals_the_walk_oracle(seed, max_segment_length):
+    """The transient engine's per-corner builder, pinned bit for bit at a
+    corner that scales wire resistance, wire capacitance and the driver."""
+    rng = random.Random(seed)
+    tree = random_tree(rng, max_segment_length)
+    corner = SPLIT_CORNERS[1]
+    for stage in build_stage_topology(tree).stages:
+        for rise in (True, False):
+            got = build_stage_network(
+                tree, stage, corner=corner, max_segment_length=max_segment_length, rise=rise
+            )
+            want = reference_stage_network(tree, stage, corner, max_segment_length, rise)
+            assert got.parent == want.parent
+            assert same_bits(got.resistance, want.resistance)
+            assert same_bits(got.capacitance, want.capacitance)
+            assert got.tap_index == want.tap_index
+            assert same_bits(got.driver_resistance, want.driver_resistance)
+            assert same_bits(got.total_capacitance, want.total_capacitance)
 
 
 def degenerate_tree():

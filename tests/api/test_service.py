@@ -84,6 +84,7 @@ class TestStreaming:
             (1, "completed"),
         ]
         assert all(e.total == 2 for e in events)
+        assert all(not e.cached and e.note == "" for e in events)
         assert all(e.record is None for e in events if e.kind == "started")
         completed = [e for e in events if e.kind == "completed"]
         assert [e.failed for e in completed] == [False, True]
@@ -156,72 +157,6 @@ class TestStreaming:
     def test_empty_stream_is_empty(self):
         with SynthesisService() as service:
             assert list(service.stream([])) == []
-
-
-class TestProgressEvents:
-    """The reserved ``progress`` event kind, and the default's stability."""
-
-    jobs = staticmethod(
-        lambda: [
-            JobSpec(instance="ti:20", engine="elmore", pipeline=FAST),
-            JobSpec(instance="ti:24", engine="elmore", pipeline=FAST),
-        ]
-    )
-
-    @staticmethod
-    def shape(event):
-        """Every JobEvent field except the record (which carries wall-clock)."""
-        return (event.index, event.total, event.kind, event.cached, event.note)
-
-    def test_default_started_completed_events_are_byte_identical(self):
-        """progress=False leaves the event sequence exactly as it was:
-        same kinds, same order, and the new ``cached``/``note`` fields at
-        their defaults on every event."""
-        with SynthesisService() as service:
-            plain = list(service.stream(self.jobs()))
-        with SynthesisService() as service:
-            opted = list(service.stream(self.jobs(), progress=True))
-        assert [self.shape(e) for e in plain] == [
-            (0, 2, "started", False, ""),
-            (0, 2, "completed", False, ""),
-            (1, 2, "started", False, ""),
-            (1, 2, "completed", False, ""),
-        ]
-        # The started/completed subsequence is field-identical with progress
-        # on -- heartbeats are inserted, never substituted.
-        backbone = [self.shape(e) for e in opted if e.kind != "progress"]
-        assert backbone == [self.shape(e) for e in plain]
-        for with_progress, without in zip(
-            (e.record for e in opted if e.kind == "completed"),
-            (e.record for e in plain if e.kind == "completed"),
-        ):
-            assert with_progress.fingerprint == without.fingerprint
-
-    def test_in_process_progress_heartbeats_pending_jobs(self):
-        with SynthesisService() as service:
-            events = list(service.stream(self.jobs(), progress=True))
-        assert [(e.index, e.kind) for e in events] == [
-            (0, "started"),
-            (0, "completed"),
-            (1, "progress"),  # job 1 hears that 1/2 of the batch is done
-            (1, "started"),
-            (1, "completed"),
-        ]
-        heartbeat = events[2]
-        assert heartbeat.note == "1/2 completed"
-        assert heartbeat.record is None and not heartbeat.failed
-
-    def test_pooled_progress_heartbeats_only_still_pending_jobs(self):
-        with SynthesisService(max_workers=2) as service:
-            events = list(service.stream(self.jobs(), progress=True))
-        kinds = [e.kind for e in events]
-        assert kinds[:2] == ["started", "started"]
-        assert kinds.count("completed") == 2
-        assert kinds.count("progress") == 1  # none after the last completion
-        heartbeat = next(e for e in events if e.kind == "progress")
-        completed_first = next(e.index for e in events if e.kind == "completed")
-        assert heartbeat.note == "1/2 completed"
-        assert heartbeat.index != completed_first  # only pending jobs hear it
 
 
 class TestSubmit:

@@ -3,14 +3,14 @@
 ``IvcEngine.run_batched`` must (a) reduce exactly to the classic ``run``
 loop when given a single 1.0 scale and a deterministic proposal, (b) produce
 the same committed trees whether the evaluator scores candidates batched or
-serially (the evaluator switch is the A/B toggle; the loop is oblivious),
-and (c) be reachable end to end through the registered ``tbsz_k``/``twsz_k``
+serially (``SerialScoringEvaluator`` is the serial reference; the loop is
+oblivious), and (c) be reachable end to end through the registered ``tbsz_k``/``twsz_k``
 /``twsn_k``/``bwsn_k`` passes and ``BATCHED_PIPELINE``.
 """
 
 import pytest
 
-from repro.analysis.evaluator import ClockNetworkEvaluator, EvaluatorConfig
+from repro.analysis.evaluator import CandidateBatch, ClockNetworkEvaluator, EvaluatorConfig
 from repro.core import ContangoFlow, FlowConfig, available_passes, resolve_pipeline
 from repro.core.config import BATCHED_PIPELINE, DEFAULT_PIPELINE
 from repro.core.ivc import IvcEngine
@@ -18,10 +18,24 @@ from repro.core.wiresnaking import top_down_wiresnaking
 from repro.testing import make_small_instance, make_zst_tree, tree_fingerprint
 
 
-def fresh_evaluator(**overrides) -> ClockNetworkEvaluator:
+class SerialScoringEvaluator(ClockNetworkEvaluator):
+    """Scores every candidate move by one full evaluation with the move applied."""
+
+    def evaluate_candidates(self, tree, moves):
+        return CandidateBatch(
+            scores=[
+                self._serial_candidate(tree, index, move)
+                for index, move in enumerate(moves)
+            ],
+            batched=0,
+            fallbacks=0,
+        )
+
+
+def fresh_evaluator(factory=ClockNetworkEvaluator, **overrides) -> ClockNetworkEvaluator:
     config = dict(engine="elmore", slew_limit=1e6)
     config.update(overrides)
-    return ClockNetworkEvaluator(config=EvaluatorConfig(**config))
+    return factory(config=EvaluatorConfig(**config))
 
 
 def content_fingerprint(tree):
@@ -77,15 +91,18 @@ class TestRunBatched:
 
     def test_batched_and_serial_scoring_commit_identical_trees(self):
         fingerprints = []
-        for candidate_batching in (True, False):
+        batches = []
+        for factory in (ClockNetworkEvaluator, SerialScoringEvaluator):
             tree = make_zst_tree(sink_count=12, seed=5)
-            evaluator = fresh_evaluator(candidate_batching=candidate_batching)
+            evaluator = fresh_evaluator(factory)
             engine = IvcEngine("t", tree, evaluator, objective="clr")
             result = engine.run_batched(
                 snake_proposal(tree), max_rounds=4, candidate_scales=(1.0, 0.5, 0.25)
             )
             fingerprints.append((result.rounds, content_fingerprint(tree)))
+            batches.append(evaluator.cache_stats()["candidate_batches"])
         assert fingerprints[0] == fingerprints[1]
+        assert batches[0] > 0 and batches[1] == 0
 
     def test_vacuous_round_appends_empty_note_and_stops(self):
         tree = make_zst_tree(sink_count=8)
