@@ -159,6 +159,44 @@ class TestStreaming:
             assert list(service.stream([])) == []
 
 
+class TestProgressEvents:
+    """The default event sequence's stability (``progress`` events come
+    only from the serve scheduler)."""
+
+    jobs = staticmethod(
+        lambda: [
+            JobSpec(instance="ti:20", engine="elmore", pipeline=FAST),
+            JobSpec(instance="ti:24", engine="elmore", pipeline=FAST),
+        ]
+    )
+
+    @staticmethod
+    def shape(event):
+        """Every JobEvent field except the record (which carries wall-clock)."""
+        return (event.index, event.total, event.kind, event.cached, event.note)
+
+    def test_default_started_completed_events_are_byte_identical(self):
+        """stream() yields exactly started/completed per job, in job order,
+        with ``cached``/``note`` at their defaults on every event, and two
+        services stream field-identical events and records."""
+        with SynthesisService() as service:
+            first = list(service.stream(self.jobs()))
+        with SynthesisService() as service:
+            second = list(service.stream(self.jobs()))
+        assert [self.shape(e) for e in first] == [
+            (0, 2, "started", False, ""),
+            (0, 2, "completed", False, ""),
+            (1, 2, "started", False, ""),
+            (1, 2, "completed", False, ""),
+        ]
+        assert [self.shape(e) for e in second] == [self.shape(e) for e in first]
+        for again, once in zip(
+            (e.record for e in second if e.kind == "completed"),
+            (e.record for e in first if e.kind == "completed"),
+        ):
+            assert again.fingerprint == once.fingerprint
+
+
 class TestSubmit:
     """The future-returning dispatch primitive under the serve scheduler."""
 
