@@ -186,18 +186,6 @@ class VariationModel:
             wire_cap_scale=float(np.interp(t, grid, [a.wire_cap_scale for a in self.anchors])),
         )
 
-    # ------------------------------------------------------------------
-    @property
-    def is_zero_variance(self) -> bool:
-        """True when sampling can only ever return the nominal scenario."""
-        sigmas_zero = (
-            self.vdd_sigma == 0.0
-            and self.driver_sigma == 0.0
-            and self.wire_res_sigma == 0.0
-            and self.wire_cap_sigma == 0.0
-        )
-        return sigmas_zero and self.family != "corner_anchored"
-
     @property
     def perturbs_wire_cap(self) -> bool:
         """True when samples may scale wire capacitance away from nominal.

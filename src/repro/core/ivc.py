@@ -36,7 +36,6 @@ from repro.analysis.evaluator import (
 )
 from repro.core.tuning import PassResult, objective_value
 from repro.cts.tree import ClockTree
-from repro.obs import METRICS
 
 __all__ = [
     "REASON_SLEW",
@@ -468,13 +467,11 @@ class IvcEngine:
                 self.result.notes.append(
                     reject_note.format(reason=outcome.reason, iteration=state.iteration)
                 )
-                METRICS.count("ivc.rounds_rejected")
                 state.consecutive_rejections += 1
                 state.aggressiveness *= rejection_decay
                 if state.consecutive_rejections >= max_consecutive_rejections:
                     break
                 continue
-            METRICS.count("ivc.rounds_accepted")
             state.consecutive_rejections = 0
             self.report = outcome.report
             best_objective = objective_value(outcome.report, self.objective)

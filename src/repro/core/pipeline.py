@@ -51,7 +51,7 @@ from repro.cts.dme import build_zero_skew_tree
 from repro.cts.obstacle_avoid import repair_obstacle_violations
 from repro.cts.spec import ClockNetworkInstance
 from repro.cts.tree import ClockTree
-from repro.obs import METRICS, NULL_TRACER, TracerBase
+from repro.obs import NULL_TRACER, TracerBase
 
 __all__ = [
     "PassContext",
@@ -244,11 +244,8 @@ class PipelineDriver:
         result.final_report = ctx.report
         result.total_evaluations = evaluator.run_count
         result.evaluator_cache = evaluator.cache_stats()
-        METRICS.absorb("evaluator", result.evaluator_cache)
-        METRICS.count("pipeline.flows")
         if ctx.variation_gate is not None:
             result.variation_gate = ctx.variation_gate.stats()
-            METRICS.absorb("variation_gate", result.variation_gate)
         result.runtime_s = time.perf_counter() - start  # repro: lint-ok[untimed-wallclock]
         return result
 

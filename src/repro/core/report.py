@@ -23,7 +23,7 @@ __all__ = ["StageRecord", "FlowResult"]
 
 @dataclass
 class StageRecord(StageRow):
-    """Metrics captured right after one flow stage (one row of Table III).
+    """The metrics captured right after one flow stage (one row of Table III).
 
     Inherits every field (and the ``to_record``/``from_record`` pair) from
     the public :class:`~repro.api.records.StageRow` schema; this subclass
@@ -51,10 +51,6 @@ class StageRecord(StageRow):
             evaluations=report.evaluation_index,
             elapsed_s=elapsed_s,
         )
-
-    def as_dict(self) -> Dict[str, object]:
-        """Alias of :meth:`~repro.api.records.StageRow.to_record`."""
-        return self.to_record()
 
 
 @dataclass

@@ -72,14 +72,6 @@ class PassResult:
     #: never re-evaluate an unchanged tree.
     final_report: Optional[EvaluationReport] = None
 
-    @property
-    def skew_reduction(self) -> float:
-        return self.initial.get("skew_ps", 0.0) - self.final.get("skew_ps", 0.0)
-
-    @property
-    def clr_reduction(self) -> float:
-        return self.initial.get("clr_ps", 0.0) - self.final.get("clr_ps", 0.0)
-
 
 def objective_value(report: EvaluationReport, objective: str) -> float:
     """Scalar objective extracted from an evaluation report.

@@ -35,11 +35,6 @@ class BoundedSkewRecord(MergeRecord):
 
     subtree_min_delay: float = 0.0
 
-    @property
-    def internal_skew(self) -> float:
-        """Spread between the slowest and fastest sink of the subtree (ps)."""
-        return self.subtree_delay - self.subtree_min_delay
-
 
 class BoundedSkewTreeBuilder(ZeroSkewTreeBuilder):
     """Build trees whose Elmore skew is bounded by ``skew_bound`` picoseconds."""

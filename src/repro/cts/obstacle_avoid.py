@@ -31,13 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.units import LN9
 from repro.buffering.candidates import max_drivable_capacitance
 from repro.cts.bufferlib import BufferType
-from repro.cts.tree import ClockTree, NodeKind, TreeNode, TreeValidationError
+from repro.cts.tree import ClockTree, TreeNode, TreeValidationError
 from repro.geometry.lshape import lshape_routes
 from repro.geometry.maze import MazeRouteError, MazeRouter
-from repro.geometry.obstacles import CompoundObstacle, ObstacleSet
+from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
@@ -45,25 +44,8 @@ from repro.geometry.segment import Segment
 __all__ = [
     "ObstacleAvoidanceReport",
     "ObstacleAvoider",
-    "slew_free_capacitance",
     "repair_obstacle_violations",
 ]
-
-
-def slew_free_capacitance(
-    buffer: BufferType, slew_limit: float, margin: float = 0.9
-) -> float:
-    """Largest load (fF) one ``buffer`` can drive without violating the slew limit.
-
-    Uses the single-pole estimate ``slew ~= ln(9) * R_out * C_load`` with a
-    safety ``margin`` (defaults to 90% of the limit), which is the same simple
-    analytical model the paper applies at this early, pre-SPICE stage.
-    """
-    if slew_limit <= 0.0:
-        raise ValueError("slew limit must be positive")
-    if not 0.0 < margin <= 1.0:
-        raise ValueError("margin must be in (0, 1]")
-    return margin * slew_limit / (LN9 * buffer.output_res * 1e-3)
 
 
 @dataclass

@@ -56,10 +56,6 @@ class CompoundObstacle:
         """True when a buffer cannot legally be placed at ``p``."""
         return any(o.rect.contains_point(p, strict=True) for o in self.members)
 
-    def crossed_by(self, seg: Segment) -> bool:
-        """True when the segment crosses the interior of any member rectangle."""
-        return any(seg.intersects_rect(o.rect, strict=True) for o in self.members)
-
 
 class ObstacleSet:
     """A collection of obstacles with compound-obstacle merging and queries."""
@@ -126,10 +122,6 @@ class ObstacleSet:
     def crossing_obstacles(self, seg: Segment) -> List[Obstacle]:
         """Return the obstacles whose interiors the segment crosses."""
         return [o for o in self._obstacles if seg.intersects_rect(o.rect, strict=True)]
-
-    def crossing_compounds(self, seg: Segment) -> List[CompoundObstacle]:
-        """Return the compound obstacles crossed by the segment."""
-        return [c for c in self.compound_obstacles() if c.crossed_by(seg)]
 
     def is_route_clear(self, points: Sequence[Point]) -> bool:
         """True when the polyline through ``points`` avoids all obstacle interiors."""

@@ -916,7 +916,6 @@ class UntimedWallclockRule(LintRule):
         "allow_modules": (
             "repro.obs",
             "repro.obs.trace",
-            "repro.obs.metrics",
         ),
         #: Path components that exempt a file wholesale (benchmark harnesses
         #: measure overhead of the tracer itself, so they need raw timers).

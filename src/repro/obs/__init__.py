@@ -1,7 +1,7 @@
-"""``repro.obs`` -- the observability plane: structured tracing + metrics.
+"""``repro.obs`` -- the observability plane: structured tracing.
 
-Two complementary instruments, both dependency-free so every layer of the
-package (including the strict-typed leaves) can use them without cycles:
+Dependency-free so every layer of the package (including the strict-typed
+leaves) can use it without cycles:
 
 * :mod:`repro.obs.trace` -- :class:`Tracer` produces one nested span tree per
   job (``flow`` -> ``pass`` -> ``ivc_round`` -> ``evaluate`` ->
@@ -13,11 +13,12 @@ package (including the strict-typed leaves) can use them without cycles:
   to the ``timings`` block so the structural remainder is byte-stable);
   :func:`chrome_trace` exports to the Chrome trace-event format Perfetto
   reads; :class:`TraceSummary` is the compact record-attachable digest.
-* :mod:`repro.obs.metrics` -- :class:`Metrics`, a process-wide registry of
-  counters, gauges and histograms; :data:`METRICS` is the shared instance
-  the pipeline driver and IVC engine feed (evaluator cache hits/misses,
-  dirty-region propagation counts, candidate fallbacks, gate accept/reject,
-  IVC retries).
+
+There is no process-global counter registry.  A counter lives on the object
+that does the work (``ClockNetworkEvaluator.cache_stats()``,
+``ResultCache.stats()``, ``JobScheduler.stats()``); records carry per-job
+totals (``evaluator_cache``, ``variation_gate``), and span counters are
+per-path deltas of the same counts when tracing is on.
 
 Timing attribution flows through the tracer *only*: the ``untimed-wallclock``
 lint rule flags direct ``time.perf_counter``/``time.monotonic`` calls outside
@@ -26,7 +27,6 @@ this package (record-level wall-clock fields carry explicit suppressions).
 
 from __future__ import annotations
 
-from repro.obs.metrics import METRICS, Metrics
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -61,6 +61,4 @@ __all__ = [
     "strip_timings",
     "chrome_trace",
     "render_span_tree",
-    "Metrics",
-    "METRICS",
 ]

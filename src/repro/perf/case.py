@@ -7,9 +7,8 @@ into one schema-versioned entry that **strictly quarantines wall-clock from
 determinism**:
 
 * ``counters`` / ``span_counters`` -- deterministic integers only, sourced
-  from the span tree (:func:`repro.obs.path_counters`), the process-wide
-  :data:`repro.obs.METRICS` registry (reset before every repeat) and the
-  case's own outcome.  Repeats must agree bit-for-bit; disagreement fails
+  from the span tree (:func:`repro.obs.path_counters`) and the case's own
+  outcome.  Repeats must agree bit-for-bit; disagreement fails
   the built-in ``counters_deterministic`` check.  ``repro perf compare``
   gates these with an exact match.
 * ``timings`` -- everything wall-clock: per-repeat medians/IQRs of the
@@ -27,10 +26,11 @@ subclasses that never register.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Type
 
-from repro.obs import METRICS, Tracer, TracerBase, path_counters, path_timings
+from repro.obs import Tracer, TracerBase, path_counters, path_timings
 
 __all__ = [
     "PERF_SCHEMA",
@@ -201,10 +201,12 @@ def run_case(
 ) -> Dict[str, Any]:
     """Run ``case`` ``repeats`` times and fold the repeats into one entry.
 
-    Every repeat starts from a clean slate (fresh :class:`Tracer`,
-    :meth:`METRICS.reset`), so counters cannot leak between repeats; the
-    counter blocks are taken from the first repeat and every later repeat
-    must reproduce them exactly (the ``counters_deterministic`` check).
+    Every repeat starts from a clean slate: a fresh :class:`Tracer`, so
+    counters cannot leak between repeats, and a collected heap, so garbage
+    left by earlier repeats or cases is not collected inside this one's
+    timed spans.  The counter blocks are taken from the first repeat and
+    every later repeat must reproduce them exactly (the
+    ``counters_deterministic`` check).
     Deterministic checks must agree across repeats too; timing checks are
     merged with AND semantics (a floor missed in any repeat fails).
     """
@@ -222,14 +224,12 @@ def run_case(
     timing_checks: Dict[str, CaseCheck] = {}
 
     for _ in range(count):
-        METRICS.reset()
+        gc.collect()
         tracer = Tracer()
         outcome = case.run_once(tracer)
-        metrics_counters: Dict[str, int] = METRICS.snapshot()["counters"]
 
         span_counters = path_counters(tracer)
         counters = merged_counters(span_counters)
-        counters.update(metrics_counters)
         counters.update(outcome.counters)
         counter_runs.append({key: counters[key] for key in sorted(counters)})
         span_counter_runs.append(span_counters)
@@ -265,7 +265,6 @@ def run_case(
             detail="counter blocks differ between repeats of the same case",
         )
 
-    METRICS.reset()
     return {
         "schema": PERF_SCHEMA,
         "kind": "perf-case",

@@ -721,9 +721,8 @@ class ServeCase(PerfCase):
     ``cached``.  The cache-hit record must equal a fresh :func:`run_job`
     of the same spec outside wall-clock fields
     (:func:`~repro.api.records.stable_record` parity).  The scheduler's
-    ``serve.cache.hits/misses/coalesced`` and ``serve.pool.executions``
-    counters land in the entry through :data:`~repro.obs.METRICS`
-    absorption, so ``repro perf compare`` gates them exactly.
+    own counters (``cache.stats()`` hits/misses/coalesced and
+    ``pool_executions``) are pinned exactly by the deterministic checks.
     """
 
     name = "serve"

@@ -16,8 +16,8 @@ Invariants (see CONTRIBUTING "Fingerprint-cache invariants"):
 * :class:`~repro.api.records.ErrorRecord` results are never cached: a
   transient failure must not shadow the computation forever, so the next
   identical submission misses and re-executes;
-* hit/miss/coalesced counts feed both the cache's own :meth:`stats` and the
-  process-wide :data:`repro.obs.METRICS` registry (``serve.cache.*``).
+* hit/miss/coalesced counts live here only; :meth:`stats` reports them and
+  the scheduler's ``/metrics`` block nests them under ``cache``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.api.records import ErrorRecord, Record, record_from_dict
-from repro.obs import METRICS
 from repro.store import RunStore
 
 __all__ = ["ResultCache"]
@@ -58,10 +57,8 @@ class ResultCache:
                     self._memory[fingerprint] = typed
         if record is None:
             self.misses += 1
-            METRICS.count("serve.cache.misses")
             return None
         self.hits += 1
-        METRICS.count("serve.cache.hits")
         return record
 
     def put(self, fingerprint: str, record: Record) -> bool:
@@ -79,7 +76,6 @@ class ResultCache:
     def note_coalesced(self) -> None:
         """Count one submission that attached to an identical in-flight job."""
         self.coalesced += 1
-        METRICS.count("serve.cache.coalesced")
 
     def stats(self) -> Dict[str, int]:
         """Deterministic counters (the serve PerfCase's regression surface)."""

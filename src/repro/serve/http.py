@@ -11,16 +11,18 @@ web framework, one request per connection (every response carries
 * ``GET /jobs/<id>/events`` -- the ordered event stream as NDJSON, replayed
   from the start and followed live until the ``completed`` event;
 * ``GET /jobs/<id>/result`` -- the completed record (``409`` while pending);
-* ``GET /metrics`` -- :data:`repro.obs.METRICS` snapshot plus scheduler and
-  cache stats;
+* ``GET /metrics`` -- ``{"scheduler": ..., "http": ...}``: the scheduler's
+  :meth:`~JobScheduler.stats` (queue, cache, pool executions and the summed
+  evaluator counters of every executed record, pool workers included) and
+  this app's own ``errors`` / ``stream_disconnects`` counts;
 * ``GET /healthz`` -- liveness.
 
 The submit body is JSON: ``{"instance": "ti:200"}`` at minimum, plus
 ``kind`` (``"run"``/``"mc"``), ``flow``/``engine``/``pipeline``/``seed``,
 the Monte Carlo axes for ``kind="mc"``, and scheduling fields ``client`` /
 ``priority``.  A client disconnecting mid-stream only increments
-``serve.stream.disconnects`` -- the job itself keeps running and its events
-stay replayable.
+:attr:`ServeApp.stream_disconnects` -- the job itself keeps running and its
+events stay replayable.
 
 :class:`ServerHandle` hosts the whole stack (scheduler + HTTP server) on a
 dedicated thread with its own event loop, which is how the tests and the CI
@@ -38,7 +40,6 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 from repro.api.jobs import Job, JobSpec, McJobSpec
 from repro.api.service import JobEvent, SynthesisService
-from repro.obs import METRICS
 from repro.serve.queue import QueueFullError
 from repro.serve.scheduler import JobScheduler
 from repro.serve.session import JobState
@@ -120,6 +121,10 @@ class ServeApp:
 
     def __init__(self, scheduler: JobScheduler) -> None:
         self.scheduler = scheduler
+        #: Requests that ended in an unexpected 500.
+        self.errors = 0
+        #: Connections the client dropped before the response was written.
+        self.stream_disconnects = 0
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -148,11 +153,11 @@ class ServeApp:
             except (ValueError, TypeError) as exc:
                 writer.write(_json_bytes(400, {"error": str(exc)}))
             except Exception:
-                METRICS.count("serve.http.errors")
+                self.errors += 1
                 writer.write(_json_bytes(500, {"error": "internal server error"}))
             await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
-            METRICS.count("serve.stream.disconnects")
+            self.stream_disconnects += 1
         finally:
             try:
                 writer.close()
@@ -202,8 +207,11 @@ class ServeApp:
                 _json_bytes(
                     200,
                     {
-                        "metrics": METRICS.snapshot(),
                         "scheduler": self.scheduler.stats(),
+                        "http": {
+                            "errors": self.errors,
+                            "stream_disconnects": self.stream_disconnects,
+                        },
                     },
                 )
             )
@@ -276,7 +284,7 @@ class ServeApp:
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             # The job is unaffected; its events stay buffered for replay.
-            METRICS.count("serve.stream.disconnects")
+            self.stream_disconnects += 1
 
 
 def _event_payload(state: JobState, event: JobEvent) -> Dict[str, Any]:

@@ -29,8 +29,11 @@ fingerprinting, and inline execution for poolless services), which runs pure
 functions and returns results to the loop.  The stack-based
 :class:`~repro.obs.Tracer` is not safe for spans held across ``await`` by
 concurrent coroutines, so the scheduler confines spans to synchronous
-bridge sections and reports everything else through
-:data:`repro.obs.METRICS` counters (``serve.*``).
+bridge sections and reports everything else through :meth:`JobScheduler.stats`
+counters.  Those include ``evaluator``: the sum of the ``evaluator_cache`` of
+every :class:`~repro.api.records.RunRecord` the service returned, so work done
+inside pool workers shows up too (cache hits and coalesced followers add
+nothing; Monte Carlo records carry no evaluator counters).
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional
 
 from repro.api.jobs import Job
-from repro.api.records import ErrorRecord, Record
+from repro.api.records import ErrorRecord, Record, RunRecord
 from repro.api.service import JobEvent, SynthesisService
-from repro.obs import METRICS, NULL_TRACER, TracerBase
+from repro.obs import NULL_TRACER, TracerBase
 from repro.runner import error_record, spec_fingerprint
 from repro.serve.cache import ResultCache
 from repro.serve.queue import FairQueue, QueueFullError
@@ -100,6 +103,8 @@ class JobScheduler:
         self._closed = False
         #: Jobs actually handed to the service (the dedup denominator).
         self.pool_executions = 0
+        #: Summed ``evaluator_cache`` of every run record the service returned.
+        self.evaluator: Dict[str, int] = {}
         #: Leader job ids in dispatch order (fairness is observable).
         self.dispatch_order: List[str] = []
         self._completed_jobs = 0
@@ -196,7 +201,6 @@ class JobScheduler:
         state = self.registry.create(
             job=job, client=client, priority=priority, fingerprint=fingerprint
         )
-        METRICS.count("serve.jobs.submitted")
 
         # In-flight coalescing: attach to the leader, never dispatch.
         peers = self._inflight.get(fingerprint)
@@ -236,7 +240,6 @@ class JobScheduler:
                     del self._inflight[state.fingerprint]
                     state.status = REJECTED
                     self.rejected += 1
-                    METRICS.count("serve.queue.rejected")
                     await self._notify("_done")
                     raise
                 space = self._cond("_space")
@@ -245,7 +248,6 @@ class JobScheduler:
                 if self._closing or self._closed:
                     raise RuntimeError("JobScheduler is closing")
                 continue
-            METRICS.gauge("serve.queue.depth", float(len(self._queue)))
             await self._notify("_work")
             return
 
@@ -272,7 +274,6 @@ class JobScheduler:
                 return None
             item = self._queue.pop()
             if item is not None:
-                METRICS.gauge("serve.queue.depth", float(len(self._queue)))
                 await self._notify("_space")
                 return item.payload
             async with work:
@@ -289,7 +290,6 @@ class JobScheduler:
             await waiter.publish(self._event(waiter, "started"))
         self.pool_executions += 1
         self.dispatch_order.append(state.job_id)
-        METRICS.count("serve.pool.executions")
         try:
             if self.service.max_workers == 1:
                 # Inline-executing service: the whole job runs on the bridge
@@ -302,6 +302,9 @@ class JobScheduler:
             record: Record = await asyncio.wrap_future(future)
         except Exception:
             record = error_record(state.job, traceback.format_exc())
+        if isinstance(record, RunRecord):
+            for key, value in record.evaluator_cache.items():
+                self.evaluator[key] = self.evaluator.get(key, 0) + value
         # From here to the first await: synchronous, so a new duplicate
         # submission either sees the in-flight entry (coalesces) or, once it
         # is popped, the populated cache (hits) -- never a gap in between.
@@ -319,7 +322,6 @@ class JobScheduler:
         state.record = record
         state.status = FAILED if isinstance(record, ErrorRecord) else COMPLETED
         self._completed_jobs += 1
-        METRICS.count("serve.jobs.completed")
         await state.publish(self._event(state, "completed", record=record))
         await self._notify("_done")
 
@@ -365,4 +367,5 @@ class JobScheduler:
             "rejected": self.rejected,
             "pool_executions": self.pool_executions,
             "cache": self.cache.stats(),
+            "evaluator": dict(self.evaluator),
         }

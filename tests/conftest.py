@@ -13,26 +13,12 @@ import pytest
 from repro.analysis import ClockNetworkEvaluator, EvaluatorConfig
 from repro.cts import ClockTree
 from repro.cts.spec import ClockNetworkInstance
-from repro.obs import METRICS
 from repro.testing import (  # noqa: F401 -- re-exported for legacy imports
     make_manual_tree,
     make_sinks,
     make_small_instance,
     make_zst_tree,
 )
-
-
-@pytest.fixture(autouse=True)
-def _reset_metrics():
-    """Isolate every test from the process-wide METRICS registry.
-
-    The pipeline driver, IVC engine and perf cases all feed the shared
-    :data:`repro.obs.METRICS` instance; without a reset on both sides of
-    each test, counter assertions would depend on collection order.
-    """
-    METRICS.reset()
-    yield
-    METRICS.reset()
 
 
 @pytest.fixture

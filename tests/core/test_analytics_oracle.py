@@ -27,7 +27,6 @@ from repro.core.config import BATCHED_PIPELINE
 from repro.cts import ispd09_buffer_library, ispd09_wire_library
 from repro.cts.tree import Sink
 from repro.geometry import Point
-from repro.obs import METRICS
 from repro.testing import make_zst_tree, tree_fingerprint
 from repro.workloads import generate_ti_benchmark
 
@@ -127,9 +126,11 @@ def checked(monkeypatch):
 )
 def test_every_proposal_matches_the_oracles(checked, sinks, pipeline):
     instance = generate_ti_benchmark(sinks, seed=1)
-    ContangoFlow(FlowConfig(engine="arnoldi", pipeline=pipeline)).run(instance)
-    assert METRICS.counter_value("ivc.rounds_accepted") > 0
-    assert METRICS.counter_value("ivc.rounds_rejected") > 0
+    result = ContangoFlow(FlowConfig(engine="arnoldi", pipeline=pipeline)).run(instance)
+    passes = result.pass_results.values()
+    # Both branches of the IVC round loop ran: accepted rounds and rejections.
+    assert sum(p.rounds for p in passes) > 0
+    assert any("rejected" in note for p in passes for note in p.notes)
     assert checked["calibrate"] == 4
     assert checked["annotate"] > 0 and checked["headroom"] > 0 and checked["refresh"] > 0
 

@@ -12,7 +12,6 @@ from repro.cts.obstacle_avoid import (
     _contour_point,
     _contour_walk,
     repair_obstacle_violations,
-    slew_free_capacitance,
 )
 from repro.cts.topology import SinkInstance
 from repro.geometry import Obstacle, ObstacleSet, Point, Rect
@@ -20,24 +19,6 @@ from repro.geometry import Obstacle, ObstacleSet, Point, Rect
 WIRES = ispd09_wire_library()
 BUFS = ispd09_buffer_library()
 DRIVER = BUFS.by_name("INV_S").parallel(8)
-
-
-class TestSlewFreeCapacitance:
-    def test_stronger_buffer_drives_more(self):
-        small = slew_free_capacitance(BUFS.by_name("INV_S"), 100.0)
-        strong = slew_free_capacitance(DRIVER, 100.0)
-        assert strong == pytest.approx(8 * small)
-
-    def test_scales_with_slew_limit(self):
-        assert slew_free_capacitance(DRIVER, 200.0) == pytest.approx(
-            2 * slew_free_capacitance(DRIVER, 100.0)
-        )
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            slew_free_capacitance(DRIVER, 0.0)
-        with pytest.raises(ValueError):
-            slew_free_capacitance(DRIVER, 100.0, margin=0.0)
 
 
 class TestContourParametrization:

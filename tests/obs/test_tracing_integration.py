@@ -5,7 +5,7 @@ import json
 from repro.api.jobs import JobSpec, McJobSpec
 from repro.api.records import McRecord, RunRecord, record_from_dict
 from repro.cli import main
-from repro.obs import METRICS, Tracer, TraceSummary, strip_timings, trace_artifact
+from repro.obs import Tracer, TraceSummary, strip_timings, trace_artifact
 from repro.runner import execute_job_traced, run_job, run_mc_job
 from repro.store import RunStore
 
@@ -87,21 +87,6 @@ class TestTraceOnRecords:
 
     def test_untraced_record_serializes_without_a_trace_key(self):
         assert "trace" not in run_job(fast_spec()).to_record()
-
-
-class TestProcessMetrics:
-    def test_pipeline_run_feeds_the_registry(self):
-        METRICS.reset()
-        # Default pipeline: the IVC-driven passes must feed the round counters.
-        run_job(JobSpec(instance="ti:20", engine="elmore", seed=7))
-        snapshot = METRICS.snapshot()["counters"]
-        assert snapshot["pipeline.flows"] == 1
-        assert "evaluator.hits" in snapshot
-        assert (
-            snapshot.get("ivc.rounds_accepted", 0)
-            + snapshot.get("ivc.rounds_rejected", 0)
-        ) > 0
-        METRICS.reset()
 
 
 class TestCli:

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.obs import METRICS, strip_timings
+from repro.obs import strip_timings
 from repro.perf.case import (
     CASE_REGISTRY,
     PERF_SCHEMA,
@@ -22,7 +22,7 @@ from repro.perf.cases import RunnerCase
 
 
 class TinyCase(PerfCase):
-    """Deterministic stub: fixed span counters, a METRICS count, one check."""
+    """Deterministic stub: fixed span and case counters, one check."""
 
     name = "tiny"
     description = "test stub"
@@ -36,7 +36,6 @@ class TinyCase(PerfCase):
             span.count("widgets", 3)
             with tracer.span("inner") as inner:
                 inner.count("widgets", 1)
-        METRICS.count("tiny.things", 2)
         outcome = CaseOutcome()
         outcome.counters["extra"] = 5
         outcome.timings["phase_s"] = 0.001
@@ -124,10 +123,8 @@ class TestRunCase:
         assert entry["case"] == "tiny"
         assert entry["package_version"] == "1.2.3"
         assert entry["fingerprint"] == "feedc0de"
-        # Merged counters: span counters + METRICS counters + case counters.
-        assert entry["counters"]["widgets"] == 4
-        assert entry["counters"]["tiny.things"] == 2
-        assert entry["counters"]["extra"] == 5
+        # Merged counters: span counters + case counters, nothing else.
+        assert entry["counters"] == {"extra": 5, "widgets": 4}
         # Per-path counters keep the tree structure.
         assert entry["span_counters"]["work"] == {"widgets": 3}
         assert entry["span_counters"]["work/inner"] == {"widgets": 1}
@@ -142,14 +139,6 @@ class TestRunCase:
             "counters_deterministic",
         ]
         assert all(c["ok"] for c in entry["checks"])
-
-    def test_metrics_do_not_leak_between_repeats_or_after(self):
-        run_case(TinyCase())
-        # Reset per repeat: the counter block shows one repeat's worth...
-        entry = run_case(TinyCase())
-        assert entry["counters"]["tiny.things"] == 2
-        # ...and run_case leaves the global registry clean.
-        assert METRICS.snapshot()["counters"] == {}
 
     def test_nondeterministic_counters_fail_the_built_in_check(self):
         entry = run_case(WobblyCase())

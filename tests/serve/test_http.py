@@ -86,12 +86,26 @@ class TestEndpoints:
         assert status == 404
 
     def test_metrics_exposes_scheduler_and_counters(self, server):
-        request(server, "/jobs", FAST_JOB)
+        _, submitted = request(server, "/jobs", FAST_JOB)
+        _, result = wait_result(server, submitted["job_id"])
         status, body = request(server, "/metrics")
         assert status == 200
+        assert set(body) == {"scheduler", "http"}
         assert body["scheduler"]["queue_policy"] == "wait"
-        assert "counters" in body["metrics"]
-        assert body["metrics"]["counters"]["serve.jobs.submitted"] == 1
+        assert body["scheduler"]["jobs"] == 1
+        assert body["scheduler"]["evaluator"] == result["record"]["evaluator_cache"]
+        assert body["http"] == {"errors": 0, "stream_disconnects": 0}
+
+    def test_unexpected_handler_error_is_a_counted_500(self, server, monkeypatch):
+        def broken():
+            raise RuntimeError("stats exploded")
+
+        monkeypatch.setattr(server.scheduler, "stats", broken)
+        status, body = request(server, "/metrics")
+        assert status == 500 and body["error"] == "internal server error"
+        monkeypatch.undo()
+        status, body = request(server, "/metrics")
+        assert status == 200 and body["http"]["errors"] == 1
 
 
 class TestDeduplication:

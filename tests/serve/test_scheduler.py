@@ -5,6 +5,8 @@ plain ``asyncio.run`` wrapper (bounded by a watchdog timeout so a deadlock
 fails instead of hanging the suite).  Dispatch goes through a duck-typed
 stub service whose futures the tests resolve by hand, so in-flight windows
 (coalescing, error propagation, stream cancellation) are exact, not timed.
+One test uses a real two-worker service, because what it checks -- evaluator
+counters coming home from pool workers -- needs a process boundary.
 """
 
 import asyncio
@@ -14,6 +16,7 @@ import pytest
 
 from repro.api.jobs import JobSpec
 from repro.api.records import ErrorRecord
+from repro.api.service import SynthesisService
 from repro.runner import error_record, run_job
 from repro.serve import JobScheduler, QueueFullError
 from repro.serve.session import COMPLETED, FAILED, QUEUED, REJECTED
@@ -336,3 +339,27 @@ class TestLifecycle:
         assert stats["completed"] == 1 and stats["pool_executions"] == 1
         assert stats["queue_depth"] == 0 and stats["queue_policy"] == "wait"
         assert stats["cache"]["misses"] == 1
+        assert stats["evaluator"] == record.evaluator_cache
+
+    def test_pool_workers_evaluator_counters_reach_the_stats(self):
+        async def scenario():
+            with SynthesisService(max_workers=2) as service:
+                scheduler = JobScheduler(service)
+                await scheduler.start()
+                executed = await scheduler.submit(job())
+                await scheduler.drain()
+                after_run = scheduler.stats()
+                hit = await scheduler.submit(job())
+                await scheduler.drain()
+                after_hit = scheduler.stats()
+                await scheduler.close()
+            return executed, hit, after_run, after_hit
+
+        executed, hit, after_run, after_hit = drive(scenario(), timeout=120.0)
+        # The job ran in a pool worker; its counters came home on the record.
+        counters = executed.record.evaluator_cache
+        assert counters["misses"] > 0
+        assert after_run["evaluator"] == counters
+        # A cache hit dispatches nothing and adds nothing.
+        assert hit.cached and after_hit["pool_executions"] == 1
+        assert after_hit["evaluator"] == counters
