@@ -125,6 +125,8 @@ def arnoldi_stage_timing(network: StageNetwork, input_slew: float) -> StageTimin
 # Vectorized multi-corner path (used by the incremental evaluator)
 # ----------------------------------------------------------------------
 _Total = Union[float, np.ndarray]
+# Corner/transition scales: a 1-D sequence, or an array shaped for broadcasting.
+_Scales = Union[Sequence[float], np.ndarray]
 
 
 class BaseTapMoments(NamedTuple):
@@ -300,31 +302,54 @@ def stack_tap_moments(variants: Sequence[BaseTapMoments]) -> BaseTapMoments:
 
 def batched_tap_moments(
     moments: BaseTapMoments,
-    driver_scales: Sequence[float],
-    wire_res_scales: Sequence[float],
-    wire_cap_scales: Sequence[float],
+    driver_scales: _Scales,
+    wire_res_scales: _Scales,
+    wire_cap_scales: _Scales,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact (m1, m2) at every tap for a batch of corner/transition scalings.
 
-    The three scale sequences must have equal length ``M`` (one entry per
-    corner-and-transition combination); the result arrays have shape
-    ``(M, taps)`` with m1 in ps and m2 in ps^2.  ``wire_cap_scales`` applies
-    only to the wire-capacitance component, matching
+    m1 is in ps and m2 in ps^2.  ``wire_cap_scales`` applies only to the
+    wire-capacitance component, matching
     :func:`repro.analysis.rcnetwork.build_stage_network`.
+
+    Shapes: the fields of ``moments`` and the three scales meet by numpy
+    broadcasting, and m1/m2 have the broadcast shape.  A 1-D scale sequence
+    of length ``M`` (one entry per corner-and-transition combination) stands
+    for an ``(M, 1)`` column, so three such sequences and a stage's
+    ``(taps,)`` vectors give ``(M, taps)`` arrays, one row per combination.
+    Scale arrays of two or more dimensions broadcast as they are: the Monte
+    Carlo sweep passes ``(taps, 1, 1, 1)`` tap vectors, ``(C, 2, B)`` driver
+    scales and ``(1, 1, B)`` or ``(C, 1, B)`` wire scales and gets
+    ``(taps, C, 2, B)`` arrays, in which the terms without a driver scale
+    (``a``, ``p``, ``r * a``, ``r * r * p``) are computed once per sample
+    (or per corner and sample), not once per corner, transition and sample.
+    Every element sees the same operations in the same order whatever the
+    shapes, so it equals its own one-row call bit for bit.
     """
-    d_scale = np.asarray(driver_scales)[:, None]
-    r = np.asarray(wire_res_scales)[:, None]
-    w = np.asarray(wire_cap_scales)[:, None]
+    d_scale = _scale_column(driver_scales)
+    r = _scale_column(wire_res_scales)
+    w = _scale_column(wire_cap_scales)
     drv = moments.driver_resistance * d_scale
     k = w * moments.wire_cap_total + moments.load_cap_total
     a = w * moments.a_wire_tap + moments.a_load_tap
     a0 = w * w * moments.a0_ww + w * moments.a0_mixed + moments.a0_ll
     p = w * w * moments.p_ww_tap + w * moments.p_mixed_tap + moments.p_ll_tap
-    m1 = OHM_FF_TO_PS * (drv * k + r * a)
-    m2 = (OHM_FF_TO_PS**2) * (
-        drv * drv * k * k + drv * r * a0 + drv * r * k * a + r * r * p
-    )
+    # m1 = OHM_FF_TO_PS * (drv*k + r*a)
+    # m2 = OHM_FF_TO_PS**2 * (drv*drv*k*k + drv*r*a0 + drv*r*k*a + r*r*p)
+    # Sums run left to right; only the full-size terms are accumulated in place.
+    m1 = np.add(drv * k, r * a)
+    m1 *= OHM_FF_TO_PS
+    m2 = drv * r * k * a
+    np.add(drv * drv * k * k + drv * r * a0, m2, out=m2)
+    m2 += r * r * p
+    m2 *= OHM_FF_TO_PS**2
     return m1, m2
+
+
+def _scale_column(scales: _Scales) -> np.ndarray:
+    """A 1-D scale sequence as an ``(M, 1)`` column, any other array as is."""
+    array = np.asarray(scales, dtype=float)
+    return array[:, None] if array.ndim == 1 else array
 
 
 def batched_delay_sigma(
@@ -334,16 +359,35 @@ def batched_delay_sigma(
 
     With ``use_d2m`` this reproduces :func:`arnoldi_stage_timing`'s metrics
     (D2M delay clamped by Elmore, lognormal-variance sigma) elementwise;
-    without it, it reproduces the Elmore engine (delay = sigma = m1).  The
-    returned sigma is the quantity multiplied by ``ln(9)`` and PERI-combined
-    with the input transition to obtain the tap slew.
+    without it, it reproduces the Elmore engine (delay = sigma = m1, the
+    same array twice).  The returned sigma is the quantity multiplied by
+    ``ln(9)`` and PERI-combined with the input transition to obtain the tap
+    slew.  ``m1`` and ``m2`` are never written.
+
+    An entry with ``m1 <= 0`` or ``m2 <= 0`` is degenerate: its delay is
+    ``ln(2) * m1`` and its sigma ``m1``.  When no entry is, the masks are
+    skipped and the arithmetic runs in place on fresh buffers; a NaN entry
+    takes the masked path, which handles it alike.
     """
     if not use_d2m:
         return m1, m1
+    delay = LN2 * m1
+    if m1.min(initial=np.inf) > 0.0 and m2.min(initial=np.inf) > 0.0:
+        delay *= m1
+        scratch = np.sqrt(m2)
+        delay /= scratch
+        np.minimum(delay, m1, out=delay)
+        sigma = 2.0 * m2
+        sigma -= np.multiply(m1, m1, out=scratch)
+        floor = np.multiply(0.1, m1, out=scratch)
+        floor *= floor
+        np.maximum(sigma, floor, out=sigma)
+        return delay, np.sqrt(sigma, out=sigma)
     degenerate = (m2 <= 0.0) | (m1 <= 0.0)
-    safe_m2 = np.where(degenerate, 1.0, m2)
-    d2m = LN2 * m1 * m1 / np.sqrt(safe_m2)
-    delay = np.where(degenerate, LN2 * m1, np.minimum(d2m, m1))
+    d2m = delay * m1 / np.sqrt(np.where(degenerate, 1.0, m2))
+    # At least its floor, which is a square: the root is real.
     variance = np.maximum(2.0 * m2 - m1 * m1, (0.1 * m1) ** 2)
-    sigma = np.where(degenerate, m1, np.sqrt(np.maximum(variance, 0.0)))
-    return delay, sigma
+    return (
+        np.where(degenerate, delay, np.minimum(d2m, m1)),
+        np.where(degenerate, m1, np.sqrt(variance)),
+    )

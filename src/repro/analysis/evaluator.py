@@ -59,24 +59,32 @@ Arrival times and slews come out of one stage walk,
 recurrence: inversion tracking, gate delay (intrinsic delay plus a fraction
 of the input slew), slew regeneration through buffers and the PERI slew
 combination ``sqrt((ln9 * sigma)^2 + drive^2)`` of :func:`peri_slew`, the one
-slew root (numpy's correctly rounded ``sqrt``).  The walk runs over a leading
-batch axis whose rows are ``(corner, transition, b)``: a nominal
+slew root (numpy's correctly rounded ``sqrt``).  The walk runs over a batch
+axis whose rows are ``(corner, transition, b)``: a nominal
 :meth:`~ClockNetworkEvaluator.evaluate` is ``B = 1``,
 :meth:`~ClockNetworkEvaluator.evaluate_candidates` scores ``B = K`` candidate
 moves and :meth:`~ClockNetworkEvaluator.evaluate_yield` ``B = N`` Monte Carlo
 samples (in blocks that bound memory).  Rows are kept by the transition *at
 the tap*, so an inverting driver swaps each corner's rise and fall input
-rows.  Callers supply only the per-stage ``(rows, taps)`` delay/sigma rows
-and the driver's intrinsic-delay rows -- cached tap models, per-candidate
-stage variants, per-sample moment scalings; the transient engine supplies
-final delay/slew rows through the same per-stage hook at ``B = 1``.  The walk
-returns per-tap arrival/slew arrays plus each row's sink-latency extremes and
-worst slew, which is all :class:`CornerTiming`, :class:`CandidateScore` and
-:class:`~repro.analysis.variation.YieldReport` read.
+rows.  The batch axis is the innermost, contiguous one: every per-tap array
+is taps-major, ``(taps, rows)``, so a stage of ten taps and thousands of
+Monte Carlo rows runs each numpy operation over the long axis, and a stage
+reads its input from the contiguous row of its driver tap.  Callers supply
+only the per-stage ``(taps, rows)`` delay and sigma and the driver's
+``(rows,)`` intrinsic delays -- cached tap models, per-candidate stage
+variants, per-sample moment scalings; the transient engine supplies final
+delays and slews through the same per-stage hook at ``B = 1``.  A nominal or
+candidate walk returns the per-tap arrival/slew arrays plus each row's
+sink-latency extremes and worst slew, which is all :class:`CornerTiming` and
+:class:`CandidateScore` read.  A Monte Carlo walk runs in *fold mode*: it
+keeps no per-tap arrays, folds each stage's sink-latency extremes and worst
+tap slew into running per-row vectors as the stage is walked, and holds a
+driver tap's rows only until the stage it drives has been walked -- the
+extremes are all :class:`~repro.analysis.variation.YieldReport` reads.
 
-The per-tap arrays double as the retained state.  Every cached evaluation
-keeps its nominal walk together with the stage content keys it came from.
-The next one diffs the keys, closes the dirty set over the stage
+The per-tap arrays of a nominal walk double as the retained state.  Every
+cached evaluation keeps its nominal walk together with the stage content keys
+it came from.  The next one diffs the keys, closes the dirty set over the stage
 topology (:class:`~repro.analysis.rcnetwork.StageTopology` children -- every
 stage downstream of a changed driver sees changed input slews) and walks only
 that region, reading every retained tap from the previous walk's arrays.  A
@@ -158,9 +166,13 @@ FALL = "fall"
 _TRANSITIONS = (RISE, FALL)
 # Kernel rows of one corner are [rise, fall], by the transition at the tap.
 _ROW = {RISE: 0, FALL: 1}
-# Upper bound on the elements of one Monte Carlo block's (rows, taps) array:
-# 32 MiB per per-tap array keeps a ti:1000 x 10k-sample evaluation near
-# 300 MiB peak, and larger blocks measured no faster.
+# Samples per Monte Carlo block: as many as keep rows x taps (the size a
+# block's per-tap arrays would have) under this bound.  A fold-mode walk keeps
+# no per-tap arrays, so the bound now sets the size of each stage's working
+# arrays.  At ti:4000 x 4,000 samples on a 2-vCPU host its 246-sample blocks
+# ran as fast as 512-sample blocks (2.4-2.6 s against 2.2-2.7 s), and 1,024-
+# and 2,048-sample blocks were about 10% and 20% slower.  Results do not
+# depend on the block size.
 _YIELD_BLOCK_ELEMENTS = 1 << 22
 # Input transition time of the clock source, in ps.
 SOURCE_SLEW = 10.0
@@ -212,17 +224,19 @@ class CornerTiming:
     the same slew limit as sinks.  The three dicts are built from the
     propagation kernel's per-tap arrays on first access (treat them as
     read-only); the extremes behind :meth:`skew` and :meth:`worst_slew` come
-    straight from the kernel.
+    straight from the kernel.  ``_arrival`` and ``_slew`` are ``(2, taps)``
+    views (rise, fall) of the walk's taps-major arrays.
     """
 
     __slots__ = ("corner", "_topo", "_arrival", "_slew", "_high", "_low", "_worst", "_dicts")
 
     def __init__(self, corner: Corner, topo: StageTopology, walk: "_Walk", row: int) -> None:
+        assert walk.arrival is not None and walk.slew is not None  # not a fold walk
         self.corner = corner
         self._topo = topo
         rows = slice(row, row + 2)
-        self._arrival = walk.arrival[rows]
-        self._slew = walk.slew[rows]
+        self._arrival = walk.arrival[:, rows].T
+        self._slew = walk.slew[:, rows].T
         self._high: List[float] = walk.max_latency[rows].tolist()
         self._low: List[float] = walk.min_latency[rows].tolist()
         self._worst: List[float] = walk.worst_slew[rows].tolist()
@@ -445,12 +459,12 @@ class CandidateBatch:
 
 # Content key of one stage: (driver head, ((edge id, edge revision), ...)).
 _StageKey = Tuple[tuple, tuple]
-# Per-stage analytical model: (delay, sigma), each (corner x transition, taps).
+# Per-stage analytical model: (delay, sigma), each (taps, corner x transition).
 _TapModel = Tuple[np.ndarray, np.ndarray]
 _Driver = Optional[BufferType]
-# Per-stage hook of the propagation kernel: (stage index, drive slew rows) ->
-# (delay rows, sigma rows -- or final slew rows --, intrinsic gate-delay rows
-# or None for an unbuffered driver).
+# Per-stage hook of the propagation kernel: (stage index, (rows,) drive slews)
+# -> ((taps, rows) delays, (taps, rows) sigmas -- or final slews --, (rows,)
+# intrinsic gate delays or None for an unbuffered driver).
 _StageRows = Callable[
     [int, np.ndarray], Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
 ]
@@ -459,29 +473,31 @@ _StageRows = Callable[
 def peri_slew(sigma: np.ndarray, drive_slew: np.ndarray) -> np.ndarray:
     """PERI tap slews ``sqrt((ln9 * sigma)^2 + drive^2)`` -- the one slew root.
 
-    ``sigma`` holds ``(rows, taps)`` intrinsic slew scales and ``drive_slew``
-    the ``(rows,)`` transitions driving them.  The root is numpy's correctly
-    rounded ``sqrt`` at every batch width; C ``pow`` with exponent one half
-    (Python's float power) disagrees with it in the last bit on a fraction
-    of inputs.
+    ``sigma`` holds ``(taps, rows)`` intrinsic slew scales and ``drive_slew``
+    the ``(rows,)`` transitions driving them, broadcast along the last axis.
+    The root is numpy's correctly rounded ``sqrt`` at every batch width; C
+    ``pow`` with exponent one half (Python's float power) disagrees with it
+    in the last bit on a fraction of inputs.
     """
     wire = LN9 * sigma
-    drive_sq = drive_slew * drive_slew
-    return np.sqrt(wire * wire + drive_sq[:, None])
+    wire *= wire
+    wire += drive_slew * drive_slew
+    return np.sqrt(wire, out=wire)
 
 
 class _Walk(NamedTuple):
     """Output of one propagation-kernel walk.
 
-    ``arrival``/``slew`` are ``(rows, taps)`` arrays with row
-    ``(2 * corner + transition) * B + b`` (transition 0 = rise at the tap)
-    and columns in :attr:`StageTopology.tap_ids` order.  ``max_latency`` and
-    ``min_latency`` are each row's sink-latency extremes, ``worst_slew`` its
-    worst tap slew.
+    ``arrival``/``slew`` are taps-major ``(taps, rows)`` arrays, taps in
+    :attr:`StageTopology.tap_ids` order and batch row
+    ``(2 * corner + transition) * B + b`` (transition 0 = rise at the tap);
+    both are None after a fold-mode walk, which keeps no per-tap arrays.
+    ``max_latency`` and ``min_latency`` are each row's sink-latency
+    extremes, ``worst_slew`` its worst tap slew.
     """
 
-    arrival: np.ndarray
-    slew: np.ndarray
+    arrival: Optional[np.ndarray]
+    slew: Optional[np.ndarray]
     max_latency: np.ndarray
     min_latency: np.ndarray
     worst_slew: np.ndarray
@@ -544,6 +560,32 @@ class _CandidateCapture:
         self.dirty_drivers = dirty_drivers
         self.total_capacitance = total_capacitance
         self.wirelength = wirelength
+
+
+def _taps_first(moments: BaseTapMoments) -> BaseTapMoments:
+    """``moments`` with its per-tap vectors shaped ``(taps, 1, 1, 1)``, so
+    :func:`~repro.analysis.arnoldi.batched_tap_moments` against ``(C, 2, B)``
+    scales returns taps-major ``(taps, C, 2, B)`` arrays."""
+    lead = (slice(None), None, None, None)
+    return moments._replace(
+        a_wire_tap=moments.a_wire_tap[lead],
+        a_load_tap=moments.a_load_tap[lead],
+        p_ww_tap=moments.p_ww_tap[lead],
+        p_mixed_tap=moments.p_mixed_tap[lead],
+        p_ll_tap=moments.p_ll_tap[lead],
+    )
+
+
+def _wire_scales(corner_scales: List[float], draws: np.ndarray) -> np.ndarray:
+    """A Monte Carlo block's ``(samples, stages)`` wire draws times each
+    corner's scale, as per-stage ``(C, 1, B)`` rows: ``(stages, C, 1, B)``.
+
+    When every corner applies the same scale, ``C`` is 1 and the products
+    are computed once per sample instead of once per corner.
+    """
+    distinct = corner_scales[:1] if len(set(corner_scales)) == 1 else corner_scales
+    scaled = np.multiply.outer(distinct, draws)  # (C, B, stages)
+    return np.ascontiguousarray(scaled.transpose(2, 0, 1))[:, :, None, :]
 
 
 def _node_contribution(node: TreeNode) -> Tuple[float, float, float, float]:
@@ -760,8 +802,9 @@ class StageCache:
     * ``stage topologies`` per tree structure revision (the stage
       decomposition plus its downstream-adjacency and tap-column indexes, see
       :class:`~repro.analysis.rcnetwork.StageTopology`),
-    * ``tap models`` per stage content (the ``(corner x transition, taps)``
-      delay/sigma arrays of the analytical engines),
+    * ``tap models`` per stage content (the taps-major
+      ``(taps, corner x transition)`` delay/sigma arrays of the analytical
+      engines),
     * ``networks`` per (stage content, corner, transition) and ``timings``
       per (stage content, corner, transition, input slew) for the transient
       engine.
@@ -1085,28 +1128,45 @@ class ClockNetworkEvaluator:
         rows: _StageRows,
         batch: int = 1,
         prior: Optional[_Walk] = None,
+        fold: bool = False,
     ) -> _Walk:
         """Propagate arrival times and slews through the stages in ``order``.
 
         This is the only implementation of the stage recurrence.  ``order``
         lists stage indices parents first; ``rows(index, drive)`` supplies
-        the stage's ``(rows, taps)`` delay and sigma rows (final slew rows
-        for the transient engine) plus the driver's intrinsic gate-delay rows.
-        Every row of the batch axis ``(corner, transition, b)`` carries the
-        transition at the tap.  A walked stage reads its input from the
-        column of its driver tap, so taps outside ``order`` -- and the
-        walked children of retained parents -- see ``prior``'s values; a
+        the stage's ``(taps, rows)`` delay and sigma (final slews for the
+        transient engine) plus the driver's ``(rows,)`` intrinsic gate
+        delays.  Every row of the batch axis ``(corner, transition, b)``
+        carries the transition at the tap.  The per-tap arrays are
+        taps-major, so a walked stage reads its input from the contiguous
+        row of its driver tap: taps outside ``order`` -- and the walked
+        children of retained parents -- see ``prior``'s values, and a
         ``B = 1`` prior fans out to every batch row.
+
+        ``fold=True`` keeps no per-tap arrays (``order`` must then cover
+        every stage; there is no prior): each walked stage's sink-latency
+        extremes and worst tap slew fold into running ``(rows,)`` vectors,
+        and copies of a driver tap's two rows are held only until the stage
+        it drives has been walked.  Max and min are exact, so the folded
+        extremes equal the whole-array reductions.
         """
         transient = self.config.engine == "spice"
         n_rows = 2 * len(self.corners) * batch
-        if prior is None:
-            arrival = np.empty((n_rows, len(topo.tap_ids)))
+        arrival: Optional[np.ndarray] = None
+        slew: Optional[np.ndarray] = None
+        if fold:
+            high = np.full(n_rows, -np.inf)
+            low = np.full(n_rows, np.inf)
+            worst = np.zeros(n_rows)
+            held: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        elif prior is None:
+            arrival = np.empty((len(topo.tap_ids), n_rows))
             slew = np.empty_like(arrival)
         else:
-            fan_out = n_rows // len(prior.arrival)
-            arrival = np.repeat(prior.arrival, fan_out, axis=0)
-            slew = np.repeat(prior.slew, fan_out, axis=0)
+            assert prior.arrival is not None and prior.slew is not None
+            fan_out = n_rows // prior.arrival.shape[1]
+            arrival = np.repeat(prior.arrival, fan_out, axis=1)
+            slew = np.repeat(prior.slew, fan_out, axis=1)
         # An inverting driver swaps the rise and fall rows of every corner.
         swap = np.arange(n_rows).reshape(-1, 2, batch)[:, ::-1].ravel()
         source_arrival = np.zeros(n_rows)
@@ -1117,8 +1177,10 @@ class ClockNetworkEvaluator:
             col = driver_col[index]
             if col < 0:
                 in_arrival, in_slew = source_arrival, source_slew
+            elif arrival is None or slew is None:  # fold mode
+                in_arrival, in_slew = held.pop(col)
             else:
-                in_arrival, in_slew = arrival[:, col], slew[:, col]
+                in_arrival, in_slew = arrival[col], slew[col]
             buffer = drivers[index]
             if buffer is None:
                 drive = in_slew
@@ -1129,16 +1191,31 @@ class ClockNetworkEvaluator:
             delay, second, gate = rows(index, drive)
             if gate is not None:
                 in_arrival = in_arrival + (gate + SLEW_DELAY_FACTOR * in_slew)
-            taps = slice(tap_start[index], tap_start[index + 1])
-            arrival[:, taps] = in_arrival[:, None] + delay
-            slew[:, taps] = second if transient else peri_slew(second, drive)
-        latency = arrival.take(topo.sink_cols, axis=1)
+            tap_slew = second if transient else peri_slew(second, drive)
+            if arrival is None or slew is None:  # fold mode
+                tap_arrival = in_arrival + delay
+                sinks = topo.sink_pos[index]
+                if len(sinks):
+                    latency = tap_arrival[sinks]
+                    np.maximum(high, latency.max(axis=0), out=high)
+                    np.minimum(low, latency.min(axis=0), out=low)
+                np.maximum(worst, tap_slew.max(axis=0, initial=0.0), out=worst)
+                for child in topo.children[index]:
+                    pos = driver_col[child] - tap_start[index]
+                    held[driver_col[child]] = (tap_arrival[pos].copy(), tap_slew[pos].copy())
+            else:
+                taps = slice(tap_start[index], tap_start[index + 1])
+                np.add(in_arrival, delay, out=arrival[taps])
+                slew[taps] = tap_slew
+        if arrival is None or slew is None:  # fold mode
+            return _Walk(None, None, high, low, worst)
+        latency = arrival.take(topo.sink_cols, axis=0)
         return _Walk(
             arrival,
             slew,
-            latency.max(axis=1, initial=-np.inf),
-            latency.min(axis=1, initial=np.inf),
-            slew.max(axis=1, initial=0.0),
+            latency.max(axis=0, initial=-np.inf),
+            latency.min(axis=0, initial=np.inf),
+            slew.max(axis=0, initial=0.0),
         )
 
     def _objectives(
@@ -1452,7 +1529,7 @@ class ClockNetworkEvaluator:
         """
         batch = len(captures)
         variants: List[BaseTapMoments] = []
-        columns: Dict[int, np.ndarray] = {}  # stage -> (candidates, taps)
+        columns: Dict[int, np.ndarray] = {}  # stage -> (taps, candidates)
         width = 0
         bases = self._base_moments(tree, topo, closure, keys, self._split_caps, count=False)
         for index, base in zip(closure, bases):
@@ -1466,17 +1543,25 @@ class ClockNetworkEvaluator:
                     start[column] = width
                     variants.append(moments)
                     width += taps
-            columns[index] = start[:, None] + np.arange(taps)
+            columns[index] = np.arange(taps)[:, None] + start
         delay, sigma = self._delay_sigma(stack_tap_moments(variants))
+        # Each stage's kernel rows as flat positions in the (corner x
+        # transition, width) delay/sigma arrays: (tap, combination, candidate).
+        combo_start = np.arange(len(self._combos))[:, None] * width
+        n_rows = len(self._combos) * batch
+        positions = {
+            index: (cols[:, None, :] + combo_start).reshape(len(cols), n_rows)
+            for index, cols in columns.items()
+        }
 
         def rows(
             index: int, drive: np.ndarray
         ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-            cols = columns[index]
-            taps = cols.shape[1]
-            # (corner x transition, candidates, taps) -> kernel rows.
-            stage_delay = delay[:, cols].reshape(-1, taps)
-            stage_sigma = sigma[:, cols].reshape(-1, taps)
+            stage_delay = delay.take(positions[index])
+            if sigma is delay:  # elmore
+                stage_sigma = stage_delay
+            else:
+                stage_sigma = sigma.take(positions[index])
             buffer = drivers[index]
             if buffer is None:
                 return stage_delay, stage_sigma, None
@@ -1541,13 +1626,17 @@ class ClockNetworkEvaluator:
 
         Per-stage perturbations are drawn from ``model`` and applied on top
         of every evaluator corner; the propagation kernel then walks every
-        scenario over its batch axis, in blocks of samples that bound memory
-        (one :func:`~repro.analysis.arnoldi.batched_tap_moments` call per
-        stage and block covers every corner, transition and sample), so the
-        cost per scenario is orders of magnitude below a per-sample
-        :meth:`evaluate` loop.  A zero-variance model reproduces the nominal
-        evaluation bit-for-bit: sampling returns multipliers of exactly 1.0
-        and the nominal path runs the same kernel.
+        scenario over its batch axis in fold mode, in blocks of samples
+        (``_YIELD_BLOCK_ELEMENTS``).  One
+        :func:`~repro.analysis.arnoldi.batched_tap_moments` call per stage
+        and block covers every corner, transition and sample and returns
+        taps-major ``(taps, corner, transition, sample)`` moments: the wire
+        scales are ``(1, 1, B)`` -- or ``(C, 1, B)`` when the corners scale
+        wires differently -- against ``(C, 2, B)`` driver scales, so the
+        wire terms are computed once per sample rather than once per
+        corner and transition.  A zero-variance model reproduces the
+        nominal evaluation bit-for-bit: sampling returns multipliers of
+        exactly 1.0 and the nominal path runs the same kernel.
 
         Only the analytical engines can be batched this way; the transient
         engine raises.  ``skew_limit_ps`` sets the yield threshold of the
@@ -1577,46 +1666,56 @@ class ClockNetworkEvaluator:
         )
         draws = model.sample(samples, rng, positions=positions)
         split = self._split_caps or model.perturbs_wire_cap
-        moments = self._base_moments(tree, topo, range(len(stages)), keys, split, count=True)
+        moments = [
+            _taps_first(base)
+            for base in self._base_moments(
+                tree, topo, range(len(stages)), keys, split, count=True
+            )
+        ]
         use_d2m = self.config.engine == "arnoldi"
+        corners = self.corners
         driver_mult = [
             draws.driver * supply_driver_multiplier(corner.vdd, draws.vdd_shift)
-            for corner in self.corners
+            for corner in corners
         ]
+        # (C, 2, 1) driver scales by transition and (C, 1, 1) gate scales.
+        driver_scale = np.array(
+            [
+                [corner.driver_scale * PULL_UP_FACTOR, corner.driver_scale * PULL_DOWN_FACTOR]
+                for corner in corners
+            ]
+        )[:, :, None]
+        gate_scale = np.array([corner.driver_scale for corner in corners])[:, None, None]
+        res_scales = [corner.wire_res_scale for corner in corners]
+        cap_scales = [corner.wire_cap_scale for corner in corners]
         block = max(
-            1, _YIELD_BLOCK_ELEMENTS // (2 * len(self.corners) * max(1, len(topo.tap_ids)))
+            1, _YIELD_BLOCK_ELEMENTS // (2 * len(corners) * max(1, len(topo.tap_ids)))
         )
 
-        def block_rows(block_samples: slice) -> _StageRows:
+        def block_rows(low: int, high: int) -> _StageRows:
+            n_rows = 2 * len(corners) * (high - low)
+            # Per stage: (C, 1, B) driver multipliers, (1 or C, 1, B) wire scales.
+            stage_driver = np.stack([mult[low:high].T for mult in driver_mult], axis=1)
+            wire_res = _wire_scales(res_scales, draws.wire_res[low:high])
+            wire_cap = _wire_scales(cap_scales, draws.wire_cap[low:high])
+
             def rows(
                 index: int, drive: np.ndarray
             ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-                d_rows: List[np.ndarray] = []
-                r_rows: List[np.ndarray] = []
-                w_rows: List[np.ndarray] = []
-                gates: List[np.ndarray] = []
-                for corner, mult in zip(self.corners, driver_mult):
-                    stage_driver = mult[block_samples, index]
-                    wire_res = corner.wire_res_scale * draws.wire_res[block_samples, index]
-                    wire_cap = corner.wire_cap_scale * draws.wire_cap[block_samples, index]
-                    d_rows += [
-                        (corner.driver_scale * PULL_UP_FACTOR) * stage_driver,
-                        (corner.driver_scale * PULL_DOWN_FACTOR) * stage_driver,
-                    ]
-                    r_rows += [wire_res, wire_res]
-                    w_rows += [wire_cap, wire_cap]
-                    gates += [corner.driver_scale * stage_driver] * 2
+                base = moments[index]
+                driver = stage_driver[index][:, None, :]
                 m1, m2 = batched_tap_moments(
-                    moments[index],
-                    np.concatenate(d_rows),
-                    np.concatenate(r_rows),
-                    np.concatenate(w_rows),
+                    base, driver_scale * driver, wire_res[index], wire_cap[index]
                 )
-                delay, sigma = batched_delay_sigma(m1, m2, use_d2m=use_d2m)
+                taps = len(base.tap_ids)
+                delay, sigma = batched_delay_sigma(
+                    m1.reshape(taps, n_rows), m2.reshape(taps, n_rows), use_d2m=use_d2m
+                )
                 buffer = drivers[index]
                 if buffer is None:
                     return delay, sigma, None
-                return delay, sigma, buffer.intrinsic_delay * np.concatenate(gates)
+                gate = buffer.intrinsic_delay * (gate_scale * driver)
+                return delay, sigma, np.repeat(gate, 2, axis=1).ravel()
 
             return rows
 
@@ -1624,8 +1723,8 @@ class ClockNetworkEvaluator:
         for low in range(0, samples, block):
             high = min(low + block, samples)
             walk = self._walk(
-                topo, drivers, range(len(stages)), block_rows(slice(low, high)),
-                batch=high - low,
+                topo, drivers, range(len(stages)), block_rows(low, high),
+                batch=high - low, fold=True,
             )
             parts.append(self._objectives(walk, high - low))
         skew, clr, _, worst_slew = (np.concatenate(columns) for columns in zip(*parts))
@@ -1698,7 +1797,7 @@ class ClockNetworkEvaluator:
         order: Iterable[int],
         keys: List[Optional[_StageKey]],
     ) -> Dict[int, _TapModel]:
-        """The ``(corner x transition, taps)`` delay and sigma rows of ``order``.
+        """The ``(taps, corner x transition)`` delay and sigma of ``order``.
 
         ``delay`` is the wire delay from the driver switching instant and
         ``sigma`` the intrinsic slew scale; both are independent of the input
@@ -1720,12 +1819,16 @@ class ClockNetworkEvaluator:
         if not missed:
             return models
         moments = self._base_moments(tree, topo, missed, keys, self._split_caps, count=False)
+        # Computed rows-major (a few rows, many taps: the fast layout) and
+        # transposed once, so every cached model is a contiguous row slice.
         delay, sigma = self._delay_sigma(stack_tap_moments(moments))
+        delay_taps = np.ascontiguousarray(delay.T)
+        sigma_taps = delay_taps if sigma is delay else np.ascontiguousarray(sigma.T)
         low = 0
         for index, base in zip(missed, moments):
-            cols = slice(low, low + len(base.tap_ids))
-            low = cols.stop
-            model = (delay[:, cols], sigma[:, cols])
+            taps = slice(low, low + len(base.tap_ids))
+            low = taps.stop
+            model = (delay_taps[taps], sigma_taps[taps])
             models[index] = model
             key = keys[index]
             if key is not None:
@@ -1791,15 +1894,16 @@ class ClockNetworkEvaluator:
     def _transient_rows(
         self, tree: ClockTree, stage: Stage, key: Optional[_StageKey], drive: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """The stage's delay and slew rows, one transient analysis per row."""
-        delay = np.empty((len(self._combos), len(stage.taps)))
+        """The stage's ``(taps, rows)`` delays and slews, one transient
+        analysis per row."""
+        delay = np.empty((len(stage.taps), len(self._combos)))
         slew = np.empty_like(delay)
         for row, (corner, direction) in enumerate(self._combos):
             timing = self._transient_stage_timing(
                 tree, stage, key, corner, direction, float(drive[row])
             )
-            delay[row] = [timing.delay[tap] for tap in stage.taps]
-            slew[row] = [timing.slew[tap] for tap in stage.taps]
+            delay[:, row] = [timing.delay[tap] for tap in stage.taps]
+            slew[:, row] = [timing.slew[tap] for tap in stage.taps]
         return delay, slew
 
     def _transient_stage_timing(

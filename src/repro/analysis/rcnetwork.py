@@ -208,6 +208,8 @@ class StageTopology:
     * ``driver_col[i]`` -- the column of stage ``i``'s driver tap (-1 for
       the source stage);
     * ``sink_cols`` / ``sink_ids`` -- the columns and node ids of sink taps;
+    * ``sink_pos[i]`` -- the positions of stage ``i``'s sink taps inside its
+      own columns ``tap_start[i]:tap_start[i + 1]``;
     * ``layouts[i]`` -- stage ``i``'s edge-level :class:`StageLayout`;
     * ``structure_revision`` -- the tree structure revision it was built at.
     """
@@ -221,6 +223,7 @@ class StageTopology:
     driver_col: List[int]
     sink_cols: np.ndarray
     sink_ids: List[int]
+    sink_pos: List[np.ndarray]
     layouts: List[StageLayout]
     structure_revision: int
 
@@ -235,19 +238,23 @@ def build_stage_topology(tree: ClockTree, stages: Optional[List[Stage]] = None) 
     tap_ids: List[int] = []
     tap_start = [0]
     sink_cols: List[int] = []
+    sink_pos: List[np.ndarray] = []
     column_of: Dict[int, int] = {}
     for index, stage in enumerate(stages):
         for edge in stage.edges:
             stage_of_edge[edge] = index
-        for tap in stage.taps:
+        positions: List[int] = []
+        for pos, tap in enumerate(stage.taps):
             column_of[tap] = len(tap_ids)
             if tree.node(tap).is_sink:
                 sink_cols.append(len(tap_ids))
+                positions.append(pos)
             tap_ids.append(tap)
             downstream = stage_of_driver.get(tap)
             if downstream is not None:
                 children[index].append(downstream)
         tap_start.append(len(tap_ids))
+        sink_pos.append(np.array(positions, dtype=np.intp))
     return StageTopology(
         stages=stages,
         children=children,
@@ -258,6 +265,7 @@ def build_stage_topology(tree: ClockTree, stages: Optional[List[Stage]] = None) 
         driver_col=[column_of.get(stage.driver_id, -1) for stage in stages],
         sink_cols=np.array(sink_cols, dtype=np.intp),
         sink_ids=[tap_ids[col] for col in sink_cols],
+        sink_pos=sink_pos,
         layouts=[_stage_layout(tree, stage) for stage in stages],
         structure_revision=tree.structure_revision,
     )

@@ -4,8 +4,8 @@ This is how the incremental evaluator turned one stage into a tap model
 before misses were batched: :func:`build_base_stage_network` walks the stage
 below its driver and builds numpy arrays of its lumped segments,
 :func:`base_tap_moments` reduces one network with 1-D prefix sums, and
-:func:`reference_tap_model` turns the moments into the evaluator's
-``(corner x transition, taps)`` delay/sigma rows.
+:func:`reference_tap_model` turns the moments into ``(corner x
+transition, taps)`` delay/sigma rows (the evaluator caches their transpose).
 ``tests/analysis/test_stage_batch.py`` runs it beside
 :func:`repro.analysis.rcnetwork.lay_out_stages` and
 :func:`repro.analysis.arnoldi.reduce_stage_batch` and requires the same

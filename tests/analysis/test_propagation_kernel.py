@@ -139,7 +139,8 @@ def test_peri_slew_root_is_numpy_sqrt():
     assert len(disagree) >= 3
     picks = np.array(disagree[:3])
     for rows in (1, 3):
-        got = peri_slew(sigma[picks[:rows], None], drive[picks[:rows]])
-        assert got.shape == (rows, 1)
-        assert got[:, 0].tolist() == np.sqrt(radicand[picks[:rows]]).tolist()
-        assert got[:, 0].tolist() == [math.sqrt(v) for v in radicand[picks[:rows]].tolist()]
+        # One tap, ``rows`` batch rows: sigma is taps-major (taps, rows).
+        got = peri_slew(sigma[None, picks[:rows]], drive[picks[:rows]])
+        assert got.shape == (1, rows)
+        assert got[0].tolist() == np.sqrt(radicand[picks[:rows]]).tolist()
+        assert got[0].tolist() == [math.sqrt(v) for v in radicand[picks[:rows]].tolist()]

@@ -43,10 +43,6 @@ TRANSITIONS = ("rise", "fall")
 SAMPLES = 12
 
 
-def ispd09_pair():
-    return ispd09_corners()
-
-
 def wire_scaled_pair():
     """The ISPD'09 pair with the slow corner's wires 10% more resistive and
     capacitive, so the corners' wire scales differ."""
@@ -54,7 +50,7 @@ def wire_scaled_pair():
     return [fast, slow.scaled(wire=1.1)]
 
 
-CORNER_SETS = {"ispd09": ispd09_pair, "wire_scaled": wire_scaled_pair}
+CORNER_SETS = {"ispd09": ispd09_corners, "wire_scaled": wire_scaled_pair}
 
 
 def variation_model(family, corners):
