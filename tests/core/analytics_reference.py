@@ -21,12 +21,34 @@ from repro.core.tuning import (
     DownsizeModel,
     SlewBudget,
     SnakeModel,
-    _calibration_factor,
-    _max_latency_increase,
     select_independent_middle_edges,
 )
 from repro.cts.tree import ClockTree
 from repro.cts.wirelib import WireLibrary
+
+
+def _max_latency_increase(
+    baseline: EvaluationReport,
+    perturbed: EvaluationReport,
+    sink_ids: Sequence[int],
+    corner: Optional[str] = None,
+) -> float:
+    """Largest per-sink latency increase (over rise and fall) among ``sink_ids``."""
+    corner_name = corner or baseline.fast_corner
+    base = baseline.corners[corner_name].latency
+    new = perturbed.corners[corner_name].latency
+    worst = 0.0
+    for sink_id in sink_ids:
+        for transition in ("rise", "fall"):
+            worst = max(worst, new[sink_id][transition] - base[sink_id][transition])
+    return worst
+
+
+def _calibration_factor(ratios: List[float]) -> float:
+    """Aggregate measured/analytic ratios into one conservative factor."""
+    if not ratios:
+        return 1.0
+    return min(max(max(ratios), 0.25), 3.0)
 
 
 def downstream_sinks_map(tree: ClockTree) -> Dict[int, List[int]]:

@@ -11,7 +11,9 @@ asserted to be no worse.
 The same runs pin the evaluator's ``cache_stats()`` block, which rides on
 every ``RunRecord`` as ``evaluator_cache``: a propagation change that looks
 up one extra tap model, or walks one extra stage, shows up here before it
-reaches a stored record.
+reaches a stored record.  The batched and variation pipelines' runs also
+pin the final skew/CLR and every pass's notes, so a change to how IVC rounds
+are played (best-of-K, Monte Carlo gated) shows as a moved note or metric.
 """
 
 import json
@@ -30,7 +32,7 @@ from repro.core import (
     resolve_pipeline,
 )
 from repro.api.jobs import JobSpec
-from repro.core.config import BATCHED_PIPELINE
+from repro.core.config import BATCHED_PIPELINE, VARIATION_PIPELINE
 from repro.core.pipeline import PassContext
 from repro.runner import run_job
 from repro.testing import make_small_instance
@@ -44,13 +46,19 @@ def ti200():
     return generate_ti_benchmark(200)
 
 
-def cache_block(hits, misses, moments, full, partial, propagated, total, batches=0, scored=0):
-    """An ``evaluator_cache`` block of an analytical-engine flow."""
+def cache_block(
+    hits, misses, moments, full, partial, propagated, total, batches=0, scored=0, tap_models=None
+):
+    """An ``evaluator_cache`` block of an analytical-engine flow.
+
+    ``tap_models`` defaults to ``misses``; a Monte Carlo gated flow reads
+    fewer tap models than it misses stages.
+    """
     return {
         "hits": hits,
         "misses": misses,
         "evictions": 0,
-        "tap_models": misses,
+        "tap_models": misses if tap_models is None else tap_models,
         "base_moments": moments,
         "networks": 0,
         "timings": 0,
@@ -96,6 +104,79 @@ class TestGoldenParity:
         assert record.evaluator_cache == cache_block(
             424, 258, 1067, 3, 19, 498, 682, batches=23, scored=63
         )
+        # The best-of-K rounds' outcome, not only their cost: the final
+        # metrics and every pass's notes (rejections in order, empty and
+        # divergence notes).
+        assert record.summary.skew_ps == pytest.approx(4.528095756141852, abs=1e-9)
+        assert record.summary.clr_ps == pytest.approx(20.409085272805385, abs=1e-9)
+        no_improvement = "round rejected: no improvement"
+        assert record.pass_notes == {
+            "trunk_sliding": ["trunk rebalancing rejected by IVC"],
+            "buffer_sizing": [
+                "iteration 6 rejected: slew violation",
+                "iteration 7 rejected: slew violation",
+                "iteration 8 rejected: slew violation",
+            ],
+            "wiresizing": [
+                no_improvement,
+                no_improvement,
+                "no edge had enough slack to absorb a downsizing",
+            ],
+            "wiresnaking": [no_improvement] * 3,
+            "bottom_level": [
+                *[no_improvement] * 3,
+                "rise/fall corner sinks diverged; further gains limited",
+            ],
+        }
+
+    def test_variation_pipeline_pins_gated_rounds(self):
+        # Every optimization pass of VARIATION_PIPELINE hands the shared
+        # Monte Carlo gate to its IVC engine; the gate's rejections show in
+        # the notes and its counters in the record.
+        record = run_job(JobSpec(instance="ti:60", pipeline=VARIATION_PIPELINE, seed=1))
+        assert record.summary.skew_ps == pytest.approx(5.817030026435759, abs=1e-9)
+        assert record.summary.clr_ps == pytest.approx(18.877453779053724, abs=1e-9)
+        no_improvement = "round rejected: no improvement"
+        p95 = "round rejected: p95 skew regression under variation ({} ps > {} ps reference)"
+        assert record.pass_notes == {
+            "trunk_sliding": ["trunk rebalancing rejected by IVC"],
+            "buffer_sizing": [
+                "iteration 3 rejected: slew violation",
+                "iteration 5 rejected: slew violation",
+                "iteration 8 rejected: slew violation",
+            ],
+            "wiresizing": [no_improvement] * 3,
+            "wiresnaking": [
+                no_improvement,
+                p95.format("15.385", "15.301"),
+                no_improvement,
+                p95.format("12.820", "12.819"),
+                p95.format("12.820", "12.819"),
+                "no edge had a full snaking unit of slack left",
+            ],
+            "bottom_level": [
+                *[no_improvement] * 3,
+                "rise/fall corner sinks diverged; further gains limited",
+            ],
+        }
+        assert record.evaluator_cache == cache_block(
+            762, 638, 638, 3, 31, 529, 850, tap_models=411
+        )
+        gate = dict(record.variation_gate)
+        assert gate.pop("reference_p95_ps") == pytest.approx(12.81898018437497, abs=1e-9)
+        assert gate == {
+            "checks": 17,
+            "rejections": 3,
+            "samples": 128,
+            "tolerance_ps": 0.0,
+            "model": {
+                "family": "independent",
+                "vdd_sigma_V": 0.02,
+                "driver_sigma": 0.05,
+                "wire_res_sigma": 0.04,
+                "wire_cap_sigma": 0.04,
+            },
+        }
 
 
 class TestRegistry:

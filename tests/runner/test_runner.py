@@ -162,7 +162,24 @@ class TestCli:
         code = main(["run", "--list-passes"])
         assert code == 0
         printed = capsys.readouterr().out.split()
-        assert {"initial", "tbsz", "unoptimized_dme"} <= set(printed)
+        assert printed == [
+            "bounded_skew",
+            "bwsn",
+            "bwsn_k",
+            "bwsn_mc",
+            "greedy_buffered",
+            "initial",
+            "tbsz",
+            "tbsz_k",
+            "tbsz_mc",
+            "twsn",
+            "twsn_k",
+            "twsn_mc",
+            "twsz",
+            "twsz_k",
+            "twsz_mc",
+            "unoptimized_dme",
+        ]
 
     def test_run_without_instance_fails_clearly(self, capsys):
         code = main(["run"])
