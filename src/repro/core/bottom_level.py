@@ -30,6 +30,13 @@ from repro.cts.wirelib import WireLibrary
 
 __all__ = ["bottom_level_fine_tuning", "rise_fall_divergence"]
 
+# Fraction of a sink's slow-down slack the calibrated models may spend per
+# round.
+SAFETY = 0.95
+# Smallest per-sink slow-down slack (ps) worth spending; anything below it is
+# within evaluation noise.
+MIN_SLACK = 0.25
+
 
 def rise_fall_divergence(report: EvaluationReport) -> bool:
     """True when the slowest/fastest sinks differ between rise and fall.
@@ -51,31 +58,28 @@ def bottom_level_fine_tuning(
     evaluator: ClockNetworkEvaluator,
     wirelib: WireLibrary,
     baseline: Optional[EvaluationReport] = None,
-    objective: str = "skew",
     corners: Optional[Sequence[str]] = None,
     unit_length: float = 5.0,
     max_rounds: int = 12,
-    safety: float = 0.95,
-    min_slack: float = 0.25,
     gate: Optional[IvcGate] = None,
     candidate_scales: Optional[Sequence[float]] = None,
 ) -> PassResult:
     """Run bottom-level wiresizing + wiresnaking on ``tree`` in place.
 
-    ``min_slack`` (ps) is the smallest per-sink slow-down slack worth spending;
-    anything below it is within evaluation noise.  ``gate`` is an optional
-    IVC acceptance gate (see :class:`repro.core.variation.VariationGate`).
-    ``candidate_scales`` switches the loop to batched best-of-K rounds (one
-    candidate per scale, see :meth:`~repro.core.ivc.IvcEngine.run_batched`);
-    ``None`` keeps the classic one-proposal-per-round loop.
+    A round is accepted when it reduces skew without a violation.  ``gate``
+    (an optional acceptance gate, see
+    :class:`repro.core.variation.VariationGate`) and ``candidate_scales``
+    (best-of-K rounds, one candidate per scale) are the round policy, handed
+    to :class:`~repro.core.ivc.IvcEngine`.
     """
     engine = IvcEngine(
         "bottom_level_fine_tuning",
         tree,
         evaluator,
-        objective=objective,
+        objective="skew",
         baseline=baseline,
         gate=gate,
+        candidate_scales=candidate_scales,
     )
     sink_edges = [s.node_id for s in tree.sinks()]
     probe_edges = _independent_probe_edges(tree, sink_edges, count=5)
@@ -102,21 +106,12 @@ def bottom_level_fine_tuning(
             snake_model,
             downsize_model,
             unit_length,
-            safety * state.aggressiveness,
-            min_slack,
+            SAFETY * state.aggressiveness,
         )
 
-    if candidate_scales is not None:
-        result = engine.run_batched(
-            propose,
-            max_rounds=max_rounds,
-            candidate_scales=tuple(candidate_scales),
-            empty_note="no sink edge had usable slack left",
-        )
-    else:
-        result = engine.run(
-            propose, max_rounds=max_rounds, empty_note="no sink edge had usable slack left"
-        )
+    result = engine.run(
+        propose, max_rounds=max_rounds, empty_note="no sink edge had usable slack left"
+    )
     if rise_fall_divergence(engine.report):
         result.notes.append("rise/fall corner sinks diverged; further gains limited")
     return result
@@ -146,14 +141,13 @@ def _tune_sink_edges(
     downsize_model,
     unit_length: float,
     safety: float,
-    min_slack: float,
 ) -> int:
     """Apply one round of per-sink slow-down moves; returns edges touched."""
     changed = 0
     for sink in tree.sinks():
         node_id = sink.node_id
         slack = slow_slack.get(node_id, 0.0)
-        if slack < min_slack:
+        if slack < MIN_SLACK:
             continue
         budget = min(safety * slack, slew_headroom.max_delay(node_id))
         node = tree.node(node_id)

@@ -35,6 +35,9 @@ __all__ = [
     "iterative_buffer_sizing",
 ]
 
+# Smallest scale capacitance borrowing may shrink a bottom-level buffer to.
+MIN_BOTTOM_SCALE = 0.6
+
 
 def buffer_depths(tree: ClockTree) -> Dict[int, int]:
     """Number of buffered ancestors (inclusive of the node itself) per buffered node."""
@@ -71,55 +74,39 @@ def iterative_buffer_sizing(
     evaluator: ClockNetworkEvaluator,
     capacitance_limit: Optional[float] = None,
     baseline: Optional[EvaluationReport] = None,
-    objective: str = "clr",
     levels_after_branch: int = 4,
     max_iterations: int = 8,
-    min_bottom_scale: float = 0.6,
     max_consecutive_rejections: int = 3,
     gate: Optional[IvcGate] = None,
     candidate_scales: Optional[Sequence[float]] = None,
 ) -> PassResult:
     """Iteratively upsize trunk (and upper-branch) buffers on ``tree`` in place.
 
+    An iteration is accepted when it reduces CLR without a violation.
     ``max_consecutive_rejections`` bounds the retry-with-halved-growth policy
     inherited from the IVC engine; ``1`` reproduces the historical
-    stop-on-first-rejection behavior.  ``gate`` is an optional IVC acceptance
-    gate (see :class:`repro.core.variation.VariationGate`).
-    ``candidate_scales`` switches the loop to batched best-of-K rounds (one
-    growth step per scale, see :meth:`~repro.core.ivc.IvcEngine.run_batched`);
-    ``None`` keeps the classic one-proposal-per-round loop.
+    stop-on-first-rejection behavior.  ``gate`` (an optional acceptance gate,
+    see :class:`repro.core.variation.VariationGate`) and ``candidate_scales``
+    (best-of-K rounds, one growth step per scale) are the round policy,
+    handed to :class:`~repro.core.ivc.IvcEngine`.
     """
     engine = IvcEngine(
         "iterative_buffer_sizing",
         tree,
         evaluator,
-        objective=objective,
+        objective="clr",
         baseline=baseline,
         constraints=capacitance_cap_constraints(capacitance_limit),
         gate=gate,
+        candidate_scales=candidate_scales,
     )
     if not tree.buffers():
         return engine.abort("tree has no buffers to size")
 
     def propose(state: IvcState) -> int:
         growth = 1.0 + state.aggressiveness / (state.iteration + 3)
-        return _apply_sizing_step(
-            tree,
-            growth,
-            levels_after_branch,
-            capacitance_limit,
-            min_bottom_scale,
-        )
+        return _apply_sizing_step(tree, growth, levels_after_branch, capacitance_limit)
 
-    if candidate_scales is not None:
-        return engine.run_batched(
-            propose,
-            max_rounds=max_iterations,
-            candidate_scales=tuple(candidate_scales),
-            empty_note="no buffer eligible for upsizing",
-            max_consecutive_rejections=max_consecutive_rejections,
-            reject_note="iteration {iteration} rejected: {reason}",
-        )
     return engine.run(
         propose,
         max_rounds=max_iterations,
@@ -135,7 +122,6 @@ def _apply_sizing_step(
     growth: float,
     levels_after_branch: int,
     capacitance_limit: Optional[float],
-    min_bottom_scale: float,
 ) -> int:
     """Upsize trunk + upper-branch buffers by ``growth``; borrow capacitance if needed."""
     trunk_nodes: Set[int] = {
@@ -161,19 +147,17 @@ def _apply_sizing_step(
     if capacitance_limit is not None:
         overshoot = tree.total_capacitance() - capacitance_limit
         if overshoot > 0.0 and bottom:
-            _borrow_capacitance(tree, bottom, overshoot, min_bottom_scale)
+            _borrow_capacitance(tree, bottom, overshoot)
     return touched
 
 
-def _borrow_capacitance(
-    tree: ClockTree, bottom: Set[int], overshoot: float, min_scale: float
-) -> None:
+def _borrow_capacitance(tree: ClockTree, bottom: Set[int], overshoot: float) -> None:
     """Downsize bottom-level buffers to recover ``overshoot`` fF of capacitance."""
     bottom_caps = {node_id: tree.node(node_id).buffer.total_cap for node_id in bottom}
     total_bottom = sum(bottom_caps.values())
     if total_bottom <= 0.0:
         return
-    scale = max(1.0 - overshoot / total_bottom, min_scale)
+    scale = max(1.0 - overshoot / total_bottom, MIN_BOTTOM_SCALE)
     if scale >= 1.0:
         return
     for node_id in bottom:

@@ -34,6 +34,9 @@ from repro.cts.tree import ClockTree
 
 __all__ = ["find_trunk_chain", "trunk_buffer_nodes", "slide_and_interleave_trunk"]
 
+# Fraction of the slew-free span of the trunk buffer used as the pitch bound.
+SPACING_MARGIN = 0.85
+
 
 def find_trunk_chain(tree: ClockTree) -> List[int]:
     """Node ids of the trunk: the single-child chain from the root to the first branch.
@@ -61,34 +64,26 @@ def trunk_buffer_nodes(tree: ClockTree) -> List[int]:
 def slide_and_interleave_trunk(
     tree: ClockTree,
     evaluator: ClockNetworkEvaluator,
-    buffer: Optional[BufferType] = None,
     baseline: Optional[EvaluationReport] = None,
-    objective: str = "clr",
-    slew_limit: Optional[float] = None,
-    spacing_margin: float = 0.85,
     gate: Optional[IvcGate] = None,
-    candidate_scales: Optional[Sequence[float]] = None,
 ) -> PassResult:
     """Re-space (and possibly add) trunk inverters; accept only if it helps.
 
     The pass runs as a single round of the shared IVC engine: it rebuilds the
     trunk buffer chain with uniform pitch inside a tree transaction,
-    re-evaluates, and rolls back unless the objective (CLR by default)
-    improved without introducing slew violations -- the standard IVC step.
+    re-evaluates, and rolls back unless CLR improved without introducing slew
+    violations -- the standard IVC step.  The chain uses the strongest buffer
+    already on the trunk (or in the tree) and the evaluator's slew limit.
     ``gate`` is an optional IVC acceptance gate (see
-    :class:`repro.core.variation.VariationGate`).
-
-    ``candidate_scales`` is accepted for pipeline-level uniformity with the
-    other passes but deliberately ignored: the single respacing proposal does
-    not read the state's aggressiveness, so K scaled candidates would be K
-    identical moves and batching them buys nothing.
+    :class:`repro.core.variation.VariationGate`).  The single respacing
+    proposal does not read the round's aggressiveness, so it has no best-of-K
+    form: K scaled candidates would be K identical moves.
     """
-    del candidate_scales  # single-shot, aggressiveness-independent proposal
     engine = IvcEngine(
         "trunk_buffer_sliding",
         tree,
         evaluator,
-        objective=objective,
+        objective="clr",
         baseline=baseline,
         gate=gate,
     )
@@ -96,15 +91,14 @@ def slide_and_interleave_trunk(
     if len(chain) < 2:
         return engine.abort("tree has no trunk to rebalance")
 
-    existing_buffers = trunk_buffer_nodes(tree)
-    chosen_buffer = buffer or _dominant_trunk_buffer(tree, existing_buffers)
+    chosen_buffer = _dominant_trunk_buffer(tree, trunk_buffer_nodes(tree))
     if chosen_buffer is None:
         return engine.abort("no trunk buffers and no buffer type supplied")
 
-    limit = slew_limit if slew_limit is not None else evaluator.config.slew_limit
-
     def propose(state: IvcState) -> int:
-        return _respace_trunk_buffers(tree, chain, chosen_buffer, limit, spacing_margin)
+        return _respace_trunk_buffers(
+            tree, chain, chosen_buffer, evaluator.config.slew_limit
+        )
 
     return engine.run(
         propose,
@@ -133,7 +127,6 @@ def _respace_trunk_buffers(
     chain: List[int],
     buffer: BufferType,
     slew_limit: float,
-    spacing_margin: float,
 ) -> int:
     """Uniformly re-space the trunk buffer chain; returns the new buffer count."""
     edges = chain[1:]
@@ -144,7 +137,7 @@ def _respace_trunk_buffers(
     wire = tree.node(edges[0]).wire_type
     unit_cap = wire.unit_capacitance if wire is not None else 0.2
     drivable = max_drivable_capacitance(buffer, slew_limit)
-    max_span = max((drivable - buffer.input_cap) / unit_cap * spacing_margin, 50.0)
+    max_span = max((drivable - buffer.input_cap) / unit_cap * SPACING_MARGIN, 50.0)
 
     previous_count = sum(1 for n in edges if tree.node(n).has_buffer)
     needed = max(int(total_length // max_span), 1)

@@ -21,8 +21,8 @@ VARIATION_PIPELINE = ("initial", "tbsz_mc", "twsz_mc", "twsn_mc", "bwsn_mc")
 
 #: The batched-candidate pipeline variant: the same sequence with every IVC
 #: round proposing best-of-K scaled candidates, scored in one batched
-#: evaluation under the analytical engines (see
-#: :meth:`repro.core.ivc.IvcEngine.run_batched`).
+#: evaluation under the analytical engines (an
+#: :class:`repro.core.ivc.IvcEngine` built with ``candidate_scales``).
 BATCHED_PIPELINE = ("initial", "tbsz_k", "twsz_k", "twsn_k", "bwsn_k")
 
 

@@ -16,11 +16,13 @@ once:
   evaluate, triage (slew violation / capacitance limit / no improvement),
   commit or roll back;
 * :class:`IvcEngine` -- the full pass lifecycle: baseline handling, the
-  round loop with retry-at-reduced-aggressiveness after rejections, note
-  bookkeeping, and :class:`~repro.core.tuning.PassResult` accounting.
+  round policy (plain, Monte Carlo gated or best-of-K), the round loop with
+  retry-at-reduced-aggressiveness after rejections, note bookkeeping, and
+  :class:`~repro.core.tuning.PassResult` accounting.
 
 A pass built on the engine supplies only its *proposal* (which moves to try
-this round, scaled by :attr:`IvcState.aggressiveness`) and keeps zero
+this round, scaled by :attr:`IvcState.aggressiveness`) and hands the round
+policy (``gate``, ``candidate_scales``) to the engine; it keeps zero
 snapshot/rollback/accept code of its own.
 """
 
@@ -54,6 +56,9 @@ __all__ = [
 REASON_SLEW = "slew violation"
 REASON_CAPACITANCE = "capacitance limit exceeded"
 REASON_NO_IMPROVEMENT = "no improvement"
+
+# Factor applied to the round aggressiveness after every rejected round.
+REJECTION_DECAY = 0.5
 
 #: A constraint triage: maps a candidate report to a rejection reason, or
 #: ``None`` when the candidate satisfies every constraint.
@@ -202,26 +207,9 @@ def ivc_round(
     rollback, so the evaluator's stage cache still recognises every stage of
     the restored state.
     """
-    tracer = evaluator.tracer
-    if not tracer.enabled:
-        return _ivc_round_inner(
-            tree,
-            evaluator,
-            propose,
-            objective=objective,
-            best_objective=best_objective,
-            constraints=constraints,
-            gate=gate,
-        )
-    with tracer.span("ivc_round") as span:
-        outcome = _ivc_round_inner(
-            tree,
-            evaluator,
-            propose,
-            objective=objective,
-            best_objective=best_objective,
-            constraints=constraints,
-            gate=gate,
+    with evaluator.tracer.span("ivc_round") as span:
+        outcome = _triage(
+            tree, evaluator, propose, objective, best_objective, constraints, gate
         )
         if span is not None:
             span.count("changed", outcome.changed)
@@ -229,15 +217,14 @@ def ivc_round(
     return outcome
 
 
-def _ivc_round_inner(
+def _triage(
     tree: ClockTree,
     evaluator: ClockNetworkEvaluator,
     propose: Callable[[], int],
-    *,
     objective: str,
     best_objective: float,
-    constraints: Optional[Constraints] = None,
-    gate: Optional[IvcGate] = None,
+    constraints: Optional[Constraints],
+    gate: Optional[IvcGate],
 ) -> IvcOutcome:
     check = constraints or default_constraints
     with Transaction(tree) as txn:
@@ -263,11 +250,17 @@ class IvcEngine:
     """Owns one optimization pass's complete IVC lifecycle.
 
     Construction resolves the baseline (evaluating the tree only when the
-    caller did not hand one over) and opens the
+    caller did not hand one over), fixes the round policy and opens the
     :class:`~repro.core.tuning.PassResult`; :meth:`run` drives the round loop
     with the shared rejection policy; :meth:`abort` / :meth:`finish` close
     the result record.  ``engine.report`` always holds the evaluation of the
     last accepted state and is threaded into the result as ``final_report``.
+
+    The round policy is the optional acceptance ``gate`` (run last in every
+    round's triage, see :class:`IvcGate`) and ``candidate_scales``: ``None``
+    plays one proposal per round; a sequence of scales plays best-of-K
+    rounds, one candidate per scale (see :meth:`run`).  An empty sequence
+    raises :class:`ValueError`.
     """
 
     def __init__(
@@ -280,12 +273,18 @@ class IvcEngine:
         baseline: Optional[EvaluationReport] = None,
         constraints: Optional[Constraints] = None,
         gate: Optional[IvcGate] = None,
+        candidate_scales: Optional[Sequence[float]] = None,
     ) -> None:
+        if candidate_scales is not None and not candidate_scales:
+            raise ValueError("candidate_scales must not be empty")
         self.tree = tree
         self.evaluator = evaluator
         self.objective = objective
         self.constraints = constraints or default_constraints
         self.gate = gate
+        self.candidate_scales = (
+            None if candidate_scales is None else tuple(candidate_scales)
+        )
         self._evals_before = evaluator.run_count
         self.report = baseline if baseline is not None else evaluator.evaluate(tree)
         initial_summary = self.report.summary()
@@ -320,137 +319,34 @@ class IvcEngine:
         max_rounds: int,
         empty_note: Optional[str] = None,
         max_consecutive_rejections: int = 3,
-        rejection_decay: float = 0.5,
         reject_note: str = "round rejected: {reason}",
     ) -> PassResult:
         """Drive up to ``max_rounds`` IVC rounds of ``propose`` and finish.
 
-        A rejected round is rolled back, noted (``reject_note`` may reference
-        ``{reason}`` and ``{iteration}``), and retried with the state's
-        aggressiveness multiplied by ``rejection_decay`` -- a rejected batch
-        usually means the pass's impact model overreached, not that no
-        improving move exists, so retrying at lower aggressiveness recovers
-        part of the head-room (the paper simply moves on).  The loop stops
-        after ``max_consecutive_rejections`` rejections in a row, or on the
-        first vacuous round (``empty_note`` records why).
-        """
-
-        def play(state: IvcState, best_objective: float) -> IvcOutcome:
-            return ivc_round(
-                self.tree,
-                self.evaluator,
-                lambda: propose(state),
-                objective=self.objective,
-                best_objective=best_objective,
-                constraints=self.constraints,
-                gate=self.gate,
-            )
-
-        return self._drive(
-            play, max_rounds, empty_note, max_consecutive_rejections, rejection_decay, reject_note
-        )
-
-    # ------------------------------------------------------------------
-    def run_batched(
-        self,
-        propose: Callable[[IvcState], int],
-        *,
-        max_rounds: int,
-        candidate_scales: Sequence[float] = (1.0, 0.5, 0.25),
-        empty_note: Optional[str] = None,
-        max_consecutive_rejections: int = 3,
-        rejection_decay: float = 0.5,
-        reject_note: str = "round rejected: {reason}",
-    ) -> PassResult:
-        """Drive IVC rounds that score K candidate proposals per round.
-
-        Each round calls ``propose`` once per entry of ``candidate_scales``,
+        Without ``candidate_scales`` each round is one :func:`ivc_round` of
+        ``propose``.  With them, each round calls ``propose`` once per scale,
         with the state's aggressiveness multiplied by that scale, and scores
         all candidates in one
         :meth:`~repro.analysis.evaluator.ClockNetworkEvaluator.evaluate_candidates`
         batch (one numpy pass under the analytical engines, serial evaluations
-        under the transient engine; the loop is oblivious).  The best candidate
-        that satisfies the constraints and improves the objective is then
-        re-applied through :func:`ivc_round`, which re-evaluates it
+        under the transient engine; the loop is oblivious).  The best
+        candidate that satisfies the constraints and improves the objective is
+        then re-applied through :func:`ivc_round`, which re-evaluates it
         authoritatively and runs the acceptance gate -- so the committed
         report never depends on the batched scoring path.  ``propose`` must
         therefore be deterministic for a given state: the winning move is
         replayed after its scoring rollback.
 
-        Rejection bookkeeping (notes, aggressiveness decay, the consecutive
-        rejection cap, the vacuous-round stop) is :meth:`run`'s.
+        A rejected round is rolled back, noted (``reject_note`` may reference
+        ``{reason}`` and ``{iteration}``), and retried with the state's
+        aggressiveness multiplied by :data:`REJECTION_DECAY` -- a rejected
+        batch usually means the pass's impact model overreached, not that no
+        improving move exists, so retrying at lower aggressiveness recovers
+        part of the head-room (the paper simply moves on).  The loop stops
+        after ``max_consecutive_rejections`` rejections in a row, or on the
+        first vacuous round (``empty_note`` records why).
         """
-        if not candidate_scales:
-            raise ValueError("candidate_scales must not be empty")
-
-        def play(state: IvcState, best_objective: float) -> IvcOutcome:
-            moves = [
-                self._scaled_move(propose, state, scale) for scale in candidate_scales
-            ]
-            batch = self.evaluator.evaluate_candidates(self.tree, moves)
-            if all(score.changed == 0 for score in batch):
-                return IvcOutcome(accepted=False, changed=0, report=None, reason=None)
-            viable: List[CandidateScore] = [
-                score
-                for score in batch
-                if score.changed > 0
-                and self.constraints(score) is None  # type: ignore[arg-type]
-                and objective_value(score, self.objective) < best_objective
-            ]
-            if viable:
-                winner = min(
-                    viable,
-                    key=lambda score: (
-                        objective_value(score, self.objective),
-                        score.index,
-                    ),
-                )
-                # A non-deterministic propose that goes vacuous on replay
-                # ends the loop like any other vacuous round.
-                return ivc_round(
-                    self.tree,
-                    self.evaluator,
-                    moves[winner.index],
-                    objective=self.objective,
-                    best_objective=best_objective,
-                    constraints=self.constraints,
-                    gate=self.gate,
-                )
-            # Every candidate was triaged away: report the first real
-            # candidate's reason, mirroring a rejected ivc_round.
-            reason: Optional[str] = REASON_NO_IMPROVEMENT
-            for score in batch:
-                if score.changed > 0:
-                    reason = (
-                        self.constraints(score)  # type: ignore[arg-type]
-                        or REASON_NO_IMPROVEMENT
-                    )
-                    break
-            return IvcOutcome(
-                accepted=False,
-                changed=max(score.changed for score in batch),
-                report=None,
-                reason=reason,
-            )
-
-        return self._drive(
-            play, max_rounds, empty_note, max_consecutive_rejections, rejection_decay, reject_note
-        )
-
-    def _drive(
-        self,
-        play: Callable[[IvcState, float], IvcOutcome],
-        max_rounds: int,
-        empty_note: Optional[str],
-        max_consecutive_rejections: int,
-        rejection_decay: float,
-        reject_note: str,
-    ) -> PassResult:
-        """The round loop and its bookkeeping, shared by :meth:`run` and :meth:`run_batched`.
-
-        ``play(state, best_objective)`` runs one round; a vacuous outcome
-        (``changed == 0``) stops the loop.
-        """
+        scales = self.candidate_scales
         state = IvcState(report=self.report)
         best_objective = objective_value(self.report, self.objective)
         if self.gate is not None:
@@ -458,7 +354,10 @@ class IvcEngine:
         for attempt in range(1, max_rounds + 1):
             state.iteration = attempt
             state.report = self.report
-            outcome = play(state, best_objective)
+            if scales is None:
+                outcome = self._round(lambda: propose(state), best_objective)
+            else:
+                outcome = self._best_of_k(propose, state, scales, best_objective)
             if outcome.changed == 0:
                 if empty_note is not None:
                     self.result.notes.append(empty_note)
@@ -468,7 +367,7 @@ class IvcEngine:
                     reject_note.format(reason=outcome.reason, iteration=state.iteration)
                 )
                 state.consecutive_rejections += 1
-                state.aggressiveness *= rejection_decay
+                state.aggressiveness *= REJECTION_DECAY
                 if state.consecutive_rejections >= max_consecutive_rejections:
                     break
                 continue
@@ -479,6 +378,65 @@ class IvcEngine:
             self.result.edges_changed += outcome.changed
             self.result.improved = True
         return self.finish()
+
+    def _round(self, move: Callable[[], int], best_objective: float) -> IvcOutcome:
+        """One :func:`ivc_round` of ``move`` under the engine's policy."""
+        return ivc_round(
+            self.tree,
+            self.evaluator,
+            move,
+            objective=self.objective,
+            best_objective=best_objective,
+            constraints=self.constraints,
+            gate=self.gate,
+        )
+
+    def _best_of_k(
+        self,
+        propose: Callable[[IvcState], int],
+        state: IvcState,
+        scales: Sequence[float],
+        best_objective: float,
+    ) -> IvcOutcome:
+        """One best-of-K round: score every scaled candidate, replay the winner."""
+        moves = [self._scaled_move(propose, state, scale) for scale in scales]
+        batch = self.evaluator.evaluate_candidates(self.tree, moves)
+        if all(score.changed == 0 for score in batch):
+            return IvcOutcome(accepted=False, changed=0, report=None, reason=None)
+        viable: List[CandidateScore] = [
+            score
+            for score in batch
+            if score.changed > 0
+            and self.constraints(score) is None  # type: ignore[arg-type]
+            and objective_value(score, self.objective) < best_objective
+        ]
+        if viable:
+            winner = min(
+                viable,
+                key=lambda score: (
+                    objective_value(score, self.objective),
+                    score.index,
+                ),
+            )
+            # A non-deterministic propose that goes vacuous on replay
+            # ends the loop like any other vacuous round.
+            return self._round(moves[winner.index], best_objective)
+        # Every candidate was triaged away: report the first real
+        # candidate's reason, mirroring a rejected ivc_round.
+        reason: Optional[str] = REASON_NO_IMPROVEMENT
+        for score in batch:
+            if score.changed > 0:
+                reason = (
+                    self.constraints(score)  # type: ignore[arg-type]
+                    or REASON_NO_IMPROVEMENT
+                )
+                break
+        return IvcOutcome(
+            accepted=False,
+            changed=max(score.changed for score in batch),
+            report=None,
+            reason=reason,
+        )
 
     @staticmethod
     def _scaled_move(

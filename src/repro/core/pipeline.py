@@ -115,11 +115,10 @@ class OptimizationPass:
     name: str = ""
     stage: Optional[str] = None
     variation_aware: bool = False
-    #: When set, the pass's IVC loop proposes one candidate per scale and
-    #: commits the best gate-approved one via
-    #: :meth:`~repro.core.ivc.IvcEngine.run_batched` (scored in a single
-    #: batched evaluation when the evaluator allows it).  ``None`` keeps the
-    #: classic one-proposal-per-round loop.
+    #: When set, the pass's :class:`~repro.core.ivc.IvcEngine` plays
+    #: best-of-K rounds: one candidate per scale, scored in a single batched
+    #: evaluation when the evaluator allows it, the best gate-approved one
+    #: committed.  ``None`` keeps the classic one-proposal-per-round loop.
     candidate_scales: Optional[Tuple[float, ...]] = None
 
     def run(self, ctx: PassContext) -> None:
@@ -406,12 +405,7 @@ class TrunkBufferSizingPass(OptimizationPass):
             return
         tree = ctx.require_tree()
         sliding = slide_and_interleave_trunk(
-            tree,
-            ctx.evaluator,
-            baseline=ctx.report,
-            objective="clr",
-            gate=self.gate(ctx),
-            candidate_scales=self.candidate_scales,
+            tree, ctx.evaluator, baseline=ctx.report, gate=self.gate(ctx)
         )
         ctx.result.pass_results["trunk_sliding"] = sliding
         sizing = iterative_buffer_sizing(
@@ -419,7 +413,6 @@ class TrunkBufferSizingPass(OptimizationPass):
             ctx.evaluator,
             capacitance_limit=ctx.instance.capacitance_limit,
             baseline=sliding.final_report,
-            objective="clr",
             levels_after_branch=ctx.config.sizing_levels_after_branch,
             max_iterations=ctx.config.sizing_max_iterations,
             max_consecutive_rejections=ctx.config.sizing_max_rejections,
@@ -446,7 +439,6 @@ class WiresizingPass(OptimizationPass):
             ctx.evaluator,
             ctx.instance.wire_library,
             baseline=ctx.report,
-            objective="skew",
             corners=ctx.slack_corners,
             max_rounds=ctx.config.wiresizing_max_rounds,
             gate=self.gate(ctx),
@@ -471,7 +463,6 @@ class WiresnakingPass(OptimizationPass):
             ctx.require_tree(),
             ctx.evaluator,
             baseline=ctx.report,
-            objective="skew",
             corners=ctx.slack_corners,
             unit_length=ctx.config.wiresnaking_unit_length,
             max_rounds=ctx.config.wiresnaking_max_rounds,
@@ -498,7 +489,6 @@ class BottomLevelPass(OptimizationPass):
             ctx.evaluator,
             ctx.instance.wire_library,
             baseline=ctx.report,
-            objective="skew",
             corners=ctx.slack_corners,
             unit_length=ctx.config.bottom_unit_length,
             max_rounds=ctx.config.bottom_max_rounds,
@@ -510,86 +500,42 @@ class BottomLevelPass(OptimizationPass):
 
 
 # ----------------------------------------------------------------------
-# Variation-aware pipeline variants (Monte Carlo p95-skew gated IVC)
+# Pipeline variants of the four optimization passes
 # ----------------------------------------------------------------------
-# Each variant runs the identical optimization, but every IVC round that
+# ``<name>_mc`` runs the identical optimization, but every IVC round that
 # improves the nominal objective is additionally screened by the shared
 # VariationGate: rounds that regress the p95 skew of the Monte Carlo
-# variation distribution are rolled back.  Select them via
-# ``FlowConfig(pipeline=list(VARIATION_PIPELINE))`` or per stage
-# (``--pipeline initial,tbsz,twsz_mc,...``).
-@register_pass
-class VariationAwareTrunkBufferSizingPass(TrunkBufferSizingPass):
-    """TBSZ with the Monte Carlo p95-skew acceptance gate."""
-
-    name = "tbsz_mc"
-    variation_aware = True
-
-
-@register_pass
-class VariationAwareWiresizingPass(WiresizingPass):
-    """TWSZ with the Monte Carlo p95-skew acceptance gate."""
-
-    name = "twsz_mc"
-    variation_aware = True
-
-
-@register_pass
-class VariationAwareWiresnakingPass(WiresnakingPass):
-    """TWSN with the Monte Carlo p95-skew acceptance gate."""
-
-    name = "twsn_mc"
-    variation_aware = True
-
-
-@register_pass
-class VariationAwareBottomLevelPass(BottomLevelPass):
-    """BWSN with the Monte Carlo p95-skew acceptance gate."""
-
-    name = "bwsn_mc"
-    variation_aware = True
-
-
-# ----------------------------------------------------------------------
-# Batched-candidate pipeline variants (best-of-K IVC rounds)
-# ----------------------------------------------------------------------
-# Each variant runs the same optimization loop, but every round proposes one
-# candidate per aggressiveness scale and commits the best gate-approved one
-# (IvcEngine.run_batched).  Under the analytical engines the K candidates are
-# scored in a single numpy evaluation along the batch axis; the transient
-# engine scores them one full evaluation at a time.  Select them via
-# ``FlowConfig(pipeline=list(BATCHED_PIPELINE))`` or per stage
-# (``--pipeline initial,tbsz,twsz_k,...``).
+# variation distribution are rolled back.  ``<name>_k`` proposes one
+# candidate per aggressiveness scale in every round and commits the best
+# gate-approved one (``IvcEngine(candidate_scales=...)``); under the
+# analytical engines the K candidates are scored in a single numpy
+# evaluation along the batch axis, the transient engine scores them one full
+# evaluation at a time.  Select them via ``FlowConfig(pipeline=
+# list(VARIATION_PIPELINE))`` / ``list(BATCHED_PIPELINE)`` or per stage
+# (``--pipeline initial,tbsz,twsz_mc,twsn_k,...``).
 _BATCH_SCALES: Tuple[float, ...] = (1.0, 0.5, 0.25)
 
-
-@register_pass
-class BatchedTrunkBufferSizingPass(TrunkBufferSizingPass):
-    """TBSZ with best-of-K batched candidate rounds."""
-
-    name = "tbsz_k"
-    candidate_scales = _BATCH_SCALES
-
-
-@register_pass
-class BatchedWiresizingPass(WiresizingPass):
-    """TWSZ with best-of-K batched candidate rounds."""
-
-    name = "twsz_k"
-    candidate_scales = _BATCH_SCALES
-
-
-@register_pass
-class BatchedWiresnakingPass(WiresnakingPass):
-    """TWSN with best-of-K batched candidate rounds."""
-
-    name = "twsn_k"
-    candidate_scales = _BATCH_SCALES
-
-
-@register_pass
-class BatchedBottomLevelPass(BottomLevelPass):
-    """BWSN with best-of-K batched candidate rounds."""
-
-    name = "bwsn_k"
-    candidate_scales = _BATCH_SCALES
+for _base in (TrunkBufferSizingPass, WiresizingPass, WiresnakingPass, BottomLevelPass):
+    register_pass(
+        type(
+            f"VariationAware{_base.__name__}",
+            (_base,),
+            {
+                "__doc__": f"{_base.stage} with the Monte Carlo p95-skew acceptance gate.",
+                "name": f"{_base.name}_mc",
+                "variation_aware": True,
+            },
+        )
+    )
+    register_pass(
+        type(
+            f"Batched{_base.__name__}",
+            (_base,),
+            {
+                "__doc__": f"{_base.stage} with best-of-K batched candidate rounds.",
+                "name": f"{_base.name}_k",
+                "candidate_scales": _BATCH_SCALES,
+            },
+        )
+    )
+del _base

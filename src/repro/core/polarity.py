@@ -19,9 +19,13 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.buffering.candidates import max_drivable_capacitance
 from repro.cts.bufferlib import BufferType
-from repro.cts.tree import ClockTree, TreeNode
+from repro.cts.tree import ClockTree
 
 __all__ = ["PolarityCorrectionResult", "count_inverted_sinks", "correct_sink_polarity"]
+
+# Length (um) of the wire stub left between a corrective inverter and the
+# node below it when the inverter is inserted on the node's parent edge.
+STUB_LENGTH = 1.0
 
 
 @dataclass
@@ -173,7 +177,6 @@ def _insert_inverter_above(
     node_id: int,
     inverter: BufferType,
     drive_subtree: bool = False,
-    stub_length: float = 1.0,
 ) -> int:
     """Insert an inverter that flips the polarity of ``node_id``'s subtree.
 
@@ -189,10 +192,10 @@ def _insert_inverter_above(
     if node.parent is None:
         raise ValueError("cannot insert a polarity-correcting inverter above the root")
     length = node.edge_length()
-    if length <= stub_length:
+    if length <= STUB_LENGTH:
         fraction = 0.5
     else:
-        fraction = 1.0 - stub_length / length
+        fraction = 1.0 - STUB_LENGTH / length
     new_node = tree.split_edge(node_id, fraction)
     tree.place_buffer(new_node, inverter)
     return new_node

@@ -24,7 +24,7 @@ transition and corner simultaneously (Section III-B, last paragraph).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.analysis.evaluator import EvaluationReport
 from repro.cts.tree import ClockTree
@@ -109,14 +109,13 @@ def annotate_tree_slacks(
     tree: ClockTree,
     report: EvaluationReport,
     corners: Optional[Sequence[str]] = None,
-    transitions: Iterable[str] = ("rise", "fall"),
 ) -> SlackAnnotation:
     """Propagate sink slacks to every edge (Lemma 1) and compute the deltas (Prop. 1).
 
-    Edge slacks are keyed in ``tree.nodes()`` order and cover every node
-    with a downstream sink.
+    Sink slacks cover both transitions.  Edge slacks are keyed in
+    ``tree.nodes()`` order and cover every node with a downstream sink.
     """
-    sink_slacks = compute_sink_slacks(report, corners=corners, transitions=transitions)
+    sink_slacks = compute_sink_slacks(report, corners=corners)
     annotation = SlackAnnotation(sink=sink_slacks)
 
     # Lemma 1 bottom-up: the minimum over the children's minima is the

@@ -12,16 +12,17 @@ Violation-Checking (IVC) discipline from Figure 1 of the paper:
 This module holds the pieces those passes share:
 
 * :class:`PassResult` -- the per-pass outcome record,
-* :func:`objective_value` -- the scalar objectives (skew / CLR / combined),
+* :func:`objective_value` -- the scalar objectives (skew / CLR),
 * :class:`SlewBudget` -- per-stage slew headroom bookkeeping, so that a batch
   of slow-down moves cannot jointly push a stage past the slew limit,
 * the calibrated wire-delay models of Sections IV-E/IV-F: the impact of
   downsizing or snaking an edge is predicted analytically from the edge's
   stage-local downstream capacitance and then scaled by a correction factor
-  measured with a single evaluation of a few independently perturbed mid-tree
-  edges (the paper's ``Tws`` / ``Twn`` calibration runs).  The probe
-  perturbs the live tree under a checkpoint and rolls back after the
-  evaluation, so no clone is taken.
+  measured with a single evaluation of :data:`PROBE_EDGES` independently
+  perturbed mid-tree edges (the paper's ``Tws`` / ``Twn`` calibration runs).
+  Both calibrations share one probe routine, which perturbs the live tree
+  under a checkpoint and rolls back after the evaluation, so no clone is
+  taken.
 
 The whole-tree analytics every proposal reads are memoized on the tree
 (:meth:`~repro.cts.tree.ClockTree.memoized`): stage-local capacitance on
@@ -54,6 +55,9 @@ __all__ = [
     "calibrate_snake_model",
 ]
 
+# Number of independent mid-tree edges a wire-delay calibration probes.
+PROBE_EDGES = 5
+
 
 @dataclass
 class PassResult:
@@ -76,16 +80,12 @@ class PassResult:
 def objective_value(report: EvaluationReport, objective: str) -> float:
     """Scalar objective extracted from an evaluation report.
 
-    ``"skew"`` and ``"clr"`` select the respective metric; ``"combined"``
-    weighs CLR with the nominal skew, which is useful for acceptance tests of
-    passes that should improve one without wrecking the other.
+    ``"skew"`` and ``"clr"`` select the respective metric.
     """
     if objective == "skew":
         return report.skew
     if objective == "clr":
         return report.clr
-    if objective == "combined":
-        return report.clr + report.skew
     raise ValueError(f"unknown objective {objective!r}")
 
 
@@ -140,6 +140,8 @@ class SlewBudget:
     #: conversion from added stage delay (ps) to added tap slew (ps); a
     #: single-pole stage has slew = ln(9) * tau, so the ratio is ~2.2.
     DELAY_TO_SLEW = 2.2
+    #: safety factor on the estimated slew impact of a move.
+    GUARD = 1.6
 
     def __init__(self, edge_to_stage: Dict[int, int], headroom: Dict[int, float]) -> None:
         self._edge_to_stage = edge_to_stage
@@ -152,9 +154,9 @@ class SlewBudget:
             return float("inf")
         return self._headroom[stage]
 
-    def allows_delay(self, edge_id: int, added_delay: float, guard: float = 1.6) -> bool:
+    def allows_delay(self, edge_id: int, added_delay: float) -> bool:
         """True when slowing ``edge_id`` by ``added_delay`` ps keeps its stage safe."""
-        return self.available(edge_id) >= guard * self.DELAY_TO_SLEW * added_delay
+        return self.available(edge_id) >= self.GUARD * self.DELAY_TO_SLEW * added_delay
 
     def consume_delay(self, edge_id: int, added_delay: float) -> None:
         """Charge the stage of ``edge_id`` for a move adding ``added_delay`` ps."""
@@ -163,12 +165,12 @@ class SlewBudget:
             return
         self._headroom[stage] -= self.DELAY_TO_SLEW * added_delay
 
-    def max_delay(self, edge_id: int, guard: float = 1.6) -> float:
+    def max_delay(self, edge_id: int) -> float:
         """Largest added delay (ps) the stage of ``edge_id`` can still absorb."""
         available = self.available(edge_id)
         if available == float("inf"):
             return float("inf")
-        return max(available / (guard * self.DELAY_TO_SLEW), 0.0)
+        return max(available / (self.GUARD * self.DELAY_TO_SLEW), 0.0)
 
 
 def stage_slew_headroom(tree: ClockTree, report: EvaluationReport) -> SlewBudget:
@@ -301,10 +303,9 @@ def _max_latency_increase(
     baseline: EvaluationReport,
     perturbed: EvaluationReport,
     sink_ids: Sequence[int],
-    corner: Optional[str] = None,
 ) -> float:
-    """Largest per-sink latency increase (over rise and fall) among ``sink_ids``."""
-    corner_name = corner or baseline.fast_corner
+    """Largest nominal-corner latency increase (over rise and fall) among ``sink_ids``."""
+    corner_name = baseline.fast_corner
     base = baseline.corners[corner_name].latency
     new = perturbed.corners[corner_name].latency
     worst = 0.0
@@ -312,22 +313,6 @@ def _max_latency_increase(
         for transition in ("rise", "fall"):
             worst = max(worst, new[sink_id][transition] - base[sink_id][transition])
     return worst
-
-
-def _probe_evaluation(
-    tree: ClockTree,
-    evaluator: ClockNetworkEvaluator,
-    perturb: Callable[[int], None],
-    edges: Sequence[int],
-) -> EvaluationReport:
-    """Evaluate ``tree`` with ``perturb`` applied to every edge, then roll back."""
-    token = tree.checkpoint()
-    try:
-        for node_id in edges:
-            perturb(node_id)
-        return evaluator.evaluate(tree)
-    finally:
-        tree.rollback_to(token)
 
 
 def _calibration_factor(ratios: List[float]) -> float:
@@ -342,17 +327,49 @@ def _calibration_factor(ratios: List[float]) -> float:
     return min(max(max(ratios), 0.25), 3.0)
 
 
+def _probe_calibration(
+    tree: ClockTree,
+    evaluator: ClockNetworkEvaluator,
+    baseline: EvaluationReport,
+    edges: Sequence[int],
+    perturb: Callable[[int], None],
+    analytic: Callable[[int], float],
+) -> float:
+    """Measure a wire-delay model's calibration factor with one probe evaluation.
+
+    ``perturb`` is applied to every probe edge under a checkpoint, the tree
+    is evaluated once and rolled back (revisions included), and each edge's
+    worst downstream latency increase over its ``analytic`` prediction is
+    one ratio of :func:`_calibration_factor`.
+    """
+    token = tree.checkpoint()
+    try:
+        for node_id in edges:
+            perturb(node_id)
+        perturbed = evaluator.evaluate(tree)
+    finally:
+        tree.rollback_to(token)
+    downstream = tree.downstream_sinks_map()
+    ratios: List[float] = []
+    for node_id in edges:
+        predicted = analytic(node_id)
+        if predicted <= 0.0:
+            continue
+        measured = _max_latency_increase(baseline, perturbed, downstream[node_id])
+        ratios.append(measured / predicted)
+    return _calibration_factor(ratios)
+
+
 def calibrate_downsize_model(
     tree: ClockTree,
     evaluator: ClockNetworkEvaluator,
     wirelib: WireLibrary,
     baseline: EvaluationReport,
-    sample_edges: int = 5,
     edge_ids: Optional[Sequence[int]] = None,
 ) -> Optional[DownsizeModel]:
     """Calibrate the wiresizing impact model with one probe evaluation.
 
-    Up to ``sample_edges`` independent mid-tree edges (or the explicitly
+    Up to :data:`PROBE_EDGES` independent mid-tree edges (or the explicitly
     supplied ``edge_ids``) are downsized in ``tree`` under a checkpoint; a
     single evaluation then measures each edge's worst downstream latency
     increase, the tree is rolled back (revisions included), and the ratio to
@@ -364,7 +381,7 @@ def calibrate_downsize_model(
     probe_ids = (
         list(edge_ids)
         if edge_ids is not None
-        else select_independent_middle_edges(tree, count=sample_edges)
+        else select_independent_middle_edges(tree, count=PROBE_EDGES)
     )
     edges = [
         node_id
@@ -375,23 +392,16 @@ def calibrate_downsize_model(
     ]
     if not edges:
         return None
-    perturbed = _probe_evaluation(
+    model.calibration = _probe_calibration(
         tree,
         evaluator,
+        baseline,
+        edges,
         lambda node_id: tree.set_wire_type(
             node_id, wirelib.narrower(tree.node(node_id).wire_type)
         ),
-        edges,
+        lambda node_id: model.predicted_delay(tree, wirelib, node_id),
     )
-    downstream = tree.downstream_sinks_map()
-    ratios: List[float] = []
-    for node_id in edges:
-        analytic = model.predicted_delay(tree, wirelib, node_id)
-        if analytic <= 0.0:
-            continue
-        measured = _max_latency_increase(baseline, perturbed, downstream[node_id])
-        ratios.append(measured / analytic)
-    model.calibration = _calibration_factor(ratios)
     return model
 
 
@@ -400,7 +410,6 @@ def calibrate_snake_model(
     evaluator: ClockNetworkEvaluator,
     baseline: EvaluationReport,
     unit_length: float,
-    sample_edges: int = 5,
     edge_ids: Optional[Sequence[int]] = None,
 ) -> Optional[SnakeModel]:
     """Calibrate the wiresnaking impact model with one probe evaluation.
@@ -416,21 +425,17 @@ def calibrate_snake_model(
     edges = (
         list(edge_ids)
         if edge_ids is not None
-        else select_independent_middle_edges(tree, count=sample_edges)
+        else select_independent_middle_edges(tree, count=PROBE_EDGES)
     )
     edges = [e for e in edges if tree.node(e).wire_type is not None]
     if not edges:
         return None
-    perturbed = _probe_evaluation(
-        tree, evaluator, lambda node_id: tree.add_snake(node_id, unit_length), edges
+    model.calibration = _probe_calibration(
+        tree,
+        evaluator,
+        baseline,
+        edges,
+        lambda node_id: tree.add_snake(node_id, unit_length),
+        lambda node_id: model.delay_for_length(tree, node_id, unit_length),
     )
-    downstream = tree.downstream_sinks_map()
-    ratios: List[float] = []
-    for node_id in edges:
-        analytic = model.delay_for_length(tree, node_id, unit_length)
-        if analytic <= 0.0:
-            continue
-        measured = _max_latency_increase(baseline, perturbed, downstream[node_id])
-        ratios.append(measured / analytic)
-    model.calibration = _calibration_factor(ratios)
     return model

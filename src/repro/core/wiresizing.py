@@ -32,51 +32,48 @@ from repro.cts.wirelib import WireLibrary
 
 __all__ = ["top_down_wiresizing"]
 
+# Fraction of an edge's slow-down slack the linear model may spend per round,
+# guarding against model error.
+SAFETY = 0.9
+# Shortest edge (um) worth downsizing.
+MIN_EDGE_LENGTH = 10.0
+
 
 def top_down_wiresizing(
     tree: ClockTree,
     evaluator: ClockNetworkEvaluator,
     wirelib: WireLibrary,
     baseline: Optional[EvaluationReport] = None,
-    objective: str = "skew",
     corners: Optional[Sequence[str]] = None,
     max_rounds: int = 20,
-    safety: float = 0.9,
-    min_edge_length: float = 10.0,
     gate: Optional[IvcGate] = None,
     candidate_scales: Optional[Sequence[float]] = None,
 ) -> PassResult:
     """Run iterative top-down wiresizing on ``tree`` in place.
 
+    A round is accepted when it reduces skew without a violation.
+
     Parameters
     ----------
     baseline:
         Evaluation of the incoming tree; re-evaluated here when omitted.
-    objective:
-        ``"skew"`` (default), ``"clr"`` or ``"combined"`` -- the metric that
-        must improve for a round to be accepted.
     corners:
         Corner names used for slack computation; default is the nominal
         (fast) corner only, matching the paper's nominal-skew phase.
-    safety:
-        Fraction of the available slack the linear model is allowed to spend,
-        guarding against model error.
-    gate:
-        Optional IVC acceptance gate (e.g. the Monte Carlo p95-skew check of
-        :class:`repro.core.variation.VariationGate`).
-    candidate_scales:
-        When given, each round proposes one candidate per scale (applied to
-        the state's aggressiveness) and commits the best gate-approved one
-        via :meth:`~repro.core.ivc.IvcEngine.run_batched`; ``None`` keeps the
-        classic one-proposal-per-round loop.
+    gate, candidate_scales:
+        The round policy, handed to :class:`~repro.core.ivc.IvcEngine`: an
+        optional acceptance gate (e.g. the Monte Carlo p95-skew check of
+        :class:`repro.core.variation.VariationGate`) and, when given, one
+        candidate per aggressiveness scale in best-of-K rounds.
     """
     engine = IvcEngine(
         "top_down_wiresizing",
         tree,
         evaluator,
-        objective=objective,
+        objective="skew",
         baseline=baseline,
         gate=gate,
+        candidate_scales=candidate_scales,
     )
     model = calibrate_downsize_model(tree, evaluator, wirelib, engine.report)
     if model is None:
@@ -92,17 +89,9 @@ def top_down_wiresizing(
             annotation.edge_slow,
             headroom,
             model,
-            safety * state.aggressiveness,
-            min_edge_length,
+            SAFETY * state.aggressiveness,
         )
 
-    if candidate_scales is not None:
-        return engine.run_batched(
-            propose,
-            max_rounds=max_rounds,
-            candidate_scales=tuple(candidate_scales),
-            empty_note="no edge had enough slack to absorb a downsizing",
-        )
     return engine.run(
         propose,
         max_rounds=max_rounds,
@@ -117,7 +106,6 @@ def _downsize_round(
     slew_headroom,
     model,
     safety: float,
-    min_edge_length: float,
 ) -> int:
     """One top-down sweep of Algorithm 1; returns the number of edges downsized.
 
@@ -136,7 +124,7 @@ def _downsize_round(
         length = node.edge_length()
         if (
             slack is not None
-            and length >= min_edge_length
+            and length >= MIN_EDGE_LENGTH
             and node.wire_type is not None
             and wirelib.can_downsize(node.wire_type)
         ):

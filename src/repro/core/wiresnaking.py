@@ -27,30 +27,31 @@ from repro.cts.tree import ClockTree
 
 __all__ = ["top_down_wiresnaking"]
 
+# Most snaking units one edge may receive per round, which keeps each round
+# inside the linear-model trust region.
+MAX_UNITS_PER_EDGE = 50
+# Fraction of an edge's slow-down slack the linear model may spend per round.
+SAFETY = 0.9
+
 
 def top_down_wiresnaking(
     tree: ClockTree,
     evaluator: ClockNetworkEvaluator,
     baseline: Optional[EvaluationReport] = None,
-    objective: str = "skew",
     corners: Optional[Sequence[str]] = None,
     unit_length: float = 20.0,
-    max_units_per_edge: int = 50,
     max_rounds: int = 20,
-    safety: float = 0.9,
     gate: Optional[IvcGate] = None,
     candidate_scales: Optional[Sequence[float]] = None,
 ) -> PassResult:
     """Run iterative top-down wiresnaking on ``tree`` in place.
 
-    ``unit_length`` is the paper's ``lwn`` parameter (um of snake per unit);
-    ``max_units_per_edge`` caps how much snake a single edge may receive per
-    round, which keeps each round inside the linear-model trust region.
-    ``gate`` is an optional IVC acceptance gate (see
-    :class:`repro.core.variation.VariationGate`).  ``candidate_scales``
-    switches the loop to batched best-of-K rounds (one candidate per scale,
-    see :meth:`~repro.core.ivc.IvcEngine.run_batched`); ``None`` keeps the
-    classic one-proposal-per-round loop.
+    ``unit_length`` is the paper's ``lwn`` parameter (um of snake per unit).
+    A round is accepted when it reduces skew without a violation.  ``gate``
+    (an optional acceptance gate, see
+    :class:`repro.core.variation.VariationGate`) and ``candidate_scales``
+    (best-of-K rounds, one candidate per scale) are the round policy, handed
+    to :class:`~repro.core.ivc.IvcEngine`.
     """
     if unit_length <= 0.0:
         raise ValueError("unit_length must be positive")
@@ -58,9 +59,10 @@ def top_down_wiresnaking(
         "top_down_wiresnaking",
         tree,
         evaluator,
-        objective=objective,
+        objective="skew",
         baseline=baseline,
         gate=gate,
+        candidate_scales=candidate_scales,
     )
     model = calibrate_snake_model(tree, evaluator, engine.report, unit_length)
     if model is None:
@@ -76,17 +78,9 @@ def top_down_wiresnaking(
             headroom,
             model,
             unit_length,
-            max_units_per_edge,
-            safety * state.aggressiveness,
+            SAFETY * state.aggressiveness,
         )
 
-    if candidate_scales is not None:
-        return engine.run_batched(
-            propose,
-            max_rounds=max_rounds,
-            candidate_scales=tuple(candidate_scales),
-            empty_note="no edge had a full snaking unit of slack left",
-        )
     return engine.run(
         propose,
         max_rounds=max_rounds,
@@ -100,7 +94,6 @@ def _snake_round(
     slew_headroom,
     model,
     unit_length: float,
-    max_units_per_edge: int,
     safety: float,
 ) -> int:
     """One top-down snaking sweep; returns the number of edges snaked.
@@ -118,7 +111,7 @@ def _snake_round(
         if slack is not None and node.parent is not None:
             budget = min(safety * slack - consumed, slew_headroom.max_delay(node_id))
             max_length = model.length_for_delay(tree, node_id, budget)
-            units = min(int(max_length // unit_length), max_units_per_edge)
+            units = min(int(max_length // unit_length), MAX_UNITS_PER_EDGE)
             if units > 0:
                 extra = units * unit_length
                 predicted = model.delay_for_length(tree, node_id, extra)

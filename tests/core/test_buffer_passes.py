@@ -72,7 +72,7 @@ class TestSlidingAndInterleaving:
         tree = buffered_tree()
         evaluator = fresh_evaluator()
         before = evaluator.evaluate(tree).clr
-        slide_and_interleave_trunk(tree, evaluator, objective="clr")
+        slide_and_interleave_trunk(tree, evaluator)
         after = evaluator.evaluate(tree).clr
         assert after <= before + 1e-6
 
@@ -113,7 +113,7 @@ class TestIterativeBufferSizing:
         tree = buffered_tree()
         evaluator = fresh_evaluator()
         before = evaluator.evaluate(tree).clr
-        iterative_buffer_sizing(tree, evaluator, capacitance_limit=1e9, objective="clr")
+        iterative_buffer_sizing(tree, evaluator, capacitance_limit=1e9)
         after = evaluator.evaluate(tree).clr
         assert after <= before + 1e-6
 

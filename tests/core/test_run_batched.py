@@ -1,7 +1,8 @@
 """Tests for batched best-of-K IVC rounds and the ``*_k`` pipeline variants.
 
-``IvcEngine.run_batched`` must (a) reduce exactly to the classic ``run``
-loop when given a single 1.0 scale and a deterministic proposal, (b) produce
+An ``IvcEngine`` built with ``candidate_scales`` must (a) reduce exactly to
+the classic one-proposal loop when given a single 1.0 scale and a
+deterministic proposal, (b) produce
 the same committed trees whether the evaluator scores candidates batched or
 serially (``SerialScoringEvaluator`` is the serial reference; the loop is
 oblivious), and (c) be reachable end to end through the registered ``tbsz_k``/``twsz_k``
@@ -67,23 +68,19 @@ def snake_proposal(tree):
 class TestRunBatched:
     def test_empty_scales_raise(self):
         tree = make_zst_tree(sink_count=8)
-        engine = IvcEngine("t", tree, fresh_evaluator(), objective="skew")
         with pytest.raises(ValueError):
-            engine.run_batched(lambda state: 0, max_rounds=1, candidate_scales=())
+            IvcEngine("t", tree, fresh_evaluator(), objective="skew", candidate_scales=())
 
     def test_single_unit_scale_matches_classic_run(self):
         results = []
         for batched in (False, True):
             tree = make_zst_tree(sink_count=12, seed=5)
             evaluator = fresh_evaluator()
-            engine = IvcEngine("t", tree, evaluator, objective="clr")
-            propose = snake_proposal(tree)
-            if batched:
-                result = engine.run_batched(
-                    propose, max_rounds=4, candidate_scales=(1.0,)
-                )
-            else:
-                result = engine.run(propose, max_rounds=4)
+            scales = (1.0,) if batched else None
+            engine = IvcEngine(
+                "t", tree, evaluator, objective="clr", candidate_scales=scales
+            )
+            result = engine.run(snake_proposal(tree), max_rounds=4)
             results.append(
                 (result.rounds, result.improved, content_fingerprint(tree))
             )
@@ -95,10 +92,10 @@ class TestRunBatched:
         for factory in (ClockNetworkEvaluator, SerialScoringEvaluator):
             tree = make_zst_tree(sink_count=12, seed=5)
             evaluator = fresh_evaluator(factory)
-            engine = IvcEngine("t", tree, evaluator, objective="clr")
-            result = engine.run_batched(
-                snake_proposal(tree), max_rounds=4, candidate_scales=(1.0, 0.5, 0.25)
+            engine = IvcEngine(
+                "t", tree, evaluator, objective="clr", candidate_scales=(1.0, 0.5, 0.25)
             )
+            result = engine.run(snake_proposal(tree), max_rounds=4)
             fingerprints.append((result.rounds, content_fingerprint(tree)))
             batches.append(evaluator.cache_stats()["candidate_batches"])
         assert fingerprints[0] == fingerprints[1]
@@ -106,20 +103,19 @@ class TestRunBatched:
 
     def test_vacuous_round_appends_empty_note_and_stops(self):
         tree = make_zst_tree(sink_count=8)
-        engine = IvcEngine("t", tree, fresh_evaluator(), objective="skew")
-        result = engine.run_batched(
-            lambda state: 0,
-            max_rounds=3,
-            candidate_scales=(1.0, 0.5),
-            empty_note="nothing to do",
+        engine = IvcEngine(
+            "t", tree, fresh_evaluator(), objective="skew", candidate_scales=(1.0, 0.5)
         )
+        result = engine.run(lambda state: 0, max_rounds=3, empty_note="nothing to do")
         assert "nothing to do" in result.notes
         assert result.rounds == 0
 
     def test_all_rejected_round_notes_reason_and_decays(self):
         tree = make_zst_tree(sink_count=8)
         evaluator = fresh_evaluator()
-        engine = IvcEngine("t", tree, evaluator, objective="skew")
+        engine = IvcEngine(
+            "t", tree, evaluator, objective="skew", candidate_scales=(1.0, 0.5)
+        )
 
         def worsen(state):
             # Snaking one sink edge strictly increases zero-skew tree skew.
@@ -127,17 +123,12 @@ class TestRunBatched:
             tree.add_snake(sink, 50.0 * state.aggressiveness)
             return 1
 
-        result = engine.run_batched(
-            worsen,
-            max_rounds=5,
-            candidate_scales=(1.0, 0.5),
-            max_consecutive_rejections=2,
-        )
+        result = engine.run(worsen, max_rounds=5, max_consecutive_rejections=2)
         assert result.rounds == 0
         assert not result.improved
         assert any("rejected" in note for note in result.notes)
 
-    def test_wiresnaking_pass_routes_through_run_batched(self):
+    def test_wiresnaking_pass_plays_best_of_k_rounds(self):
         tree = make_zst_tree(sink_count=16, seed=3)
         # A zero-skew tree has no slow-down slack; delaying one sink gives
         # every other sink slack for the snaking rounds to spend.

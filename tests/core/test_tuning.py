@@ -29,7 +29,6 @@ class TestObjectives:
         _, report = evaluated(manual_tree)
         assert objective_value(report, "skew") == pytest.approx(report.skew)
         assert objective_value(report, "clr") == pytest.approx(report.clr)
-        assert objective_value(report, "combined") == pytest.approx(report.skew + report.clr)
 
     def test_unknown_objective(self, manual_tree):
         _, report = evaluated(manual_tree)
@@ -51,7 +50,9 @@ class TestSlewBudget:
 
     def test_max_delay_scales_with_headroom(self):
         budget = SlewBudget({1: 0}, {0: 22.0})
-        assert budget.max_delay(1, guard=1.0) == pytest.approx(10.0)
+        # 22 ps of slew headroom is 10 ps of delay at DELAY_TO_SLEW 2.2,
+        # less the guard factor.
+        assert budget.max_delay(1) == pytest.approx(10.0 / SlewBudget.GUARD)
 
     def test_edges_of_same_stage_share_budget(self):
         budget = SlewBudget({1: 0, 2: 0}, {0: 10.0})
