@@ -954,16 +954,26 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     return _run_batch(args, jobs, table=table_mc, progress=_progress_mc)
 
 
+def _saved_records(path: Path) -> List[Dict]:
+    """The job records of one saved JSON file: a record or a --summary-json file."""
+    loaded = json.loads(path.read_text())
+    found = loaded["records"] if isinstance(loaded, dict) and "records" in loaded else [loaded]
+    if not isinstance(found, list) or not all(isinstance(record, dict) for record in found):
+        raise ValueError("not a job record or a --summary-json file")
+    return found
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     source = Path(args.input)
     paths = sorted(source.glob("*.json")) if source.is_dir() else [source]
     records: List[Dict] = []
     for path in paths:
-        record = json.loads(path.read_text())
-        if isinstance(record, dict) and "records" in record:  # a --summary-json file
-            records.extend(record["records"])
-        else:
-            records.append(record)
+        try:
+            records.extend(_saved_records(path))
+        except (OSError, ValueError) as error:  # JSONDecodeError is a ValueError
+            reason = getattr(error, "strerror", None) or error
+            print(f"repro table: {path}: {reason}", file=sys.stderr)
+            return 2
     if not records:
         print(f"no job records found under {source}", file=sys.stderr)
         return 1

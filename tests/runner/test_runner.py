@@ -158,6 +158,27 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "INITIAL" in printed
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "No such file or directory"),
+            ("not json", "Expecting value"),
+            ("[1, 2]", "not a job record"),
+        ],
+        ids=["missing", "not-json", "not-a-record"],
+    )
+    def test_table_reports_bad_input_in_one_line(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "bad.json"
+        if content is not None:
+            path.write_text(content)
+        code = main(["table", "--input", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro table: {path}: ")
+        assert reason in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_list_passes_works_standalone(self, capsys):
         code = main(["run", "--list-passes"])
         assert code == 0
