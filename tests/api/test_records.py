@@ -9,6 +9,7 @@ without their conditional keys -- ``record_from_dict(r).to_record() == r``
 """
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,103 @@ class TestConditionalKeys:
         assert record_from_dict(serialized).to_record() == serialized
 
 
+#: A serialized ``TraceSummary`` as a traced job attaches it (no golden
+#: carries one).
+TRACE = {
+    "schema": 1,
+    "spans": 3,
+    "total_s": 0.25,
+    "top": [{"name": "evaluate", "count": 2, "total_s": 0.2, "self_s": 0.15}],
+    "counters": {"cache_hits": 4, "cache_misses": 2},
+    "paths": {"job/evaluate": {"cache_hits": 4, "cache_misses": 2}},
+}
+
+
+class TestGateAndTrace:
+    @pytest.mark.parametrize("name, cls", [("run", RunRecord), ("mc_gated", McRecord)])
+    def test_record_with_both_tail_keys_round_trips(self, name, cls):
+        record = dict(legacy_records()[name])
+        record["variation_gate"] = legacy_records()["mc_gated"]["variation_gate"]
+        record["trace"] = TRACE
+        parsed = record_from_dict(record)
+        assert isinstance(parsed, cls)
+        assert parsed.variation_gate == record["variation_gate"]
+        assert parsed.trace == TRACE
+        round_tripped = parsed.to_record()
+        assert round_tripped == record
+        assert list(round_tripped) == list(record)
+        assert list(round_tripped)[-3:] == ["wall_clock_s", "variation_gate", "trace"]
+
+
+class TestParseDefaults:
+    def test_absent_run_keys_parse_to_field_defaults(self):
+        parsed = RunRecord.from_record({"job": "x"})
+        assert parsed.stage_table == []
+        assert parsed.pass_notes == {}
+        assert parsed.evaluator_cache == {}
+        assert parsed.summary is None
+        serialized = parsed.to_record()
+        assert serialized == {
+            "job": "x", "instance": None, "flow": None, "engine": None,
+            "pipeline": None, "seed": None, "instance_fingerprint": None,
+            "config_digest": None, "fingerprint": None, "sinks": None,
+            "summary": None, "stage_table": [], "pass_notes": {},
+            "evaluator_cache": {}, "wall_clock_s": None,
+        }
+        assert list(serialized) == [
+            "job", "instance", "flow", "engine", "pipeline", "seed",
+            "instance_fingerprint", "config_digest", "fingerprint", "sinks",
+            "summary", "stage_table", "pass_notes", "evaluator_cache",
+            "wall_clock_s",
+        ]
+
+    def test_absent_mc_keys_parse_to_none(self):
+        parsed = McRecord.from_record({"job": "x"})
+        assert parsed.yield_ is None
+        assert parsed.nominal is None
+        serialized = parsed.to_record()
+        assert serialized == {
+            "job": "x", "instance": None, "flow": None, "engine": None,
+            "samples": None, "family": None, "seed": None, "gated": None,
+            "sinks": None, "yield": None, "nominal": None, "wall_clock_s": None,
+        }
+        assert list(serialized) == [
+            "job", "instance", "flow", "engine", "samples", "family", "seed",
+            "gated", "sinks", "yield", "nominal", "wall_clock_s",
+        ]
+
+    def test_absent_envelope_keys_parse_to_missing(self):
+        parsed = ErrorRecord.from_record({"job": "x", "error": "boom"})
+        for name in ("pipeline", "seed", "samples", "family", "gated"):
+            assert getattr(parsed, name) is MISSING
+        assert parsed.to_record() == {
+            "job": "x", "instance": None, "flow": None, "engine": None,
+            "error": "boom",
+        }
+        assert list(parsed.to_record()) == ["job", "instance", "flow", "engine", "error"]
+
+    def test_absent_stage_columns_parse_to_none(self):
+        serialized = StageRow.from_record({"stage": "INITIAL"}).to_record()
+        assert serialized == {
+            "stage": "INITIAL", "skew_ps": None, "clr_ps": None,
+            "max_latency_ps": None, "worst_slew_ps": None,
+            "total_capacitance_fF": None, "capacitance_utilization": None,
+            "wirelength_um": None, "buffer_count": None, "evaluations": None,
+            "elapsed_s": 0.0,
+        }
+        assert list(serialized) == [
+            "stage", "skew_ps", "clr_ps", "max_latency_ps", "worst_slew_ps",
+            "total_capacitance_fF", "capacitance_utilization", "wirelength_um",
+            "buffer_count", "evaluations", "elapsed_s",
+        ]
+
+    @pytest.mark.parametrize("cls", [RunSummary, YieldSummary])
+    def test_absent_summary_keys_parse_to_none(self, cls):
+        serialized = cls.from_record({}).to_record()
+        assert set(serialized.values()) == {None}
+        assert list(serialized) == [f.name for f in fields(cls)]
+
+
 class TestStageRow:
     def test_round_trip_preserves_order_and_values(self):
         row = legacy_records()["run"]["stage_table"][0]
@@ -149,7 +247,7 @@ class TestPropertyRoundTrips:
         # Insert in the schema's canonical envelope order, the order the
         # runner itself produces (arbitrary dict orders only promise content
         # equality, like the sort_keys store lines).
-        for key in ErrorRecord._OPTIONAL:
+        for key in ("pipeline", "seed", "samples", "family", "gated"):
             if key in present:
                 record[key] = data.draw(_envelope_values[key], label=key)
         round_tripped = record_from_dict(record).to_record()
