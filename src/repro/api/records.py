@@ -2,24 +2,38 @@
 
 Every JSON-able record the batch engine emits -- synthesis runs, Monte Carlo
 yield sweeps, failed jobs -- is defined here exactly once, as a dataclass
-whose ``to_record()`` / ``from_record()`` pair round-trips **bit-identically**
-to the dict shapes the runner has streamed since PR 2 (pinned by
-``tests/golden/legacy_records.json``).  Producers (:mod:`repro.runner`), the
-persistent store (:mod:`repro.store`), the diff engine
-(:mod:`repro.store.compare`) and every table renderer consume these classes
-instead of hand-rolled dicts, so adding or renaming a field is a one-line,
-type-checked change instead of a cross-module string hunt.
+whose fields declare its wire shape.  One ``to_record()`` / ``from_record()``
+pair, derived from those fields by :class:`_Record`, round-trips
+**bit-identically** to the dict shapes the runner has always streamed
+(pinned by ``tests/golden/legacy_records.json``).  Producers
+(:mod:`repro.runner`), the persistent store (:mod:`repro.store`), the diff
+engine (:mod:`repro.store.compare`) and every table renderer consume these
+classes instead of hand-rolled dicts, so adding a field is one declaration
+and renaming one is a type-checked change instead of a cross-module string
+hunt.
 
 Conventions
 -----------
-* ``to_record()`` emits keys in dataclass field order, which matches the
+* ``to_record()`` emits one key per field, in field order, which matches the
   historical dict insertion order -- per-job JSON files stay byte-identical.
-* Keys that the legacy records emitted *conditionally* (``variation_gate``
-  only when a gate ran; the error-record spec envelope, which pre-dates this
-  module) are omitted again by ``to_record()`` when unset, so legacy records
-  survive a parse/serialize round trip unchanged.
-* ``from_record()`` is lenient about missing keys (old or hand-written
-  records parse with ``None`` holes) but never invents conditional keys.
+* What a field's wire shape needs beyond its name and value is declared on
+  the field, as ``field(metadata=...)`` with these keys:
+
+  - ``_KEY``: the record key, where it is not the field name
+    (``McRecord.yield_`` goes out as ``"yield"``, a Python keyword);
+  - ``_NESTED``: the record class of a nested value, serialized and parsed
+    through that class's own pair; ``_MANY`` marks a list of them;
+  - ``_OMIT_FALSY``: emit the key only when the value is truthy
+    (``variation_gate`` only when a gate ran, ``trace`` only when traced).
+
+* A field holding :data:`MISSING` is never emitted (the error-record spec
+  envelope, which pre-dates this module), so legacy records survive a
+  parse/serialize round trip unchanged.
+* ``from_record()`` is lenient about missing keys: an absent key parses to
+  the field's default, or ``None`` for a field without one, so old or
+  hand-written records parse with holes but never gain conditional keys.
+  A nested value that is not a JSON object (or a list of them) raises
+  ``ValueError``.
 
 This module is intentionally a *leaf*: it imports nothing from the rest of
 the package, so low-level modules (e.g. :mod:`repro.core.report`) can build
@@ -29,8 +43,20 @@ on the schemas without import cycles.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from dataclasses import MISSING as _NO_DEFAULT
+from dataclasses import Field, dataclass, field, fields
+from typing import (
+    Any,
+    ClassVar,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+)
 
 __all__ = [
     "MISSING",
@@ -78,8 +104,71 @@ them, while newly produced error records carry the full spec envelope.
 """
 
 
+#: ``field(metadata=...)`` keys read by the derived record pair.
+_KEY = "key"
+_NESTED = "nested"
+_MANY = "many"
+_OMIT_FALSY = "omit_falsy"
+
+_R = TypeVar("_R", bound="_Record")
+
+
+class _Record:
+    """The ``to_record()``/``from_record()`` pair, derived from dataclass fields.
+
+    Every record class below inherits it; the module docstring lists the
+    field metadata it reads.
+    """
+
+    __dataclass_fields__: ClassVar[Dict[str, Field[Any]]]
+
+    def to_record(self) -> Dict[str, Any]:
+        """The record dict: one key per field that is set, in field order."""
+        record: Dict[str, Any] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is MISSING or (not value and f.metadata.get(_OMIT_FALSY)):
+                continue
+            if value is not None and _NESTED in f.metadata:
+                value = (
+                    [item.to_record() for item in value]
+                    if f.metadata.get(_MANY)
+                    else value.to_record()
+                )
+            record[f.metadata.get(_KEY, f.name)] = value
+        return record
+
+    @classmethod
+    def from_record(cls: Type[_R], record: Mapping[str, Any]) -> _R:
+        """Parse a record dict; an absent key takes the field's default."""
+        if not isinstance(record, Mapping):
+            raise ValueError(
+                f"{cls.__name__} must be a JSON object, not {type(record).__name__}"
+            )
+        values: Dict[str, Any] = {}
+        for f in fields(cls):
+            key = f.metadata.get(_KEY, f.name)
+            if key in record:
+                values[f.name] = _parse_field(f, record[key])
+            elif f.default is _NO_DEFAULT and f.default_factory is _NO_DEFAULT:
+                values[f.name] = None
+        return cls(**values)
+
+
+def _parse_field(f: Field[Any], value: Any) -> Any:
+    """One present value, parsed through the field's nested record class."""
+    nested = f.metadata.get(_NESTED)
+    if nested is None or value is None:
+        return value
+    if not f.metadata.get(_MANY):
+        return nested.from_record(value)
+    if not isinstance(value, list):
+        raise ValueError(f"{f.name!r} must be a list, not {type(value).__name__}")
+    return [nested.from_record(item) for item in value]
+
+
 @dataclass
-class StageRow:
+class StageRow(_Record):
     """One optimization-stage snapshot (one row of a Table III stage table)."""
 
     stage: str
@@ -92,21 +181,12 @@ class StageRow:
     wirelength_um: float
     buffer_count: int
     evaluations: int
+    #: Rows saved before per-stage timing existed parse with 0.0.
     elapsed_s: float = 0.0
-
-    def to_record(self) -> Dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(StageRow)}
-
-    @classmethod
-    def from_record(cls, record: Mapping[str, Any]) -> "StageRow":
-        # ``elapsed_s`` was added in PR 2; rows saved before then default to
-        # 0.0 (the behavior the old ``table_iii`` setdefault provided).
-        return cls(**{f.name: record.get(f.name, 0.0 if f.name == "elapsed_s" else None)
-                      for f in fields(cls)})
 
 
 @dataclass
-class RunSummary:
+class RunSummary(_Record):
     """Final metrics of one synthesis run (one row of a Table IV comparison)."""
 
     instance: Optional[str] = None
@@ -121,16 +201,9 @@ class RunSummary:
     evaluations: Optional[int] = None
     runtime_s: Optional[float] = None
 
-    def to_record(self) -> Dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(RunSummary)}
-
-    @classmethod
-    def from_record(cls, record: Mapping[str, Any]) -> "RunSummary":
-        return cls(**{f.name: record.get(f.name) for f in fields(cls)})
-
 
 @dataclass
-class YieldSummary:
+class YieldSummary(_Record):
     """Skew/CLR distribution statistics of one Monte Carlo yield sweep."""
 
     n_samples: Optional[int] = None
@@ -148,21 +221,15 @@ class YieldSummary:
     clr_p99_ps: Optional[float] = None
     slew_yield: Optional[float] = None
 
-    def to_record(self) -> Dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(YieldSummary)}
-
-    @classmethod
-    def from_record(cls, record: Mapping[str, Any]) -> "YieldSummary":
-        return cls(**{f.name: record.get(f.name) for f in fields(cls)})
-
 
 @dataclass
-class RunRecord:
+class RunRecord(_Record):
     """Complete result of one synthesis job (the ``repro run`` record shape).
 
     Field order is the serialization order; it matches the dicts
-    :func:`repro.runner.run_job` has emitted since PR 2, so per-job JSON
-    files and store lines are byte-compatible across the typed migration.
+    :func:`repro.runner.run_job` has always emitted, so per-job JSON files
+    and store lines are byte-compatible with records written before the
+    typed schemas.
     """
 
     job: Optional[str] = None
@@ -175,71 +242,26 @@ class RunRecord:
     config_digest: Optional[str] = None
     fingerprint: Optional[str] = None
     sinks: Optional[int] = None
-    summary: Optional[RunSummary] = None
-    stage_table: List[StageRow] = field(default_factory=list)
+    summary: Optional[RunSummary] = field(default=None, metadata={_NESTED: RunSummary})
+    stage_table: List[StageRow] = field(
+        default_factory=list, metadata={_NESTED: StageRow, _MANY: True}
+    )
     pass_notes: Dict[str, List[str]] = field(default_factory=dict)
     evaluator_cache: Dict[str, int] = field(default_factory=dict)
     wall_clock_s: Optional[float] = None
-    #: Present only when the pipeline ran variation-aware passes; omitted
-    #: from the serialized record otherwise (matching the legacy shape).
-    variation_gate: Optional[Dict[str, Any]] = None
+    #: Present only when the pipeline ran variation-aware passes, matching
+    #: the legacy shape.
+    variation_gate: Optional[Dict[str, Any]] = field(
+        default=None, metadata={_OMIT_FALSY: True}
+    )
     #: Serialized :class:`repro.obs.TraceSummary`; present only when the job
     #: ran traced, so untraced records keep their historical byte shape.
     #: Plain dict here: this module is a dependency-free leaf.
-    trace: Optional[Dict[str, Any]] = None
-
-    def to_record(self) -> Dict[str, Any]:
-        record: Dict[str, Any] = {
-            "job": self.job,
-            "instance": self.instance,
-            "flow": self.flow,
-            "engine": self.engine,
-            "pipeline": self.pipeline,
-            "seed": self.seed,
-            "instance_fingerprint": self.instance_fingerprint,
-            "config_digest": self.config_digest,
-            "fingerprint": self.fingerprint,
-            "sinks": self.sinks,
-            "summary": self.summary.to_record() if self.summary is not None else None,
-            "stage_table": [row.to_record() for row in self.stage_table],
-            "pass_notes": self.pass_notes,
-            "evaluator_cache": self.evaluator_cache,
-            "wall_clock_s": self.wall_clock_s,
-        }
-        if self.variation_gate:
-            record["variation_gate"] = self.variation_gate
-        if self.trace:
-            record["trace"] = self.trace
-        return record
-
-    @classmethod
-    def from_record(cls, record: Mapping[str, Any]) -> "RunRecord":
-        summary = record.get("summary")
-        return cls(
-            job=record.get("job"),
-            instance=record.get("instance"),
-            flow=record.get("flow"),
-            engine=record.get("engine"),
-            pipeline=record.get("pipeline"),
-            seed=record.get("seed"),
-            instance_fingerprint=record.get("instance_fingerprint"),
-            config_digest=record.get("config_digest"),
-            fingerprint=record.get("fingerprint"),
-            sinks=record.get("sinks"),
-            summary=RunSummary.from_record(summary) if summary is not None else None,
-            stage_table=[
-                StageRow.from_record(row) for row in record.get("stage_table", [])
-            ],
-            pass_notes=record.get("pass_notes", {}),
-            evaluator_cache=record.get("evaluator_cache", {}),
-            wall_clock_s=record.get("wall_clock_s"),
-            variation_gate=record.get("variation_gate"),
-            trace=record.get("trace"),
-        )
+    trace: Optional[Dict[str, Any]] = field(default=None, metadata={_OMIT_FALSY: True})
 
 
 @dataclass
-class McRecord:
+class McRecord(_Record):
     """Complete result of one Monte Carlo job (the ``repro mc`` record shape)."""
 
     job: Optional[str] = None
@@ -252,58 +274,16 @@ class McRecord:
     gated: Optional[bool] = None
     sinks: Optional[int] = None
     #: Serialized under the legacy key ``"yield"`` (a Python keyword).
-    yield_: Optional[YieldSummary] = None
-    nominal: Optional[RunSummary] = None
+    yield_: Optional[YieldSummary] = field(
+        default=None, metadata={_KEY: "yield", _NESTED: YieldSummary}
+    )
+    nominal: Optional[RunSummary] = field(default=None, metadata={_NESTED: RunSummary})
     wall_clock_s: Optional[float] = None
-    variation_gate: Optional[Dict[str, Any]] = None
+    variation_gate: Optional[Dict[str, Any]] = field(
+        default=None, metadata={_OMIT_FALSY: True}
+    )
     #: Serialized :class:`repro.obs.TraceSummary`; present only when traced.
-    trace: Optional[Dict[str, Any]] = None
-
-    def to_record(self) -> Dict[str, Any]:
-        record: Dict[str, Any] = {
-            "job": self.job,
-            "instance": self.instance,
-            "flow": self.flow,
-            "engine": self.engine,
-            "samples": self.samples,
-            "family": self.family,
-            "seed": self.seed,
-            "gated": self.gated,
-            "sinks": self.sinks,
-            "yield": self.yield_.to_record() if self.yield_ is not None else None,
-            "nominal": self.nominal.to_record() if self.nominal is not None else None,
-            "wall_clock_s": self.wall_clock_s,
-        }
-        if self.variation_gate:
-            record["variation_gate"] = self.variation_gate
-        if self.trace:
-            record["trace"] = self.trace
-        return record
-
-    @classmethod
-    def from_record(cls, record: Mapping[str, Any]) -> "McRecord":
-        yield_payload = record.get("yield")
-        nominal = record.get("nominal")
-        return cls(
-            job=record.get("job"),
-            instance=record.get("instance"),
-            flow=record.get("flow"),
-            engine=record.get("engine"),
-            samples=record.get("samples"),
-            family=record.get("family"),
-            seed=record.get("seed"),
-            gated=record.get("gated"),
-            sinks=record.get("sinks"),
-            yield_=(
-                YieldSummary.from_record(yield_payload)
-                if yield_payload is not None
-                else None
-            ),
-            nominal=RunSummary.from_record(nominal) if nominal is not None else None,
-            wall_clock_s=record.get("wall_clock_s"),
-            variation_gate=record.get("variation_gate"),
-            trace=record.get("trace"),
-        )
+    trace: Optional[Dict[str, Any]] = field(default=None, metadata={_OMIT_FALSY: True})
 
 
 #: Value of an optional error-envelope field: the real value, ``None``, or
@@ -312,14 +292,16 @@ _OptField = Union[Any, _MissingType]
 
 
 @dataclass
-class ErrorRecord:
+class ErrorRecord(_Record):
     """A failed job, with the same spec envelope as a successful record.
 
     Legacy error records carried only ``job``/``instance``/``flow``/``engine``
     plus the traceback; records produced by this codebase additionally carry
     the spec envelope (``pipeline``, ``seed``, and the Monte Carlo axes for
     MC jobs) so ``repro compare`` can line failed jobs up against their
-    baseline counterparts by the same job key as successful ones.
+    baseline counterparts by the same job key as successful ones.  The
+    envelope fields default to :data:`MISSING`, so each is emitted only when
+    it was set.
     """
 
     job: Optional[str] = None
@@ -332,34 +314,6 @@ class ErrorRecord:
     samples: _OptField = MISSING
     family: _OptField = MISSING
     gated: _OptField = MISSING
-
-    #: Envelope keys emitted only when explicitly set (legacy round-trip).
-    _OPTIONAL = ("pipeline", "seed", "samples", "family", "gated")
-
-    def to_record(self) -> Dict[str, Any]:
-        record: Dict[str, Any] = {
-            "job": self.job,
-            "instance": self.instance,
-            "flow": self.flow,
-            "engine": self.engine,
-            "error": self.error,
-        }
-        for name in self._OPTIONAL:
-            value = getattr(self, name)
-            if value is not MISSING:
-                record[name] = value
-        return record
-
-    @classmethod
-    def from_record(cls, record: Mapping[str, Any]) -> "ErrorRecord":
-        return cls(
-            job=record.get("job"),
-            instance=record.get("instance"),
-            flow=record.get("flow"),
-            engine=record.get("engine"),
-            error=record.get("error"),
-            **{name: record.get(name, MISSING) for name in cls._OPTIONAL},
-        )
 
     def envelope(self, name: str) -> Any:
         """An optional envelope field, with absence normalized to ``None``."""
