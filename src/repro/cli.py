@@ -24,8 +24,9 @@ Ten subcommands:
   supply/process scenarios (batched through the vectorized moment path) with
   a per-job seeded RNG; ``--gated`` switches synthesis to the
   variation-aware pipeline (p95-skew-gated IVC rounds);
-* ``repro table`` -- re-render saved per-job JSON records as Table IV (and,
-  with ``--stages``, per-run Table III stage tables);
+* ``repro table`` -- re-render saved per-job JSON records: run records as
+  Table IV (and, with ``--stages``, per-run Table III stage tables), Monte
+  Carlo records as the yield table, and failed jobs on stderr (exit 1);
 * ``repro profile`` -- run one job under a live :class:`repro.obs.Tracer`
   and print its span tree (per-span total/self times and counters), with
   optional schema-1 trace-artifact (``--json``) and Chrome trace-event
@@ -90,7 +91,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.variation import SAMPLING_FAMILIES
 from repro.api.jobs import JobMatrix, JobSpec, MonteCarloAxes
-from repro.api.records import McRecord, Record, RunRecord
+from repro.api.records import ErrorRecord, McRecord, Record, RunRecord, record_from_dict
 from repro.api.service import JobEvent, SynthesisService
 from repro.core import available_passes
 from repro.obs import (
@@ -134,6 +135,17 @@ def package_version() -> str:
         return __version__
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the worker, queue and repeat counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -175,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
         "Contango sequence (see 'repro run --list-passes')",
     )
     run.add_argument("--seed", type=int, help="TI-generator seed override")
-    run.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    run.add_argument(
+        "--jobs", type=_positive_int, default=1, help="worker processes (default 1)"
+    )
     run.add_argument(
         "--output-dir",
         metavar="DIR",
@@ -246,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation engine (repeatable); default arnoldi (also: spice, elmore)",
     )
     sweep.add_argument("--seed", type=int, help="instance/flow seed override")
-    sweep.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    sweep.add_argument(
+        "--jobs", type=_positive_int, default=1, help="worker processes (default 1)"
+    )
     sweep.add_argument(
         "--store",
         metavar="DIR",
@@ -381,7 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="P1,P2,...",
         help="explicit pass-registry pipeline override (see 'repro run --list-passes')",
     )
-    mc.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    mc.add_argument(
+        "--jobs", type=_positive_int, default=1, help="worker processes (default 1)"
+    )
     mc.add_argument(
         "--output-dir",
         metavar="DIR",
@@ -399,7 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
         "the record (read back with 'repro trace')",
     )
 
-    table = sub.add_parser("table", help="render saved per-job JSON as Table IV / III")
+    table = sub.add_parser(
+        "table", help="render saved per-job JSON as Table IV / III and the yield table"
+    )
     table.add_argument(
         "--input", required=True, metavar="DIR_OR_FILE",
         help="a directory of per-job *.json files, or one such file",
@@ -485,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_run.add_argument(
         "--repeats",
-        type=int,
+        type=_positive_int,
         metavar="N",
         help="wall-clock repeats per case (default: each case's own setting; "
         "counters must not depend on it)",
@@ -598,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the bound port to FILE once the server accepts connections",
     )
     serve.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_positive_int, default=1,
         help="warm synthesis pool size (default 1: in-process execution)",
     )
     serve.add_argument(
@@ -610,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--run-id", metavar="ID", help="store tag for served jobs (default serve)"
     )
     serve.add_argument(
-        "--max-queue", type=int, default=64,
+        "--max-queue", type=_positive_int, default=64,
         help="scheduler queue capacity (default 64)",
     )
     serve.add_argument(
@@ -757,9 +777,14 @@ def _run_batch(
             )
             + "\n"
         )
-    for failure in batch.failures:
+    return _report_failures(batch.failures)
+
+
+def _report_failures(failures: Sequence[ErrorRecord]) -> int:
+    """Print each failed job's error on stderr; the exit code (1 if any failed)."""
+    for failure in failures:
         print(f"\njob {failure.job} failed:\n{failure.error}", file=sys.stderr)
-    return 1 if batch.failures else 0
+    return 1 if failures else 0
 
 
 def _parse_assignments(items: Optional[List[str]], option: str) -> Dict[str, str]:
@@ -954,19 +979,22 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     return _run_batch(args, jobs, table=table_mc, progress=_progress_mc)
 
 
-def _saved_records(path: Path) -> List[Dict]:
-    """The job records of one saved JSON file: a record or a --summary-json file."""
+def _saved_records(path: Path) -> List[Record]:
+    """The typed job records of one saved JSON file: a record or a --summary-json file.
+
+    Raises ``ValueError`` for anything that does not parse into records.
+    """
     loaded = json.loads(path.read_text())
     found = loaded["records"] if isinstance(loaded, dict) and "records" in loaded else [loaded]
     if not isinstance(found, list) or not all(isinstance(record, dict) for record in found):
         raise ValueError("not a job record or a --summary-json file")
-    return found
+    return [record_from_dict(record) for record in found]
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     source = Path(args.input)
     paths = sorted(source.glob("*.json")) if source.is_dir() else [source]
-    records: List[Dict] = []
+    records: List[Record] = []
     for path in paths:
         try:
             records.extend(_saved_records(path))
@@ -977,13 +1005,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if not records:
         print(f"no job records found under {source}", file=sys.stderr)
         return 1
-    print(table_iv(records))
+    runs = [record for record in records if isinstance(record, RunRecord)]
+    monte_carlo = [record for record in records if isinstance(record, McRecord)]
+    blocks = [table_iv(runs)] if runs else []
     if args.stages:
-        for record in records:
-            if record.get("stage_table"):
-                print(f"\n== {record['job']} ==")
-                print(table_iii(record))
-    return 0
+        blocks += [f"== {run.job} ==\n{table_iii(run)}" for run in runs if run.stage_table]
+    if monte_carlo:
+        blocks.append(table_mc(monte_carlo))
+    if blocks:
+        print("\n\n".join(blocks))
+    return _report_failures([record for record in records if isinstance(record, ErrorRecord)])
 
 
 _TRACE_COLUMNS = (

@@ -1,6 +1,7 @@
 """Tests for job execution (repro.runner) and the ``python -m repro`` CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,13 @@ from repro.runner import (
     table_iii,
     table_iv,
 )
+
+
+GOLDEN = Path(__file__).parent.parent / "golden" / "legacy_records.json"
+
+
+def legacy_records():
+    return json.loads(GOLDEN.read_text())
 
 
 class TestJobSpec:
@@ -164,8 +172,10 @@ class TestCli:
             (None, "No such file or directory"),
             ("not json", "Expecting value"),
             ("[1, 2]", "not a job record"),
+            ('{"job": "x", "stage_table": [1]}', "StageRow must be a JSON object"),
+            ('{"job": "x", "summary": 5}', "RunSummary must be a JSON object"),
         ],
-        ids=["missing", "not-json", "not-a-record"],
+        ids=["missing", "not-json", "not-a-record", "bad-stage-row", "bad-summary"],
     )
     def test_table_reports_bad_input_in_one_line(self, tmp_path, capsys, content, reason):
         path = tmp_path / "bad.json"
@@ -178,6 +188,48 @@ class TestCli:
         assert captured.err.startswith(f"repro table: {path}: ")
         assert reason in captured.err
         assert len(captured.err.splitlines()) == 1
+
+    def test_table_renders_monte_carlo_summary_file(self, tmp_path, capsys):
+        mc = legacy_records()["mc"]
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps({"jobs": 1, "records": [mc]}))
+        code = main(["table", "--input", str(path)])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "yield[%]" in printed and "p95[ps]" in printed
+        assert f"{mc['yield']['skew_p95_ps']:.2f}" in printed
+        assert "latency[ps]" not in printed  # no empty Table IV
+
+    def test_table_reports_failed_jobs(self, tmp_path, capsys):
+        records = legacy_records()
+        for name in ("run", "error"):
+            (tmp_path / f"{name}.json").write_text(json.dumps(records[name]))
+        code = main(["table", "--input", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"{records['run']['summary']['skew_ps']:.2f}" in captured.out
+        assert f"job {records['error']['job']} failed:" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--instance", "ti:8", "--jobs", "0"],
+            ["sweep", "--instance", "ti:8", "--store", "STORE", "--jobs", "0"],
+            ["mc", "--instance", "ti:8", "--jobs", "0"],
+            ["serve", "--port", "0", "--workers", "0"],
+            ["serve", "--port", "0", "--max-queue", "0"],
+            ["perf", "run", "--list-cases", "--repeats", "0"],
+        ],
+        ids=["run-jobs", "sweep-jobs", "mc-jobs", "serve-workers", "serve-max-queue",
+             "perf-repeats"],
+    )
+    def test_counts_below_one_fail_at_parse_time(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(tmp_path / "store") if arg == "STORE" else arg for arg in argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"argument {argv[-2]}: expected an integer >= 1, got '0'" in err
 
     def test_list_passes_works_standalone(self, capsys):
         code = main(["run", "--list-passes"])
