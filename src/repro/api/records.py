@@ -1,39 +1,31 @@
-"""Typed result-record schemas: the single source of truth for field names.
+"""Typed result-record schemas: the single source of truth for record shapes.
 
 Every JSON-able record the batch engine emits -- synthesis runs, Monte Carlo
-yield sweeps, failed jobs -- is defined here exactly once, as a dataclass
-whose fields declare its wire shape.  One ``to_record()`` / ``from_record()``
-pair, derived from those fields by :class:`_Record`, round-trips
+yield sweeps, failed jobs -- is a dataclass here whose fields declare its
+wire shape once.  The ``to_record()`` / ``from_record()`` pair every class
+inherits from :class:`_Record` is derived from those fields and round-trips
 **bit-identically** to the dict shapes the runner has always streamed
 (pinned by ``tests/golden/legacy_records.json``).  Producers
-(:mod:`repro.runner`), the persistent store (:mod:`repro.store`), the diff
-engine (:mod:`repro.store.compare`) and every table renderer consume these
-classes instead of hand-rolled dicts, so adding a field is one declaration
-and renaming one is a type-checked change instead of a cross-module string
-hunt.
+(:mod:`repro.runner`), the store (:mod:`repro.store`), the diff engine
+(:mod:`repro.store.compare`) and every table renderer consume these classes
+instead of hand-rolled dicts, so adding a field is one declaration.
 
 Conventions
 -----------
-* ``to_record()`` emits one key per field, in field order, which matches the
-  historical dict insertion order -- per-job JSON files stay byte-identical.
-* What a field's wire shape needs beyond its name and value is declared on
-  the field, as ``field(metadata=...)`` with these keys:
-
-  - ``_KEY``: the record key, where it is not the field name
-    (``McRecord.yield_`` goes out as ``"yield"``, a Python keyword);
-  - ``_NESTED``: the record class of a nested value, serialized and parsed
-    through that class's own pair; ``_MANY`` marks a list of them;
-  - ``_OMIT_FALSY``: emit the key only when the value is truthy
-    (``variation_gate`` only when a gate ran, ``trace`` only when traced).
-
+* Keys go out in field order, the historical dict insertion order, so
+  per-job JSON files stay byte-identical.
+* ``field(metadata=...)`` declares what the wire shape needs beyond the
+  field's name and value: ``_KEY``, the record key where it is not the
+  field name (``McRecord.yield_`` goes out as ``"yield"``); ``_NESTED``, the
+  record class of a nested value (with ``_MANY`` for a list of them);
+  ``_OMIT_FALSY``, emit the key only when the value is truthy
+  (``variation_gate`` only when a gate ran, ``trace`` only when traced).
 * A field holding :data:`MISSING` is never emitted (the error-record spec
-  envelope, which pre-dates this module), so legacy records survive a
-  parse/serialize round trip unchanged.
-* ``from_record()`` is lenient about missing keys: an absent key parses to
-  the field's default, or ``None`` for a field without one, so old or
-  hand-written records parse with holes but never gain conditional keys.
-  A nested value that is not a JSON object (or a list of them) raises
-  ``ValueError``.
+  envelope), so legacy records survive a parse/serialize round trip.
+* ``from_record()`` is lenient: an absent key parses to the field's default
+  (``None`` for a field without one), so old or hand-written records parse
+  with holes but never gain conditional keys.  A nested value that is not
+  a JSON object (or a list of them) raises ``ValueError``.
 
 This module is intentionally a *leaf*: it imports nothing from the rest of
 the package, so low-level modules (e.g. :mod:`repro.core.report`) can build
@@ -114,11 +106,7 @@ _R = TypeVar("_R", bound="_Record")
 
 
 class _Record:
-    """The ``to_record()``/``from_record()`` pair, derived from dataclass fields.
-
-    Every record class below inherits it; the module docstring lists the
-    field metadata it reads.
-    """
+    """The record pair, derived from the fields and their metadata (see above)."""
 
     __dataclass_fields__: ClassVar[Dict[str, Field[Any]]]
 
@@ -127,7 +115,7 @@ class _Record:
         record: Dict[str, Any] = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is MISSING or (not value and f.metadata.get(_OMIT_FALSY)):
+            if value is MISSING or (f.metadata.get(_OMIT_FALSY) and not value):
                 continue
             if value is not None and _NESTED in f.metadata:
                 value = (

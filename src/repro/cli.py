@@ -187,9 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         "Contango sequence (see 'repro run --list-passes')",
     )
     run.add_argument("--seed", type=int, help="TI-generator seed override")
-    run.add_argument(
-        "--jobs", type=_positive_int, default=1, help="worker processes (default 1)"
-    )
+    run.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (default 1)")
     run.add_argument(
         "--output-dir",
         metavar="DIR",
@@ -260,9 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation engine (repeatable); default arnoldi (also: spice, elmore)",
     )
     sweep.add_argument("--seed", type=int, help="instance/flow seed override")
-    sweep.add_argument(
-        "--jobs", type=_positive_int, default=1, help="worker processes (default 1)"
-    )
+    sweep.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (default 1)")
     sweep.add_argument(
         "--store",
         metavar="DIR",
@@ -397,9 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="P1,P2,...",
         help="explicit pass-registry pipeline override (see 'repro run --list-passes')",
     )
-    mc.add_argument(
-        "--jobs", type=_positive_int, default=1, help="worker processes (default 1)"
-    )
+    mc.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (default 1)")
     mc.add_argument(
         "--output-dir",
         metavar="DIR",
