@@ -85,9 +85,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Type
 
 from repro.analysis.variation import SAMPLING_FAMILIES
 from repro.api.jobs import JobMatrix, JobSpec, MonteCarloAxes
@@ -146,6 +147,39 @@ def _positive_int(text: str) -> int:
     return value
 
 
+#: The instance-spec grammar of every subcommand that names instances.
+_SPEC_HELP = "ti:<sinks>, ispd09:<name>[:<scale>], scenario:<family>[:k=v,...], file:<path>"
+#: The run-store selection syntax of ``repro compare`` and ``repro trace``.
+_SELECTION_HELP = (
+    "a store directory, optionally @RUN_ID (default: the latest run; @all selects every record)"
+)
+
+
+class _UsageError(Exception):
+    """A bad argument or input: :func:`main` prints ``<prog>: <message>`` and exits 2."""
+
+
+@contextmanager
+def _usage_errors(*kinds: Type[Exception], prefix: str = "") -> Iterator[None]:
+    """Re-raise the ``kinds`` of error raised inside the block as a :class:`_UsageError`."""
+    try:
+        yield
+    except kinds as error:
+        raise _UsageError(f"{prefix}{error}") from error
+
+
+def _command(
+    commands: "argparse._SubParsersAction[argparse.ArgumentParser]",
+    name: str,
+    handler: Callable[[argparse.Namespace], int],
+    **kwargs: Any,
+) -> argparse.ArgumentParser:
+    """Add subcommand ``name``, bound to ``handler`` and to its ``prog`` for usage errors."""
+    parser = commands.add_parser(name, **kwargs)
+    parser.set_defaults(handler=handler, prog=parser.prog)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -159,20 +193,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run an instance x flow x engine job matrix")
-    run.add_argument(
-        "--instance",
-        action="append",
-        metavar="SPEC",
-        help="instance spec (repeatable, required unless --list-passes): "
-        "ti:<sinks>, ispd09:<name>[:<scale>], scenario:<family>[:k=v,...], "
-        "file:<path>",
-    )
-    run.add_argument(
+    # The options every batch subcommand (run, sweep, mc) shares.
+    batch = argparse.ArgumentParser(add_help=False)
+    batch.add_argument(
         "--flow",
         action="append",
         metavar="NAME",
         help=f"flow to run (repeatable); default contango; one of {available_flows()}",
+    )
+    batch.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (default 1)")
+    batch.add_argument(
+        "--output-dir",
+        metavar="DIR",
+        help="write one <job>.json per completed job into DIR (streamed)",
+    )
+    batch.add_argument(
+        "--summary-json",
+        metavar="FILE",
+        help="write the whole batch (records + wall-clock) as one JSON file",
+    )
+    batch.add_argument(
+        "--trace",
+        action="store_true",
+        help="run every job under a tracer and attach its trace summary to "
+        "the record (results stay bit-identical; read back with 'repro trace')",
+    )
+
+    run = _command(
+        sub, "run", _cmd_run, parents=[batch],
+        help="run an instance x flow x engine job matrix",
+    )
+    run.add_argument(
+        "--instance",
+        action="append",
+        metavar="SPEC",
+        help=f"instance spec (repeatable, required unless --list-passes): {_SPEC_HELP}",
     )
     run.add_argument(
         "--engine",
@@ -187,31 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
         "Contango sequence (see 'repro run --list-passes')",
     )
     run.add_argument("--seed", type=int, help="TI-generator seed override")
-    run.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (default 1)")
-    run.add_argument(
-        "--output-dir",
-        metavar="DIR",
-        help="write one <job>.json per completed job into DIR (streamed)",
-    )
-    run.add_argument(
-        "--summary-json",
-        metavar="FILE",
-        help="write the whole batch (records + wall-clock) as one JSON file",
-    )
-    run.add_argument(
-        "--trace",
-        action="store_true",
-        help="run every job under a tracer and attach its trace summary to "
-        "the record (results stay bit-identical; read back with 'repro trace')",
-    )
     run.add_argument(
         "--list-passes",
         action="store_true",
         help="print the registered optimization passes and exit",
     )
 
-    sweep = sub.add_parser(
-        "sweep",
+    sweep = _command(
+        sub, "sweep", _cmd_sweep, parents=[batch],
         help="scenario-lab sweep: scenario family x flow matrix into a persistent run store",
     )
     sweep.add_argument(
@@ -241,15 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--instance",
         action="append",
         metavar="SPEC",
-        help="extra explicit instance specs to include in the matrix "
-        "(repeatable): ti:<sinks>, ispd09:<name>[:<scale>], "
-        "scenario:<family>[:k=v,...], file:<path>",
-    )
-    sweep.add_argument(
-        "--flow",
-        action="append",
-        metavar="NAME",
-        help=f"flow to run (repeatable); default contango; one of {available_flows()}",
+        help=f"extra explicit instance specs to include in the matrix (repeatable): {_SPEC_HELP}",
     )
     sweep.add_argument(
         "--engine",
@@ -258,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation engine (repeatable); default arnoldi (also: spice, elmore)",
     )
     sweep.add_argument("--seed", type=int, help="instance/flow seed override")
-    sweep.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (default 1)")
     sweep.add_argument(
         "--store",
         metavar="DIR",
@@ -271,36 +300,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="store tag for this sweep (default: a UTC timestamp tag)",
     )
     sweep.add_argument(
-        "--output-dir",
-        metavar="DIR",
-        help="additionally write one <job>.json per completed job into DIR",
-    )
-    sweep.add_argument(
-        "--summary-json",
-        metavar="FILE",
-        help="write the whole batch (records + wall-clock) as one JSON file",
-    )
-    sweep.add_argument(
-        "--trace",
-        action="store_true",
-        help="run every job under a tracer and attach its trace summary to "
-        "the stored records (read back with 'repro trace')",
-    )
-    sweep.add_argument(
         "--list-families",
         action="store_true",
         help="print the registered scenario families with their parameters and exit",
     )
 
-    compare = sub.add_parser(
-        "compare",
+    compare = _command(
+        sub, "compare", _cmd_compare,
         help="diff two run-store selections into a per-scenario delta table",
     )
     compare.add_argument(
-        "baseline",
-        metavar="STORE[@RUN_ID]",
-        help="baseline selection: a store directory, optionally @RUN_ID "
-        "(default: the latest run; @all selects every record)",
+        "baseline", metavar="STORE[@RUN_ID]", help=f"baseline selection: {_SELECTION_HELP}"
     )
     compare.add_argument(
         "candidate",
@@ -332,21 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 when any matched job regressed (or nothing matched at all)",
     )
 
-    mc = sub.add_parser(
-        "mc", help="Monte Carlo skew-yield sweep over an instance x flow x samples matrix"
+    mc = _command(
+        sub, "mc", _cmd_mc, parents=[batch],
+        help="Monte Carlo skew-yield sweep over an instance x flow x samples matrix",
     )
     mc.add_argument(
-        "--instance",
-        action="append",
-        metavar="SPEC",
-        help="instance spec (repeatable): ti:<sinks>, ispd09:<name>[:<scale>], "
-        "scenario:<family>[:k=v,...], file:<path>",
-    )
-    mc.add_argument(
-        "--flow",
-        action="append",
-        metavar="NAME",
-        help=f"flow to synthesize with (repeatable); default contango; one of {available_flows()}",
+        "--instance", action="append", metavar="SPEC",
+        help=f"instance spec (repeatable): {_SPEC_HELP}",
     )
     mc.add_argument(
         "--engine",
@@ -393,26 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="P1,P2,...",
         help="explicit pass-registry pipeline override (see 'repro run --list-passes')",
     )
-    mc.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (default 1)")
-    mc.add_argument(
-        "--output-dir",
-        metavar="DIR",
-        help="write one <job>.json per completed job into DIR (streamed)",
-    )
-    mc.add_argument(
-        "--summary-json",
-        metavar="FILE",
-        help="write the whole batch (records + wall-clock) as one JSON file",
-    )
-    mc.add_argument(
-        "--trace",
-        action="store_true",
-        help="run every job under a tracer and attach its trace summary to "
-        "the record (read back with 'repro trace')",
-    )
 
-    table = sub.add_parser(
-        "table", help="render saved per-job JSON as Table IV / III and the yield table"
+    table = _command(
+        sub, "table", _cmd_table,
+        help="render saved per-job JSON as Table IV / III and the yield table",
     )
     table.add_argument(
         "--input", required=True, metavar="DIR_OR_FILE",
@@ -422,15 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--stages", action="store_true", help="also print each run's Table III stage table"
     )
 
-    profile = sub.add_parser(
-        "profile", help="run one job under a live tracer and print its span tree"
+    profile = _command(
+        sub, "profile", _cmd_profile,
+        help="run one job under a live tracer and print its span tree",
     )
-    profile.add_argument(
-        "spec",
-        metavar="SPEC",
-        help="instance spec: ti:<sinks>, ispd09:<name>[:<scale>], "
-        "scenario:<family>[:k=v,...], file:<path>",
-    )
+    profile.add_argument("spec", metavar="SPEC", help=f"instance spec: {_SPEC_HELP}")
     profile.add_argument(
         "--flow",
         default="contango",
@@ -458,14 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="write Chrome trace-event JSON (open in chrome://tracing or Perfetto)",
     )
 
-    trace = sub.add_parser(
-        "trace", help="print the trace summaries stored in a run-store selection"
+    trace = _command(
+        sub, "trace", _cmd_trace,
+        help="print the trace summaries stored in a run-store selection",
     )
     trace.add_argument(
-        "selection",
-        metavar="STORE[@RUN_ID]",
-        help="store selection: a store directory, optionally @RUN_ID "
-        "(default: the latest run; @all selects every record)",
+        "selection", metavar="STORE[@RUN_ID]", help=f"store selection: {_SELECTION_HELP}"
     )
     trace.add_argument(
         "--top",
@@ -488,8 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
 
-    perf_run = perf_sub.add_parser(
-        "run", help="run registered perf cases and record their ledger entries"
+    perf_run = _command(
+        perf_sub, "run", _cmd_perf_run,
+        help="run registered perf cases and record their ledger entries",
     )
     perf_run.add_argument(
         "--case",
@@ -520,8 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the registered cases with descriptions and exit",
     )
 
-    perf_compare = perf_sub.add_parser(
-        "compare",
+    perf_compare = _command(
+        perf_sub, "compare", _cmd_perf_compare,
         help="diff two perf sources: exact counter gate, IQR-banded timing gate",
     )
     perf_compare.add_argument(
@@ -576,8 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 when any timing escaped its noise bands",
     )
 
-    perf_trend = perf_sub.add_parser(
-        "trend", help="render per-case history tables across a perf ledger"
+    perf_trend = _command(
+        perf_sub, "trend", _cmd_perf_trend,
+        help="render per-case history tables across a perf ledger",
     )
     perf_trend.add_argument(
         "ledger", metavar="DIR", help="perf ledger directory (DIR/perf.jsonl)"
@@ -596,8 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
         "trio present in the entries)",
     )
 
-    serve = sub.add_parser(
-        "serve",
+    serve = _command(
+        sub, "serve", _cmd_serve,
         help="serve synthesis jobs over HTTP/JSON (async scheduler + result cache)",
     )
     serve.add_argument(
@@ -633,8 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
         "429 (default wait)",
     )
 
-    lint = sub.add_parser(
-        "lint", help="run the repro.lintkit invariant linter over source paths"
+    lint = _command(
+        sub, "lint", _cmd_lint, help="run the repro.lintkit invariant linter over source paths"
     )
     lint.add_argument(
         "paths", nargs="*", metavar="PATH",
@@ -664,21 +646,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
-def _progress_run(record: Record) -> str:
+def _progress(record: Record) -> str:
+    """A completed job's progress line: its skew and CLR, or its skew yield."""
+    if isinstance(record, McRecord):
+        summary = record.yield_
+        assert summary is not None
+        return (
+            f"p95 skew {summary.skew_p95_ps:.2f} ps, "
+            f"yield {100.0 * (summary.skew_yield or 0.0):.1f}% "
+            f"@ {summary.skew_limit_ps:g} ps"
+        )
     assert isinstance(record, RunRecord) and record.summary is not None
-    return (
-        f"skew {record.summary.skew_ps:.2f} ps, clr {record.summary.clr_ps:.2f} ps"
-    )
-
-
-def _progress_mc(record: Record) -> str:
-    assert isinstance(record, McRecord) and record.yield_ is not None
-    summary = record.yield_
-    return (
-        f"p95 skew {summary.skew_p95_ps:.2f} ps, "
-        f"yield {100.0 * (summary.skew_yield or 0.0):.1f}% "
-        f"@ {summary.skew_limit_ps:g} ps"
-    )
+    return f"skew {record.summary.skew_ps:.2f} ps, clr {record.summary.clr_ps:.2f} ps"
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -689,16 +668,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("\n".join(available_passes()))
         return 0
     if not args.instance:
-        print("repro run: at least one --instance is required", file=sys.stderr)
-        return 2
-    matrix = JobMatrix(
+        raise _UsageError("at least one --instance is required")
+    jobs = JobMatrix(
         instances=args.instance,
         flows=args.flow or ["contango"],
         engines=args.engine or ["arnoldi"],
         pipeline=_parse_pipeline(args.pipeline),
         seed=args.seed,
-    )
-    return _run_batch(args, matrix.expand(), table=table_iv, progress=_progress_run)
+    ).expand()
+    return _run_batch(args, jobs)
 
 
 def _parse_pipeline(text: Optional[str]) -> Optional[tuple]:
@@ -710,8 +688,6 @@ def _parse_pipeline(text: Optional[str]) -> Optional[tuple]:
 def _run_batch(
     args: argparse.Namespace,
     jobs: List,
-    table: Callable[[Sequence[Record]], str],
-    progress: Callable[[Record], str],
     store: Optional[RunStore] = None,
     run_id: str = "service",
 ) -> int:
@@ -720,9 +696,9 @@ def _run_batch(
     Runs the expanded ``jobs`` through one :class:`SynthesisService`
     (attached to ``store`` when given, so every record is appended under
     ``run_id``), streams one JSON record per job into ``--output-dir``,
-    prints a progress line per completion, renders the final ``table``,
-    optionally writes the whole batch as ``--summary-json``, and maps job
-    failures to exit code 1.
+    prints a progress line per completion, renders the records with
+    :func:`_render_records` (which maps job failures to exit code 1), and
+    optionally writes the whole batch as ``--summary-json``.
     """
     output_dir: Optional[Path] = Path(args.output_dir) if args.output_dir else None
     if output_dir is not None:
@@ -744,18 +720,15 @@ def _run_batch(
         else:
             print(
                 f"[{event.index + 1}/{len(jobs)}] {record.job}: "
-                f"{progress(record)}, {record.wall_clock_s:.2f} s"
+                f"{_progress(record)}, {record.wall_clock_s:.2f} s"
             )
 
     with SynthesisService(
-        max_workers=args.jobs,
-        store=store,
-        run_id=run_id,
-        trace=getattr(args, "trace", False),
+        max_workers=args.jobs, store=store, run_id=run_id, trace=args.trace
     ) as service:
         batch = service.run(jobs, on_event=on_event)
     print()
-    print(table(batch.records))
+    code = _render_records(batch.records)
     print(f"\n{len(jobs)} job(s), {batch.workers} worker(s), "
           f"{batch.wall_clock_s:.2f} s wall-clock")
     if args.summary_json:
@@ -771,11 +744,24 @@ def _run_batch(
             )
             + "\n"
         )
-    return _report_failures(batch.failures)
+    return code
 
 
-def _report_failures(failures: Sequence[ErrorRecord]) -> int:
-    """Print each failed job's error on stderr; the exit code (1 if any failed)."""
+def _render_records(records: Sequence[Record], stages: bool = False) -> int:
+    """Print run records as Table IV (and, with ``stages``, each run's Table
+    III) and Monte Carlo records as the yield table, then each failed job's
+    error on stderr; the exit code (1 if any job failed).
+    """
+    runs = [record for record in records if isinstance(record, RunRecord)]
+    monte_carlo = [record for record in records if isinstance(record, McRecord)]
+    blocks = [table_iv(runs)] if runs else []
+    if stages:
+        blocks += [f"== {run.job} ==\n{table_iii(run)}" for run in runs if run.stage_table]
+    if monte_carlo:
+        blocks.append(table_mc(monte_carlo))
+    if blocks:
+        print("\n\n".join(blocks))
+    failures = [record for record in records if isinstance(record, ErrorRecord)]
     for failure in failures:
         print(f"\njob {failure.job} failed:\n{failure.error}", file=sys.stderr)
     return 1 if failures else 0
@@ -812,16 +798,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _list_families()
         return 0
     if not args.family and not args.instance:
-        print(
-            "repro sweep: at least one --family or --instance is required",
-            file=sys.stderr,
-        )
-        return 2
+        raise _UsageError("at least one --family or --instance is required")
     if not args.store:
-        print("repro sweep: --store DIR is required", file=sys.stderr)
-        return 2
-    try:
-        matrix = JobMatrix(
+        raise _UsageError("--store DIR is required")
+    # Expanding up front surfaces unknown families/parameters as clean CLI
+    # errors before any store or service is touched.
+    with _usage_errors(KeyError, ValueError):
+        jobs = JobMatrix(
             instances=args.instance or [],
             families=args.family or [],
             fixed=_parse_assignments(args.sets, "--set"),
@@ -832,32 +815,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             flows=args.flow or ["contango"],
             engines=args.engine or ["arnoldi"],
             seed=args.seed,
-        )
-        # Expanding up front surfaces unknown families/parameters as clean
-        # CLI errors before any store or service is touched.
-        jobs = matrix.expand()
-    except (KeyError, ValueError) as error:
-        print(f"repro sweep: {error}", file=sys.stderr)
-        return 2
+        ).expand()
 
     store = RunStore(args.store)
     run_id = args.run_id or datetime.now(timezone.utc).strftime("sweep-%Y%m%dT%H%M%SZ")
-    try:
-        # Fail fast: a bad --run-id must not surface as a crash on the first
-        # store append after minutes of synthesis.
+    # Fail fast: a bad --run-id must not surface as a crash on the first
+    # store append after minutes of synthesis.
+    with _usage_errors(ValueError):
         RunStore.check_run_id(run_id)
-    except ValueError as error:
-        print(f"repro sweep: {error}", file=sys.stderr)
-        return 2
 
-    code = _run_batch(
-        args,
-        jobs,
-        table=table_iv,
-        progress=_progress_run,
-        store=store,
-        run_id=run_id,
-    )
+    code = _run_batch(args, jobs, store=store, run_id=run_id)
     print(f"\nstored {len(jobs)} record(s) under run id {run_id!r} in {store.path}")
     return code
 
@@ -874,14 +841,14 @@ def _resolve_selection(selection: str) -> List[Dict]:
         path, run_id = selection, ""
     store = RunStore(path)
     if not store.path.exists():
-        raise ValueError(f"no run store at {store.path}")
-    if run_id == "all":
-        return store.records()
-    if not run_id:
-        run_id = store.latest_run_id() or ""
-    records = store.records(run_id=run_id)
+        raise _UsageError(f"no run store at {store.path}")
+    with _usage_errors(ValueError):  # a corrupt or newer-schema store
+        if run_id == "all":
+            return store.records()
+        run_id = run_id or store.latest_run_id() or ""
+        records = store.records(run_id=run_id)
     if not records:
-        raise ValueError(
+        raise _UsageError(
             f"run id {run_id!r} matches nothing in {store.path}; "
             f"available: {store.run_ids()}"
         )
@@ -889,15 +856,9 @@ def _resolve_selection(selection: str) -> List[Dict]:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        baseline = _resolve_selection(args.baseline)
-        candidate = _resolve_selection(args.candidate)
-    except ValueError as error:
-        print(f"repro compare: {error}", file=sys.stderr)
-        return 2
     result = diff_records(
-        baseline,
-        candidate,
+        _resolve_selection(args.baseline),
+        _resolve_selection(args.candidate),
         CompareTolerances(
             skew_ps=args.skew_tol, clr_ps=args.clr_tol, evaluations=args.evals_tol
         ),
@@ -948,10 +909,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_mc(args: argparse.Namespace) -> int:
     if not args.instance:
-        print("repro mc: at least one --instance is required", file=sys.stderr)
-        return 2
-    try:
-        matrix = JobMatrix(
+        raise _UsageError("at least one --instance is required")
+    with _usage_errors(ValueError):  # spec validation as clean CLI errors
+        jobs = JobMatrix(
             instances=args.instance,
             flows=args.flow or ["contango"],
             engines=[args.engine],
@@ -964,13 +924,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
                 gated=args.gated,
                 gate_samples=args.gate_samples,
             ),
-        )
-        jobs = matrix.expand()  # surfaces spec validation as clean CLI errors
-    except ValueError as error:
-        print(f"repro mc: {error}", file=sys.stderr)
-        return 2
-
-    return _run_batch(args, jobs, table=table_mc, progress=_progress_mc)
+        ).expand()
+    return _run_batch(args, jobs)
 
 
 def _saved_records(path: Path) -> List[Record]:
@@ -994,21 +949,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
             records.extend(_saved_records(path))
         except (OSError, ValueError) as error:  # JSONDecodeError is a ValueError
             reason = getattr(error, "strerror", None) or error
-            print(f"repro table: {path}: {reason}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"{path}: {reason}") from error
     if not records:
         print(f"no job records found under {source}", file=sys.stderr)
         return 1
-    runs = [record for record in records if isinstance(record, RunRecord)]
-    monte_carlo = [record for record in records if isinstance(record, McRecord)]
-    blocks = [table_iv(runs)] if runs else []
-    if args.stages:
-        blocks += [f"== {run.job} ==\n{table_iii(run)}" for run in runs if run.stage_table]
-    if monte_carlo:
-        blocks.append(table_mc(monte_carlo))
-    if blocks:
-        print("\n\n".join(blocks))
-    return _report_failures([record for record in records if isinstance(record, ErrorRecord)])
+    return _render_records(records, stages=args.stages)
 
 
 _TRACE_COLUMNS = (
@@ -1080,13 +1025,6 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
     from repro.perf.compare import COUNTER_COLUMNS as PERF_COUNTER_COLUMNS
     from repro.perf.compare import diff_path_counters
 
-    try:
-        base_records = _resolve_selection(args.selection)
-        cand_records = _resolve_selection(args.diff)
-    except ValueError as error:
-        print(f"repro trace: {error}", file=sys.stderr)
-        return 2
-
     def by_job(records: List[Dict]) -> Dict[str, Dict]:
         return {
             str(record.get("job")): record
@@ -1094,13 +1032,10 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
             if isinstance(record, dict) and record.get("trace")
         }
 
-    base_jobs, cand_jobs = by_job(base_records), by_job(cand_records)
+    base_jobs = by_job(_resolve_selection(args.selection))
+    cand_jobs = by_job(_resolve_selection(args.diff))
     if not base_jobs or not cand_jobs:
-        print(
-            "repro trace: both selections need traced records to diff",
-            file=sys.stderr,
-        )
-        return 2
+        raise _UsageError("both selections need traced records to diff")
 
     differs = False
     for job in sorted(set(base_jobs) - set(cand_jobs)):
@@ -1110,13 +1045,10 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
         print(f"only in candidate: {job}", file=sys.stderr)
         differs = True
     for job in sorted(set(base_jobs) & set(cand_jobs)):
-        try:
+        with _usage_errors(TypeError, ValueError, prefix=f"{job}: "):
             diffs = diff_path_counters(
                 _trace_paths(base_jobs[job]), _trace_paths(cand_jobs[job])
             )
-        except (TypeError, ValueError) as error:
-            print(f"repro trace: {job}: {error}", file=sys.stderr)
-            return 2
         print(f"== {job} ==")
         if diffs:
             differs = True
@@ -1130,11 +1062,7 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     if args.diff:
         return _cmd_trace_diff(args)
-    try:
-        records = _resolve_selection(args.selection)
-    except ValueError as error:
-        print(f"repro trace: {error}", file=sys.stderr)
-        return 2
+    records = _resolve_selection(args.selection)
     traced = [r for r in records if isinstance(r, dict) and r.get("trace")]
     if not traced:
         print(
@@ -1172,11 +1100,8 @@ def _cmd_perf_run(args: argparse.Namespace) -> int:
         for name in available_cases():
             print(f"{name:16s} {CASE_REGISTRY[name].description}")
         return 0
-    try:
+    with _usage_errors(KeyError):
         cases = resolve_cases(args.case)
-    except KeyError as error:
-        print(f"repro perf run: {error}", file=sys.stderr)
-        return 2
 
     ledger = PerfLedger(args.ledger) if args.ledger else None
     entries: Dict[str, Dict] = {}
@@ -1222,26 +1147,28 @@ def _load_perf_entries(source: str) -> Dict[str, Dict]:
     from repro.perf.case import PERF_SCHEMA
 
     path = Path(source)
-    if path.is_file():
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(payload, dict) or payload.get("kind") != "perf-batch":
-            raise ValueError(f"{source} is not a merged perf-run document")
-        schema = payload.get("schema")
-        if not isinstance(schema, int) or schema > PERF_SCHEMA:
-            raise ValueError(
-                f"{source}: schema {schema!r} is newer than supported "
-                f"version {PERF_SCHEMA}"
-            )
-        return dict(payload.get("cases", {}))
-    ledger = PerfLedger(source)
-    if not ledger.path.exists():
-        raise ValueError(f"no perf ledger at {ledger.path}")
-    entries: Dict[str, Dict] = {}
-    for case in ledger.cases():
-        latest = ledger.latest(case)
-        assert latest is not None  # cases() only names present cases
-        entries[case] = latest
-    return entries
+    # A file that is not JSON or UTF-8 and a corrupt ledger raise ValueError.
+    with _usage_errors(ValueError):
+        if path.is_file():
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(payload, dict) or payload.get("kind") != "perf-batch":
+                raise _UsageError(f"{source} is not a merged perf-run document")
+            schema = payload.get("schema")
+            if not isinstance(schema, int) or schema > PERF_SCHEMA:
+                raise _UsageError(
+                    f"{source}: schema {schema!r} is newer than supported "
+                    f"version {PERF_SCHEMA}"
+                )
+            return dict(payload.get("cases", {}))
+        ledger = PerfLedger(source)
+        if not ledger.path.exists():
+            raise _UsageError(f"no perf ledger at {ledger.path}")
+        entries: Dict[str, Dict] = {}
+        for case in ledger.cases():
+            latest = ledger.latest(case)
+            assert latest is not None  # cases() only names present cases
+            entries[case] = latest
+        return entries
 
 
 def _cmd_perf_compare(args: argparse.Namespace) -> int:
@@ -1252,12 +1179,8 @@ def _cmd_perf_compare(args: argparse.Namespace) -> int:
         compare_entries,
     )
 
-    try:
-        base_entries = _load_perf_entries(args.baseline)
-        cand_entries = _load_perf_entries(args.candidate)
-    except (ValueError, json.JSONDecodeError) as error:
-        print(f"repro perf compare: {error}", file=sys.stderr)
-        return 2
+    base_entries = _load_perf_entries(args.baseline)
+    cand_entries = _load_perf_entries(args.candidate)
     selected = args.case or sorted(set(base_entries) | set(cand_entries))
     bands = TimingBands(
         k_iqr=args.iqr_band, rel_floor=args.rel_floor, abs_floor_s=args.abs_floor
@@ -1275,11 +1198,8 @@ def _cmd_perf_compare(args: argparse.Namespace) -> int:
                 # Coverage gap: the candidate never re-measured this case.
                 counter_regressions.append(name)
             continue
-        try:
+        with _usage_errors(ValueError, prefix=f"{name}: "):
             comparison = compare_entries(base, cand, bands)
-        except ValueError as error:
-            print(f"repro perf compare: {name}: {error}", file=sys.stderr)
-            return 2
         compared += 1
         for note in comparison.notes:
             print(f"{name}: note: {note}")
@@ -1327,13 +1247,9 @@ def _cmd_perf_trend(args: argparse.Namespace) -> int:
 
     ledger = PerfLedger(args.ledger)
     if not ledger.path.exists():
-        print(f"repro perf trend: no perf ledger at {ledger.path}", file=sys.stderr)
-        return 2
-    try:
+        raise _UsageError(f"no perf ledger at {ledger.path}")
+    with _usage_errors(ValueError):
         cases = args.case or ledger.cases()
-    except ValueError as error:
-        print(f"repro perf trend: {error}", file=sys.stderr)
-        return 2
     if not cases:
         print(f"repro perf trend: {ledger.path} is empty", file=sys.stderr)
         return 1
@@ -1346,14 +1262,6 @@ def _cmd_perf_trend(args: argparse.Namespace) -> int:
             print("no entries")
         print()
     return 0
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    if args.perf_command == "run":
-        return _cmd_perf_run(args)
-    if args.perf_command == "compare":
-        return _cmd_perf_compare(args)
-    return _cmd_perf_trend(args)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1409,11 +1317,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         default = Path("src")
         paths = [default if default.is_dir() else Path(".")]
     settings = LintSettings(select=args.select, ignore=args.ignore or [])
-    try:
+    with _usage_errors(FileNotFoundError, KeyError):
         result = lint_paths(paths, settings)
-    except (FileNotFoundError, KeyError) as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
     report = render_json(result) if args.format == "json" else render_text(result)
     if args.output:
         Path(args.output).write_text(report, encoding="utf-8")
@@ -1423,25 +1328,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "mc":
-        return _cmd_mc(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "perf":
-        return _cmd_perf(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    return _cmd_table(args)
+    try:
+        return args.handler(args)
+    except _UsageError as error:
+        print(f"{args.prog}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

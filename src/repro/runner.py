@@ -47,7 +47,6 @@ from repro.api.records import (
     RunRecord,
     YieldSummary,
     mc_table_row,
-    record_from_dict,
 )
 from repro.baselines import all_baselines
 from repro.core import ContangoFlow, FlowConfig
@@ -438,34 +437,26 @@ def render_table(rows: Sequence[dict], columns: Sequence[Tuple[str, str, str]]) 
     return "\n".join(lines)
 
 
-def table_iv(records: Sequence[object]) -> str:
-    """Render completed job records as a Table IV-style comparison.
-
-    Accepts typed records or legacy dicts (e.g. re-read from saved JSON).
-    """
+def table_iv(records: Sequence[Record]) -> str:
+    """Render completed job records as a Table IV-style comparison."""
     rows = [
         record.summary.to_record()
-        for record in map(record_from_dict, records)  # type: ignore[arg-type]
+        for record in records
         if isinstance(record, RunRecord) and record.summary is not None
     ]
     return render_table(rows, RUN_SUMMARY_COLUMNS)
 
 
-def table_iii(record: object) -> str:
-    """Render one job record's stage table in Table III format."""
-    parsed = record_from_dict(record)  # type: ignore[arg-type]
-    if not isinstance(parsed, RunRecord):
-        return render_table([], STAGE_TABLE_COLUMNS)
-    return render_table(
-        [row.to_record() for row in parsed.stage_table], STAGE_TABLE_COLUMNS
-    )
+def table_iii(record: RunRecord) -> str:
+    """Render one run record's stage table in Table III format."""
+    return render_table([row.to_record() for row in record.stage_table], STAGE_TABLE_COLUMNS)
 
 
-def table_mc(records: Sequence[object]) -> str:
+def table_mc(records: Sequence[Record]) -> str:
     """Render completed Monte Carlo job records as a yield table."""
     rows = [
         mc_table_row(record)
-        for record in map(record_from_dict, records)  # type: ignore[arg-type]
+        for record in records
         if isinstance(record, McRecord) and record.yield_ is not None
     ]
     return render_table(rows, MC_TABLE_COLUMNS)
