@@ -747,10 +747,9 @@ def _run_batch(
     return code
 
 
-def _render_records(records: Sequence[Record], stages: bool = False) -> int:
-    """Print run records as Table IV (and, with ``stages``, each run's Table
-    III) and Monte Carlo records as the yield table, then each failed job's
-    error on stderr; the exit code (1 if any job failed).
+def _tables(records: Sequence[Record], stages: bool) -> str:
+    """Run records as Table IV (and, with ``stages``, each run's Table III)
+    and Monte Carlo records as the yield table; empty if there are neither.
     """
     runs = [record for record in records if isinstance(record, RunRecord)]
     monte_carlo = [record for record in records if isinstance(record, McRecord)]
@@ -759,8 +758,16 @@ def _render_records(records: Sequence[Record], stages: bool = False) -> int:
         blocks += [f"== {run.job} ==\n{table_iii(run)}" for run in runs if run.stage_table]
     if monte_carlo:
         blocks.append(table_mc(monte_carlo))
-    if blocks:
-        print("\n\n".join(blocks))
+    return "\n\n".join(blocks)
+
+
+def _render_records(records: Sequence[Record], stages: bool = False) -> int:
+    """Print the :func:`_tables` of ``records``, then each failed job's error
+    on stderr; the exit code (1 if any job failed).
+    """
+    tables = _tables(records, stages)
+    if tables:
+        print(tables)
     failures = [record for record in records if isinstance(record, ErrorRecord)]
     for failure in failures:
         print(f"\njob {failure.job} failed:\n{failure.error}", file=sys.stderr)
@@ -928,13 +935,18 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     return _run_batch(args, jobs)
 
 
-def _saved_records(path: Path) -> List[Record]:
+def _saved_records(path: Path, named: bool) -> List[Record]:
     """The typed job records of one saved JSON file: a record or a --summary-json file.
 
-    Raises ``ValueError`` for anything that does not parse into records.
+    A --summary-json file is read only when ``named`` directly: in a
+    directory it repeats the per-job files written beside it.  Raises
+    ``ValueError`` for anything that does not parse into records.
     """
     loaded = json.loads(path.read_text())
-    found = loaded["records"] if isinstance(loaded, dict) and "records" in loaded else [loaded]
+    batch = isinstance(loaded, dict) and "records" in loaded
+    if batch and not named:
+        return []
+    found = loaded["records"] if batch else [loaded]
     if not isinstance(found, list) or not all(isinstance(record, dict) for record in found):
         raise ValueError("not a job record or a --summary-json file")
     return [record_from_dict(record) for record in found]
@@ -942,14 +954,19 @@ def _saved_records(path: Path) -> List[Record]:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     source = Path(args.input)
-    paths = sorted(source.glob("*.json")) if source.is_dir() else [source]
+    named = not source.is_dir()
+    paths = [source] if named else sorted(source.glob("*.json"))
     records: List[Record] = []
     for path in paths:
         try:
-            records.extend(_saved_records(path))
-        except (OSError, ValueError) as error:  # JSONDecodeError is a ValueError
+            found = _saved_records(path, named)
+            # Rendering each file's records on its own reports a value of the
+            # wrong type against its file.
+            _tables(found, args.stages)
+        except (OSError, TypeError, ValueError) as error:  # JSONDecodeError is a ValueError
             reason = getattr(error, "strerror", None) or error
             raise _UsageError(f"{path}: {reason}") from error
+        records.extend(found)
     if not records:
         print(f"no job records found under {source}", file=sys.stderr)
         return 1

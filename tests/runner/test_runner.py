@@ -174,8 +174,11 @@ class TestCli:
             ("[1, 2]", "not a job record"),
             ('{"job": "x", "stage_table": [1]}', "StageRow must be a JSON object"),
             ('{"job": "x", "summary": 5}', "RunSummary must be a JSON object"),
+            ('{"job": "x", "summary": {"skew_ps": "abc"}}', "Unknown format code 'f'"),
+            ('{"job": "x", "yield": {"skew_yield": "abc"}}', "can't multiply sequence"),
         ],
-        ids=["missing", "not-json", "not-a-record", "bad-stage-row", "bad-summary"],
+        ids=["missing", "not-json", "not-a-record", "bad-stage-row", "bad-summary",
+             "bad-summary-value", "bad-yield-value"],
     )
     def test_table_reports_bad_input_in_one_line(self, tmp_path, capsys, content, reason):
         path = tmp_path / "bad.json"
@@ -188,6 +191,30 @@ class TestCli:
         assert captured.err.startswith(f"repro table: {path}: ")
         assert reason in captured.err
         assert len(captured.err.splitlines()) == 1
+
+    def test_table_renders_each_job_of_a_directory_once(self, tmp_path, capsys):
+        # The README layout: the --summary-json file sits in the --output-dir.
+        results = tmp_path / "results"
+        code = main(
+            [
+                "run",
+                "--instance", "ti:30",
+                "--instance", "ti:40",
+                "--engine", "elmore",
+                "--pipeline", "initial",
+                "--output-dir", str(results),
+                "--summary-json", str(results / "summary.json"),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        assert main(["table", "--input", str(results), "--stages"]) == 0
+        blocks = capsys.readouterr().out.split("\n\n")
+        assert len(blocks[0].splitlines()) == 2 + 2  # header, rule, one row per job
+        assert [block.splitlines()[0] for block in blocks[1:]] == [
+            "== ti-30__contango__elmore__initial ==",
+            "== ti-40__contango__elmore__initial ==",
+        ]
 
     def test_table_renders_monte_carlo_summary_file(self, tmp_path, capsys):
         mc = legacy_records()["mc"]
