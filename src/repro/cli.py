@@ -137,13 +137,24 @@ def package_version() -> str:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the worker, queue and repeat counts: an integer >= 1."""
+    """argparse type of the worker, queue, repeat and row counts: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _port(text: str) -> int:
+    """argparse type of ``--port``: a TCP port, 0-65535 (0 binds an ephemeral one)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"expected a port 0-65535, got {text!r}")
     return value
 
 
@@ -449,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--top",
-        type=int,
+        type=_positive_int,
         default=8,
         metavar="N",
         help="span names shown per record, heaviest self-time first (default 8)",
@@ -586,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
     )
     serve.add_argument(
-        "--port", type=int, default=8765,
+        "--port", type=_port, default=8765,
         help="TCP port; 0 binds an ephemeral port (default 8765)",
     )
     serve.add_argument(
@@ -1084,7 +1095,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if not traced:
         print(
             "repro trace: no traced records in the selection; run jobs with "
-            "tracing on (repro profile, or SynthesisService(trace=True))",
+            "tracing on into a store (repro sweep --trace, or "
+            "SynthesisService(trace=True) with a store)",
             file=sys.stderr,
         )
         return 1

@@ -148,7 +148,9 @@ class TestCli:
         )
         capsys.readouterr()
         assert main(["trace", store]) == 1
-        assert "no traced records" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no traced records" in err
+        assert "repro sweep --trace" in err  # a command that stores traced records
 
     def test_trace_on_missing_store_exits_2(self, tmp_path, capsys):
         assert main(["trace", str(tmp_path / "missing")]) == 2

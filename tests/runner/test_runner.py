@@ -258,6 +258,24 @@ class TestCli:
         assert err.startswith("usage: ")
         assert f"argument {argv[-2]}: expected an integer >= 1, got '0'" in err
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["serve", "--port", "70000"], "a port 0-65535"),
+            (["serve", "--port", "-1"], "a port 0-65535"),
+            (["trace", "STORE", "--top", "0"], "an integer >= 1"),
+            (["trace", "STORE", "--top", "-1"], "an integer >= 1"),
+        ],
+        ids=["serve-port-high", "serve-port-negative", "trace-top-zero", "trace-top-negative"],
+    )
+    def test_out_of_range_values_fail_at_parse_time(self, tmp_path, capsys, argv, expected):
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(tmp_path / "store") if arg == "STORE" else arg for arg in argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"argument {argv[-2]}: expected {expected}, got '{argv[-1]}'" in err
+
     def test_list_passes_works_standalone(self, capsys):
         code = main(["run", "--list-passes"])
         assert code == 0
