@@ -74,13 +74,8 @@ class EvaluatorCase(PerfCase):
     description = f"ti:{SINKS} contango flow ({ENGINE}): evaluator + cache counters"
     repeats = 3
 
-    def __init__(self) -> None:
-        self._fingerprint = ""
-
     def fingerprint(self) -> str:
-        if not self._fingerprint:
-            self._fingerprint = instance_fingerprint(generate_ti_benchmark(SINKS))
-        return self._fingerprint
+        return instance_fingerprint(generate_ti_benchmark(SINKS))
 
     def run_once(self, tracer: TracerBase) -> CaseOutcome:
         record = run_job(
@@ -186,13 +181,8 @@ class VariationCase(PerfCase):
     SEED = 7
     SPEEDUP_FLOOR = 20.0
 
-    def __init__(self) -> None:
-        self._fingerprint = ""
-
     def fingerprint(self) -> str:
-        if not self._fingerprint:
-            self._fingerprint = instance_fingerprint(generate_ti_benchmark(SINKS))
-        return self._fingerprint
+        return instance_fingerprint(generate_ti_benchmark(SINKS))
 
     def _make_evaluator(self, instance: Any, corners: Any = None) -> ClockNetworkEvaluator:
         return ClockNetworkEvaluator(
@@ -295,13 +285,8 @@ class ServiceCase(PerfCase):
     WORKERS = 2
     JOB = JobSpec(instance="ti:24", engine="elmore", pipeline=("initial",))
 
-    def __init__(self) -> None:
-        self._fingerprint = ""
-
     def fingerprint(self) -> str:
-        if not self._fingerprint:
-            self._fingerprint = instance_fingerprint(generate_ti_benchmark(24))
-        return self._fingerprint
+        return instance_fingerprint(generate_ti_benchmark(24))
 
     def run_once(self, tracer: TracerBase) -> CaseOutcome:
         cold_records: List[Any] = []
@@ -364,9 +349,6 @@ class RunnerCase(PerfCase):
     WORKERS = 4
     FIRST_SEED = 7
 
-    def __init__(self) -> None:
-        self._fingerprint = ""
-
     def jobs(self) -> List[JobSpec]:
         # Distinct seeds make the matrix a mixed workload rather than one
         # instance computed several times.
@@ -376,11 +358,7 @@ class RunnerCase(PerfCase):
         ]
 
     def fingerprint(self) -> str:
-        if not self._fingerprint:
-            self._fingerprint = "+".join(
-                instance_fingerprint(resolve_instance(job)) for job in self.jobs()
-            )
-        return self._fingerprint
+        return "+".join(instance_fingerprint(resolve_instance(job)) for job in self.jobs())
 
     def run_once(self, tracer: TracerBase) -> CaseOutcome:
         jobs = self.jobs()
@@ -452,13 +430,8 @@ class PropagationCase(PerfCase):
     COLD_FLOOR = 5.0
     BATCH_FLOOR = 3.0
 
-    def __init__(self) -> None:
-        self._fingerprint = ""
-
     def fingerprint(self) -> str:
-        if not self._fingerprint:
-            self._fingerprint = instance_fingerprint(generate_ti_benchmark(SINKS))
-        return self._fingerprint
+        return instance_fingerprint(generate_ti_benchmark(SINKS))
 
     @staticmethod
     def _make_evaluator(instance: Any, engine: str = ENGINE) -> ClockNetworkEvaluator:
@@ -648,13 +621,8 @@ class TraceCase(PerfCase):
     OVERHEAD_CEILING_PCT = 2.0
     SEED = 11
 
-    def __init__(self) -> None:
-        self._fingerprint = ""
-
     def fingerprint(self) -> str:
-        if not self._fingerprint:
-            self._fingerprint = instance_fingerprint(generate_ti_benchmark(SINKS))
-        return self._fingerprint
+        return instance_fingerprint(generate_ti_benchmark(SINKS))
 
     def _spec(self) -> JobSpec:
         return JobSpec(instance=f"ti:{SINKS}", engine=ENGINE, seed=self.SEED)
@@ -733,13 +701,8 @@ class ServeCase(PerfCase):
     PAIR_JOB = JobSpec(instance="ti:24", engine="elmore", pipeline=("initial",), seed=3)
     HIT_SPEEDUP_FLOOR = 3.0
 
-    def __init__(self) -> None:
-        self._fingerprint = ""
-
     def fingerprint(self) -> str:
-        if not self._fingerprint:
-            self._fingerprint = instance_fingerprint(generate_ti_benchmark(24))
-        return self._fingerprint
+        return instance_fingerprint(generate_ti_benchmark(24))
 
     async def _drive(self, tracer: TracerBase) -> Dict[str, Any]:
         # Imported here (with asyncio below) so the serving stack never loads
