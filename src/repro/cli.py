@@ -136,26 +136,25 @@ def package_version() -> str:
         return __version__
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of the worker, queue, repeat and row counts: an integer >= 1."""
+def _int_in(text: str, low: int, high: float, expected: str) -> int:
+    """``text`` as an integer in ``[low, high]``, else an argparse type error."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+        value = low - 1
+    if not low <= value <= high:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of the worker, queue, repeat and row counts: an integer >= 1."""
+    return _int_in(text, 1, float("inf"), "an integer >= 1")
 
 
 def _port(text: str) -> int:
     """argparse type of ``--port``: a TCP port, 0-65535 (0 binds an ephemeral one)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if not 0 <= value <= 65535:
-        raise argparse.ArgumentTypeError(f"expected a port 0-65535, got {text!r}")
-    return value
+    return _int_in(text, 0, 65535, "a port 0-65535")
 
 
 #: The instance-spec grammar of every subcommand that names instances.
