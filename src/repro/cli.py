@@ -24,9 +24,10 @@ Ten subcommands:
   supply/process scenarios (batched through the vectorized moment path) with
   a per-job seeded RNG; ``--gated`` switches synthesis to the
   variation-aware pipeline (p95-skew-gated IVC rounds);
-* ``repro table`` -- re-render saved per-job JSON records: run records as
-  Table IV (and, with ``--stages``, per-run Table III stage tables), Monte
-  Carlo records as the yield table, and failed jobs on stderr (exit 1);
+* ``repro table`` -- re-render saved per-job JSON records (a directory's
+  per-job files, or one file): run records as Table IV (and, with
+  ``--stages``, per-run Table III stage tables), Monte Carlo records as the
+  yield table, and failed jobs on stderr (exit 1);
 * ``repro profile`` -- run one job under a live :class:`repro.obs.Tracer`
   and print its span tree (per-span total/self times and counters), with
   optional schema-1 trace-artifact (``--json``) and Chrome trace-event
@@ -55,7 +56,8 @@ Ten subcommands:
 ``repro --version`` prints the installed package version.  The JSON output
 flags are uniform across subcommands: ``--output-dir DIR`` streams one
 ``<job>.json`` per completed job, ``--summary-json FILE`` writes the whole
-batch as one document.
+batch as one document.  So are the exit codes: a bad argument or input
+exits 2 with one ``<prog>: <message>`` line on stderr, a failed job exits 1.
 
 Examples::
 
@@ -179,7 +181,7 @@ def _usage_errors(*kinds: Type[Exception], prefix: str = "") -> Iterator[None]:
 
 
 def _command(
-    commands: "argparse._SubParsersAction[argparse.ArgumentParser]",
+    commands: argparse._SubParsersAction[argparse.ArgumentParser],
     name: str,
     handler: Callable[[argparse.Namespace], int],
     **kwargs: Any,
