@@ -1,28 +1,37 @@
-"""The whole-tree IVC proposal analytics as they were before they were memoized.
+"""The IVC proposal analytics and sweeps as they were before they were optimised.
 
-Each function re-derives its result from the tree on every call: Lemma 1
-takes a ``min`` over every node's full downstream sink list, the slew budget
-re-extracts the stage list and reads the per-tap slew dicts, and the
-wire-delay calibrations probe a :meth:`~repro.cts.tree.ClockTree.clone`.
+Each function re-derives its result from the tree on every call: sink
+slacks fold the report's per-sink latency dicts, Lemma 1 takes a ``min``
+over every node's full downstream sink list, the slew budget re-extracts
+the stage list and reads the per-tap slew dicts, and the wire-delay
+calibrations probe a :meth:`~repro.cts.tree.ClockTree.clone`.  The three
+proposal sweeps (wiresizing, wiresnaking, bottom-level tuning) visit every
+edge through the per-node model and budget calls below, and the buffer
+sizing helpers walk the whole tree.
 ``tests/core/test_analytics_oracle.py`` runs them beside the production
-code and requires the same values, the same dict order and the same
-evaluator counters.  Keep them as they are: they are the results the
-memoized analytics must reproduce.
+code and requires the same values, the same dict order, the same tree
+edits and the same evaluator counters.  Keep them as they are: they are
+the results the production analytics must reproduce.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.analysis.evaluator import ClockNetworkEvaluator, EvaluationReport
 from repro.analysis.rcnetwork import extract_stages
-from repro.core.slack import SlackAnnotation, compute_sink_slacks
+from repro.analysis.units import OHM_FF_TO_PS
+from repro.core.bottom_level import MIN_SLACK
+from repro.core.slack import SinkSlacks, SlackAnnotation
 from repro.core.tuning import (
     DownsizeModel,
-    SlewBudget,
     SnakeModel,
     select_independent_middle_edges,
 )
+from repro.core.wiresizing import MIN_EDGE_LENGTH
+from repro.core.wiresnaking import MAX_UNITS_PER_EDGE
 from repro.cts.tree import ClockTree
 from repro.cts.wirelib import WireLibrary
 
@@ -63,6 +72,32 @@ def downstream_sinks_map(tree: ClockTree) -> Dict[int, List[int]]:
                 collected.extend(result[child])
             result[node.node_id] = collected
     return result
+
+
+def compute_sink_slacks(
+    report: EvaluationReport,
+    corners: Optional[Sequence[str]] = None,
+    transitions: Iterable[str] = ("rise", "fall"),
+) -> SinkSlacks:
+    """Per-sink slacks (Definition 1), folded over the report's latency dicts."""
+    corner_names = list(corners) if corners is not None else [report.fast_corner]
+    transition_list = list(transitions)
+    slow: Dict[int, float] = {}
+    fast: Dict[int, float] = {}
+    for corner_name in corner_names:
+        timing = report.corners[corner_name]
+        for transition in transition_list:
+            latencies = {
+                sink_id: values[transition] for sink_id, values in timing.latency.items()
+            }
+            tmax = max(latencies.values())
+            tmin = min(latencies.values())
+            for sink_id, latency in latencies.items():
+                slow_slack = tmax - latency
+                fast_slack = latency - tmin
+                slow[sink_id] = min(slow.get(sink_id, float("inf")), slow_slack)
+                fast[sink_id] = min(fast.get(sink_id, float("inf")), fast_slack)
+    return SinkSlacks(slow=slow, fast=fast)
 
 
 def annotate_tree_slacks(
@@ -116,6 +151,38 @@ def stage_local_downstream_capacitance(tree: ClockTree) -> Dict[int, float]:
     return caps
 
 
+class SlewBudget:
+    """Per-stage slew headroom, charged and read through the edge's stage."""
+
+    DELAY_TO_SLEW = 2.2
+    GUARD = 1.6
+
+    def __init__(self, edge_to_stage: Dict[int, int], headroom: Dict[int, float]) -> None:
+        self._edge_to_stage = edge_to_stage
+        self._headroom = headroom
+
+    def available(self, edge_id: int) -> float:
+        stage = self._edge_to_stage.get(edge_id)
+        if stage is None:
+            return float("inf")
+        return self._headroom[stage]
+
+    def allows_delay(self, edge_id: int, added_delay: float) -> bool:
+        return self.available(edge_id) >= self.GUARD * self.DELAY_TO_SLEW * added_delay
+
+    def consume_delay(self, edge_id: int, added_delay: float) -> None:
+        stage = self._edge_to_stage.get(edge_id)
+        if stage is None:
+            return
+        self._headroom[stage] -= self.DELAY_TO_SLEW * added_delay
+
+    def max_delay(self, edge_id: int) -> float:
+        available = self.available(edge_id)
+        if available == float("inf"):
+            return float("inf")
+        return max(available / (self.GUARD * self.DELAY_TO_SLEW), 0.0)
+
+
 def stage_slew_headroom(tree: ClockTree, report: EvaluationReport) -> SlewBudget:
     """Build the :class:`SlewBudget` of ``tree`` from an evaluation report."""
     edge_to_stage: Dict[int, int] = {}
@@ -131,6 +198,52 @@ def stage_slew_headroom(tree: ClockTree, report: EvaluationReport) -> SlewBudget
         for edge in stage.edges:
             edge_to_stage[edge] = stage_index
     return SlewBudget(edge_to_stage, headroom)
+
+
+# ----------------------------------------------------------------------
+# The wire-delay models' per-edge predictions
+# ----------------------------------------------------------------------
+def predicted_delay(
+    model: DownsizeModel, tree: ClockTree, wirelib: WireLibrary, node_id: int
+) -> float:
+    """Estimated worst-sink latency increase (ps) of downsizing the edge."""
+    node = tree.node(node_id)
+    if node.wire_type is None or not wirelib.can_downsize(node.wire_type):
+        return 0.0
+    narrower = wirelib.narrower(node.wire_type)
+    delta_res = (narrower.unit_resistance - node.wire_type.unit_resistance) * node.edge_length()
+    load = model.stage_cap.get(node_id, 0.0)
+    return model.calibration * delta_res * load * OHM_FF_TO_PS
+
+
+def delay_for_length(
+    model: SnakeModel, tree: ClockTree, node_id: int, extra_length: float
+) -> float:
+    """Estimated latency increase (ps) of snaking the edge by ``extra_length`` um."""
+    wire = tree.node(node_id).wire_type
+    if wire is None or extra_length <= 0.0:
+        return 0.0
+    load = model.stage_cap.get(node_id, 0.0)
+    raw = wire.unit_resistance * extra_length * (
+        wire.unit_capacitance * extra_length / 2.0 + load
+    ) * OHM_FF_TO_PS
+    return model.calibration * raw
+
+
+def length_for_delay(
+    model: SnakeModel, tree: ClockTree, node_id: int, delay_budget: float
+) -> float:
+    """Largest snake length (um) whose predicted delay fits in ``delay_budget`` ps."""
+    wire = tree.node(node_id).wire_type
+    if wire is None or delay_budget <= 0.0 or model.calibration <= 0.0:
+        return 0.0
+    load = model.stage_cap.get(node_id, 0.0)
+    a = model.calibration * wire.unit_resistance * wire.unit_capacitance / 2.0 * OHM_FF_TO_PS
+    b = model.calibration * wire.unit_resistance * load * OHM_FF_TO_PS
+    if a <= 0.0:
+        return delay_budget / b if b > 0.0 else 0.0
+    disc = b * b + 4.0 * a * delay_budget
+    return (-b + math.sqrt(disc)) / (2.0 * a)
 
 
 def calibrate_downsize_model(
@@ -165,7 +278,7 @@ def calibrate_downsize_model(
     downstream = downstream_sinks_map(tree)
     ratios: List[float] = []
     for node_id in edges:
-        analytic = model.predicted_delay(tree, wirelib, node_id)
+        analytic = predicted_delay(model, tree, wirelib, node_id)
         if analytic <= 0.0:
             continue
         measured = _max_latency_increase(baseline, perturbed, downstream[node_id])
@@ -202,10 +315,156 @@ def calibrate_snake_model(
     downstream = downstream_sinks_map(tree)
     ratios: List[float] = []
     for node_id in edges:
-        analytic = model.delay_for_length(tree, node_id, unit_length)
+        analytic = delay_for_length(model, tree, node_id, unit_length)
         if analytic <= 0.0:
             continue
         measured = _max_latency_increase(baseline, perturbed, downstream[node_id])
         ratios.append(measured / analytic)
     model.calibration = _calibration_factor(ratios)
     return model
+
+
+# ----------------------------------------------------------------------
+# The proposal sweeps
+# ----------------------------------------------------------------------
+def downsize_round(
+    tree: ClockTree,
+    wirelib: WireLibrary,
+    edge_slow_slack: Dict[int, float],
+    slew_headroom: SlewBudget,
+    model: DownsizeModel,
+    safety: float,
+) -> int:
+    """One top-down sweep of Algorithm 1; returns the number of edges downsized."""
+    changed = 0
+    queue = deque((child, 0.0) for child in tree.root.children)
+    while queue:
+        node_id, consumed = queue.popleft()
+        node = tree.node(node_id)
+        slack = edge_slow_slack.get(node_id)
+        length = node.edge_length()
+        if (
+            slack is not None
+            and length >= MIN_EDGE_LENGTH
+            and node.wire_type is not None
+            and wirelib.can_downsize(node.wire_type)
+        ):
+            predicted = predicted_delay(model, tree, wirelib, node_id)
+            if (
+                predicted > 0.0
+                and safety * slack - consumed > predicted
+                and slew_headroom.allows_delay(node_id, predicted)
+            ):
+                tree.set_wire_type(node_id, wirelib.narrower(node.wire_type))
+                slew_headroom.consume_delay(node_id, predicted)
+                consumed += predicted
+                changed += 1
+        for child in node.children:
+            queue.append((child, consumed))
+    return changed
+
+
+def snake_round(
+    tree: ClockTree,
+    edge_slow_slack: Dict[int, float],
+    slew_headroom: SlewBudget,
+    model: SnakeModel,
+    unit_length: float,
+    safety: float,
+) -> int:
+    """One top-down snaking sweep; returns the number of edges snaked."""
+    changed = 0
+    queue = deque((child, 0.0) for child in tree.root.children)
+    while queue:
+        node_id, consumed = queue.popleft()
+        node = tree.node(node_id)
+        slack = edge_slow_slack.get(node_id)
+        if slack is not None and node.parent is not None:
+            budget = min(safety * slack - consumed, slew_headroom.max_delay(node_id))
+            max_length = length_for_delay(model, tree, node_id, budget)
+            units = min(int(max_length // unit_length), MAX_UNITS_PER_EDGE)
+            if units > 0:
+                extra = units * unit_length
+                predicted = delay_for_length(model, tree, node_id, extra)
+                tree.add_snake(node_id, extra)
+                slew_headroom.consume_delay(node_id, predicted)
+                consumed += predicted
+                changed += 1
+        for child in node.children:
+            queue.append((child, consumed))
+    return changed
+
+
+def tune_sink_edges(
+    tree: ClockTree,
+    wirelib: WireLibrary,
+    slow_slack: Dict[int, float],
+    slew_headroom: SlewBudget,
+    snake_model: SnakeModel,
+    downsize_model: Optional[DownsizeModel],
+    unit_length: float,
+    safety: float,
+) -> int:
+    """Apply one round of per-sink slow-down moves; returns edges touched."""
+    changed = 0
+    for sink in tree.sinks():
+        node_id = sink.node_id
+        slack = slow_slack.get(node_id, 0.0)
+        if slack < MIN_SLACK:
+            continue
+        budget = min(safety * slack, slew_headroom.max_delay(node_id))
+        node = tree.node(node_id)
+        if (
+            downsize_model is not None
+            and node.wire_type is not None
+            and wirelib.can_downsize(node.wire_type)
+            and node.edge_length() > 0.0
+        ):
+            predicted = predicted_delay(downsize_model, tree, wirelib, node_id)
+            if 0.0 < predicted <= budget:
+                tree.set_wire_type(node_id, wirelib.narrower(node.wire_type))
+                slew_headroom.consume_delay(node_id, predicted)
+                budget -= predicted
+                changed += 1
+        max_length = length_for_delay(snake_model, tree, node_id, budget)
+        units = int(max_length // unit_length)
+        if units > 0:
+            extra = units * unit_length
+            predicted = delay_for_length(snake_model, tree, node_id, extra)
+            tree.add_snake(node_id, extra)
+            slew_headroom.consume_delay(node_id, predicted)
+            changed += 1
+    return changed
+
+
+# ----------------------------------------------------------------------
+# Buffer sizing's tree walks
+# ----------------------------------------------------------------------
+def buffer_depths(tree: ClockTree) -> Dict[int, int]:
+    """Number of buffered ancestors (inclusive of the node itself) per buffered node."""
+    depths: Dict[int, int] = {}
+    counts: Dict[int, int] = {}
+    for node in tree.preorder():
+        inherited = 0 if node.parent is None else counts[node.parent]
+        own = inherited + (1 if node.has_buffer else 0)
+        counts[node.node_id] = own
+        if node.has_buffer:
+            depths[node.node_id] = own
+    return depths
+
+
+def bottom_level_buffers(tree: ClockTree) -> List[int]:
+    """Buffered nodes with no buffered descendants (they drive only sinks/wire)."""
+    has_buffered_descendant: Dict[int, bool] = {}
+    for node in tree.postorder():
+        flag = False
+        for child in node.children:
+            child_node = tree.node(child)
+            if child_node.has_buffer or has_buffered_descendant[child]:
+                flag = True
+        has_buffered_descendant[node.node_id] = flag
+    return [
+        node.node_id
+        for node in tree.nodes()
+        if node.has_buffer and not has_buffered_descendant[node.node_id]
+    ]

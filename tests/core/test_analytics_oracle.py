@@ -5,7 +5,11 @@ make on every call.  These tests require the production analytics to give
 the same values in the same dict order:
 
 * at every proposal of real flows (ti:200 and ti:1000, classic and K-wide
-  batched rounds), so before and after accepted and rejected rounds;
+  batched rounds), so before and after accepted and rejected rounds; there
+  every proposal sweep is also replayed on a clone through the frozen sweep,
+  which must make the same edits, count the same moves and leave the same
+  slew headroom, and buffer sizing's depth and bottom-level walks must
+  return the frozen walks' values;
 * for the wire-delay calibrations, which now probe the live tree under a
   checkpoint: the tree must come back as it went in and the model and the
   evaluator's counters must equal the clone-based oracle's;
@@ -21,7 +25,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import ClockNetworkEvaluator, EvaluatorConfig
-from repro.core import ContangoFlow, FlowConfig, bottom_level, slack, tuning, wiresizing, wiresnaking
+from repro.core import (
+    ContangoFlow,
+    FlowConfig,
+    bottom_level,
+    buffer_sizing,
+    slack,
+    tuning,
+    wiresizing,
+    wiresnaking,
+)
 from repro.core.bottom_level import _independent_probe_edges
 from repro.core.config import BATCHED_PIPELINE
 from repro.cts import ispd09_buffer_library, ispd09_wire_library
@@ -50,6 +63,19 @@ def assert_same_annotation(got, want):
 def assert_same_budget(got, want):
     assert items(got._edge_to_stage) == items(want._edge_to_stage)
     assert items(got._headroom) == items(want._headroom)
+
+
+def content(tree):
+    """``tree_fingerprint`` without revisions, which one process-wide counter draws."""
+    root_id, _, nodes = tree_fingerprint(tree)
+    return root_id, tuple(node[:-1] for node in nodes)
+
+
+def frozen_budget(arg):
+    """A frozen-sweep copy of a production slew budget (other arguments pass through)."""
+    if isinstance(arg, tuning.SlewBudget):
+        return reference.SlewBudget(arg._edge_to_stage, dict(arg._headroom))
+    return arg
 
 
 def tree_state(tree):
@@ -103,6 +129,53 @@ def checked(monkeypatch):
 
         return calibrate
 
+    def sink_slacks(report, corners=None):
+        got = slack.compute_sink_slacks(report, corners=corners)
+        want = reference.compute_sink_slacks(report, corners=corners)
+        assert items(got.slow) == items(want.slow)
+        assert items(got.fast) == items(want.fast)
+        counts["sink_slacks"] += 1
+        return got
+
+    def replayed(sweep, frozen):
+        def replay(tree, *args):
+            twin = tree.clone()
+            frozen_args = [frozen_budget(arg) for arg in args]
+            want = frozen(twin, *frozen_args)
+            got = sweep(tree, *args)
+            assert got == want
+            assert content(tree) == content(twin)
+            (budget,) = [arg for arg in args if isinstance(arg, tuning.SlewBudget)]
+            (twin_budget,) = [arg for arg in frozen_args if isinstance(arg, reference.SlewBudget)]
+            assert items(budget._headroom) == items(twin_budget._headroom)
+            counts["sweep"] += 1
+            return got
+
+        return replay
+
+    def walked(walk, frozen):
+        def checked_walk(tree):
+            got = walk(tree)
+            want = frozen(tree)
+            assert (items(got) if isinstance(got, dict) else got) == (
+                items(want) if isinstance(want, dict) else want
+            )
+            counts["buffer_walk"] += 1
+            return got
+
+        return checked_walk
+
+    monkeypatch.setattr(bottom_level, "compute_sink_slacks", sink_slacks)
+    for module, name, frozen in (
+        (wiresizing, "_downsize_round", reference.downsize_round),
+        (wiresnaking, "_snake_round", reference.snake_round),
+        (bottom_level, "_tune_sink_edges", reference.tune_sink_edges),
+    ):
+        monkeypatch.setattr(module, name, replayed(getattr(module, name), frozen))
+    for name in ("buffer_depths", "bottom_level_buffers"):
+        monkeypatch.setattr(
+            buffer_sizing, name, walked(getattr(buffer_sizing, name), getattr(reference, name))
+        )
     for module in (wiresizing, wiresnaking):
         monkeypatch.setattr(module, "annotate_tree_slacks", annotate)
     for module in (wiresizing, wiresnaking, bottom_level):
@@ -133,6 +206,7 @@ def test_every_proposal_matches_the_oracles(checked, sinks, pipeline):
     assert any("rejected" in note for p in passes for note in p.notes)
     assert checked["calibrate"] == 4
     assert checked["annotate"] > 0 and checked["headroom"] > 0 and checked["refresh"] > 0
+    assert checked["sink_slacks"] > 0 and checked["sweep"] > 0 and checked["buffer_walk"] > 0
 
 
 def evaluator_for(instance):
