@@ -254,6 +254,16 @@ class CornerTiming:
     def tap_slew(self) -> Dict[int, Dict[str, float]]:
         return self._per_tap("tap_slew", self._slew, sinks_only=False)
 
+    def sink_latencies(self, transitions: Sequence[str] = _TRANSITIONS) -> np.ndarray:
+        """Sink latencies as a ``(len(transitions), sinks)`` array.
+
+        One row per transition, in the order given; columns follow the
+        topology's ``sink_ids``.  The values are :attr:`latency`'s, read
+        from the kernel's arrays without building the dicts.
+        """
+        rows = [_ROW[transition] for transition in transitions]
+        return self._arrival[np.ix_(rows, self._topo.sink_cols)]
+
     def max_latency(self, transition: Optional[str] = None) -> float:
         return max(self._high) if transition is None else self._high[_ROW[transition]]
 

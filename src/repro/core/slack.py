@@ -8,23 +8,33 @@ tree edge ``e``:
 
 the amounts by which a sink (edge) may be unilaterally slowed down (sped up)
 without increasing the clock skew.  Lemma 1 gives the O(n) propagation of sink
-slacks to edge slacks -- an edge's slack is the minimum over its children's,
-which :func:`annotate_tree_slacks` folds in one bottom-up pass over the
-tree's memoized :meth:`~repro.cts.tree.ClockTree.sink_postorder` -- Lemma 2
-the monotonicity along root-to-sink paths, and
+slacks to edge slacks -- an edge's slack is the minimum over its downstream
+sinks -- Lemma 2 the monotonicity along root-to-sink paths, and
 Proposition 1 the per-edge budgets ``Delta(e) = Slack(e) - Slack(parent(e))``
 whose application drives every skew optimization in Contango: slowing each
 edge down by exactly ``Delta_slow(e)`` produces a zero-skew tree.
 
+Lemma 1 is a range-min: listed in the order the tree's memoized
+:meth:`~repro.cts.tree.ClockTree.sink_postorder` reaches them, the
+downstream sinks of every node form one contiguous run, so
+:func:`annotate_tree_slacks` takes every edge slack with one
+``np.minimum.reduceat`` over the sink slacks and every delta with one
+vector subtraction.  The runs, and each edge's parent, are memoized on the
+tree's structure revision.
+
 Slacks are computed per transition (rise/fall) and, optionally, per corner;
 edge slacks take the minimum so that a tuning move is safe for every
-transition and corner simultaneously (Section III-B, last paragraph).
+transition and corner simultaneously (Section III-B, last paragraph).  Sink
+slacks are computed on the report's ``(transitions, sinks)`` latency arrays
+(:meth:`~repro.analysis.evaluator.CornerTiming.sink_latencies`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.analysis.evaluator import EvaluationReport
 from repro.cts.tree import ClockTree
@@ -84,25 +94,70 @@ def compute_sink_slacks(
     nominal (fast) corner is used, which matches the nominal-skew optimization
     steps.  Passing several corners yields the conservative multi-corner
     slacks of Section III-B: the minimum over corners of the per-corner slack.
+    The dicts are keyed in the report topology's ``sink_ids`` order.
     """
     corner_names = list(corners) if corners is not None else [report.fast_corner]
     transition_list = list(transitions)
-    slow: Dict[int, float] = {}
-    fast: Dict[int, float] = {}
-    for corner_name in corner_names:
-        timing = report.corners[corner_name]
-        for transition in transition_list:
-            latencies = {
-                sink_id: values[transition] for sink_id, values in timing.latency.items()
-            }
-            tmax = max(latencies.values())
-            tmin = min(latencies.values())
-            for sink_id, latency in latencies.items():
-                slow_slack = tmax - latency
-                fast_slack = latency - tmin
-                slow[sink_id] = min(slow.get(sink_id, float("inf")), slow_slack)
-                fast[sink_id] = min(fast.get(sink_id, float("inf")), fast_slack)
-    return SinkSlacks(slow=slow, fast=fast)
+    # One row per (corner, transition), one column per sink.
+    latency = np.concatenate(
+        [report.corners[name].sink_latencies(transition_list) for name in corner_names]
+    )
+    slow = (latency.max(axis=1, keepdims=True) - latency).min(axis=0)
+    fast = (latency - latency.min(axis=1, keepdims=True)).min(axis=0)
+    sink_ids = report.topology.sink_ids
+    return SinkSlacks(
+        slow=dict(zip(sink_ids, slow.tolist())), fast=dict(zip(sink_ids, fast.tolist()))
+    )
+
+
+@dataclass(frozen=True)
+class _SinkRuns:
+    """Where each edge's downstream sinks sit in the sink postorder.
+
+    ``bounds`` interleaves the (start, end) of every edge's run, edges in
+    ``tree.nodes()`` order; ``child``/``parent`` are the positions (in that
+    order) of every non-root edge and of its parent edge.
+    """
+
+    sinks: List[int]
+    edges: List[int]
+    bounds: np.ndarray
+    deltas: List[int]
+    child: np.ndarray
+    parent: np.ndarray
+
+    @classmethod
+    def of(cls, tree: ClockTree) -> "_SinkRuns":
+        runs: Dict[int, Tuple[int, int]] = {}
+        sinks: List[int] = []
+        for node_id, children in tree.sink_postorder():
+            if children:
+                runs[node_id] = (runs[children[0]][0], runs[children[-1]][1])
+            else:
+                runs[node_id] = (len(sinks), len(sinks) + 1)
+                sinks.append(node_id)
+        edges = [node.node_id for node in tree.nodes() if node.node_id in runs]
+        position = {node_id: index for index, node_id in enumerate(edges)}
+        parents = [tree.node(node_id).parent for node_id in edges]
+        deltas = [node_id for node_id, parent in zip(edges, parents) if parent is not None]
+        return cls(
+            sinks=sinks,
+            edges=edges,
+            bounds=np.array([runs[node_id] for node_id in edges], dtype=np.intp).reshape(-1),
+            deltas=deltas,
+            child=np.array([position[node_id] for node_id in deltas], dtype=np.intp),
+            parent=np.array(
+                [position[parent] for parent in parents if parent is not None], dtype=np.intp
+            ),
+        )
+
+    def fold(self, sink_slack: Dict[int, float]) -> Tuple[Dict[int, float], Dict[int, float]]:
+        """Edge slacks (Lemma 1) and deltas (Proposition 1) of one sink-slack map."""
+        # One trailing pad so a run ending at the last sink is a valid bound.
+        values = np.fromiter(map(sink_slack.__getitem__, self.sinks), float, len(self.sinks))
+        edge = np.minimum.reduceat(np.append(values, np.inf), self.bounds)[::2]
+        delta = edge[self.child] - edge[self.parent]
+        return dict(zip(self.edges, edge.tolist())), dict(zip(self.deltas, delta.tolist()))
 
 
 def annotate_tree_slacks(
@@ -113,41 +168,19 @@ def annotate_tree_slacks(
     """Propagate sink slacks to every edge (Lemma 1) and compute the deltas (Prop. 1).
 
     Sink slacks cover both transitions.  Edge slacks are keyed in
-    ``tree.nodes()`` order and cover every node with a downstream sink.
+    ``tree.nodes()`` order and cover every node with a downstream sink; the
+    deltas cover the same nodes but the root.
     """
     sink_slacks = compute_sink_slacks(report, corners=corners)
-    annotation = SlackAnnotation(sink=sink_slacks)
-
-    # Lemma 1 bottom-up: the minimum over the children's minima is the
-    # minimum over every downstream sink.
-    slow: Dict[int, float] = {}
-    fast: Dict[int, float] = {}
-    slow_of, fast_of = slow.__getitem__, fast.__getitem__
-    for node_id, children in tree.sink_postorder():
-        if children:
-            slow[node_id] = min(map(slow_of, children))
-            fast[node_id] = min(map(fast_of, children))
-        else:
-            slow[node_id] = sink_slacks.slow[node_id]
-            fast[node_id] = sink_slacks.fast[node_id]
-    for node in tree.nodes():
-        if node.node_id in slow:
-            annotation.edge_slow[node.node_id] = slow[node.node_id]
-            annotation.edge_fast[node.node_id] = fast[node.node_id]
-
-    for node in tree.nodes():
-        if node.node_id not in annotation.edge_slow:
-            continue
-        if node.parent is None:
-            # The root "edge" has, by Lemma 1, the global minimum slack, which
-            # is always zero; keep it explicit for delta computation below.
-            continue
-        parent_slow = annotation.edge_slow.get(node.parent, 0.0)
-        parent_fast = annotation.edge_fast.get(node.parent, 0.0)
-        annotation.delta_slow[node.node_id] = (
-            annotation.edge_slow[node.node_id] - parent_slow
-        )
-        annotation.delta_fast[node.node_id] = (
-            annotation.edge_fast[node.node_id] - parent_fast
-        )
-    return annotation
+    runs = tree.memoized("sink_runs", lambda: _SinkRuns.of(tree), structural=True)
+    if not runs.edges:
+        return SlackAnnotation(sink=sink_slacks)
+    edge_slow, delta_slow = runs.fold(sink_slacks.slow)
+    edge_fast, delta_fast = runs.fold(sink_slacks.fast)
+    return SlackAnnotation(
+        sink=sink_slacks,
+        edge_slow=edge_slow,
+        edge_fast=edge_fast,
+        delta_slow=delta_slow,
+        delta_fast=delta_fast,
+    )
