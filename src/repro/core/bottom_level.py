@@ -14,15 +14,19 @@ result notes report).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.evaluator import ClockNetworkEvaluator, EvaluationReport
 from repro.core.ivc import IvcEngine, IvcGate, IvcState
 from repro.core.slack import compute_sink_slacks
 from repro.core.tuning import (
+    DownsizeModel,
     PassResult,
+    SlewBudget,
+    SnakeModel,
     calibrate_downsize_model,
     calibrate_snake_model,
+    narrower_types,
     stage_slew_headroom,
 )
 from repro.cts.tree import ClockTree
@@ -135,42 +139,49 @@ def _independent_probe_edges(tree: ClockTree, sink_edges, count: int):
 def _tune_sink_edges(
     tree: ClockTree,
     wirelib: WireLibrary,
-    slow_slack,
-    slew_headroom,
-    snake_model,
-    downsize_model,
+    slow_slack: Dict[int, float],
+    slew_headroom: SlewBudget,
+    snake_model: SnakeModel,
+    downsize_model: Optional[DownsizeModel],
     unit_length: float,
     safety: float,
 ) -> int:
-    """Apply one round of per-sink slow-down moves; returns edges touched."""
+    """Apply one round of per-sink slow-down moves; returns edges touched.
+
+    Each sink edge's wire, narrower type, length, loads and stage are read
+    once.
+    """
+    narrower_of = narrower_types(wirelib)
+    stage_of = slew_headroom.edge_to_stage.get
     changed = 0
     for sink in tree.sinks():
         node_id = sink.node_id
         slack = slow_slack.get(node_id, 0.0)
         if slack < MIN_SLACK:
             continue
-        budget = min(safety * slack, slew_headroom.max_delay(node_id))
-        node = tree.node(node_id)
+        stage = stage_of(node_id)
+        budget = min(safety * slack, slew_headroom.delay_room(stage))
+        wire = sink.wire_type
         # Prefer downsizing when the whole-edge impact fits in the budget;
         # otherwise (or additionally) spend the remainder on snaking units.
-        if (
-            downsize_model is not None
-            and node.wire_type is not None
-            and wirelib.can_downsize(node.wire_type)
-            and node.edge_length() > 0.0
-        ):
-            predicted = downsize_model.predicted_delay(tree, wirelib, node_id)
-            if 0.0 < predicted <= budget:
-                tree.set_wire_type(node_id, wirelib.narrower(node.wire_type))
-                slew_headroom.consume_delay(node_id, predicted)
-                budget -= predicted
-                changed += 1
-        max_length = snake_model.length_for_delay(tree, node_id, budget)
-        units = int(max_length // unit_length)
+        if downsize_model is not None and wire is not None:
+            narrower = narrower_of[wire.name]
+            length = sink.edge_length()
+            if narrower is not None and length > 0.0:
+                load = downsize_model.stage_cap.get(node_id, 0.0)
+                predicted = downsize_model.delay(wire, narrower, length, load)
+                if 0.0 < predicted <= budget:
+                    tree.set_wire_type(node_id, narrower)
+                    slew_headroom.consume(stage, predicted)
+                    budget -= predicted
+                    changed += 1
+                    wire = narrower
+        load = snake_model.stage_cap.get(node_id, 0.0)
+        units = int(snake_model.length(wire, load, budget) // unit_length)
         if units > 0:
             extra = units * unit_length
-            predicted = snake_model.delay_for_length(tree, node_id, extra)
+            predicted = snake_model.delay(wire, load, extra)
             tree.add_snake(node_id, extra)
-            slew_headroom.consume_delay(node_id, predicted)
+            slew_headroom.consume(stage, predicted)
             changed += 1
     return changed

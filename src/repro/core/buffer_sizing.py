@@ -40,7 +40,15 @@ MIN_BOTTOM_SCALE = 0.6
 
 
 def buffer_depths(tree: ClockTree) -> Dict[int, int]:
-    """Number of buffered ancestors (inclusive of the node itself) per buffered node."""
+    """Number of buffered ancestors (inclusive of the node itself) per buffered node.
+
+    Reads buffer sites and links only, so it is memoized on the structure
+    revision (resizing a buffer keeps it): the mapping is shared, read-only.
+    """
+    return tree.memoized("buffer_depths", lambda: _buffer_depths(tree), structural=True)
+
+
+def _buffer_depths(tree: ClockTree) -> Dict[int, int]:
     depths: Dict[int, int] = {}
     counts: Dict[int, int] = {}
     for node in tree.preorder():
@@ -53,7 +61,17 @@ def buffer_depths(tree: ClockTree) -> Dict[int, int]:
 
 
 def bottom_level_buffers(tree: ClockTree) -> List[int]:
-    """Buffered nodes with no buffered descendants (they drive only sinks/wire)."""
+    """Buffered nodes with no buffered descendants (they drive only sinks/wire).
+
+    Memoized on the structure revision like :func:`buffer_depths`: the list
+    is shared, read-only.
+    """
+    return tree.memoized(
+        "bottom_level_buffers", lambda: _bottom_level_buffers(tree), structural=True
+    )
+
+
+def _bottom_level_buffers(tree: ClockTree) -> List[int]:
     has_buffered_descendant: Dict[int, bool] = {}
     for node in tree.postorder():
         flag = False

@@ -27,20 +27,33 @@ This module holds the pieces those passes share:
 The whole-tree analytics every proposal reads are memoized on the tree
 (:meth:`~repro.cts.tree.ClockTree.memoized`): stage-local capacitance on
 the tree's revision, so a rejected round or the K proposals of a batched
-round reuse it, and the slew budget's stage map is the
-:class:`~repro.analysis.rcnetwork.StageTopology` the report was walked on.
+round reuse it, the breadth-first edge order of the top-down sweeps
+(:func:`top_down_order`) on its structure revision, and the slew budget's
+stage map is the :class:`~repro.analysis.rcnetwork.StageTopology` the
+report was walked on.
+
+A proposal sweep reads each edge's inputs once per round -- its wire, the
+next-narrower type (:func:`narrower_types`), its length, its stage-local
+load and its stage index -- and hands them as plain values to the one
+formula each model keeps (:meth:`DownsizeModel.delay`,
+:meth:`SnakeModel.delay`, :meth:`SnakeModel.length`, and the stage-indexed
+:class:`SlewBudget` methods).  Per edge, only the sequential decision is
+left: the slack already spent on the path and the stage headroom already
+consumed depend on the moves made before it.  The ``(tree, node_id)``
+forms of the models and the edge-keyed budget methods read the same inputs
+from the tree for one-off callers (the calibrations).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.evaluator import ClockNetworkEvaluator, EvaluationReport
 from repro.analysis.units import OHM_FF_TO_PS
 from repro.cts.tree import ClockTree
-from repro.cts.wirelib import WireLibrary
+from repro.cts.wirelib import WireLibrary, WireType
 
 __all__ = [
     "PassResult",
@@ -53,6 +66,8 @@ __all__ = [
     "stage_slew_headroom",
     "calibrate_downsize_model",
     "calibrate_snake_model",
+    "top_down_order",
+    "narrower_types",
 ]
 
 # Number of independent mid-tree edges a wire-delay calibration probes.
@@ -135,6 +150,11 @@ class SlewBudget:
     over corners and transitions) and every accepted move consumes an estimate
     of its slew impact, so several edges of the same stage cannot jointly blow
     the limit even though each one individually would fit.
+
+    The formulas take a stage index (None for an edge in no stage, whose
+    headroom is unlimited), which a sweep reads once per edge from
+    :attr:`edge_to_stage`; the ``*_delay`` forms and :meth:`available` look
+    the stage of an edge up first.
     """
 
     #: conversion from added stage delay (ps) to added tap slew (ps); a
@@ -147,30 +167,46 @@ class SlewBudget:
         self._edge_to_stage = edge_to_stage
         self._headroom = headroom
 
+    @property
+    def edge_to_stage(self) -> Dict[int, int]:
+        """Edge (child node id) -> index of its stage; shared, read-only."""
+        return self._edge_to_stage
+
+    def headroom(self, stage: Optional[int]) -> float:
+        """Remaining slew headroom (ps) of ``stage``."""
+        return math.inf if stage is None else self._headroom[stage]
+
+    def allows(self, stage: Optional[int], added_delay: float) -> bool:
+        """True when a move adding ``added_delay`` ps keeps ``stage`` safe."""
+        return self.headroom(stage) >= self.GUARD * self.DELAY_TO_SLEW * added_delay
+
+    def consume(self, stage: Optional[int], added_delay: float) -> None:
+        """Charge ``stage`` for a move adding ``added_delay`` ps."""
+        if stage is not None:
+            self._headroom[stage] -= self.DELAY_TO_SLEW * added_delay
+
+    def delay_room(self, stage: Optional[int]) -> float:
+        """Largest added delay (ps) ``stage`` can still absorb."""
+        available = self.headroom(stage)
+        if available == math.inf:
+            return math.inf
+        return max(available / (self.GUARD * self.DELAY_TO_SLEW), 0.0)
+
     def available(self, edge_id: int) -> float:
         """Remaining slew headroom (ps) of the stage containing ``edge_id``."""
-        stage = self._edge_to_stage.get(edge_id)
-        if stage is None:
-            return float("inf")
-        return self._headroom[stage]
+        return self.headroom(self._edge_to_stage.get(edge_id))
 
     def allows_delay(self, edge_id: int, added_delay: float) -> bool:
         """True when slowing ``edge_id`` by ``added_delay`` ps keeps its stage safe."""
-        return self.available(edge_id) >= self.GUARD * self.DELAY_TO_SLEW * added_delay
+        return self.allows(self._edge_to_stage.get(edge_id), added_delay)
 
     def consume_delay(self, edge_id: int, added_delay: float) -> None:
         """Charge the stage of ``edge_id`` for a move adding ``added_delay`` ps."""
-        stage = self._edge_to_stage.get(edge_id)
-        if stage is None:
-            return
-        self._headroom[stage] -= self.DELAY_TO_SLEW * added_delay
+        self.consume(self._edge_to_stage.get(edge_id), added_delay)
 
     def max_delay(self, edge_id: int) -> float:
         """Largest added delay (ps) the stage of ``edge_id`` can still absorb."""
-        available = self.available(edge_id)
-        if available == float("inf"):
-            return float("inf")
-        return max(available / (self.GUARD * self.DELAY_TO_SLEW), 0.0)
+        return self.delay_room(self._edge_to_stage.get(edge_id))
 
 
 def stage_slew_headroom(tree: ClockTree, report: EvaluationReport) -> SlewBudget:
@@ -199,7 +235,11 @@ def stage_slew_headroom(tree: ClockTree, report: EvaluationReport) -> SlewBudget
 # ----------------------------------------------------------------------
 @dataclass
 class DownsizeModel:
-    """Predicts the latency impact of switching one edge to a narrower wire."""
+    """Predicts the latency impact of switching one edge to a narrower wire.
+
+    :meth:`delay` is the model on plain values, which a sweep reads once per
+    edge; :meth:`predicted_delay` reads them from the tree.
+    """
 
     calibration: float
     stage_cap: Dict[int, float]
@@ -208,20 +248,32 @@ class DownsizeModel:
         """Recompute the stage-local loads after the tree has been edited."""
         self.stage_cap = stage_local_downstream_capacitance(tree)
 
+    def delay(self, wire: WireType, narrower: WireType, length: float, load: float) -> float:
+        """Latency increase (ps) of turning ``length`` um of ``wire`` into ``narrower``.
+
+        ``load`` is the edge's stage-local downstream capacitance (fF).
+        """
+        delta_res = (narrower.unit_resistance - wire.unit_resistance) * length
+        return self.calibration * delta_res * load * OHM_FF_TO_PS
+
     def predicted_delay(self, tree: ClockTree, wirelib: WireLibrary, node_id: int) -> float:
         """Estimated worst-sink latency increase (ps) of downsizing the edge."""
         node = tree.node(node_id)
-        if node.wire_type is None or not wirelib.can_downsize(node.wire_type):
+        wire = node.wire_type
+        if wire is None or not wirelib.can_downsize(wire):
             return 0.0
-        narrower = wirelib.narrower(node.wire_type)
-        delta_res = (narrower.unit_resistance - node.wire_type.unit_resistance) * node.edge_length()
         load = self.stage_cap.get(node_id, 0.0)
-        return self.calibration * delta_res * load * OHM_FF_TO_PS
+        return self.delay(wire, wirelib.narrower(wire), node.edge_length(), load)
 
 
 @dataclass
 class SnakeModel:
-    """Predicts the latency impact of adding snaking wirelength to an edge."""
+    """Predicts the latency impact of adding snaking wirelength to an edge.
+
+    :meth:`delay` and :meth:`length` are the model on plain values (the
+    edge's wire and stage-local load), which a sweep reads once per edge;
+    the ``*_for_*`` forms read them from the tree.
+    """
 
     calibration: float
     stage_cap: Dict[int, float]
@@ -229,29 +281,65 @@ class SnakeModel:
     def refresh(self, tree: ClockTree) -> None:
         self.stage_cap = stage_local_downstream_capacitance(tree)
 
-    def delay_for_length(self, tree: ClockTree, node_id: int, extra_length: float) -> float:
-        """Estimated latency increase (ps) of snaking the edge by ``extra_length`` um."""
-        wire = tree.node(node_id).wire_type
+    def delay(self, wire: Optional[WireType], load: float, extra_length: float) -> float:
+        """Latency increase (ps) of snaking ``extra_length`` um of ``wire`` above ``load`` fF."""
         if wire is None or extra_length <= 0.0:
             return 0.0
-        load = self.stage_cap.get(node_id, 0.0)
         raw = wire.unit_resistance * extra_length * (
             wire.unit_capacitance * extra_length / 2.0 + load
         ) * OHM_FF_TO_PS
         return self.calibration * raw
 
-    def length_for_delay(self, tree: ClockTree, node_id: int, delay_budget: float) -> float:
-        """Largest snake length (um) whose predicted delay fits in ``delay_budget`` ps."""
-        wire = tree.node(node_id).wire_type
+    def length(self, wire: Optional[WireType], load: float, delay_budget: float) -> float:
+        """Largest snake length (um) of ``wire`` whose :meth:`delay` fits in ``delay_budget`` ps."""
         if wire is None or delay_budget <= 0.0 or self.calibration <= 0.0:
             return 0.0
-        load = self.stage_cap.get(node_id, 0.0)
         a = self.calibration * wire.unit_resistance * wire.unit_capacitance / 2.0 * OHM_FF_TO_PS
         b = self.calibration * wire.unit_resistance * load * OHM_FF_TO_PS
         if a <= 0.0:
             return delay_budget / b if b > 0.0 else 0.0
         disc = b * b + 4.0 * a * delay_budget
         return (-b + math.sqrt(disc)) / (2.0 * a)
+
+    def delay_for_length(self, tree: ClockTree, node_id: int, extra_length: float) -> float:
+        """Estimated latency increase (ps) of snaking the edge by ``extra_length`` um."""
+        return self.delay(tree.node(node_id).wire_type, self.stage_cap.get(node_id, 0.0), extra_length)
+
+    def length_for_delay(self, tree: ClockTree, node_id: int, delay_budget: float) -> float:
+        """Largest snake length (um) whose predicted delay fits in ``delay_budget`` ps."""
+        return self.length(tree.node(node_id).wire_type, self.stage_cap.get(node_id, 0.0), delay_budget)
+
+
+# ----------------------------------------------------------------------
+# Per-round sweep inputs
+# ----------------------------------------------------------------------
+def top_down_order(tree: ClockTree) -> Tuple[List[int], List[int]]:
+    """Every non-root node breadth-first from the root, with its parent's position.
+
+    The order is the one a FIFO queue seeded with the root's children visits
+    (children in ``node.children`` order); a parent position of -1 marks a
+    child of the root.  Memoized on the structure revision (see
+    :meth:`~repro.cts.tree.ClockTree.memoized`): shared, read-only.
+    """
+    return tree.memoized("top_down_order", lambda: _top_down_order(tree), structural=True)
+
+
+def _top_down_order(tree: ClockTree) -> Tuple[List[int], List[int]]:
+    order = list(tree.root.children)
+    parents = [-1] * len(order)
+    for position, node_id in enumerate(order):  # grows while it is walked
+        children = tree.node(node_id).children
+        order.extend(children)
+        parents.extend([position] * len(children))
+    return order, parents
+
+
+def narrower_types(wirelib: WireLibrary) -> Dict[str, Optional[WireType]]:
+    """Each library wire's name -> its next-narrower type (None for the narrowest)."""
+    return {
+        wire.name: wirelib.narrower(wire) if wirelib.can_downsize(wire) else None
+        for wire in wirelib
+    }
 
 
 def select_independent_middle_edges(tree: ClockTree, count: int = 5) -> List[int]:

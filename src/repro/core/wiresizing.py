@@ -16,16 +16,19 @@ accept/rollback discipline around each round is the shared
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.evaluator import ClockNetworkEvaluator, EvaluationReport
 from repro.core.ivc import IvcEngine, IvcGate, IvcState
 from repro.core.slack import annotate_tree_slacks
 from repro.core.tuning import (
+    DownsizeModel,
     PassResult,
+    SlewBudget,
     calibrate_downsize_model,
+    narrower_types,
     stage_slew_headroom,
+    top_down_order,
 )
 from repro.cts.tree import ClockTree
 from repro.cts.wirelib import WireLibrary
@@ -102,9 +105,9 @@ def top_down_wiresizing(
 def _downsize_round(
     tree: ClockTree,
     wirelib: WireLibrary,
-    edge_slow_slack,
-    slew_headroom,
-    model,
+    edge_slow_slack: Dict[int, float],
+    slew_headroom: SlewBudget,
+    model: DownsizeModel,
     safety: float,
 ) -> int:
     """One top-down sweep of Algorithm 1; returns the number of edges downsized.
@@ -114,30 +117,35 @@ def _downsize_round(
     (b) the stage containing the edge still has slew headroom for the slower
     transition.  The headroom is *consumed* per accepted move, so several
     edges of the same stage cannot jointly push a tap past the slew limit.
+    Each edge's wire, narrower type, length, load and stage are read once.
     """
+    order, parents = top_down_order(tree)
+    narrower_of = narrower_types(wirelib)
+    stage_of = slew_headroom.edge_to_stage.get
+    load_of = model.stage_cap.get
+    # The delay already spent above each edge; parent -1 reads the last
+    # slot, which stays 0.0 for the root's children.
+    carried = [0.0] * (len(order) + 1)
     changed = 0
-    queue = deque((child, 0.0) for child in tree.root.children)
-    while queue:
-        node_id, consumed = queue.popleft()
+    for position, node_id in enumerate(order):
+        consumed = carried[parents[position]]
         node = tree.node(node_id)
         slack = edge_slow_slack.get(node_id)
-        length = node.edge_length()
-        if (
-            slack is not None
-            and length >= MIN_EDGE_LENGTH
-            and node.wire_type is not None
-            and wirelib.can_downsize(node.wire_type)
-        ):
-            predicted = model.predicted_delay(tree, wirelib, node_id)
-            if (
-                predicted > 0.0
-                and safety * slack - consumed > predicted
-                and slew_headroom.allows_delay(node_id, predicted)
-            ):
-                tree.set_wire_type(node_id, wirelib.narrower(node.wire_type))
-                slew_headroom.consume_delay(node_id, predicted)
-                consumed += predicted
-                changed += 1
-        for child in node.children:
-            queue.append((child, consumed))
+        wire = node.wire_type
+        if slack is not None and wire is not None:
+            length = node.edge_length()
+            narrower = narrower_of[wire.name] if length >= MIN_EDGE_LENGTH else None
+            if narrower is not None:
+                stage = stage_of(node_id)
+                predicted = model.delay(wire, narrower, length, load_of(node_id, 0.0))
+                if (
+                    predicted > 0.0
+                    and safety * slack - consumed > predicted
+                    and slew_headroom.allows(stage, predicted)
+                ):
+                    tree.set_wire_type(node_id, narrower)
+                    slew_headroom.consume(stage, predicted)
+                    consumed += predicted
+                    changed += 1
+        carried[position] = consumed
     return changed

@@ -12,16 +12,18 @@ the paper.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.evaluator import ClockNetworkEvaluator, EvaluationReport
 from repro.core.ivc import IvcEngine, IvcGate, IvcState
 from repro.core.slack import annotate_tree_slacks
 from repro.core.tuning import (
     PassResult,
+    SlewBudget,
+    SnakeModel,
     calibrate_snake_model,
     stage_slew_headroom,
+    top_down_order,
 )
 from repro.cts.tree import ClockTree
 
@@ -90,9 +92,9 @@ def top_down_wiresnaking(
 
 def _snake_round(
     tree: ClockTree,
-    edge_slow_slack,
-    slew_headroom,
-    model,
+    edge_slow_slack: Dict[int, float],
+    slew_headroom: SlewBudget,
+    model: SnakeModel,
     unit_length: float,
     safety: float,
 ) -> int:
@@ -100,25 +102,31 @@ def _snake_round(
 
     The snake on each edge is bounded both by the remaining slow-down slack on
     the path (skew safety) and by the slew headroom of the edge's stage (a
-    snaked wire transitions more slowly at its taps).
+    snaked wire transitions more slowly at its taps).  Each edge's wire,
+    load and stage are read once.
     """
+    order, parents = top_down_order(tree)
+    stage_of = slew_headroom.edge_to_stage.get
+    load_of = model.stage_cap.get
+    # The delay already spent above each edge; parent -1 reads the last
+    # slot, which stays 0.0 for the root's children.
+    carried = [0.0] * (len(order) + 1)
     changed = 0
-    queue = deque((child, 0.0) for child in tree.root.children)
-    while queue:
-        node_id, consumed = queue.popleft()
-        node = tree.node(node_id)
+    for position, node_id in enumerate(order):
+        consumed = carried[parents[position]]
         slack = edge_slow_slack.get(node_id)
-        if slack is not None and node.parent is not None:
-            budget = min(safety * slack - consumed, slew_headroom.max_delay(node_id))
-            max_length = model.length_for_delay(tree, node_id, budget)
-            units = min(int(max_length // unit_length), MAX_UNITS_PER_EDGE)
+        if slack is not None:
+            wire = tree.node(node_id).wire_type
+            load = load_of(node_id, 0.0)
+            stage = stage_of(node_id)
+            budget = min(safety * slack - consumed, slew_headroom.delay_room(stage))
+            units = min(int(model.length(wire, load, budget) // unit_length), MAX_UNITS_PER_EDGE)
             if units > 0:
                 extra = units * unit_length
-                predicted = model.delay_for_length(tree, node_id, extra)
+                predicted = model.delay(wire, load, extra)
                 tree.add_snake(node_id, extra)
-                slew_headroom.consume_delay(node_id, predicted)
+                slew_headroom.consume(stage, predicted)
                 consumed += predicted
                 changed += 1
-        for child in node.children:
-            queue.append((child, consumed))
+        carried[position] = consumed
     return changed
