@@ -11,8 +11,12 @@ and shrinks the exposure of the tree to supply-voltage variations.
 The whole ladder is one :func:`~repro.buffering.vanginneken.run_ladder` call:
 stations, wire parasitics and legality are read from the tree once and the
 DP runs over them for each candidate in turn (~0.35 s for the four-inverter
-ladder on a ti:4000 tree, against ~1.25 s for four separate DP runs).  Each
-candidate's sites are then applied to its own clone of the tree.
+ladder on a ti:4000 tree, against ~1.25 s for four separate DP runs).  The
+candidates are then scored on one working copy of the tree: each one's
+sites are placed under a checkpoint, the copy's total capacitance is read
+and the placement is rolled back.  Only the chosen candidate is applied for
+good and validated, so the ladder costs one clone and one validation
+however long it is.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-from repro.buffering.vanginneken import apply_insertion, run_ladder
+from repro.buffering.vanginneken import place_insertion, run_ladder
 from repro.cts.bufferlib import BufferType
 from repro.cts.tree import ClockTree
 from repro.geometry.obstacles import ObstacleSet
@@ -72,7 +76,10 @@ def insert_buffers_with_sizing(
     """Buffer the tree with the strongest composite inverter fitting the budget.
 
     The input ``tree`` is not modified; the returned result carries a buffered
-    clone built with the selected candidate.  Candidates are evaluated in the
+    clone built with the selected candidate.  Every candidate is scored on
+    that clone under a checkpoint and rolled back, which restores node ids,
+    node-table order and revisions, so the clone ends as a fresh clone with
+    only the chosen sites applied would.  Candidates are evaluated in the
     given order; the chosen one is the strongest (lowest output resistance)
     among those that are slew-feasible and stay within
     ``(1 - power_reserve) * capacitance_limit`` total capacitance.  If no
@@ -100,11 +107,13 @@ def insert_buffers_with_sizing(
         legality=legality,
         max_options=max_options,
     )
+    working = tree.clone()
     outcomes: List[CandidateOutcome] = []
-    buffered_trees: List[ClockTree] = []
-    for candidate, insertion in zip(candidates, insertions):
-        working = tree.clone()
-        apply_insertion(working, insertion)
+    for index, (candidate, insertion) in enumerate(zip(candidates, insertions)):
+        if index:
+            working.rollback_to(token)  # unplace the previous candidate
+        token = working.checkpoint()
+        place_insertion(working, insertion)
         total_cap = working.total_capacitance()
         utilization = (
             total_cap / capacitance_limit if capacitance_limit is not None else None
@@ -119,11 +128,16 @@ def insert_buffers_with_sizing(
             within_power_budget=(budget is None or total_cap <= budget),
         )
         outcomes.append(outcome)
-        buffered_trees.append(working)
 
     chosen_index = _choose(outcomes)
+    if chosen_index == len(outcomes) - 1:
+        working.release(token)  # the last candidate scored is still placed
+    else:
+        working.rollback_to(token)
+        place_insertion(working, insertions[chosen_index])
+    working.validate()
     return BufferSizingSweepResult(
-        tree=buffered_trees[chosen_index],
+        tree=working,
         chosen=outcomes[chosen_index],
         outcomes=outcomes,
     )

@@ -53,6 +53,7 @@ __all__ = [
     "BufferInsertionResult",
     "VanGinnekenInserter",
     "apply_insertion",
+    "place_insertion",
     "run_ladder",
 ]
 
@@ -435,7 +436,17 @@ def _select(
 
 
 def apply_insertion(tree: ClockTree, result: BufferInsertionResult) -> None:
-    """Place ``result.buffer`` at every site of ``result`` in ``tree``."""
+    """Place ``result.buffer`` at every site of ``result`` in ``tree``, then validate it."""
+    place_insertion(tree, result)
+    tree.validate()
+
+
+def place_insertion(tree: ClockTree, result: BufferInsertionResult) -> None:
+    """Place ``result.buffer`` at every site of ``result`` in ``tree``.
+
+    Stations split their edges in order along the wire; the tree is not
+    validated (see :func:`apply_insertion`).
+    """
     for node_id in result.node_sites:
         tree.place_buffer(node_id, result.buffer)
     by_edge: Dict[int, List[BufferStation]] = {}
@@ -452,4 +463,3 @@ def apply_insertion(tree: ClockTree, result: BufferInsertionResult) -> None:
             new_node = tree.split_edge(edge_node, local_fraction)
             tree.place_buffer(new_node, result.buffer)
             previous_fraction = station.fraction_from_parent
-    tree.validate()
