@@ -177,7 +177,9 @@ def _usage_errors(*kinds: Type[Exception], prefix: str = "") -> Iterator[None]:
     try:
         yield
     except kinds as error:
-        raise _UsageError(f"{prefix}{error}") from error
+        # str() of a KeyError is the repr of its message: print the message.
+        message = error.args[0] if isinstance(error, KeyError) and error.args else error
+        raise _UsageError(f"{prefix}{message}") from error
 
 
 def _command(

@@ -89,8 +89,8 @@ USAGE_ERRORS = {
     ),
     "sweep-unknown-family": (
         ["sweep", "--family", "nope", "--store", "TMP/store"],
-        "repro sweep: \"unknown scenario family 'nope'; available: "
-        "['banks', 'macros', 'maze', 'strip']\"",
+        "repro sweep: unknown scenario family 'nope'; available: "
+        "['banks', 'macros', 'maze', 'strip']",
     ),
     "sweep-bad-set": (
         ["sweep", "--family", "banks", "--set", "nope", "--store", "TMP/store"],
@@ -131,9 +131,9 @@ USAGE_ERRORS = {
     ),
     "perf-run-unknown-case": (
         ["perf", "run", "--case", "nope"],
-        "repro perf run: \"unknown perf case 'nope'; registered: ['buffering', "
+        "repro perf run: unknown perf case 'nope'; registered: ['buffering', "
         "'evaluator', 'propagation', 'runner', 'serve', 'service', 'trace', "
-        "'variation']\"",
+        "'variation']",
     ),
     "perf-compare-not-a-document": (
         ["perf", "compare", "TMP/empty.json", "TMP/batch.json"],
@@ -153,11 +153,11 @@ USAGE_ERRORS = {
     ),
     "lint-unknown-rule": (
         ["lint", "TMP/ok.py", "--select", "nope"],
-        "repro lint: \"unknown lint rule 'nope'; registered: ['bare-dict-record', "
+        "repro lint: unknown lint rule 'nope'; registered: ['bare-dict-record', "
         "'blocking-in-async', 'fingerprint-compare-field', 'perfcase-registered', "
         "'pool-unpicklable', 'record-roundtrip-symmetry', 'registry-drift', "
         "'unjournaled-mutation', 'unseeded-rng', 'untimed-wallclock', "
-        "'wallclock-in-fingerprint-path']\"",
+        "'wallclock-in-fingerprint-path']",
     ),
     "lint-missing-path": (
         ["lint", "TMP/nowhere.py"],
