@@ -12,11 +12,9 @@ The whole ladder is one :func:`~repro.buffering.vanginneken.run_ladder` call:
 stations, wire parasitics and legality are read from the tree once and the
 DP runs over them for each candidate in turn (~0.35 s for the four-inverter
 ladder on a ti:4000 tree, against ~1.25 s for four separate DP runs).  The
-candidates are then scored on one working copy of the tree: each one's
-sites are placed under a checkpoint, the copy's total capacitance is read
-and the placement is rolled back.  Only the chosen candidate is applied for
-good and validated, so the ladder costs one clone and one validation
-however long it is.
+candidates are then scored on one working copy of the tree, each placed
+under a checkpoint, measured and rolled back; only the chosen one is
+applied for good and validated.
 """
 
 from __future__ import annotations
@@ -76,10 +74,9 @@ def insert_buffers_with_sizing(
     """Buffer the tree with the strongest composite inverter fitting the budget.
 
     The input ``tree`` is not modified; the returned result carries a buffered
-    clone built with the selected candidate.  Every candidate is scored on
-    that clone under a checkpoint and rolled back, which restores node ids,
-    node-table order and revisions, so the clone ends as a fresh clone with
-    only the chosen sites applied would.  Candidates are evaluated in the
+    clone built with the selected candidate (scoring the others on it under
+    a checkpoint leaves no trace: a rollback restores node ids, node-table
+    order and revisions).  Candidates are evaluated in the
     given order; the chosen one is the strongest (lowest output resistance)
     among those that are slew-feasible and stay within
     ``(1 - power_reserve) * capacitance_limit`` total capacitance.  If no

@@ -14,19 +14,16 @@ Proposition 1 the per-edge budgets ``Delta(e) = Slack(e) - Slack(parent(e))``
 whose application drives every skew optimization in Contango: slowing each
 edge down by exactly ``Delta_slow(e)`` produces a zero-skew tree.
 
-Lemma 1 is a range-min: listed in the order the tree's memoized
+Lemma 1 is a range-min: in the order the tree's memoized
 :meth:`~repro.cts.tree.ClockTree.sink_postorder` reaches them, the
 downstream sinks of every node form one contiguous run, so
-:func:`annotate_tree_slacks` takes every edge slack with one
-``np.minimum.reduceat`` over the sink slacks and every delta with one
-vector subtraction.  The runs, and each edge's parent, are memoized on the
-tree's structure revision.
+:func:`annotate_tree_slacks` takes all edge slacks with one
+``np.minimum.reduceat`` and all deltas with one vector subtraction.
 
-Slacks are computed per transition (rise/fall) and, optionally, per corner;
-edge slacks take the minimum so that a tuning move is safe for every
-transition and corner simultaneously (Section III-B, last paragraph).  Sink
-slacks are computed on the report's ``(transitions, sinks)`` latency arrays
-(:meth:`~repro.analysis.evaluator.CornerTiming.sink_latencies`).
+Slacks are computed per transition (rise/fall) and, optionally, per corner,
+on the report's latency arrays; edge slacks take the minimum so that a
+tuning move is safe for every transition and corner simultaneously
+(Section III-B, last paragraph).
 """
 
 from __future__ import annotations
@@ -112,11 +109,14 @@ def compute_sink_slacks(
 
 @dataclass(frozen=True)
 class _SinkRuns:
-    """Where each edge's downstream sinks sit in the sink postorder.
+    """Each edge's run of downstream sinks in the sink postorder.
 
     ``bounds`` interleaves the (start, end) of every edge's run, edges in
-    ``tree.nodes()`` order; ``child``/``parent`` are the positions (in that
-    order) of every non-root edge and of its parent edge.
+    ``tree.nodes()`` order; ``child`` and ``parent`` hold the positions of
+    every non-root edge and of its parent edge.  Memoized on the structure
+    revision, which a rolled-back ``remove_subtree`` restores while leaving
+    the revived nodes at the end of the node table: the edge order is then
+    the one from before the removal.
     """
 
     sinks: List[int]

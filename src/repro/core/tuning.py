@@ -27,21 +27,15 @@ This module holds the pieces those passes share:
 The whole-tree analytics every proposal reads are memoized on the tree
 (:meth:`~repro.cts.tree.ClockTree.memoized`): stage-local capacitance on
 the tree's revision, so a rejected round or the K proposals of a batched
-round reuse it, the breadth-first edge order of the top-down sweeps
-(:func:`top_down_order`) on its structure revision, and the slew budget's
-stage map is the :class:`~repro.analysis.rcnetwork.StageTopology` the
-report was walked on.
+round reuse it, the top-down sweeps' edge order (:func:`top_down_order`)
+on its structure revision, and the slew budget's stage map is the
+:class:`~repro.analysis.rcnetwork.StageTopology` the report was walked on.
 
-A proposal sweep reads each edge's inputs once per round -- its wire, the
-next-narrower type (:func:`narrower_types`), its length, its stage-local
-load and its stage index -- and hands them as plain values to the one
-formula each model keeps (:meth:`DownsizeModel.delay`,
-:meth:`SnakeModel.delay`, :meth:`SnakeModel.length`, and the stage-indexed
-:class:`SlewBudget` methods).  Per edge, only the sequential decision is
-left: the slack already spent on the path and the stage headroom already
-consumed depend on the moves made before it.  The ``(tree, node_id)``
-forms of the models and the edge-keyed budget methods read the same inputs
-from the tree for one-off callers (the calibrations).
+A proposal sweep reads each edge's wire, next-narrower type, length,
+stage-local load and stage index once per round and hands them as plain
+values to the models' and the budget's formulas; per edge, only the
+sequential decision remains.  The ``(tree, node_id)`` model forms and the
+edge-keyed budget methods read the same inputs from the tree.
 """
 
 from __future__ import annotations
@@ -151,10 +145,9 @@ class SlewBudget:
     of its slew impact, so several edges of the same stage cannot jointly blow
     the limit even though each one individually would fit.
 
-    The formulas take a stage index (None for an edge in no stage, whose
-    headroom is unlimited), which a sweep reads once per edge from
-    :attr:`edge_to_stage`; the ``*_delay`` forms and :meth:`available` look
-    the stage of an edge up first.
+    The formulas take a stage index from :attr:`edge_to_stage` (None: an
+    edge in no stage, with unlimited headroom); the edge-keyed forms look it
+    up first.
     """
 
     #: conversion from added stage delay (ps) to added tap slew (ps); a
@@ -235,11 +228,7 @@ def stage_slew_headroom(tree: ClockTree, report: EvaluationReport) -> SlewBudget
 # ----------------------------------------------------------------------
 @dataclass
 class DownsizeModel:
-    """Predicts the latency impact of switching one edge to a narrower wire.
-
-    :meth:`delay` is the model on plain values, which a sweep reads once per
-    edge; :meth:`predicted_delay` reads them from the tree.
-    """
+    """Predicts the latency impact of switching one edge to a narrower wire."""
 
     calibration: float
     stage_cap: Dict[int, float]
@@ -268,12 +257,7 @@ class DownsizeModel:
 
 @dataclass
 class SnakeModel:
-    """Predicts the latency impact of adding snaking wirelength to an edge.
-
-    :meth:`delay` and :meth:`length` are the model on plain values (the
-    edge's wire and stage-local load), which a sweep reads once per edge;
-    the ``*_for_*`` forms read them from the tree.
-    """
+    """Predicts the latency impact of adding snaking wirelength to an edge."""
 
     calibration: float
     stage_cap: Dict[int, float]
@@ -291,7 +275,7 @@ class SnakeModel:
         return self.calibration * raw
 
     def length(self, wire: Optional[WireType], load: float, delay_budget: float) -> float:
-        """Largest snake length (um) of ``wire`` whose :meth:`delay` fits in ``delay_budget`` ps."""
+        """Largest snake length (um) whose :meth:`delay` fits in ``delay_budget`` ps."""
         if wire is None or delay_budget <= 0.0 or self.calibration <= 0.0:
             return 0.0
         a = self.calibration * wire.unit_resistance * wire.unit_capacitance / 2.0 * OHM_FF_TO_PS
@@ -303,11 +287,13 @@ class SnakeModel:
 
     def delay_for_length(self, tree: ClockTree, node_id: int, extra_length: float) -> float:
         """Estimated latency increase (ps) of snaking the edge by ``extra_length`` um."""
-        return self.delay(tree.node(node_id).wire_type, self.stage_cap.get(node_id, 0.0), extra_length)
+        wire, load = tree.node(node_id).wire_type, self.stage_cap.get(node_id, 0.0)
+        return self.delay(wire, load, extra_length)
 
     def length_for_delay(self, tree: ClockTree, node_id: int, delay_budget: float) -> float:
         """Largest snake length (um) whose predicted delay fits in ``delay_budget`` ps."""
-        return self.length(tree.node(node_id).wire_type, self.stage_cap.get(node_id, 0.0), delay_budget)
+        wire, load = tree.node(node_id).wire_type, self.stage_cap.get(node_id, 0.0)
+        return self.length(wire, load, delay_budget)
 
 
 # ----------------------------------------------------------------------
