@@ -108,6 +108,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -467,8 +468,9 @@ class CandidateBatch:
         return self.scores[index]
 
 
-# Content key of one stage: (driver head, ((edge id, edge revision), ...)).
-_StageKey = Tuple[tuple, tuple]
+# Content key of one stage: (driver revision, source resistance or None,
+# *edge revisions); see _stage_key.
+_StageKey = Tuple[Any, ...]
 # Per-stage analytical model: (delay, sigma), each (taps, corner x transition).
 _TapModel = Tuple[np.ndarray, np.ndarray]
 _Driver = Optional[BufferType]
@@ -618,16 +620,23 @@ def _node_contribution(node: TreeNode) -> Tuple[float, float, float, float]:
 def _stage_key(
     tree: ClockTree, stage: Stage, revisions: Dict[int, int]
 ) -> Tuple[_StageKey, _Driver]:
-    """The stage's content key and its live driver buffer."""
+    """The stage's content key and its live driver buffer.
+
+    The key is ``(driver revision, source resistance or None, *edge
+    revisions)``: the source stage is driven through the source resistance,
+    which no node revision covers.  It holds no node ids and is still exact.
+    Every revision is drawn once from the process-wide counter, for one
+    node (by node creation or :meth:`~repro.cts.tree.ClockTree.touch`), and
+    clones, rollbacks and ``copy_state_from`` carry (node, revision) pairs
+    together, so a revision names its node: two keys are equal exactly when
+    the stages' (node, revision) pairs are.  Being one tuple of ints, a
+    float and None, a key is left untracked by the cyclic collector after
+    its first pass; a tuple per (edge, revision) pair was not.
+    """
     driver_id = stage.driver_id
     buffer = tree.node(driver_id).buffer
-    if buffer is None:
-        # The source stage is driven through the source resistance, which
-        # is not covered by any node revision.
-        head: tuple = (driver_id, revisions[driver_id], tree.source_resistance)
-    else:
-        head = (driver_id, revisions[driver_id])
-    return (head, tuple((edge, revisions[edge]) for edge in stage.edges)), buffer
+    resistance = tree.source_resistance if buffer is None else None
+    return (revisions[driver_id], resistance, *map(revisions.__getitem__, stage.edges)), buffer
 
 
 def _stage_keys(

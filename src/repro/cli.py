@@ -29,8 +29,9 @@ Ten subcommands:
   ``--stages``, per-run Table III stage tables), Monte Carlo records as the
   yield table, and failed jobs on stderr (exit 1);
 * ``repro profile`` -- run one job under a live :class:`repro.obs.Tracer`
-  and print its span tree (per-span total/self times and counters), with
-  optional schema-1 trace-artifact (``--json``) and Chrome trace-event
+  and print its span tree (per-span total/self times and counters) and the
+  job's collector pauses, with optional schema-1 trace-artifact
+  (``--json``, per-span ``gc_s`` in its timings) and Chrome trace-event
   (``--chrome``, opens in Perfetto) exports;
 * ``repro trace`` -- read the compact trace summaries back out of a run
   store selection (``STORE[@RUN_ID]``): top spans by self-time plus the
@@ -1016,7 +1017,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(
         f"\n{record.job}: wall-clock {wall:.3f} s, traced {total:.3f} s "
         f"(self-time sum {self_sum:.3f} s), "
-        f"{sum(1 for _ in tracer.spans())} span(s)"
+        f"{sum(1 for _ in tracer.spans())} span(s), "
+        f"GC pauses {tracer.gc_s:.3f} s in {tracer.gc_collections} collection(s)"
     )
     meta = {
         "instance": spec.instance,

@@ -55,15 +55,23 @@ round even when the round touches three edges).  The journal-revision
 checkpoint API replaces that on the hot path:
 
 * :meth:`ClockTree.checkpoint` opens a transaction and returns a token;
-  from then on every mutator records an O(1) pre-image of each node it is
-  about to touch (first touch per node per checkpoint only);
-* :meth:`ClockTree.rollback_to` undoes everything back to the token in
-  O(touched nodes), restoring node *revisions*, the structure revision and
-  the whole-tree revision verbatim so content-addressed caches (the
-  evaluator's stage cache, the tree's own memo) recognise the rolled-back
-  state as already analyzed;
+  from then on every mutator appends O(1) undo records to a journal.  The
+  field edits of the optimization rounds (:meth:`~ClockTree.set_wire_type`,
+  :meth:`~ClockTree.add_snake`, :meth:`~ClockTree.place_buffer`,
+  :meth:`~ClockTree.remove_buffer`) record the one field they change with
+  the node's old revision, one record per call.  Structural edits and
+  :meth:`~ClockTree.journal_node` surgery record a pre-image: a copy of the
+  whole node, taken on the first touch per node per checkpoint;
+* :meth:`ClockTree.rollback_to` replays the records back to the token in
+  reverse, in O(records), restoring node *revisions*, the structure
+  revision and the whole-tree revision verbatim so content-addressed caches
+  (the evaluator's stage cache, the tree's own memo) recognise the
+  rolled-back state as already analyzed.  A field record is undone in
+  place, so the node stays the same object; a pre-image replaces the node
+  object with the copy;
 * :meth:`ClockTree.release` closes an accepted transaction and drops its
-  journal entries; the whole-tree revision stays where the edits moved it.
+  journal entries once no checkpoint is left open; the whole-tree revision
+  stays where the edits moved it.
 
 Analyses that probe the tree (the wire-delay model calibrations) perturb it
 under a checkpoint, evaluate and roll back, rather than editing a clone.
@@ -94,6 +102,13 @@ __all__ = ["NodeKind", "Sink", "TreeNode", "ClockTree", "TreeValidationError"]
 #: Process-global monotonic revision source shared by every ClockTree, so that
 #: revisions are unique across clones and independently built trees alike.
 _REVISIONS = itertools.count(1)
+
+#: The node fields the field records of the checkpoint journal restore: a
+#: record ``(field, node_id, old_value, old_revision)`` is undone in place.
+_FIELDS = frozenset({"wire_type", "snake_length", "buffer"})
+
+#: Journal records that name no edited pre-existing node.
+_TREE_RECORDS = frozenset({"create", "structure", "next_id"})
 
 
 class TreeValidationError(RuntimeError):
@@ -214,7 +229,8 @@ class ClockTree:
         self._journal: List[tuple] = []
         # (journal token, whole-tree revision at the checkpoint), innermost last.
         self._checkpoints: List[Tuple[int, int]] = []
-        self._journaled: List[set] = []
+        # Per checkpoint, the nodes with a pre-image in its journal segment.
+        self._pre_imaged: List[set] = []
         self.root_id = self._new_node(source_position, NodeKind.SOURCE, parent=None)
 
     # ------------------------------------------------------------------
@@ -307,15 +323,14 @@ class ClockTree:
     def checkpoint(self) -> int:
         """Open a transaction; returns a token for :meth:`rollback_to`/:meth:`release`.
 
-        While at least one checkpoint is outstanding every mutator journals a
-        pre-image of each node it touches (once per node per checkpoint), so
-        rolling back costs O(touched nodes) instead of the O(n) of a
-        :meth:`clone`-based snapshot.  Checkpoints nest; tokens must be
-        consumed in LIFO order.
+        While at least one checkpoint is outstanding every mutator journals
+        what it changes (see the module docstring), so rolling back costs
+        O(edits) instead of the O(n) of a :meth:`clone`-based snapshot.
+        Checkpoints nest; tokens must be consumed in LIFO order.
         """
         token = len(self._journal)
         self._checkpoints.append((token, self._revision))
-        self._journaled.append(set())
+        self._pre_imaged.append(set())
         return token
 
     def rollback_to(self, token: int) -> None:
@@ -325,13 +340,17 @@ class ClockTree:
         are restored verbatim, so caches keyed by them (the evaluator's stage
         cache, :meth:`memoized` values) recognise the rolled-back state as
         already analyzed -- exactly like a :meth:`copy_state_from` restore,
-        at O(touched nodes) cost.
+        at O(edits) cost.
         """
         self._revision = self._pop_checkpoint(token)
         while len(self._journal) > token:
             entry = self._journal.pop()
             kind = entry[0]
-            if kind == "node":
+            if kind in _FIELDS:
+                _, node_id, value, revision = entry
+                setattr(self._nodes[node_id], kind, value)
+                self._node_revision[node_id] = revision
+            elif kind == "node":
                 _, node_id, pre_image, revision = entry
                 self._nodes[node_id] = pre_image
                 self._node_revision[node_id] = revision
@@ -360,7 +379,7 @@ class ClockTree:
             raise ValueError(
                 "checkpoint tokens must be rolled back / released in LIFO order"
             )
-        self._journaled.pop()
+        self._pre_imaged.pop()
         return self._checkpoints.pop()[1]
 
     def touched_since(self, token: int) -> Set[int]:
@@ -368,34 +387,52 @@ class ClockTree:
 
         This is the dirty-set query used by batched candidate evaluation: the
         caller opens a checkpoint, applies a candidate move, asks which nodes
-        the move journaled, and rolls back.  The set over-approximates the
-        nodes whose content changed (mutators journal before validating), so
-        consumers treating every returned node as dirty stay sound.  Nodes
-        *created* since the checkpoint are not included -- creation always
-        bumps the structure revision, which callers must check separately.
+        the move journaled, and rolls back.  The set is read from the journal
+        itself, so edits made under inner checkpoints that were released
+        since are included.  It over-approximates the nodes whose content
+        changed (mutators journal before validating), so consumers treating
+        every returned node as dirty stay sound.  Nodes *created* since the
+        checkpoint are not included -- creation always bumps the structure
+        revision, which callers must check separately.
         """
         if not self._checkpoints or self._checkpoints[-1][0] != token:
             raise ValueError("touched_since requires the innermost open checkpoint token")
-        return set(self._journaled[-1])
+        return {
+            entry[1]
+            for entry in itertools.islice(self._journal, token, None)
+            if entry[0] not in _TREE_RECORDS
+        }
 
     def journal_node(self, node_id: int) -> None:
         """Record a pre-image of ``node_id`` for the innermost open checkpoint.
 
-        All :class:`ClockTree` mutators call this automatically before
-        touching a node; it is public for code that edits
-        :class:`TreeNode` attributes directly (pair it with :meth:`touch`
-        *after* the edit).  No-op when no checkpoint is outstanding or the
-        node was already journalled since the innermost checkpoint.
+        The structural mutators call this automatically before touching a
+        node; it is public for code that edits :class:`TreeNode` attributes
+        directly (pair it with :meth:`touch` *after* the edit).  No-op when
+        no checkpoint is outstanding or the node already has a pre-image
+        since the innermost checkpoint.  Field records do not count: a node
+        whose wire was re-typed still gets its pre-image here.
         """
         if not self._checkpoints:
             return
-        journaled = self._journaled[-1]
-        if node_id in journaled:
+        pre_imaged = self._pre_imaged[-1]
+        if node_id in pre_imaged:
             return
-        journaled.add(node_id)
+        pre_imaged.add(node_id)
+        self._journal_pre_image(node_id)
+
+    def _journal_pre_image(self, node_id: int) -> None:
         self._journal.append(
             ("node", node_id, _copy_node(self._nodes[node_id]), self._node_revision[node_id])
         )
+
+    def _journal_field(self, node: TreeNode, name: str) -> None:
+        """Record one field's old value and the node's revision, under a checkpoint."""
+        if self._checkpoints:
+            node_id = node.node_id
+            self._journal.append(
+                (name, node_id, getattr(node, name), self._node_revision[node_id])
+            )
 
     def add_internal(
         self,
@@ -717,7 +754,7 @@ class ClockTree:
     def place_buffer(self, node_id: int, buffer: BufferType) -> None:
         """Place (or replace) a buffer at a node."""
         node = self.node(node_id)
-        self.journal_node(node_id)
+        self._journal_field(node, "buffer")
         adds_site = node.buffer is None
         node.buffer = buffer
         self.touch(node_id)
@@ -731,7 +768,7 @@ class ClockTree:
         node = self.node(node_id)
         if node.buffer is None:
             return
-        self.journal_node(node_id)
+        self._journal_field(node, "buffer")
         node.buffer = None
         self.touch(node_id)
         self.touch_structure()
@@ -740,7 +777,7 @@ class ClockTree:
         node = self.node(node_id)
         if node.parent is None:
             raise ValueError("the root has no parent edge to re-type")
-        self.journal_node(node_id)
+        self._journal_field(node, "wire_type")
         node.wire_type = wire
         self.touch(node_id)
 
@@ -751,7 +788,7 @@ class ClockTree:
         node = self.node(node_id)
         if node.parent is None:
             raise ValueError("the root has no parent edge to snake")
-        self.journal_node(node_id)
+        self._journal_field(node, "snake_length")
         node.snake_length += extra_length
         self.touch(node_id)
 
@@ -865,10 +902,14 @@ class ClockTree:
             raise ValueError("cannot remove the root (clock entry point)")
         # Journal every pre-image before the first mutation: the subtree root
         # must be captured while it still points at its parent, or a rollback
-        # would resurrect it half-detached.
+        # would resurrect it half-detached.  Each removed node gets its own
+        # pre-image even if it has one from earlier in this checkpoint: a
+        # rollback undoes the field records in between against the node
+        # table, so the node must be back in it by then.
         removed = [n.node_id for n in self.preorder(node_id)]
-        for removed_id in removed:
-            self.journal_node(removed_id)
+        if self._checkpoints:
+            for removed_id in removed:
+                self._journal_pre_image(removed_id)
         if node.parent is not None:
             self.journal_node(node.parent)
             self._nodes[node.parent].children.remove(node_id)
@@ -940,7 +981,7 @@ class ClockTree:
         # Checkpoints do not transfer: the clone starts transaction-free.
         twin._journal = []
         twin._checkpoints = []
-        twin._journaled = []
+        twin._pre_imaged = []
         return twin
 
     def copy_state_from(self, other: "ClockTree") -> None:
@@ -957,7 +998,7 @@ class ClockTree:
         """
         self._journal = []
         self._checkpoints = []
-        self._journaled = []
+        self._pre_imaged = []
         self._nodes = {node_id: _copy_node(node) for node_id, node in other._nodes.items()}
         self._next_id = other._next_id
         self._default_wire = other._default_wire
@@ -1019,13 +1060,25 @@ def _copy_node(node: TreeNode) -> TreeNode:
 
     Bypasses the dataclass constructor (snapshots sit on the hot path of
     every optimization round); only the two mutable lists are copied, all
-    frozen payloads (Point, Sink, BufferType, WireType) are shared.
+    frozen payloads (Point, Sink, BufferType, WireType) are shared.  The
+    fields are assigned one by one, in declaration order, and ``__dict__``
+    is never read: on CPython 3.11+ an instance keeps its attributes inline
+    until something asks for ``__dict__``, which turns them into a real
+    dict on that node for good, and every later attribute load on it goes
+    through the dict -- about 2x slower for the tree walks.
     """
     twin = TreeNode.__new__(TreeNode)
-    state = twin.__dict__
-    state.update(node.__dict__)
-    state["children"] = node.children.copy()
-    state["route"] = node.route.copy()
+    twin.node_id = node.node_id
+    twin.position = node.position
+    twin.kind = node.kind
+    twin.parent = node.parent
+    twin.children = node.children.copy()
+    twin.sink = node.sink
+    twin.buffer = node.buffer
+    twin.route = node.route.copy()
+    twin.wire_type = node.wire_type
+    twin.snake_length = node.snake_length
+    twin._route_length = node._route_length
     return twin
 
 

@@ -20,10 +20,19 @@ Design constraints, in order:
    wall-clock in the ``timings`` envelope.
 3. **No repro imports.**  The module is a stdlib-only leaf, usable from the
    evaluator and the IVC engine without cycles.
+
+Garbage-collection pauses are timing too.  While a :class:`Tracer` has an
+open span it keeps a hook in :data:`gc.callbacks` that charges each pause
+of the cyclic collector to the innermost open span (:attr:`Span.gc_s`, the
+``gc_s`` of the span's ``timings`` entry) and to the tracer's totals
+(:attr:`Tracer.gc_s`, :attr:`Tracer.gc_collections`).  A pause is charged
+where it happened, not to the code that allocated the garbage.  The hook
+goes when the last root span closes; :data:`NULL_TRACER` installs none.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 from dataclasses import dataclass, field
@@ -61,11 +70,13 @@ class Span:
     """One named region of execution: children, counters, and timing.
 
     ``start_s``/``total_s`` are relative to the owning tracer's origin;
-    ``self_s`` is derived (total minus the children's totals).  Counters are
-    plain int accumulators -- deterministic payload, never wall-clock.
+    ``self_s`` is derived (total minus the children's totals).  ``gc_s`` is
+    the collector pause charged while this span was the innermost open one,
+    a part of ``self_s``.  Counters are plain int accumulators --
+    deterministic payload, never wall-clock.
     """
 
-    __slots__ = ("name", "children", "counters", "start_s", "total_s")
+    __slots__ = ("name", "children", "counters", "start_s", "total_s", "gc_s")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -73,6 +84,7 @@ class Span:
         self.counters: Dict[str, int] = {}
         self.start_s = 0.0
         self.total_s = 0.0
+        self.gc_s = 0.0
 
     @property
     def self_s(self) -> float:
@@ -162,7 +174,11 @@ NULL_TRACER = NullTracer()
 
 
 class Tracer(TracerBase):
-    """Records one nested span tree (typically: one traced job)."""
+    """Records one nested span tree (typically: one traced job).
+
+    ``gc_s`` and ``gc_collections`` total the collector pauses charged to
+    this tracer's spans (see the module docstring).
+    """
 
     enabled = True
 
@@ -170,6 +186,9 @@ class Tracer(TracerBase):
         self.roots: List[Span] = []
         self._stack: List[Span] = []
         self._origin = time.perf_counter()
+        self.gc_s = 0.0
+        self.gc_collections = 0
+        self._gc_began = 0.0
 
     # -- recording ------------------------------------------------------
     def span(self, name: str) -> ContextManager[Optional[Span]]:
@@ -186,6 +205,7 @@ class Tracer(TracerBase):
             self._stack[-1].children.append(span)
         else:
             self.roots.append(span)
+            gc.callbacks.append(self._on_gc)
         self._stack.append(span)
         span.start_s = time.perf_counter() - self._origin
         return span
@@ -193,6 +213,18 @@ class Tracer(TracerBase):
     def _close(self) -> None:
         span = self._stack.pop()
         span.total_s = time.perf_counter() - self._origin - span.start_s
+        if not self._stack:
+            gc.callbacks.remove(self._on_gc)
+
+    def _on_gc(self, phase: str, info: Dict[str, int]) -> None:
+        """The :data:`gc.callbacks` hook: charge a pause to the innermost span."""
+        if phase == "start":
+            self._gc_began = time.perf_counter()
+        elif self._stack:
+            pause = time.perf_counter() - self._gc_began
+            self._stack[-1].gc_s += pause
+            self.gc_s += pause
+            self.gc_collections += 1
 
     # -- reading --------------------------------------------------------
     @property
@@ -385,6 +417,7 @@ def trace_artifact(
                 "start_s": round(span.start_s, 9),
                 "total_s": round(span.total_s, 9),
                 "self_s": round(span.self_s, 9),
+                "gc_s": round(span.gc_s, 9),
             }
         )
         for child in span.children:

@@ -1,5 +1,6 @@
 """Unit tests for repro.obs.trace: spans, tracers, artifacts, exports."""
 
+import gc
 import json
 
 import pytest
@@ -110,6 +111,70 @@ class TestNullTracer:
         with pytest.raises(RuntimeError):
             with NullTracer().span("x"):
                 raise RuntimeError("boom")
+
+
+class TestGcPauses:
+    """Collector pauses land on the innermost open span of a live tracer."""
+
+    @pytest.fixture
+    def manual_gc(self):
+        """Only explicit ``gc.collect()`` calls collect during the test."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_pause_is_charged_to_the_innermost_span(self, manual_gc):
+        tracer = Tracer()
+        with tracer.span("job") as job:
+            with tracer.span("evaluate") as evaluate:
+                gc.collect()
+                gc.collect()
+        assert tracer.gc_collections == 2
+        assert evaluate.gc_s > 0.0
+        assert job.gc_s == 0.0
+        assert tracer.gc_s == evaluate.gc_s
+        assert evaluate.gc_s <= evaluate.self_s
+
+    def test_hook_lives_while_a_span_is_open(self, manual_gc):
+        callbacks = list(gc.callbacks)
+        tracer = Tracer()
+        with tracer.span("first"):
+            assert len(gc.callbacks) == len(callbacks) + 1
+            with tracer.span("inner"):
+                assert len(gc.callbacks) == len(callbacks) + 1
+        assert gc.callbacks == callbacks
+        gc.collect()
+        assert tracer.gc_collections == 0
+        with pytest.raises(RuntimeError):
+            with tracer.span("second"):
+                raise RuntimeError("boom")
+        assert gc.callbacks == callbacks
+
+    def test_null_tracer_installs_no_hook(self):
+        callbacks = list(gc.callbacks)
+        with NULL_TRACER.span("job"):
+            assert gc.callbacks == callbacks
+
+    def test_pause_reaches_the_timings_block_only(self, manual_gc):
+        tracer = Tracer()
+        record_tree(tracer)
+        with tracer.span("collect"):
+            gc.collect()
+        artifact = trace_artifact(tracer)
+        assert [entry["gc_s"] > 0.0 for entry in artifact["timings"]] == [
+            False, False, False, False, True,
+        ]
+        plain = Tracer()
+        record_tree(plain)
+        with plain.span("collect"):
+            pass
+        assert strip_timings(artifact) == strip_timings(trace_artifact(plain))
+        assert summarize(tracer).counters == summarize(plain).counters
+        assert set(path_timings(tracer)["collect"]) == {"count", "total_s", "self_s"}
 
 
 class TestSummarize:

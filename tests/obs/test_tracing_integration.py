@@ -106,8 +106,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "flow:contango" in out
         assert "wall-clock" in out and "span(s)" in out
+        assert "GC pauses" in out and "collection(s)" in out
         artifact = json.loads(json_path.read_text())
         assert artifact["kind"] == "trace" and artifact["schema"] == 1
+        assert all("gc_s" in entry for entry in artifact["timings"])
         assert json.loads(chrome_path.read_text())["traceEvents"]
 
     def test_profile_surfaces_job_failure_as_exit_1(self, capsys):
