@@ -3,11 +3,15 @@
 Unlike the other smokes (thin wrappers over registered perf cases -- the
 scheduler-level dedup measurement lives in
 :class:`repro.perf.cases.ServeCase`), this one exercises the full deployed
-shape: spawn ``python -m repro serve`` as a subprocess, submit the same
-``scenario:banks`` job twice concurrently over HTTP, and assert through
+shape: spawn ``python -m repro serve --store`` as a subprocess, submit the
+same ``scenario:banks`` job twice concurrently over HTTP, and assert through
 ``/metrics`` that exactly one pool execution happened and the duplicate
 completed flagged ``cached``, with a bit-identical record outside the
-wall-clock fields.  Exit nonzero on any violation (the CI e2e gate).
+wall-clock fields.  Then a separate ``repro sweep`` process appends a job
+the server never ran to the same store, and that job, submitted over HTTP,
+must complete ``cached`` from the server's store index, with no new pool
+execution and the stored record.  Exit nonzero on any violation (the CI e2e
+gate).
 
 Usage::
 
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -34,6 +39,10 @@ JOB = {
     "engine": "elmore",
     "pipeline": ["initial"],
 }
+#: The job another process appends to the server's store (``repro sweep``
+#: runs the default pipeline), and the run id it stores it under.
+STORED_JOB = {"instance": "scenario:banks:sinks=24", "engine": "elmore", "seed": 3}
+STORED_RUN_ID = "smoke-other-process"
 
 
 def request(
@@ -63,21 +72,34 @@ def wait_result(base: str, job_id: str, tries: int = 600) -> Dict[str, Any]:
     raise AssertionError(f"{job_id} never completed")
 
 
-def stable(record: Dict[str, Any]) -> Dict[str, Any]:
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    from repro.api.records import stable_record
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
-    return stable_record(record)
+from repro.api.records import stable_record  # noqa: E402
+from repro.store import RunStore  # noqa: E402
+
+
+def append_from_another_process(env: Dict[str, str], store: Path) -> Dict[str, Any]:
+    """``repro sweep`` STORED_JOB into ``store``; returns the record it stored."""
+    subprocess.run(
+        [sys.executable, "-m", "repro", "sweep", "--store", str(store),
+         "--instance", STORED_JOB["instance"], "--engine", STORED_JOB["engine"],
+         "--seed", str(STORED_JOB["seed"]), "--run-id", STORED_RUN_ID],
+        env=env, cwd=str(ROOT), check=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.STDOUT,
+    )
+    (record,) = RunStore(store).records(run_id=STORED_RUN_ID)
+    return record
 
 
 def main() -> int:
-    root = Path(__file__).resolve().parents[1]
-    port_file = Path(tempfile.mkdtemp()) / "port"
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    scratch = Path(tempfile.mkdtemp())
+    port_file, store = scratch / "port", scratch / "store"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--port-file", str(port_file)],
-        env=env, cwd=str(root),
+         "--port-file", str(port_file), "--store", str(store)],
+        env=env, cwd=str(ROOT),
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
     try:
@@ -119,11 +141,31 @@ def main() -> int:
             ("dedup_counted", scheduler["cache"]["hits"]
              + scheduler["cache"]["coalesced"] == 1,
              f"cache stats {scheduler['cache']}"),
-            ("records_bit_identical", stable(first) == stable(second),
+            ("records_bit_identical",
+             stable_record(first) == stable_record(second),
              "cached vs executed record, wall-clock fields excluded"),
             ("fingerprints_equal",
              first["fingerprint"] == second["fingerprint"],
              f"fingerprint {first['fingerprint'][:16]}..."),
+        ]
+
+        # Another process appends a job this server never ran; the server's
+        # store index must pick it up on the next lookup.
+        stored = append_from_another_process(env, store)
+        status, body = request(base, "/jobs", dict(STORED_JOB))
+        assert status == 202, (status, body)
+        result = wait_result(base, body["job_id"])
+        _, after = request(base, "/metrics")
+        executions = after["scheduler"]["pool_executions"]
+        checks += [
+            ("other_process_append_served_cached", result["cached"] is True,
+             f"cached={result['cached']} for a job only the store holds"),
+            ("no_execution_for_stored_job",
+             executions == scheduler["pool_executions"],
+             f"pool_executions {scheduler['pool_executions']} -> {executions}"),
+            ("stored_record_served",
+             stable_record(result["record"]) == stable_record(stored),
+             "served vs stored record, wall-clock fields excluded"),
         ]
         failed = [(name, detail) for name, ok, detail in checks if not ok]
         for name, ok, detail in checks:
@@ -138,6 +180,7 @@ def main() -> int:
             output, _ = server.communicate()
         print("--- repro serve ---")
         print(output or "")
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ The performance counterpart of the lint and mypy ratchets:
   :data:`CASE_REGISTRY`; :func:`run_case` folds repeats into one
   schema-versioned entry whose deterministic counters are strictly
   quarantined from its wall-clock ``timings`` block.
-* :mod:`repro.perf.cases` -- the registered cases (evaluator, variation,
-  service, propagation, trace, serve).
+* :mod:`repro.perf.cases` -- the registered cases (buffering, evaluator,
+  variation, service, runner, propagation, trace, serve, store).
 * :mod:`repro.perf.ledger` -- :class:`PerfLedger`, the append-only JSONL
   trajectory keyed by case + workload fingerprint + package version.
 * :mod:`repro.perf.compare` -- :func:`compare_entries`: hard exact-match

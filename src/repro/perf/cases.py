@@ -13,8 +13,12 @@ disabled-trace overhead <2%) become ``timing=True`` checks so they gate in
 
 from __future__ import annotations
 
+import hashlib
 import operator
 import os
+import shutil
+import tempfile
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -33,6 +37,8 @@ from repro.obs import NULL_TRACER, Span, Tracer, TracerBase, summarize
 from repro.perf.case import CaseCheck, CaseOutcome, PerfCase, register_case
 from repro.runner import resolve_instance, run_job
 from repro.seeding import derive_rng
+from repro.store import STORE_SCHEMA_VERSION, RunStore
+from repro.store.log import encode_line
 from repro.testing import make_initial_tree
 from repro.workloads import generate_ti_benchmark, instance_fingerprint
 
@@ -45,6 +51,7 @@ __all__ = [
     "PropagationCase",
     "TraceCase",
     "ServeCase",
+    "StoreCase",
 ]
 
 SINKS = 200
@@ -798,6 +805,125 @@ class ServeCase(PerfCase):
                     ok=hit_speedup >= self.HIT_SPEEDUP_FLOOR,
                     detail=f"cache-hit completion {hit_speedup:.1f}x faster than "
                     f"the cold executions (floor {self.HIT_SPEEDUP_FLOOR:.0f}x)",
+                    timing=True,
+                ),
+            ]
+        )
+        return outcome
+
+
+@register_case
+class StoreCase(PerfCase):
+    """The run store's fingerprint lookups: a first build, then a tail read.
+
+    Run with ``repro perf run --case store``.  A writer handle fills a store
+    with ``RECORDS`` envelopes of ~3.4 KB (the size of a ti:48 run record),
+    a fresh reader looks one up and so builds its index from byte 0, the
+    writer appends one more envelope, and the reader looks that one up,
+    which parses only the new line.  The reader's own counters give the
+    bytes each lookup parsed and its rebuilds; the tail lookup must parse
+    exactly the appended line, rebuild nothing, and be at least
+    ``TAIL_SPEEDUP_FLOOR`` times faster than the build.  Envelopes are
+    written through the writer's log with a fixed ``recorded_at``
+    (``RunStore.append`` stamps the time, whose length varies), so every
+    byte count repeats exactly.
+    """
+
+    name = "store"
+    description = "run-store lookups: first index build vs tail read after an append"
+    repeats = 3
+
+    RECORDS = 1000
+    TAIL_SPEEDUP_FLOOR = 10.0
+    RECORDED_AT = "2026-01-01T00:00:00.000000+00:00"
+
+    def _envelope(self, index: int) -> Dict[str, Any]:
+        """Envelope ``index``: a run-record-sized payload under its own fingerprint."""
+        fingerprint = hashlib.sha256(f"store-case-{index}".encode()).hexdigest()
+        payload = {
+            "fingerprint": fingerprint,
+            "seed": index,
+            "sinks": 48,
+            "summary": {f"metric_{k}": index * 0.125 + k for k in range(10)},
+            "stage_table": [
+                {f"field_{k}": index + stage * 1.5 + k / 8 for k in range(10)}
+                for stage in range(8)
+            ],
+            "pass_notes": {
+                f"pass_{p}": [
+                    f"round {r}: accepted {index % (r + 2)} of {r + 3} moves, "
+                    f"skew {index * 0.01 + r:.3f} ps"
+                    for r in range(4)
+                ]
+                for p in range(5)
+            },
+            "evaluator_cache": {f"counter_{k}": index * k for k in range(15)},
+        }
+        return {
+            "schema": STORE_SCHEMA_VERSION,
+            "run_id": f"history-{index // 5}",
+            "recorded_at": self.RECORDED_AT,
+            "fingerprint": fingerprint,
+            "record": payload,
+        }
+
+    def fingerprint(self) -> str:
+        digest = hashlib.sha256()
+        for index in range(self.RECORDS + 1):
+            digest.update(encode_line(self._envelope(index)))
+        return digest.hexdigest()
+
+    def run_once(self, tracer: TracerBase) -> CaseOutcome:
+        root = Path(tempfile.mkdtemp(prefix="repro-store-case-"))
+        try:
+            writer = RunStore(root)
+            for index in range(self.RECORDS):
+                writer.log.append(self._envelope(index))
+            first, appended = self._envelope(0), self._envelope(self.RECORDS)
+            reader = RunStore(root)
+            with tracer.span("first_lookup") as build_span:
+                found_first = reader.latest_by_fingerprint(first["fingerprint"])
+            build_bytes = reader.index_bytes_parsed
+            start, end = writer.log.append(appended)
+            with tracer.span("tail_lookup") as tail_span:
+                found_tail = reader.latest_by_fingerprint(appended["fingerprint"])
+            tail_bytes = reader.index_bytes_parsed - build_bytes
+        finally:
+            shutil.rmtree(root, ignore_errors=True)
+        build_s, tail_s = _span_s(build_span), _span_s(tail_span)
+        speedup = build_s / tail_s if tail_s > 0 else 0.0
+
+        outcome = CaseOutcome()
+        outcome.counters["records"] = self.RECORDS
+        outcome.counters["lookups"] = 2
+        outcome.counters["hits"] = (found_first is not None) + (found_tail is not None)
+        outcome.counters["build_bytes_parsed"] = build_bytes
+        outcome.counters["tail_bytes_parsed"] = tail_bytes
+        outcome.counters["rebuilds"] = reader.index_rebuilds
+        outcome.timings["first_lookup_s"] = build_s
+        outcome.timings["tail_lookup_s"] = tail_s
+        outcome.timings["tail_speedup"] = speedup
+        outcome.checks.extend(
+            [
+                CaseCheck(
+                    name="lookups_return_the_stored_records",
+                    ok=found_first == first["record"]
+                    and found_tail == appended["record"],
+                    detail="both lookups return the record stored under their "
+                    "fingerprint",
+                ),
+                CaseCheck(
+                    name="tail_read_parses_only_the_appended_line",
+                    ok=tail_bytes == end - start and reader.index_rebuilds == 1,
+                    detail=f"the lookup after the append parsed {tail_bytes} bytes "
+                    f"(the line is {end - start}) in "
+                    f"{reader.index_rebuilds} build(s) from byte 0",
+                ),
+                CaseCheck(
+                    name="tail_speedup_floor",
+                    ok=speedup >= self.TAIL_SPEEDUP_FLOOR,
+                    detail=f"the tail lookup {speedup:.0f}x faster than the first "
+                    f"build (floor {self.TAIL_SPEEDUP_FLOOR:.0f}x)",
                     timing=True,
                 ),
             ]

@@ -11,6 +11,11 @@ and the read:
   size in :attr:`AppendOnlyLog.torn_bytes` instead of raising.  A
   newline-terminated line that does not parse is real corruption and raises
   with its ``path:line`` location.
+* **A read can start at any line boundary.**  ``read(start)`` parses only
+  the lines after byte ``start`` -- the :attr:`~AppendOnlyLog.complete_bytes`
+  of an earlier read -- so a reader that keeps that offset parses only what
+  other writers appended since.  It returns the matching suffix of a
+  whole-file read, with the same offsets and error locations.
 * **An append repairs a torn tail under an exclusive lock.**  It takes
   :func:`fcntl.flock` on the file, truncates an unterminated tail (with a
   :class:`RuntimeWarning` naming the path and the byte count) and writes the
@@ -34,7 +39,7 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 __all__ = ["AppendOnlyLog", "encode_line"]
 
@@ -54,17 +59,15 @@ class AppendOnlyLog:
         self.path = path
         self.kind = kind
         self.schema = schema
-        #: Bytes of complete lines the last :meth:`read` parsed.
+        #: End offset of the last complete line the last :meth:`read` saw.
         self.complete_bytes = 0
         #: Bytes of the unterminated tail the last :meth:`read` skipped.
         self.torn_bytes = 0
-
-    def size(self) -> int:
-        """The file's current size in bytes (0 while it does not exist)."""
-        try:
-            return self.path.stat().st_size
-        except FileNotFoundError:
-            return 0
+        #: The last complete line the last :meth:`read` parsed (``b""`` when
+        #: it found none) or the last :meth:`append` wrote.
+        self.last_line = b""
+        #: ``(st_dev, st_ino)`` of the file the last :meth:`append` wrote.
+        self.identity: Optional[Tuple[int, int]] = None
 
     def append(self, payload: Mapping[str, Any]) -> Tuple[int, int]:
         """Append one payload as a line; returns the ``(start, end)`` offsets
@@ -74,17 +77,19 @@ class AppendOnlyLog:
         fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)  # released when fd is closed
-            start = self._repair_tail(fd)
+            info = os.fstat(fd)
+            start = self._repair_tail(fd, info.st_size)
             view = memoryview(line)
             while view:
                 view = view[os.write(fd, view) :]
         finally:
             os.close(fd)
+        self.last_line = line
+        self.identity = (info.st_dev, info.st_ino)
         return start, start + len(line)
 
-    def _repair_tail(self, fd: int) -> int:
+    def _repair_tail(self, fd: int, size: int) -> int:
         """Truncate an unterminated tail (the lock is held); returns the size."""
-        size = os.fstat(fd).st_size
         if size == 0 or os.pread(fd, 1, size - 1) == b"\n":
             return size
         # Rare (a crash mid-append), so one whole-file read, like any read.
@@ -98,20 +103,27 @@ class AppendOnlyLog:
         )
         return end
 
-    def read(self) -> List[Dict[str, Any]]:
-        """Every complete line's payload, in append order.
+    def read(self, start: int = 0) -> List[Dict[str, Any]]:
+        """Every complete line's payload from byte ``start`` on, in append order.
 
-        Blank lines are skipped; so is an unterminated last line, whose size
-        lands in :attr:`torn_bytes`.
+        ``start`` is 0 or the end of a complete line (the
+        :attr:`complete_bytes` of an earlier read of the same file).  Blank
+        lines are skipped; so is an unterminated last line, whose size lands
+        in :attr:`torn_bytes`.  An error names the line's number in the whole
+        file.
         """
         try:
-            data = self.path.read_bytes()
+            with open(self.path, "rb") as handle:
+                handle.seek(start)
+                data = handle.read()
         except FileNotFoundError:
             data = b""
-        self.complete_bytes = data.rfind(b"\n") + 1
-        self.torn_bytes = len(data) - self.complete_bytes
+        end = data.rfind(b"\n") + 1
+        self.complete_bytes = start + end
+        self.torn_bytes = len(data) - end
+        self.last_line = data[data.rfind(b"\n", 0, end - 1) + 1 : end] if end else b""
         payloads: List[Dict[str, Any]] = []
-        text = data[: self.complete_bytes].decode("utf-8")
+        text = data[:end].decode("utf-8")
         for line_number, line in enumerate(text.split("\n"), 1):
             if not line.strip():
                 continue
@@ -119,13 +131,24 @@ class AppendOnlyLog:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(
-                    f"{self.path}:{line_number}: corrupt {self.kind} line: {exc}"
+                    f"{self._location(start, line_number)}: corrupt {self.kind} "
+                    f"line: {exc}"
                 ) from exc
             schema = payload.get("schema")
             if not isinstance(schema, int) or schema > self.schema:
                 raise ValueError(
-                    f"{self.path}:{line_number}: schema {schema!r} is newer than "
-                    f"supported version {self.schema}"
+                    f"{self._location(start, line_number)}: schema {schema!r} is "
+                    f"newer than supported version {self.schema}"
                 )
             payloads.append(payload)
         return payloads
+
+    def _location(self, start: int, line_number: int) -> str:
+        """``path:line`` of the ``line_number``-th line read from byte ``start``.
+
+        Only an error needs it, so only an error counts the lines before
+        ``start``.
+        """
+        with open(self.path, "rb") as handle:
+            before = handle.read(start).count(b"\n")
+        return f"{self.path}:{before + line_number}"

@@ -13,13 +13,19 @@ experiment log -- ``repro compare`` and the query helpers select slices of it
 by run id and job axes.  A crash mid-append leaves a torn last line that
 readers skip and the next append truncates.  The schema version is per line;
 readers reject lines from a *newer* schema rather than misinterpreting them.
+
+:meth:`RunStore.latest_by_fingerprint` (the serve cache's lookup) keeps an
+index of the lines it has read and the offset where they end.  When another
+handle or process appends, the next lookup parses only the new lines; only
+a replaced, cut or rewritten file is read again from byte 0.
 """
 
 from __future__ import annotations
 
+import os
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.api.records import Record, record_from_dict
 from repro.store.log import AppendOnlyLog
@@ -27,6 +33,12 @@ from repro.store.log import AppendOnlyLog
 __all__ = ["STORE_SCHEMA_VERSION", "RunStore"]
 
 STORE_SCHEMA_VERSION = 1
+
+#: A lookup checks that the last indexed line still ends at the indexed
+#: offset by comparing up to this many of its final bytes.  A store line ends
+#: with its microsecond ``recorded_at`` stamp and its run id, well within
+#: this; comparing a whole traced record would read it on every lookup.
+INDEX_TAIL_BYTES = 256
 
 
 class RunStore:
@@ -37,13 +49,19 @@ class RunStore:
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.log = AppendOnlyLog(self.path, "store", STORE_SCHEMA_VERSION)
-        # Fingerprint -> latest record, built lazily on the first
-        # latest_by_fingerprint() call and maintained on append, plus the
-        # bytes of complete lines it covers.  A file of any other size has
-        # grown behind this handle's back (another handle or process
-        # appended) or ends in a torn line, so the next lookup rebuilds it.
-        self._fingerprint_index: Optional[Dict[str, Dict]] = None
+        # Fingerprint -> latest record, built on the first
+        # latest_by_fingerprint() call and extended after that, plus what
+        # it covers: the file's (st_dev, st_ino) (None while it is missing),
+        # the end offset of the last complete line it has read (-1: no
+        # index yet) and that line's last bytes (see _unindexed_start).
+        self._fingerprint_index: Dict[str, Dict] = {}
+        self._indexed_file: Optional[Tuple[int, int]] = None
         self._indexed_bytes = -1
+        self._indexed_tail = b""
+        #: Bytes of complete lines the index has parsed, and how many times
+        #: it was built from byte 0 (the first lookup's build included).
+        self.index_bytes_parsed = 0
+        self.index_rebuilds = 0
 
     @property
     def path(self) -> Path:
@@ -94,16 +112,18 @@ class RunStore:
             "record": record,
         }
         start, end = self.log.append(envelope)
-        if self._fingerprint_index is not None:
-            if start == self._indexed_bytes:
-                # The line landed right after the indexed bytes: extend in place.
-                if envelope["fingerprint"] is not None:
-                    self._fingerprint_index[str(envelope["fingerprint"])] = record
-                self._indexed_bytes = end
-            else:
-                # Out-of-band growth; drop the index and rebuild on demand.
-                self._fingerprint_index = None
-                self._indexed_bytes = -1
+        indexed_file = self._indexed_file in (None, self.log.identity)
+        if start == self._indexed_bytes and indexed_file:
+            # The line landed right after the indexed bytes of the indexed file
+            # (or created it): extend in place.
+            if envelope["fingerprint"] is not None:
+                self._fingerprint_index[str(envelope["fingerprint"])] = record
+            self._indexed_file = self.log.identity
+            self._indexed_bytes = end
+            self._indexed_tail = self.log.last_line[-INDEX_TAIL_BYTES:]
+        # Anywhere else, other writers' lines come first (or the file was cut
+        # or replaced): the next lookup reads them and this line together, or
+        # rebuilds.
         return envelope
 
     # ------------------------------------------------------------------
@@ -115,10 +135,15 @@ class RunStore:
         instance: Optional[str] = None,
         flow: Optional[str] = None,
         engine: Optional[str] = None,
+        start: int = 0,
     ) -> List[Dict]:
-        """Stored envelopes, in append order, filtered by the given axes."""
+        """Stored envelopes, in append order, filtered by the given axes.
+
+        ``start`` skips the lines before that byte offset: 0 or the end of a
+        complete line (see :meth:`AppendOnlyLog.read`).
+        """
         selected: List[Dict] = []
-        for envelope in self.log.read():
+        for envelope in self.log.read(start):
             record = envelope.get("record", {})
             if run_id is not None and envelope.get("run_id") != run_id:
                 continue
@@ -135,31 +160,77 @@ class RunStore:
         """The most recently appended record with this content fingerprint.
 
         Equivalent to scanning :meth:`records` backwards for a matching
-        ``fingerprint`` field, but O(1) after the first call: the lookup is
-        backed by an in-memory index built from the file once and maintained
-        on every :meth:`append`.  Appends from *other* handles on the same
-        directory are detected by file growth and trigger a rebuild, so the
-        index never serves a stale miss for a record that is already on
-        disk.  The index covers complete lines only: while the file ends in
-        a torn line its size never matches, so every lookup re-reads until a
-        read sees no torn tail -- even when a repair replaced the tail with a
-        line of exactly the same length.  Error records store
-        ``fingerprint: null`` and are therefore never returned -- a failure
-        must not shadow (or impersonate) a completed computation.
+        ``fingerprint`` field, but backed by an in-memory index: built from
+        the file on the first call, extended in place by this handle's
+        :meth:`append`, and, when other handles or processes have appended,
+        extended by parsing only the complete lines past the offset it
+        covers, so it never serves a stale miss for a record already on disk.
+        The index covers complete lines only: a torn tail is left for a later
+        lookup, so a repair that replaced it with a line of exactly the same
+        length is still read.  Error records store ``fingerprint: null`` and
+        are therefore never returned -- a failure must not shadow (or
+        impersonate) a completed computation.
         """
-        if self._fingerprint_index is None or self.log.size() != self._indexed_bytes:
-            index: Dict[str, Dict] = {}
-            for envelope in self.entries():
+        identity, start = self._unindexed_start()
+        if start is not None:
+            envelopes = self.entries(start=start)
+            if start == 0:
+                self._fingerprint_index = {}
+                self.index_rebuilds += 1
+            for envelope in envelopes:
                 stored = envelope.get("fingerprint")
                 if stored is not None:
-                    index[str(stored)] = envelope["record"]
-            self._fingerprint_index = index
+                    self._fingerprint_index[str(stored)] = envelope["record"]
+            self.index_bytes_parsed += self.log.complete_bytes - start
+            if self.log.complete_bytes > start or start == 0:
+                self._indexed_tail = self.log.last_line[-INDEX_TAIL_BYTES:]
+            self._indexed_file = identity
             self._indexed_bytes = self.log.complete_bytes
         return self._fingerprint_index.get(fingerprint)
 
-    def records(self, **filters: Optional[str]) -> List[Dict]:
+    def _unindexed_start(self) -> Tuple[Optional[Tuple[int, int]], Optional[int]]:
+        """The file's identity and the offset the index must be read from.
+
+        The offset is ``None`` when the index covers the whole file, the
+        indexed offset when the file has only grown, and 0 when the index must
+        be built from byte 0: on first use, or when the file has another
+        ``(st_dev, st_ino)`` or no longer holds the end of the last indexed
+        line just before the offset (which a shorter file cannot).  Identity
+        alone does not show a replaced file: an unlinked ``runs.jsonl`` and
+        its successor often share an inode number.  The line check catches
+        that, and it implies the weaker check that the byte before the offset
+        is a newline.
+        """
+        offset, tail = self._indexed_bytes, self._indexed_tail
+        try:
+            fd = os.open(self.log.path, os.O_RDONLY)  # self.path joins on every call
+        except FileNotFoundError:
+            # Nothing to read if the index was taken while it was missing too.
+            missing = offset == 0 and self._indexed_file is None
+            return None, (None if missing else 0)
+        try:
+            info = os.fstat(fd)
+            identity = (info.st_dev, info.st_ino)
+            if (
+                offset < 0
+                or identity != self._indexed_file
+                or os.pread(fd, len(tail), offset - len(tail)) != tail
+            ):
+                return identity, 0
+            return identity, (None if info.st_size == offset else offset)
+        finally:
+            os.close(fd)
+
+    def records(
+        self,
+        run_id: Optional[str] = None,
+        instance: Optional[str] = None,
+        flow: Optional[str] = None,
+        engine: Optional[str] = None,
+    ) -> List[Dict]:
         """The job-record payloads of :meth:`entries` (same filters)."""
-        return [envelope["record"] for envelope in self.entries(**filters)]
+        selected = self.entries(run_id, instance, flow, engine)
+        return [envelope["record"] for envelope in selected]
 
     def typed_records(self, **filters: Optional[str]) -> List[Record]:
         """:meth:`records` parsed into typed :mod:`repro.api.records` classes."""
@@ -167,12 +238,7 @@ class RunStore:
 
     def run_ids(self) -> List[str]:
         """Distinct run ids in first-appended order."""
-        seen: List[str] = []
-        for envelope in self.entries():
-            run_id = envelope["run_id"]
-            if run_id not in seen:
-                seen.append(run_id)
-        return seen
+        return list(dict.fromkeys(envelope["run_id"] for envelope in self.entries()))
 
     def latest_run_id(self) -> Optional[str]:
         """The most recently started run id (``None`` for an empty store)."""

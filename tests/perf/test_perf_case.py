@@ -18,7 +18,8 @@ from repro.perf.case import (
     run_case,
     timing_stats,
 )
-from repro.perf.cases import RunnerCase
+from repro.perf.cases import RunnerCase, StoreCase
+from repro.store.log import encode_line
 
 
 class TinyCase(PerfCase):
@@ -70,6 +71,7 @@ class TestRegistry:
             "runner",
             "propagation",
             "trace",
+            "store",
         } <= set(available_cases())
 
     def test_register_requires_a_name(self, monkeypatch):
@@ -189,3 +191,30 @@ class TestRunnerCase:
             # starved host only both timings are required.
             assert extra["speedup"]["median"] > 1.0
             assert speedup_check["ok"]
+
+
+class SmallStoreCase(StoreCase):
+    """The store case shrunk to a 40-envelope store and one repeat."""
+
+    RECORDS = 40
+    repeats = 1
+
+
+class TestStoreCase:
+    def test_the_tail_lookup_parses_only_the_appended_line(self):
+        case = SmallStoreCase()
+        entry = run_case(case)
+        history = sum(len(encode_line(case._envelope(i))) for i in range(case.RECORDS))
+        assert entry["counters"] == {
+            "build_bytes_parsed": history,
+            "hits": 2,
+            "lookups": 2,
+            "rebuilds": 1,
+            "records": 40,
+            "tail_bytes_parsed": len(encode_line(case._envelope(case.RECORDS))),
+        }
+        assert all(check["ok"] for check in entry["checks"])
+        assert {"first_lookup", "tail_lookup"} <= set(entry["timings"]["spans"])
+        assert [check["name"] for check in entry["timings"]["checks"]] == [
+            "tail_speedup_floor"
+        ]

@@ -2,7 +2,8 @@
 
 A line counts only once its newline is written: a torn last line (an append
 that died mid-write) is skipped by readers and truncated by the next append,
-appends from several processes never interleave, and the run store's
+appends from several processes never interleave, a read from any line
+boundary is the matching suffix of a whole-file read, and the run store's
 fingerprint index never trusts the size of a file it read with a torn tail.
 """
 
@@ -115,7 +116,7 @@ class TestCutPoints:
             for payload in payloads:
                 log.append(payload)
             last = len(encode_line(payloads[-1]))
-            start = log.size() - last
+            start = log.path.stat().st_size - last
             cut = start + int(fraction * last)  # start <= cut < end of line
             with open(log.path, "r+b") as handle:
                 handle.truncate(cut)
@@ -128,6 +129,61 @@ class TestCutPoints:
             assert len(caught) == (1 if cut > start else 0)
             assert log.read() == payloads[:-1] + [new]
             assert log.torn_bytes == 0
+
+
+class TestReadFromAnOffset:
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.none(),  # a blank line
+                st.fixed_dictionaries({"schema": st.just(1), "value": st.text(max_size=20)}),
+            ),
+            max_size=8,
+        ),
+        torn=st.binary(max_size=12).filter(lambda tail: b"\n" not in tail),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_read_from_any_line_boundary_is_a_suffix_of_the_whole_read(
+        self, lines, torn
+    ):
+        with tempfile.TemporaryDirectory() as root:
+            log = AppendOnlyLog(Path(root) / "runs.jsonl", "store", 1)
+            log.path.write_bytes(
+                b"".join(b"\n" if line is None else encode_line(line) for line in lines)
+                + torn
+            )
+            whole = log.read()
+            offsets = (log.complete_bytes, log.torn_bytes)
+            assert whole == [line for line in lines if line is not None]
+            boundary = 0
+            for index, line in enumerate(lines + [None]):
+                before = sum(earlier is not None for earlier in lines[:index])
+                assert log.read(boundary) == whole[before:]
+                assert (log.complete_bytes, log.torn_bytes) == offsets
+                boundary += 1 if line is None else len(encode_line(line))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (b"{not json\n", "corrupt store line"),
+            (encode_line({"schema": 2}), "schema 2 is newer than supported version 1"),
+        ],
+    )
+    def test_a_bad_line_after_the_offset_raises_the_whole_read_error(
+        self, tmp_path, bad, message
+    ):
+        log = AppendOnlyLog(tmp_path / "runs.jsonl", "store", 1)
+        boundaries = [0] + [log.append({"schema": 1, "value": value})[1] for value in range(3)]
+        with open(log.path, "ab") as handle:
+            handle.write(b"\n" + bad)  # a blank line counts in the numbering too
+        boundaries.append(boundaries[-1] + 1)
+        with pytest.raises(ValueError, match=message) as whole:
+            log.read()
+        assert f"runs.jsonl:5: {message}" in str(whole.value)
+        for boundary in boundaries:
+            with pytest.raises(ValueError) as tail:
+                log.read(boundary)
+            assert str(tail.value) == str(whole.value)
 
 
 class TestConcurrentWriters:

@@ -1,13 +1,16 @@
 """Tests for the append-only run store (repro.store.store)."""
 
 import json
+import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.store import STORE_SCHEMA_VERSION, RunStore
+from repro.store.log import encode_line
 
 
 def record(instance="ti:30", flow="contango", engine="elmore", skew=1.0, **extra):
@@ -94,6 +97,13 @@ class TestQuery:
         assert store.run_ids() == ["base", "cand"]
         assert store.latest_run_id() == "cand"
 
+    def test_run_ids_keep_first_appended_order_over_repeated_ids(self, tmp_path):
+        store = RunStore(tmp_path)
+        for run_id in ["b", "a", "b", "c", "a", "d", "c", "b"]:
+            store.append(record(), run_id=run_id)
+        assert store.run_ids() == ["b", "a", "c", "d"]
+        assert store.latest_run_id() == "d"
+
     def test_empty_store_reads_empty(self, tmp_path):
         store = RunStore(tmp_path / "missing")
         assert store.entries() == []
@@ -127,6 +137,25 @@ class TestSchema:
         with store.path.open("a") as handle:
             handle.write("\n\n")
         assert len(store.entries()) == 1
+
+
+FINGERPRINTS = ["fp-a", "fp-b", "fp-c", None]
+
+#: One change to a store directory, made behind or through the primary handle.
+OPERATIONS = st.one_of(
+    # An append through the primary (0) or one of two other handles.
+    st.tuples(st.just("append"), st.integers(0, 2), st.sampled_from(FINGERPRINTS)),
+    # An append that died after this fraction of its line; the next append
+    # (through any handle) repairs it.
+    st.tuples(st.just("tear"), st.floats(0.0, 1.0, exclude_max=True)),
+    # The file unlinked and recreated with these lines (none: left missing).
+    st.tuples(st.just("replace"), st.lists(st.sampled_from(FINGERPRINTS), max_size=6)),
+    # The file cut back to one of its line boundaries (taken modulo their count).
+    st.tuples(st.just("truncate"), st.integers(0, 30)),
+    # A copy with fp-a and fp-b swapped in its first line (same length) renamed
+    # over the file: only its (st_dev, st_ino) shows the change.
+    st.tuples(st.just("rewrite")),
+)
 
 
 class TestFingerprintIndex:
@@ -176,30 +205,106 @@ class TestFingerprintIndex:
         RunStore(tmp_path).append(record(fingerprint="fp-2"), run_id="r2")
         assert primary.latest_by_fingerprint("fp-2") is not None
 
-    @given(
-        ops=st.lists(
-            st.tuples(
-                st.booleans(),  # append through the primary or a second handle
-                st.sampled_from(["fp-a", "fp-b", "fp-c", None]),
-            ),
-            max_size=25,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_index_matches_linear_scan_under_interleaved_appends(self, ops):
-        with tempfile.TemporaryDirectory() as root:
-            primary = RunStore(root)
-            other = RunStore(root)
-            for serial, (use_primary, fingerprint) in enumerate(ops):
-                handle = primary if use_primary else other
-                handle.append(
-                    record(skew=float(serial), fingerprint=fingerprint),
-                    run_id="r1",
+    def test_a_bad_line_past_the_indexed_offset_raises_with_its_line_number(
+        self, tmp_path
+    ):
+        primary = RunStore(tmp_path)
+        primary.append(record(fingerprint="fp-1"), run_id="r1")
+        RunStore(tmp_path).append(record(fingerprint="fp-2"), run_id="r2")
+        assert primary.latest_by_fingerprint("fp-1") is not None  # index built
+        with primary.path.open("a") as handle:
+            handle.write("\n{not json\n")
+        with pytest.raises(ValueError, match="runs.jsonl:4: corrupt store line"):
+            primary.latest_by_fingerprint("fp-2")
+        assert primary.index_rebuilds == 1
+
+    def test_growth_parses_only_the_new_lines(self, tmp_path):
+        primary = RunStore(tmp_path)
+        primary.append(record(fingerprint="fp-1"), run_id="r1")
+        assert primary.latest_by_fingerprint("fp-1") is not None  # index built
+        RunStore(tmp_path).append(record(fingerprint="fp-2"), run_id="r2")
+        # This handle's own line lands after the other writer's: the index is
+        # kept, and the next lookup reads both lines.
+        primary.append(record(fingerprint="fp-3"), run_id="r1")
+        assert primary.latest_by_fingerprint("fp-2") is not None
+        assert primary.latest_by_fingerprint("fp-3") is not None
+        assert primary.index_bytes_parsed == primary.path.stat().st_size
+        assert primary.index_rebuilds == 1
+
+    def test_a_store_this_handle_created_is_extended_not_rebuilt(self, tmp_path):
+        # repro serve on a new store: the first lookup finds no file, the
+        # service's own append creates it, then another process appends.
+        primary = RunStore(tmp_path)
+        assert primary.latest_by_fingerprint("fp-1") is None
+        primary.append(record(fingerprint="fp-1"), run_id="serve")
+        own = primary.path.stat().st_size
+        RunStore(tmp_path).append(record(fingerprint="fp-2"), run_id="sweep")
+        assert primary.latest_by_fingerprint("fp-2") is not None
+        assert primary.index_bytes_parsed == primary.path.stat().st_size - own
+        assert primary.index_rebuilds == 1
+
+    @staticmethod
+    def apply(operation, serial, root, handles):
+        """Make one of the OPERATIONS on the store under ``root``."""
+        kind, *args = operation
+        path = handles[0].path
+        if kind == "append":
+            handle, fingerprint = args
+            handles[handle].append(
+                record(skew=float(serial), fingerprint=fingerprint), run_id="r1"
+            )
+        elif kind == "tear":
+            line = encode_line(
+                {
+                    "schema": STORE_SCHEMA_VERSION,
+                    "run_id": "torn",
+                    "recorded_at": "2026-01-01T00:00:00+00:00",
+                    "fingerprint": "fp-a",
+                    "record": record(skew=-1.0, fingerprint="fp-a"),
+                }
+            )
+            with open(path, "ab") as handle:
+                handle.write(line[: int(args[0] * len(line))])
+        elif kind == "replace":
+            if path.exists():
+                os.unlink(path)
+            writer = RunStore(root)
+            for index, fingerprint in enumerate(args[0]):
+                writer.append(
+                    record(skew=serial + index / 10, fingerprint=fingerprint),
+                    run_id="r2",
                 )
-                # Query mid-sequence so both index paths run: in-place
-                # extension (primary appends) and growth-triggered rebuilds
-                # (appends behind the primary's back).
+        elif kind == "truncate" and path.exists():
+            data = path.read_bytes()
+            boundaries = [0] + [i + 1 for i, byte in enumerate(data) if byte == 10]
+            os.truncate(path, boundaries[args[0] % len(boundaries)])
+        elif kind == "rewrite" and path.exists():
+            data = path.read_bytes()
+            first = data.find(b"\n") + 1
+            swapped = (
+                data[:first]
+                .replace(b"fp-a", b"fp-?")
+                .replace(b"fp-b", b"fp-a")
+                .replace(b"fp-?", b"fp-b")
+            )
+            copy = path.with_name("rewritten.jsonl")
+            copy.write_bytes(swapped + data[first:])
+            os.replace(copy, path)
+
+    @given(ops=st.lists(OPERATIONS, max_size=25))
+    @settings(max_examples=60, deadline=None)
+    def test_index_matches_linear_scan_under_interleaved_appends(self, ops):
+        # Every kind of change a store file can see: appends through the
+        # primary (in-place extension) and two other handles (tail reads), a
+        # torn tail and its repair, a replaced file (on ext4 an unlinked and
+        # recreated file often keeps its inode number), a cut and a rewrite.
+        with tempfile.TemporaryDirectory() as root, warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # torn-tail repairs
+            handles = [RunStore(root) for _ in range(3)]
+            for serial, operation in enumerate(ops):
+                self.apply(operation, serial, root, handles)
+                scan = RunStore(root)
                 for probe in ("fp-a", "fp-b", "fp-c", "fp-missing"):
-                    assert primary.latest_by_fingerprint(
+                    assert handles[0].latest_by_fingerprint(
                         probe
-                    ) == self.latest_linear(primary, probe)
+                    ) == self.latest_linear(scan, probe)

@@ -47,28 +47,48 @@ def test_every_probe_target_resolves_and_is_restored(monkeypatch):
         assert vars(owner)[name] is original, name
 
 
+# Each workload function prepares outside the probe and returns what runs
+# under it.
+
+
 def flow_large(tmp_path):
-    run_job(JobSpec(instance="ti:200", seed=2))
+    return lambda: run_job(JobSpec(instance="ti:200", seed=2))
 
 
 def sweep_obstacles(tmp_path):
     # The smallest job found to accept an IVC round, so ClockTree.release fires.
-    run_job(JobSpec(instance="scenario:macros:sinks=24", pipeline=BATCHED_PIPELINE, seed=0))
+    spec = JobSpec(instance="scenario:macros:sinks=24", pipeline=BATCHED_PIPELINE, seed=0)
+    return lambda: run_job(spec)
 
 
 def yield_mc(tmp_path):
-    run_mc_job(McJobSpec(instance="ti:30", samples=200, seed=7))
-    run_mc_job(McJobSpec(instance="ti:30", gated=True, seed=7))
+    def jobs():
+        run_mc_job(McJobSpec(instance="ti:30", samples=200, seed=7))
+        run_mc_job(McJobSpec(instance="ti:30", gated=True, seed=7))
+
+    return jobs
 
 
 def store_replay(tmp_path):
-    spec = JobSpec(instance="ti:24", seed=1)
-    RunStore(tmp_path).append(run_job(spec), run_id="writer")
-    assert RunStore(tmp_path).latest_by_fingerprint(spec_fingerprint(spec)) is not None
+    # As in the benchmark: the reader's index is built before the timed
+    # lookups, and a lookup after another handle's append reads only the new
+    # line -- which must still go through RunStore.entries.
+    history, appended = JobSpec(instance="ti:24", seed=1), JobSpec(instance="ti:24", seed=2)
+    RunStore(tmp_path).append(run_job(history), run_id="history")
+    record = run_job(appended)
+    reader = RunStore(tmp_path)
+    assert reader.latest_by_fingerprint(spec_fingerprint(history)) is not None
+
+    def replay():
+        RunStore(tmp_path).append(record, run_id="writer")
+        assert reader.latest_by_fingerprint(spec_fingerprint(appended)) is not None
+        assert reader.index_rebuilds == 1
+
+    return replay
 
 
 @pytest.mark.parametrize(
-    "workload, jobs",
+    "workload, prepare",
     [
         ("flow-large", flow_large),
         ("sweep-obstacles", sweep_obstacles),
@@ -76,8 +96,9 @@ def store_replay(tmp_path):
         ("store-replay", store_replay),
     ],
 )
-def test_every_probe_target_fires_on_its_workload(monkeypatch, tmp_path, workload, jobs):
+def test_every_probe_target_fires_on_its_workload(monkeypatch, tmp_path, workload, prepare):
     probe = load_probe(monkeypatch)
+    jobs = prepare(tmp_path)
     with probe.Probe(Tracer()) as installed:
-        jobs(tmp_path)
+        jobs()
     assert installed.silent(workload) == []
