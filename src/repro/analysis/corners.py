@@ -97,7 +97,7 @@ _VTH = 0.3
 _ALPHA = 1.1
 
 
-def driver_scale_for_vdd(vdd: float, nominal_vdd: float = _NOMINAL_VDD) -> float:
+def driver_scale_for_vdd(vdd: float) -> float:
     """Supply-voltage scaling of effective driver resistance.
 
     Uses the alpha-power-law approximation ``R ~ Vdd / (Vdd - Vth)^alpha``
@@ -113,7 +113,7 @@ def driver_scale_for_vdd(vdd: float, nominal_vdd: float = _NOMINAL_VDD) -> float
     def _r(v: float) -> float:
         return v / (v - _VTH) ** _ALPHA
 
-    return _r(vdd) / _r(nominal_vdd)
+    return _r(vdd) / _r(_NOMINAL_VDD)
 
 
 def supply_driver_multiplier(vdd: float, vdd_shift: np.ndarray) -> np.ndarray:

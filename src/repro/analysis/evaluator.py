@@ -224,12 +224,13 @@ class CornerTiming:
     ``tap_slew`` additionally includes buffer-input taps, which are subject to
     the same slew limit as sinks.  The three dicts are built from the
     propagation kernel's per-tap arrays on first access (treat them as
-    read-only); the extremes behind :meth:`skew` and :meth:`worst_slew` come
-    straight from the kernel.  ``_arrival`` and ``_slew`` are ``(2, taps)``
-    views (rise, fall) of the walk's taps-major arrays.
+    read-only).  The whole network's extremes (skew, CLR, latency, worst
+    slew) are the :class:`EvaluationReport`'s, taken from the kernel by
+    :meth:`ClockNetworkEvaluator._objectives`.  ``_arrival`` and ``_slew``
+    are ``(2, taps)`` views (rise, fall) of the walk's taps-major arrays.
     """
 
-    __slots__ = ("corner", "_topo", "_arrival", "_slew", "_high", "_low", "_worst", "_dicts")
+    __slots__ = ("corner", "_topo", "_arrival", "_slew", "_dicts")
 
     def __init__(self, corner: Corner, topo: StageTopology, walk: "_Walk", row: int) -> None:
         assert walk.arrival is not None and walk.slew is not None  # not a fold walk
@@ -238,9 +239,6 @@ class CornerTiming:
         rows = slice(row, row + 2)
         self._arrival = walk.arrival[:, rows].T
         self._slew = walk.slew[:, rows].T
-        self._high: List[float] = walk.max_latency[rows].tolist()
-        self._low: List[float] = walk.min_latency[rows].tolist()
-        self._worst: List[float] = walk.worst_slew[rows].tolist()
         self._dicts: Dict[str, Dict[int, Dict[str, float]]] = {}
 
     @property
@@ -264,22 +262,6 @@ class CornerTiming:
         """
         rows = [_ROW[transition] for transition in transitions]
         return self._arrival[np.ix_(rows, self._topo.sink_cols)]
-
-    def max_latency(self, transition: Optional[str] = None) -> float:
-        return max(self._high) if transition is None else self._high[_ROW[transition]]
-
-    def min_latency(self, transition: Optional[str] = None) -> float:
-        return min(self._low) if transition is None else self._low[_ROW[transition]]
-
-    def skew(self, transition: Optional[str] = None) -> float:
-        """Worst skew; with ``transition=None`` the worse of rise and fall skew."""
-        if transition is not None:
-            row = _ROW[transition]
-            return self._high[row] - self._low[row]
-        return max(self.skew(RISE), self.skew(FALL))
-
-    def worst_slew(self) -> float:
-        return max(self._worst)
 
     def slew_violations(self, limit: float) -> List[int]:
         """Tap node ids whose rise or fall slew exceeds ``limit``."""
@@ -307,7 +289,16 @@ class CornerTiming:
 
 @dataclass
 class EvaluationReport:
-    """Result of one Clock-Network Evaluation (CNE) step."""
+    """Result of one Clock-Network Evaluation (CNE) step.
+
+    ``skew`` is the worse of rise and fall skew at the fast (nominal-supply)
+    corner; ``clr`` the Clock Latency Range across the fast and slow
+    corners; ``max_latency`` the greatest sink latency at the slow corner
+    (the paper's "Latency" column); ``worst_slew`` the worst tap slew over
+    every corner.  All four come from
+    :meth:`ClockNetworkEvaluator._objectives`, the definitions candidate
+    scores and Monte Carlo samples use.
+    """
 
     corners: Dict[str, CornerTiming]
     fast_corner: str
@@ -318,6 +309,10 @@ class EvaluationReport:
     capacitance_limit: Optional[float]
     wirelength: float
     evaluation_index: int
+    skew: float
+    clr: float
+    max_latency: float
+    worst_slew: float
 
     @property
     def nominal(self) -> CornerTiming:
@@ -347,29 +342,6 @@ class EvaluationReport:
         worst = np.zeros(len(topo.stages))
         np.maximum.at(worst, stage_of_tap, worst_tap)
         return worst.tolist()
-
-    @property
-    def skew(self) -> float:
-        """Nominal skew: worse of rise/fall skew at the fast corner."""
-        return self.nominal.skew()
-
-    @property
-    def clr(self) -> float:
-        """Clock Latency Range across the fast and slow corners."""
-        slow = self.corners[self.slow_corner]
-        fast = self.corners[self.fast_corner]
-        return max(
-            slow.max_latency(t) - fast.min_latency(t) for t in _TRANSITIONS
-        )
-
-    @property
-    def max_latency(self) -> float:
-        """Greatest sink latency at the slow corner (the paper's "Latency" column)."""
-        return self.corners[self.slow_corner].max_latency()
-
-    @property
-    def worst_slew(self) -> float:
-        return max(timing.worst_slew() for timing in self.corners.values())
 
     @property
     def slew_violations(self) -> List[int]:
@@ -828,13 +800,15 @@ class StageCache:
       per (stage content, corner, transition, input slew) for the transient
       engine.
 
-    When the total entry count exceeds ``max_entries`` the cache is cleared
-    wholesale -- the next evaluation repopulates it with only the live keys,
-    which keeps memory bounded without LRU bookkeeping on the hot path.
+    When the total entry count reaches :attr:`MAX_ENTRIES` the cache is
+    cleared wholesale -- the next evaluation repopulates it with only the
+    live keys, which keeps memory bounded without LRU bookkeeping on the hot
+    path.
     """
 
-    def __init__(self, max_entries: int = 200_000) -> None:
-        self.max_entries = max_entries
+    MAX_ENTRIES = 200_000
+
+    def __init__(self) -> None:
         self._topologies: "OrderedDict[int, StageTopology]" = OrderedDict()
         self._tap_models: Dict[_StageKey, _TapModel] = {}
         self._base_moments: Dict[tuple, BaseTapMoments] = {}
@@ -931,7 +905,7 @@ class StageCache:
             + len(self._networks)
             + len(self._timings)
         )
-        if total >= self.max_entries:
+        if total >= self.MAX_ENTRIES:
             self.clear()
             self.evictions += 1
 
@@ -1102,6 +1076,9 @@ class ClockNetworkEvaluator:
         else:
             total_capacitance = tree.total_capacitance()
             wirelength = tree.total_wirelength()
+        skew, clr, max_latency, worst_slew = (
+            objective.item() for objective in self._objectives(walk, 1)
+        )
         return EvaluationReport(
             corners={
                 corner.name: CornerTiming(corner, topo, walk, 2 * position)
@@ -1115,6 +1092,10 @@ class ClockNetworkEvaluator:
             capacitance_limit=self.capacitance_limit,
             wirelength=wirelength,
             evaluation_index=self.run_count,
+            skew=skew,
+            clr=clr,
+            max_latency=max_latency,
+            worst_slew=worst_slew,
         )
 
     def cache_stats(self) -> Dict[str, int]:
@@ -1242,8 +1223,9 @@ class ClockNetworkEvaluator:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Skew, CLR, max latency and worst slew of every batch item.
 
-        The same definitions as the :class:`EvaluationReport` properties,
-        applied to each ``b`` of the walk's ``(corner, transition, b)`` rows.
+        The one definition of the four objectives, applied to each ``b`` of
+        the walk's ``(corner, transition, b)`` rows: an
+        :class:`EvaluationReport` is the ``B = 1`` case.
         """
         shape = (len(self.corners), 2, batch)
         high = walk.max_latency.reshape(shape)
@@ -1638,7 +1620,6 @@ class ClockNetworkEvaluator:
         model: VariationModel,
         samples: int = 1000,
         rng: Optional[np.random.Generator] = None,
-        seed: Optional[int] = None,
         skew_limit_ps: float = 7.5,
     ) -> YieldReport:
         """Evaluate ``tree`` under ``samples`` Monte Carlo variation scenarios.
@@ -1671,9 +1652,9 @@ class ClockNetworkEvaluator:
         if samples < 1:
             raise ValueError("samples must be >= 1")
         if rng is None:
-            # Deterministic by default: an omitted seed falls back to the
-            # library-wide base seed rather than OS entropy.
-            rng = derive_rng(seed, "evaluate-yield")
+            # Deterministic by default: the library-wide base seed, not OS
+            # entropy.
+            rng = derive_rng(None, "evaluate-yield")
         self.yield_run_count += 1
         topo, keys, drivers = self._topology_and_keys(tree, use_cache=True)
         stages = topo.stages

@@ -38,7 +38,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.analysis.corners import Corner
-from repro.cts.bufferlib import BufferType
 from repro.cts.tree import ClockTree, NodeKind, TreeNode
 
 __all__ = [
@@ -69,9 +68,9 @@ class Stage:
     ----------
     driver_id:
         Tree node where the stage driver sits (the tree root for the source
-        stage, otherwise a node with a buffer).
-    driver_buffer:
-        The driving buffer, or None for the clock source.
+        stage, otherwise a node with a buffer).  Stage lists are cached
+        across buffer re-sizings, so the driving buffer is read live from
+        the tree, ``tree.node(stage.driver_id).buffer``.
     edges:
         Tree node ids whose parent edge belongs to this stage.
     taps:
@@ -79,11 +78,6 @@ class Stage:
     """
 
     driver_id: int
-    #: The driving buffer *at extraction time*.  Stage lists may be cached
-    #: across buffer re-sizings, so code that must see the current driver
-    #: (the evaluator, the network builders) reads it live from the tree via
-    #: ``tree.node(stage.driver_id).buffer`` instead of trusting this field.
-    driver_buffer: Optional[BufferType]
     edges: List[int] = field(default_factory=list)
     taps: List[int] = field(default_factory=list)
 
@@ -140,13 +134,7 @@ def extract_stages(tree: ClockTree) -> List[Stage]:
     pending: List[int] = [tree.root_id]
     while pending:
         driver_id = pending.pop(0)
-        driver_node = tree.node(driver_id)
-        stage = Stage(
-            driver_id=driver_id,
-            driver_buffer=driver_node.buffer,
-            edges=[],
-            taps=[],
-        )
+        stage = Stage(driver_id=driver_id, edges=[], taps=[])
         # DFS below the driver, stopping at buffered nodes and sinks.
         stack = list(tree.node(driver_id).children)
         while stack:
@@ -228,10 +216,9 @@ class StageTopology:
     structure_revision: int
 
 
-def build_stage_topology(tree: ClockTree, stages: Optional[List[Stage]] = None) -> StageTopology:
-    """Extract the stage list (unless given) and derive its structural indexes."""
-    if stages is None:
-        stages = extract_stages(tree)
+def build_stage_topology(tree: ClockTree) -> StageTopology:
+    """Extract the stage list and derive its structural indexes."""
+    stages = extract_stages(tree)
     stage_of_driver = {stage.driver_id: index for index, stage in enumerate(stages)}
     children: List[List[int]] = [[] for _ in stages]
     stage_of_edge: Dict[int, int] = {}

@@ -37,6 +37,7 @@ from __future__ import annotations
 import time
 import traceback
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -174,16 +175,6 @@ class SynthesisService:
     def _pool(self) -> Executor:
         if self._closed:
             raise RuntimeError("SynthesisService is closed")
-        # A worker killed mid-call (OOM, segfault) leaves a ProcessPoolExecutor
-        # permanently broken: that call's jobs already degraded to error
-        # records, but submitting to the broken pool would raise forever.  A
-        # long-lived service must recover, so discard the carcass and start a
-        # fresh pool.  (``_broken`` is private but present on every supported
-        # CPython; worst case the getattr stays False and behavior matches
-        # the old always-reuse path.)
-        if self._executor is not None and getattr(self._executor, "_broken", False):
-            self._executor.shutdown(wait=False)
-            self._executor = None
         if self._executor is None:
             self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
             self.pools_created += 1
@@ -279,7 +270,18 @@ class SynthesisService:
                 record = error_record(job, traceback.format_exc())
             self._settle(result, record)
 
-        self._pool().submit(self._worker, job).add_done_callback(_resolve)
+        pool = self._pool()
+        try:
+            future = pool.submit(self._worker, job)
+        except BrokenProcessPool:
+            # A worker killed mid-call (OOM, segfault) leaves the pool broken:
+            # that call's jobs already settled as error records, but every
+            # later submit raises.  A long-lived service replaces the pool
+            # once and resubmits.
+            pool.shutdown(wait=False)
+            self._executor = None
+            future = self._pool().submit(self._worker, job)
+        future.add_done_callback(_resolve)
         return result
 
     def _settle(self, result: "Future[Record]", record: Record) -> None:

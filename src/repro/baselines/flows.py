@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.buffering.vanginneken import VanGinnekenInserter
+from repro.buffering.vanginneken import apply_insertion, run_ladder
 from repro.core.config import FlowConfig
 from repro.core.pipeline import OptimizationPass, PassContext, PipelineDriver, register_pass
 from repro.core.polarity import correct_sink_polarity, count_inverted_sinks
@@ -54,6 +54,9 @@ __all__ = [
     "BoundedSkewBaseline",
     "all_baselines",
 ]
+
+#: Elmore skew bound (ps) of the ``bounded_skew`` baseline's tree.
+SKEW_BOUND = 50.0
 
 
 class BaselineSynthesisPass(OptimizationPass):
@@ -90,8 +93,9 @@ class BaselineSynthesisPass(OptimizationPass):
         ctx: PassContext, tree: ClockTree, buffer, spacing: float
     ) -> ClockTree:
         instance = ctx.instance
-        inserter = VanGinnekenInserter(
-            buffer=buffer,
+        (insertion,) = run_ladder(
+            tree,
+            [buffer],
             slew_limit=instance.slew_limit,
             slew_margin=0.85,
             station_spacing=spacing,
@@ -99,7 +103,7 @@ class BaselineSynthesisPass(OptimizationPass):
             die=instance.die,
             max_options=16,
         )
-        inserter.insert(tree, apply=True)
+        apply_insertion(tree, insertion)
         return tree
 
     @staticmethod
@@ -170,11 +174,6 @@ class BoundedSkewSynthesisPass(BaselineSynthesisPass):
     name = "bounded_skew"
     buffer_name = "INV_L"
 
-    def __init__(self, skew_bound: float = 50.0) -> None:
-        if skew_bound < 0.0:
-            raise ValueError("skew bound must be non-negative")
-        self.skew_bound = skew_bound
-
     def _synthesize(self, ctx: PassContext) -> ClockTree:
         instance = ctx.instance
         large = instance.buffer_library.strongest
@@ -182,7 +181,7 @@ class BoundedSkewSynthesisPass(BaselineSynthesisPass):
             instance.sinks,
             instance.source,
             instance.wire_library.default,
-            skew_bound=self.skew_bound,
+            skew_bound=SKEW_BOUND,
             source_resistance=instance.source_resistance,
             topology_method="bisection",
             obstacles=instance.obstacles,
@@ -202,17 +201,13 @@ class BaselineFlow:
     def __init__(self, config: Optional[FlowConfig] = None) -> None:
         self.config = config or FlowConfig()
 
-    def _pipeline(self) -> List:
-        """The pass list this baseline runs (registry names or instances)."""
-        return [self.name]
-
     def run(
         self,
         instance: ClockNetworkInstance,
         tracer: Optional[TracerBase] = None,
     ) -> FlowResult:
         """Synthesize a buffered clock tree for ``instance`` and evaluate it."""
-        driver = PipelineDriver(self._pipeline(), flow_name=self.name)
+        driver = PipelineDriver([self.name], flow_name=self.name)
         return driver.run(instance, self.config, tracer=tracer)
 
 
@@ -232,17 +227,6 @@ class BoundedSkewBaseline(BaselineFlow):
     """Bounded-skew tree (wirelength-lean, skew-heavy) with large-inverter buffering."""
 
     name = "bounded_skew"
-
-    def __init__(
-        self, config: Optional[FlowConfig] = None, skew_bound: float = 50.0
-    ) -> None:
-        super().__init__(config)
-        if skew_bound < 0.0:
-            raise ValueError("skew bound must be non-negative")
-        self.skew_bound = skew_bound
-
-    def _pipeline(self) -> List:
-        return [BoundedSkewSynthesisPass(skew_bound=self.skew_bound)]
 
 
 def all_baselines(config: Optional[FlowConfig] = None) -> List[BaselineFlow]:

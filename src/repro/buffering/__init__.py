@@ -17,7 +17,6 @@ from repro.buffering.candidates import (
 )
 from repro.buffering.vanginneken import (
     BufferInsertionResult,
-    VanGinnekenInserter,
     apply_insertion,
     run_ladder,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "enumerate_stations",
     "max_drivable_capacitance",
     "BufferInsertionResult",
-    "VanGinnekenInserter",
     "run_ladder",
     "apply_insertion",
     "BufferSizingSweepResult",

@@ -10,7 +10,7 @@ legal -- so stations carry their own legality flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.units import LN9, OHM_FF_TO_PS
 from repro.cts.bufferlib import BufferType
@@ -52,18 +52,10 @@ def max_drivable_capacitance(
 
 
 def is_legal_site(
-    point: Point,
-    obstacles: Optional[ObstacleSet] = None,
-    die: Optional[Rect] = None,
-    legality: Optional[Callable[[Point], bool]] = None,
+    point: Point, obstacles: Optional[ObstacleSet] = None, die: Optional[Rect] = None
 ) -> bool:
-    """Whether a buffer may be placed at ``point``.
-
-    A ``legality`` callback overrides the default rule: inside the die and
-    outside every obstacle.
-    """
-    if legality is not None:
-        return legality(point)
+    """Whether a buffer may be placed at ``point``: inside the die and
+    outside every obstacle."""
     if die is not None and not die.contains_point(point):
         return False
     if obstacles is not None and obstacles.blocks_point(point):
@@ -94,7 +86,6 @@ def enumerate_stations(
     spacing: float = 250.0,
     obstacles: Optional[ObstacleSet] = None,
     die: Optional[Rect] = None,
-    legality: Optional[Callable[[Point], bool]] = None,
 ) -> Dict[int, List[BufferStation]]:
     """Enumerate buffer stations on every edge of ``tree``.
 
@@ -127,7 +118,7 @@ def enumerate_stations(
                         distance_from_child=dist,
                         fraction_from_parent=fraction_from_parent,
                         position=position,
-                        legal=is_legal_site(position, obstacles, die, legality),
+                        legal=is_legal_site(position, obstacles, die),
                     )
                 )
         stations[node.node_id] = edge_stations

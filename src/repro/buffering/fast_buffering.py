@@ -20,13 +20,12 @@ applied for good and validated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.buffering.vanginneken import place_insertion, run_ladder
 from repro.cts.bufferlib import BufferType
 from repro.cts.tree import ClockTree
 from repro.geometry.obstacles import ObstacleSet
-from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
 __all__ = ["BufferSizingSweepResult", "CandidateOutcome", "insert_buffers_with_sizing"]
@@ -68,7 +67,6 @@ def insert_buffers_with_sizing(
     station_spacing: float = 250.0,
     obstacles: Optional[ObstacleSet] = None,
     die: Optional[Rect] = None,
-    legality: Optional[Callable[[Point], bool]] = None,
     max_options: int = 32,
 ) -> BufferSizingSweepResult:
     """Buffer the tree with the strongest composite inverter fitting the budget.
@@ -101,7 +99,6 @@ def insert_buffers_with_sizing(
         station_spacing=station_spacing,
         obstacles=obstacles,
         die=die,
-        legality=legality,
         max_options=max_options,
     )
     working = tree.clone()

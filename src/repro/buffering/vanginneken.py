@@ -24,7 +24,8 @@ and capacitance, and station and node legality -- and then runs the DP for
 one buffer type after another over that plan, so only one buffer type's
 option graph is alive at a time.  A sink edge that carries no legal station
 gets the same options for every buffer type; they are built once and
-shared.  :class:`VanGinnekenInserter` is the one-buffer caller.
+shared.  The baselines run a one-buffer ladder and apply its result with
+:func:`apply_insertion`.
 
 Measured on a 2-vCPU Xeon guest, the DP for the INITIAL stage's
 four-inverter ladder takes ~0.35 s on the ti:4000 seed-1 DME tree and
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.units import LN9, OHM_FF_TO_PS
 from repro.buffering.candidates import BufferStation, enumerate_stations, is_legal_site
@@ -46,12 +47,10 @@ from repro.cts.bufferlib import BufferType
 from repro.cts.tree import ClockTree
 from repro.cts.wirelib import WireType
 from repro.geometry.obstacles import ObstacleSet
-from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
 __all__ = [
     "BufferInsertionResult",
-    "VanGinnekenInserter",
     "apply_insertion",
     "place_insertion",
     "run_ladder",
@@ -83,53 +82,6 @@ class BufferInsertionResult:
     station_sites: List[BufferStation] = field(default_factory=list)
 
 
-def _check_max_options(max_options: int) -> None:
-    if max_options < 4:
-        raise ValueError("max_options must be at least 4")
-
-
-class VanGinnekenInserter:
-    """Insert one buffer type into a clock tree, minimizing worst Elmore delay."""
-
-    def __init__(
-        self,
-        buffer: BufferType,
-        slew_limit: float = 100.0,
-        slew_margin: float = 0.70,
-        station_spacing: float = 250.0,
-        obstacles: Optional[ObstacleSet] = None,
-        die: Optional[Rect] = None,
-        legality: Optional[Callable[[Point], bool]] = None,
-        max_options: int = 32,
-    ) -> None:
-        _check_max_options(max_options)
-        self.buffer = buffer
-        self.slew_limit = slew_limit
-        self.slew_margin = slew_margin
-        self.station_spacing = station_spacing
-        self.obstacles = obstacles
-        self.die = die
-        self.legality = legality
-        self.max_options = max_options
-
-    def insert(self, tree: ClockTree, apply: bool = True) -> BufferInsertionResult:
-        """Run the DP on ``tree`` and (optionally) apply the chosen buffering."""
-        (result,) = run_ladder(
-            tree,
-            [self.buffer],
-            slew_limit=self.slew_limit,
-            slew_margin=self.slew_margin,
-            station_spacing=self.station_spacing,
-            obstacles=self.obstacles,
-            die=self.die,
-            legality=self.legality,
-            max_options=self.max_options,
-        )
-        if apply:
-            apply_insertion(tree, result)
-        return result
-
-
 def run_ladder(
     tree: ClockTree,
     buffers: Sequence[BufferType],
@@ -138,7 +90,6 @@ def run_ladder(
     station_spacing: float = 250.0,
     obstacles: Optional[ObstacleSet] = None,
     die: Optional[Rect] = None,
-    legality: Optional[Callable[[Point], bool]] = None,
     max_options: int = 32,
 ) -> List[BufferInsertionResult]:
     """Run the DP on ``tree`` once for each buffer type, in order.
@@ -146,8 +97,9 @@ def run_ladder(
     ``tree`` is read, never modified; apply a result with
     :func:`apply_insertion`.
     """
-    _check_max_options(max_options)
-    plan = _Plan(tree, station_spacing, obstacles, die, legality, max_options)
+    if max_options < 4:
+        raise ValueError("max_options must be at least 4")
+    plan = _Plan(tree, station_spacing, obstacles, die, max_options)
     slew_cap = slew_margin * slew_limit
     return [
         _select(tree.source_resistance, buffer, plan.walk(buffer, slew_cap), slew_cap)
@@ -175,15 +127,12 @@ class _Plan:
         spacing: float,
         obstacles: Optional[ObstacleSet],
         die: Optional[Rect],
-        legality: Optional[Callable[[Point], bool]],
         max_options: int,
     ) -> None:
         self.max_options = max_options
         self.order: List[Tuple[Any, ...]] = []
         self.shared: Dict[int, List[Opt]] = {}
-        stations = enumerate_stations(
-            tree, spacing=spacing, obstacles=obstacles, die=die, legality=legality
-        )
+        stations = enumerate_stations(tree, spacing=spacing, obstacles=obstacles, die=die)
         for node in tree.postorder():
             node_id = node.node_id
             if node.parent is None:
@@ -206,7 +155,7 @@ class _Plan:
                 else:
                     self.order.append((node_id, None, leaf, False, steps, tail))
             else:
-                node_site = is_legal_site(node.position, obstacles, die, legality)
+                node_site = is_legal_site(node.position, obstacles, die)
                 self.order.append((node_id, node.children, None, node_site, steps, tail))
 
     def walk(self, buffer: BufferType, slew_cap: float) -> List[Opt]:

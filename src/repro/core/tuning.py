@@ -34,8 +34,8 @@ on its structure revision, and the slew budget's stage map is the
 A proposal sweep reads each edge's wire, next-narrower type, length,
 stage-local load and stage index once per round and hands them as plain
 values to the models' and the budget's formulas; per edge, only the
-sequential decision remains.  The ``(tree, node_id)`` model forms and the
-edge-keyed budget methods read the same inputs from the tree.
+sequential decision remains.  The calibrations hand the same formulas each
+probe edge's wire, length and ``stage_cap`` entry.
 """
 
 from __future__ import annotations
@@ -146,8 +146,7 @@ class SlewBudget:
     the limit even though each one individually would fit.
 
     The formulas take a stage index from :attr:`edge_to_stage` (None: an
-    edge in no stage, with unlimited headroom); the edge-keyed forms look it
-    up first.
+    edge in no stage, with unlimited headroom).
     """
 
     #: conversion from added stage delay (ps) to added tap slew (ps); a
@@ -184,22 +183,6 @@ class SlewBudget:
         if available == math.inf:
             return math.inf
         return max(available / (self.GUARD * self.DELAY_TO_SLEW), 0.0)
-
-    def available(self, edge_id: int) -> float:
-        """Remaining slew headroom (ps) of the stage containing ``edge_id``."""
-        return self.headroom(self._edge_to_stage.get(edge_id))
-
-    def allows_delay(self, edge_id: int, added_delay: float) -> bool:
-        """True when slowing ``edge_id`` by ``added_delay`` ps keeps its stage safe."""
-        return self.allows(self._edge_to_stage.get(edge_id), added_delay)
-
-    def consume_delay(self, edge_id: int, added_delay: float) -> None:
-        """Charge the stage of ``edge_id`` for a move adding ``added_delay`` ps."""
-        self.consume(self._edge_to_stage.get(edge_id), added_delay)
-
-    def max_delay(self, edge_id: int) -> float:
-        """Largest added delay (ps) the stage of ``edge_id`` can still absorb."""
-        return self.delay_room(self._edge_to_stage.get(edge_id))
 
 
 def stage_slew_headroom(tree: ClockTree, report: EvaluationReport) -> SlewBudget:
@@ -245,15 +228,6 @@ class DownsizeModel:
         delta_res = (narrower.unit_resistance - wire.unit_resistance) * length
         return self.calibration * delta_res * load * OHM_FF_TO_PS
 
-    def predicted_delay(self, tree: ClockTree, wirelib: WireLibrary, node_id: int) -> float:
-        """Estimated worst-sink latency increase (ps) of downsizing the edge."""
-        node = tree.node(node_id)
-        wire = node.wire_type
-        if wire is None or not wirelib.can_downsize(wire):
-            return 0.0
-        load = self.stage_cap.get(node_id, 0.0)
-        return self.delay(wire, wirelib.narrower(wire), node.edge_length(), load)
-
 
 @dataclass
 class SnakeModel:
@@ -284,16 +258,6 @@ class SnakeModel:
             return delay_budget / b if b > 0.0 else 0.0
         disc = b * b + 4.0 * a * delay_budget
         return (-b + math.sqrt(disc)) / (2.0 * a)
-
-    def delay_for_length(self, tree: ClockTree, node_id: int, extra_length: float) -> float:
-        """Estimated latency increase (ps) of snaking the edge by ``extra_length`` um."""
-        wire, load = tree.node(node_id).wire_type, self.stage_cap.get(node_id, 0.0)
-        return self.delay(wire, load, extra_length)
-
-    def length_for_delay(self, tree: ClockTree, node_id: int, delay_budget: float) -> float:
-        """Largest snake length (um) whose predicted delay fits in ``delay_budget`` ps."""
-        wire, load = tree.node(node_id).wire_type, self.stage_cap.get(node_id, 0.0)
-        return self.length(wire, load, delay_budget)
 
 
 # ----------------------------------------------------------------------
@@ -474,7 +438,12 @@ def calibrate_downsize_model(
         lambda node_id: tree.set_wire_type(
             node_id, wirelib.narrower(tree.node(node_id).wire_type)
         ),
-        lambda node_id: model.predicted_delay(tree, wirelib, node_id),
+        lambda node_id: model.delay(
+            tree.node(node_id).wire_type,
+            wirelib.narrower(tree.node(node_id).wire_type),
+            tree.node(node_id).edge_length(),
+            stage_cap.get(node_id, 0.0),
+        ),
     )
     return model
 
@@ -510,6 +479,8 @@ def calibrate_snake_model(
         baseline,
         edges,
         lambda node_id: tree.add_snake(node_id, unit_length),
-        lambda node_id: model.delay_for_length(tree, node_id, unit_length),
+        lambda node_id: model.delay(
+            tree.node(node_id).wire_type, stage_cap.get(node_id, 0.0), unit_length
+        ),
     )
     return model

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.cts.dme import MergeRecord, ZeroSkewTreeBuilder
-from repro.cts.topology import SinkInstance, Topology
+from repro.cts.topology import SinkInstance
 from repro.cts.tree import ClockTree
 from repro.cts.wirelib import WireType
 from repro.geometry.obstacles import ObstacleSet
@@ -136,20 +136,6 @@ class BoundedSkewTreeBuilder(ZeroSkewTreeBuilder):
         if detoured == "left":
             return distance + extra, 0.0
         return 0.0, distance + extra
-
-    def build(
-        self,
-        sinks: Sequence[SinkInstance],
-        source_position: Point,
-        source_resistance: float = 100.0,
-        topology: Optional[Topology] = None,
-    ) -> ClockTree:
-        return super().build(
-            sinks,
-            source_position,
-            source_resistance=source_resistance,
-            topology=topology,
-        )
 
 
 def build_bounded_skew_tree(

@@ -56,8 +56,8 @@ class ZeroSkewTreeBuilder:
     wire:
         Wire type used for every edge of the initial tree.
     topology_method:
-        ``"bisection"`` (default) or ``"greedy"``; ignored when an explicit
-        topology is passed to :meth:`build`.
+        ``"bisection"`` (default) or ``"greedy"``: how :meth:`build` pairs
+        the sinks (see :func:`repro.cts.topology.build_topology`).
     obstacles:
         Optional obstacle set used only to pick the less-overlapping L-shape
         for each edge during embedding (full obstacle legalization is done
@@ -80,12 +80,11 @@ class ZeroSkewTreeBuilder:
         sinks: Sequence[SinkInstance],
         source_position: Point,
         source_resistance: float = 100.0,
-        topology: Optional[Topology] = None,
     ) -> ClockTree:
         """Construct the zero-skew clock tree for the given sinks."""
         if not sinks:
             raise ValueError("cannot build a clock tree without sinks")
-        topo = topology if topology is not None else build_topology(sinks, self.topology_method)
+        topo = build_topology(sinks, self.topology_method)
         topo.validate(len(sinks))
         records = self._bottom_up(topo, sinks)
         return self._top_down(topo, sinks, records, source_position, source_resistance)
@@ -299,15 +298,9 @@ def build_zero_skew_tree(
     source_resistance: float = 100.0,
     topology_method: str = "bisection",
     obstacles: Optional[ObstacleSet] = None,
-    topology: Optional[Topology] = None,
 ) -> ClockTree:
     """Convenience wrapper around :class:`ZeroSkewTreeBuilder`."""
     builder = ZeroSkewTreeBuilder(
         wire=wire, topology_method=topology_method, obstacles=obstacles
     )
-    return builder.build(
-        sinks,
-        source_position,
-        source_resistance=source_resistance,
-        topology=topology,
-    )
+    return builder.build(sinks, source_position, source_resistance=source_resistance)

@@ -18,6 +18,9 @@ from repro.geometry.segment import Segment
 
 __all__ = ["Obstacle", "ObstacleSet"]
 
+#: Rings :meth:`ObstacleSet.nearest_legal_point` searches before giving up.
+MAX_RINGS = 10000
+
 
 @dataclass(frozen=True)
 class Obstacle:
@@ -137,19 +140,19 @@ class ObstacleSet:
         return not self.blocks_point(p)
 
     def nearest_legal_point(
-        self, p: Point, die: Optional[Rect] = None, step: float = 1.0, max_iter: int = 10000
+        self, p: Point, die: Optional[Rect] = None, step: float = 1.0
     ) -> Point:
         """Return a legal buffer location near ``p``.
 
-        Searches outward on a spiral of Manhattan rings with the given step.
-        Used when a buffer-insertion candidate lands inside a blockage: the
-        buffer is pushed to the closest legal location (typically the blockage
-        boundary).
+        Searches outward on a spiral of up to :data:`MAX_RINGS` Manhattan
+        rings with the given step.  Used when a buffer-insertion candidate
+        lands inside a blockage: the buffer is pushed to the closest legal
+        location (typically the blockage boundary).
         """
         if self.legal_buffer_location(p, die):
             return p
         ring = 1
-        while ring <= max_iter:
+        while ring <= MAX_RINGS:
             r = ring * step
             candidates = [
                 p.translated(r, 0),

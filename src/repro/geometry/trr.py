@@ -131,10 +131,10 @@ class TRR:
     def vhi(self) -> float:
         return self.core.vhi + self.radius
 
-    def contains_point(self, p: Point, tol: float = _TOL) -> bool:
+    def contains_point(self, p: Point) -> bool:
         return (
-            self.ulo - tol <= p.u <= self.uhi + tol
-            and self.vlo - tol <= p.v <= self.vhi + tol
+            self.ulo - _TOL <= p.u <= self.uhi + _TOL
+            and self.vlo - _TOL <= p.v <= self.vhi + _TOL
         )
 
     def intersect(self, other: "TRR") -> Optional[ManhattanArc]:

@@ -31,7 +31,7 @@ class TestStageExtraction:
         tree, mid = buffered_chain_tree()
         stages = extract_stages(tree)
         assert stages[0].driver_id == tree.root_id
-        assert stages[0].driver_buffer is None
+        assert tree.node(stages[0].driver_id).buffer is None
         assert stages[1].driver_id == mid
 
     def test_source_stage_taps_are_buffer_input_and_near_sink(self):
@@ -45,7 +45,7 @@ class TestStageExtraction:
         stages = extract_stages(tree)
         seen = set()
         for stage in stages:
-            if stage.driver_buffer is not None:
+            if tree.node(stage.driver_id).buffer is not None:
                 # The driving stage must already have been emitted.
                 assert any(stage.driver_id in s.taps for s in stages if id(s) != id(stage))
             seen.add(stage.driver_id)

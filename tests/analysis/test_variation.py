@@ -35,6 +35,11 @@ def optimized_tree():
     return instance, result.require_tree()
 
 
+def _rng(seed):
+    """The generator ``evaluate_yield`` draws its samples from for ``seed``."""
+    return derive_rng(seed, "evaluate-yield")
+
+
 def _evaluator(instance, engine="arnoldi"):
     return ClockNetworkEvaluator(
         config=EvaluatorConfig(engine=engine, slew_limit=instance.slew_limit),
@@ -191,7 +196,7 @@ class TestZeroVarianceParity:
         instance, tree = optimized_tree
         evaluator = _evaluator(instance, engine)
         nominal = evaluator.evaluate(tree)
-        report = evaluator.evaluate_yield(tree, VariationModel(), samples=3, seed=0)
+        report = evaluator.evaluate_yield(tree, VariationModel(), samples=3, rng=_rng(0))
         assert np.all(report.skew_samples == nominal.skew)
         assert np.all(report.clr_samples == nominal.clr)
         assert np.all(report.worst_slew_samples == nominal.worst_slew)
@@ -210,7 +215,7 @@ class TestZeroVarianceParity:
         evaluator = ClockNetworkEvaluator(config=EvaluatorConfig(engine=engine))
         nominal = evaluator.evaluate(tree)
         model = VariationModel(family=family)
-        report = evaluator.evaluate_yield(tree, model, samples=samples, seed=seed)
+        report = evaluator.evaluate_yield(tree, model, samples=samples, rng=_rng(seed))
         assert report.n_samples == samples
         assert np.all(report.skew_samples == nominal.skew)
         assert np.all(report.clr_samples == nominal.clr)
@@ -222,7 +227,7 @@ class TestZeroVarianceParity:
         instance, tree = optimized_tree
         evaluator = _evaluator(instance)
         before = evaluator.evaluate(tree)
-        evaluator.evaluate_yield(tree, default_variation_model(), samples=64, seed=1)
+        evaluator.evaluate_yield(tree, default_variation_model(), samples=64, rng=_rng(1))
         after = evaluator.evaluate(tree)
         assert before.skew == after.skew
         assert before.clr == after.clr
@@ -244,9 +249,9 @@ class TestEvaluateYield:
     def test_seeded_runs_are_bit_reproducible(self, optimized_tree):
         instance, tree = optimized_tree
         model = default_variation_model()
-        a = _evaluator(instance).evaluate_yield(tree, model, samples=128, seed=42)
-        b = _evaluator(instance).evaluate_yield(tree, model, samples=128, seed=42)
-        c = _evaluator(instance).evaluate_yield(tree, model, samples=128, seed=43)
+        a = _evaluator(instance).evaluate_yield(tree, model, samples=128, rng=_rng(42))
+        b = _evaluator(instance).evaluate_yield(tree, model, samples=128, rng=_rng(42))
+        c = _evaluator(instance).evaluate_yield(tree, model, samples=128, rng=_rng(43))
         assert np.array_equal(a.skew_samples, b.skew_samples)
         assert np.array_equal(a.clr_samples, b.clr_samples)
         assert not np.array_equal(a.skew_samples, c.skew_samples)
@@ -256,7 +261,7 @@ class TestEvaluateYield:
         evaluator = _evaluator(instance)
         nominal = evaluator.evaluate(tree)
         report = evaluator.evaluate_yield(
-            tree, default_variation_model(), samples=512, seed=2
+            tree, default_variation_model(), samples=512, rng=_rng(2)
         )
         assert report.skew_std > 0.0
         assert report.skew_p99 >= report.skew_p95 >= report.skew_mean
@@ -269,7 +274,7 @@ class TestEvaluateYield:
         evaluator = _evaluator(instance)
         evaluator.evaluate(tree)
         runs_before = evaluator.run_count
-        evaluator.evaluate_yield(tree, default_variation_model(), samples=32, seed=3)
+        evaluator.evaluate_yield(tree, default_variation_model(), samples=32, rng=_rng(3))
         assert evaluator.run_count == runs_before
         assert evaluator.yield_run_count == 1
 
@@ -277,9 +282,9 @@ class TestEvaluateYield:
         instance, tree = optimized_tree
         evaluator = _evaluator(instance)
         model = VariationModel(driver_sigma=0.05)  # no wire-cap perturbation
-        evaluator.evaluate_yield(tree, model, samples=16, seed=4)
+        evaluator.evaluate_yield(tree, model, samples=16, rng=_rng(4))
         first_pass = evaluator.cache_stats()
-        evaluator.evaluate_yield(tree, model, samples=16, seed=5)
+        evaluator.evaluate_yield(tree, model, samples=16, rng=_rng(5))
         second_pass = evaluator.cache_stats()
         # The second run re-reduced nothing: only hits moved.
         assert second_pass["misses"] == first_pass["misses"]
@@ -291,7 +296,7 @@ class TestEvaluateYield:
 
         instance, tree = optimized_tree
         report = _evaluator(instance).evaluate_yield(
-            tree, default_variation_model(), samples=32, seed=6
+            tree, default_variation_model(), samples=32, rng=_rng(6)
         )
         payload = json.dumps(report.summary())
         assert "skew_p95_ps" in payload

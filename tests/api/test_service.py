@@ -12,6 +12,8 @@ from repro.serve import JobScheduler
 from repro.serve.session import FAILED
 from repro.store import RunStore
 
+from pool_faults import FATAL_SEED, execute_or_exit
+
 FAST = ("initial",)  # initial-tree-only pipeline keeps service tests quick
 
 
@@ -373,6 +375,21 @@ class TestWarmPool:
             assert not second.failures
             assert service.pools_created == 2
         assert first.records[0].fingerprint == second.records[0].fingerprint
+
+    def test_killed_worker_ends_as_error_record_and_pool_recovers(self, monkeypatch):
+        # A worker process that really dies: the pool breaks, the killed job
+        # settles as an error record, and the next submit replaces the pool.
+        job = JobSpec(instance="ti:20", engine="elmore", pipeline=FAST)
+        fatal = JobSpec(instance="ti:20", engine="elmore", pipeline=FAST, seed=FATAL_SEED)
+        with SynthesisService(max_workers=2) as service:
+            monkeypatch.setattr(service, "_worker", execute_or_exit)
+            killed = service.submit(fatal).result(timeout=120)
+            assert isinstance(killed, ErrorRecord)
+            assert killed.seed == FATAL_SEED
+            assert "BrokenProcessPool" in killed.error
+            survivor = service.submit(job).result(timeout=120)
+            assert isinstance(survivor, RunRecord)
+            assert service.pools_created == 2
 
     def test_in_process_mode_never_starts_a_pool(self):
         with SynthesisService(max_workers=1) as service:

@@ -48,10 +48,6 @@ class TestBaselineFlows:
         assert row["flow"] == "unoptimized_dme"
         assert row["clr_ps"] > 0.0
 
-    def test_bounded_skew_baseline_validates_bound(self):
-        with pytest.raises(ValueError):
-            BoundedSkewBaseline(skew_bound=-5.0)
-
     def test_baselines_use_distinct_buffer_choices(self, instance, config):
         greedy = GreedyBufferedBaseline(config).run(instance)
         dme = UnoptimizedDmeBaseline(config).run(instance)

@@ -11,14 +11,13 @@ tree.  Keep it as it is: it is the result the production sweep must match.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.buffering.fast_buffering import BufferSizingSweepResult, CandidateOutcome
 from repro.buffering.vanginneken import apply_insertion, run_ladder
 from repro.cts.bufferlib import BufferType
 from repro.cts.tree import ClockTree
 from repro.geometry.obstacles import ObstacleSet
-from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
 
@@ -32,7 +31,6 @@ def insert_buffers_with_sizing(
     station_spacing: float = 250.0,
     obstacles: Optional[ObstacleSet] = None,
     die: Optional[Rect] = None,
-    legality: Optional[Callable[[Point], bool]] = None,
     max_options: int = 32,
 ) -> BufferSizingSweepResult:
     """Buffer a clone of the tree per candidate; keep the strongest fitting one."""
@@ -53,7 +51,6 @@ def insert_buffers_with_sizing(
         station_spacing=station_spacing,
         obstacles=obstacles,
         die=die,
-        legality=legality,
         max_options=max_options,
     )
     outcomes: List[CandidateOutcome] = []

@@ -74,13 +74,6 @@ class TestStationEnumeration:
         legal_positions = [s.position.x for v in stations.values() for s in v if s.legal]
         assert all(x <= 600 for x in legal_positions)
 
-    def test_custom_legality_callback(self):
-        stations = enumerate_stations(
-            line_tree(1000.0), spacing=250.0, legality=lambda p: p.x < 300.0
-        )
-        flags = {s.position.x: s.legal for v in stations.values() for s in v}
-        assert flags[250.0] is True and flags[500.0] is False
-
     def test_invalid_spacing(self):
         with pytest.raises(ValueError):
             enumerate_stations(line_tree(), spacing=0.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import ClockNetworkEvaluator, EvaluatorConfig
-from repro.buffering.vanginneken import VanGinnekenInserter, _prune, run_ladder
+from repro.buffering.vanginneken import _prune, apply_insertion, run_ladder
 from repro.cts import ispd09_buffer_library, ispd09_wire_library
 from repro.geometry import Obstacle, ObstacleSet, Point, Rect
 
@@ -21,6 +21,14 @@ def opt(cap, req, tau):
 
 def prune(options, max_options=32):
     return _prune(list(options), max_options)
+
+
+def insert(tree, buffer=COMPOSITE, apply=True, **params):
+    """Run the DP for one buffer type, as the baselines do, and apply it."""
+    (result,) = run_ladder(tree, [buffer], **params)
+    if apply:
+        apply_insertion(tree, result)
+    return result
 
 
 #: Lowest cap, worst req and tau of every option below: it neither
@@ -98,16 +106,15 @@ class TestPruning:
         assert min(caps) == 10.0 and max(caps) == 390.0
 
     def test_max_options_validation(self):
-        with pytest.raises(ValueError):
-            VanGinnekenInserter(COMPOSITE, max_options=2)
-        with pytest.raises(ValueError):
-            run_ladder(make_zst_tree(sink_count=6), [COMPOSITE], max_options=3)
+        for max_options in (2, 3):
+            with pytest.raises(ValueError):
+                run_ladder(make_zst_tree(sink_count=6), [COMPOSITE], max_options=max_options)
 
 
 class TestInsertion:
     def test_buffers_are_inserted_and_tree_stays_valid(self):
         tree = make_zst_tree(sink_count=24)
-        result = VanGinnekenInserter(COMPOSITE).insert(tree)
+        result = insert(tree)
         tree.validate()
         assert result.buffer_count > 0
         assert tree.buffer_count() == result.buffer_count
@@ -116,44 +123,43 @@ class TestInsertion:
         tree = make_zst_tree(sink_count=24)
         evaluator = ClockNetworkEvaluator(EvaluatorConfig(engine="arnoldi", slew_limit=100.0))
         assert evaluator.evaluate(tree).has_slew_violation
-        VanGinnekenInserter(COMPOSITE, slew_limit=100.0).insert(tree)
+        insert(tree, slew_limit=100.0)
         assert not evaluator.evaluate(tree).has_slew_violation
 
     def test_insertion_reduces_worst_latency(self):
         tree = make_zst_tree(sink_count=24)
         evaluator = ClockNetworkEvaluator(EvaluatorConfig(engine="arnoldi"))
         before = evaluator.evaluate(tree).max_latency
-        VanGinnekenInserter(COMPOSITE).insert(tree)
+        insert(tree)
         after = evaluator.evaluate(tree).max_latency
         assert after < before
 
     def test_apply_false_leaves_tree_unmodified(self):
         tree = make_zst_tree(sink_count=16)
-        result = VanGinnekenInserter(COMPOSITE).insert(tree, apply=False)
+        result = insert(tree, apply=False)
         assert result.buffer_count > 0
         assert tree.buffer_count() == 0
 
     def test_no_buffer_placed_inside_obstacles(self):
         tree = make_zst_tree(sink_count=24, die_size=3000.0)
         obstacles = ObstacleSet([Obstacle(Rect(800, 800, 2000, 2000), name="blk")])
-        inserter = VanGinnekenInserter(COMPOSITE, obstacles=obstacles)
-        inserter.insert(tree)
+        insert(tree, obstacles=obstacles)
         for node in tree.buffers():
             assert not obstacles.blocks_point(node.position)
 
     def test_stronger_buffer_gives_smaller_delay_estimate(self):
         tree = make_zst_tree(sink_count=24)
-        weak = VanGinnekenInserter(BUFS.by_name("INV_S").parallel(4)).insert(tree.clone(), apply=False)
-        strong = VanGinnekenInserter(BUFS.by_name("INV_S").parallel(16)).insert(tree.clone(), apply=False)
+        weak = insert(tree, BUFS.by_name("INV_S").parallel(4), apply=False)
+        strong = insert(tree, BUFS.by_name("INV_S").parallel(16), apply=False)
         assert strong.worst_delay_estimate < weak.worst_delay_estimate
 
     def test_denser_stations_do_not_hurt(self):
         tree = make_zst_tree(sink_count=20)
-        sparse = VanGinnekenInserter(COMPOSITE, station_spacing=600.0).insert(tree.clone(), apply=False)
-        dense = VanGinnekenInserter(COMPOSITE, station_spacing=150.0).insert(tree.clone(), apply=False)
+        sparse = insert(tree, apply=False, station_spacing=600.0)
+        dense = insert(tree, apply=False, station_spacing=150.0)
         assert dense.worst_delay_estimate <= sparse.worst_delay_estimate * 1.05
 
     def test_result_slew_feasible_on_open_die(self):
         tree = make_zst_tree(sink_count=24)
-        result = VanGinnekenInserter(COMPOSITE).insert(tree)
+        result = insert(tree)
         assert result.slew_feasible

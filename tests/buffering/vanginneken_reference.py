@@ -12,7 +12,7 @@ operation order the production code must match.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.units import LN9, OHM_FF_TO_PS
 from repro.buffering.candidates import BufferStation, enumerate_stations
@@ -20,7 +20,6 @@ from repro.cts.bufferlib import BufferType
 from repro.cts.tree import ClockTree
 from repro.cts.wirelib import WireType
 from repro.geometry.obstacles import ObstacleSet
-from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
 
@@ -73,7 +72,6 @@ class ReferenceInserter:
         station_spacing: float = 250.0,
         obstacles: Optional[ObstacleSet] = None,
         die: Optional[Rect] = None,
-        legality: Optional[Callable[[Point], bool]] = None,
         max_options: int = 32,
     ) -> None:
         if max_options < 4:
@@ -84,7 +82,6 @@ class ReferenceInserter:
         self.station_spacing = station_spacing
         self.obstacles = obstacles
         self.die = die
-        self.legality = legality
         self.max_options = max_options
 
     # ------------------------------------------------------------------
@@ -95,7 +92,6 @@ class ReferenceInserter:
             spacing=self.station_spacing,
             obstacles=self.obstacles,
             die=self.die,
-            legality=self.legality,
         )
         options_at: Dict[int, List[Option]] = {}
         edge_top: Dict[int, List[Option]] = {}
@@ -138,8 +134,6 @@ class ReferenceInserter:
     # ------------------------------------------------------------------
     def _node_is_legal(self, tree: ClockTree, node_id: int) -> bool:
         position = tree.node(node_id).position
-        if self.legality is not None:
-            return self.legality(position)
         if self.die is not None and not self.die.contains_point(position):
             return False
         if self.obstacles is not None and self.obstacles.blocks_point(position):

@@ -39,33 +39,38 @@ class TestObjectives:
 class TestSlewBudget:
     def test_unknown_edge_has_infinite_headroom(self):
         budget = SlewBudget({}, {})
-        assert budget.available(42) == float("inf")
-        assert budget.allows_delay(42, 1e9)
+        stage = budget.edge_to_stage.get(42)
+        assert budget.headroom(stage) == float("inf")
+        assert budget.allows(stage, 1e9)
 
     def test_consumption_reduces_availability(self):
         budget = SlewBudget({1: 0, 2: 0}, {0: 20.0})
-        assert budget.allows_delay(1, 4.0)
-        budget.consume_delay(1, 4.0)
-        assert budget.available(2) == pytest.approx(20.0 - 2.2 * 4.0)
+        assert budget.allows(budget.edge_to_stage[1], 4.0)
+        budget.consume(budget.edge_to_stage[1], 4.0)
+        assert budget.headroom(budget.edge_to_stage[2]) == pytest.approx(20.0 - 2.2 * 4.0)
 
     def test_max_delay_scales_with_headroom(self):
         budget = SlewBudget({1: 0}, {0: 22.0})
         # 22 ps of slew headroom is 10 ps of delay at DELAY_TO_SLEW 2.2,
         # less the guard factor.
-        assert budget.max_delay(1) == pytest.approx(10.0 / SlewBudget.GUARD)
+        assert budget.delay_room(budget.edge_to_stage[1]) == pytest.approx(
+            10.0 / SlewBudget.GUARD
+        )
 
     def test_edges_of_same_stage_share_budget(self):
         budget = SlewBudget({1: 0, 2: 0}, {0: 10.0})
-        budget.consume_delay(1, 3.0)
-        budget.consume_delay(2, 2.0)
-        assert budget.available(1) == budget.available(2) == pytest.approx(10.0 - 2.2 * 5.0)
+        first, second = budget.edge_to_stage[1], budget.edge_to_stage[2]
+        budget.consume(first, 3.0)
+        budget.consume(second, 2.0)
+        assert budget.headroom(first) == budget.headroom(second) == pytest.approx(10.0 - 2.2 * 5.0)
 
     def test_headroom_from_report(self, manual_tree):
         _, report = evaluated(manual_tree)
         budget = stage_slew_headroom(manual_tree, report)
         for node in manual_tree.nodes():
             if node.parent is not None:
-                assert budget.available(node.node_id) <= report.slew_limit
+                stage = budget.edge_to_stage.get(node.node_id)
+                assert budget.headroom(stage) <= report.slew_limit
 
 
 class TestStageLocalCapacitance:
@@ -106,8 +111,10 @@ class TestCalibratedModels:
         model = calibrate_downsize_model(tree, evaluator, WIRES, report)
         assert model is not None
         assert 0.25 <= model.calibration <= 3.0
-        edge = select_independent_middle_edges(tree, count=1)[0]
-        assert model.predicted_delay(tree, WIRES, edge) > 0.0
+        edge = tree.node(select_independent_middle_edges(tree, count=1)[0])
+        wire = edge.wire_type
+        load = model.stage_cap[edge.node_id]
+        assert model.delay(wire, WIRES.narrower(wire), edge.edge_length(), load) > 0.0
 
     def test_downsize_model_none_when_nothing_downsizable(self):
         tree = make_zst_tree(sink_count=10)
@@ -122,17 +129,19 @@ class TestCalibratedModels:
         evaluator, report = evaluated(tree)
         model = calibrate_snake_model(tree, evaluator, report, unit_length=20.0)
         assert model is not None
-        edge = select_independent_middle_edges(tree, count=1)[0]
+        edge = tree.node(select_independent_middle_edges(tree, count=1)[0])
+        wire, load = edge.wire_type, model.stage_cap[edge.node_id]
         budget = 5.0
-        length = model.length_for_delay(tree, edge, budget)
-        assert model.delay_for_length(tree, edge, length) == pytest.approx(budget, rel=1e-6)
+        length = model.length(wire, load, budget)
+        assert model.delay(wire, load, length) == pytest.approx(budget, rel=1e-6)
 
     def test_snake_model_monotone_in_length(self):
         tree = make_zst_tree(sink_count=24)
         evaluator, report = evaluated(tree)
         model = calibrate_snake_model(tree, evaluator, report, unit_length=20.0)
-        edge = select_independent_middle_edges(tree, count=1)[0]
-        assert model.delay_for_length(tree, edge, 40.0) > model.delay_for_length(tree, edge, 20.0)
+        edge = tree.node(select_independent_middle_edges(tree, count=1)[0])
+        wire, load = edge.wire_type, model.stage_cap[edge.node_id]
+        assert model.delay(wire, load, 40.0) > model.delay(wire, load, 20.0)
 
     def test_calibration_uses_one_extra_evaluation(self):
         tree = make_zst_tree(sink_count=24)
