@@ -149,7 +149,6 @@ from repro.analysis.variation import VariationModel, YieldReport
 from repro.cts.bufferlib import BufferType
 from repro.cts.tree import ClockTree, TreeNode
 from repro.obs import NULL_TRACER, TracerBase
-from repro.seeding import derive_rng
 
 __all__ = [
     "EvaluatorConfig",
@@ -1619,7 +1618,8 @@ class ClockNetworkEvaluator:
         tree: ClockTree,
         model: VariationModel,
         samples: int = 1000,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         skew_limit_ps: float = 7.5,
     ) -> YieldReport:
         """Evaluate ``tree`` under ``samples`` Monte Carlo variation scenarios.
@@ -1636,7 +1636,9 @@ class ClockNetworkEvaluator:
         wire terms are computed once per sample rather than once per
         corner and transition.  A zero-variance model reproduces the
         nominal evaluation bit-for-bit: sampling returns multipliers of
-        exactly 1.0 and the nominal path runs the same kernel.
+        exactly 1.0 and the nominal path runs the same kernel.  ``rng``
+        draws every sample; callers derive it from their own seed path with
+        :func:`repro.seeding.derive_rng`.
 
         Only the analytical engines can be batched this way; the transient
         engine raises.  ``skew_limit_ps`` sets the yield threshold of the
@@ -1651,10 +1653,6 @@ class ClockNetworkEvaluator:
             )
         if samples < 1:
             raise ValueError("samples must be >= 1")
-        if rng is None:
-            # Deterministic by default: the library-wide base seed, not OS
-            # entropy.
-            rng = derive_rng(None, "evaluate-yield")
         self.yield_run_count += 1
         topo, keys, drivers = self._topology_and_keys(tree, use_cache=True)
         stages = topo.stages

@@ -19,6 +19,12 @@ Model
   keeps the solver fast enough to sit inside Contango's optimization loop.
 * Delay is measured from the 50% crossing of the source ramp to the 50%
   crossing of each tap; slew is the 10%-90% transition time.
+
+The factorization is the only use of scipy in the package, so
+:func:`transient_stage_timing` imports ``scipy.linalg`` itself: a process
+loads scipy on its first transient analysis and never otherwise, and a job
+on the analytical engines does not pay for it.  ``TestLazyImports`` in
+``tests/serve/test_cli.py`` fails if scipy leaks back into such a process.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from repro.analysis.elmore import StageTiming, _node_elmore_delays
 from repro.analysis.rcnetwork import StageNetwork
@@ -100,6 +105,8 @@ def transient_stage_timing(
         conductance[par, par] += g
         conductance[idx, par] -= g
         conductance[par, idx] -= g
+
+    from scipy.linalg import lu_factor, lu_solve  # here, not above: see the module docstring
 
     cap_matrix = np.diag(caps)
     # Trapezoidal integration:  (C/dt + G/2) v_{k+1} = (C/dt - G/2) v_k + (b_k + b_{k+1})/2

@@ -22,7 +22,6 @@ from repro.geometry.rect import Rect
 __all__ = [
     "BufferStation",
     "enumerate_stations",
-    "is_legal_site",
     "max_drivable_capacitance",
 ]
 
@@ -49,18 +48,6 @@ def max_drivable_capacitance(
     if budget <= 0.0:
         return 0.0
     return budget / (buffer.output_res * OHM_FF_TO_PS)
-
-
-def is_legal_site(
-    point: Point, obstacles: Optional[ObstacleSet] = None, die: Optional[Rect] = None
-) -> bool:
-    """Whether a buffer may be placed at ``point``: inside the die and
-    outside every obstacle."""
-    if die is not None and not die.contains_point(point):
-        return False
-    if obstacles is not None and obstacles.blocks_point(point):
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -93,10 +80,13 @@ def enumerate_stations(
     ordered from the child end toward the parent.  The returned dictionary
     maps each edge (by its child node id) to its stations; edges shorter than
     ``spacing`` get no interior station (the tree nodes themselves are always
-    available to the DP as insertion points).
+    available to the DP as insertion points).  A station is legal where
+    :meth:`ObstacleSet.legal_buffer_location` allows a buffer: inside the
+    die and outside every obstacle.
     """
     if spacing <= 0.0:
         raise ValueError("station spacing must be positive")
+    is_legal = (ObstacleSet() if obstacles is None else obstacles).legal_buffer_location
 
     stations: Dict[int, List[BufferStation]] = {}
     for node in tree.nodes():
@@ -118,7 +108,7 @@ def enumerate_stations(
                         distance_from_child=dist,
                         fraction_from_parent=fraction_from_parent,
                         position=position,
-                        legal=is_legal_site(position, obstacles, die),
+                        legal=is_legal(position, die),
                     )
                 )
         stations[node.node_id] = edge_stations

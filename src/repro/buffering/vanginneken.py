@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.units import LN9, OHM_FF_TO_PS
-from repro.buffering.candidates import BufferStation, enumerate_stations, is_legal_site
+from repro.buffering.candidates import BufferStation, enumerate_stations
 from repro.cts.bufferlib import BufferType
 from repro.cts.tree import ClockTree
 from repro.cts.wirelib import WireType
@@ -132,7 +132,8 @@ class _Plan:
         self.max_options = max_options
         self.order: List[Tuple[Any, ...]] = []
         self.shared: Dict[int, List[Opt]] = {}
-        stations = enumerate_stations(tree, spacing=spacing, obstacles=obstacles, die=die)
+        sites = ObstacleSet() if obstacles is None else obstacles
+        stations = enumerate_stations(tree, spacing=spacing, obstacles=sites, die=die)
         for node in tree.postorder():
             node_id = node.node_id
             if node.parent is None:
@@ -155,7 +156,7 @@ class _Plan:
                 else:
                     self.order.append((node_id, None, leaf, False, steps, tail))
             else:
-                node_site = is_legal_site(node.position, obstacles, die)
+                node_site = sites.legal_buffer_location(node.position, die)
                 self.order.append((node_id, node.children, None, node_site, steps, tail))
 
     def walk(self, buffer: BufferType, slew_cap: float) -> List[Opt]:

@@ -10,7 +10,9 @@ leaves) can use it without cycles:
   no-ops, so instrumentation left in place costs one attribute check on the
   hot paths.  :func:`trace_artifact` / :func:`write_trace` /
   :func:`read_trace` persist the schema-1 JSON artifact (wall-clock confined
-  to the ``timings`` block so the structural remainder is byte-stable);
+  to the ``timings`` block so the structural remainder is byte-stable) and
+  :func:`spans_from_artifact` rebuilds its spans, e.g. to hang another
+  process's trace below a span of this one;
   :func:`chrome_trace` exports to the Chrome trace-event format Perfetto
   reads; :class:`TraceSummary` is the compact record-attachable digest.
 
@@ -39,6 +41,7 @@ from repro.obs.trace import (
     path_timings,
     read_trace,
     render_span_tree,
+    spans_from_artifact,
     strip_timings,
     summarize,
     trace_artifact,
@@ -56,6 +59,7 @@ __all__ = [
     "path_counters",
     "path_timings",
     "trace_artifact",
+    "spans_from_artifact",
     "write_trace",
     "read_trace",
     "strip_timings",

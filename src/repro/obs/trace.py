@@ -51,6 +51,7 @@ __all__ = [
     "path_counters",
     "path_timings",
     "trace_artifact",
+    "spans_from_artifact",
     "write_trace",
     "read_trace",
     "strip_timings",
@@ -432,6 +433,29 @@ def trace_artifact(
         "spans": spans,
         "timings": timings,
     }
+
+
+def spans_from_artifact(artifact: Dict[str, Any]) -> List[Span]:
+    """The root spans of an artifact, rebuilt with their counters and times.
+
+    The inverse of :func:`trace_artifact`, so a trace recorded in another
+    process can hang below a span of this one
+    (``span.children.extend(spans_from_artifact(artifact))``).  Start times
+    stay relative to the recording tracer's origin.
+    """
+    timings = {timing["id"]: timing for timing in artifact["timings"]}
+    built: Dict[int, Span] = {}
+    roots: List[Span] = []
+    for record in artifact["spans"]:  # pre-order: a parent precedes its children
+        span = Span(record["name"])
+        span.counters = dict(record["counters"])
+        timing = timings[record["id"]]
+        span.start_s, span.total_s = timing["start_s"], timing["total_s"]
+        span.gc_s = timing["gc_s"]
+        parent = record["parent"]
+        (roots if parent is None else built[parent].children).append(span)
+        built[record["id"]] = span
+    return roots
 
 
 def strip_timings(artifact: Dict[str, Any]) -> Dict[str, Any]:

@@ -14,9 +14,12 @@ disabled-trace overhead <2%) become ``timing=True`` checks so they gate in
 from __future__ import annotations
 
 import hashlib
+import json
 import operator
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -33,7 +36,14 @@ from repro.core import ContangoFlow, FlowConfig
 from repro.core.composite import analyze_composites
 from repro.cts.spec import ClockNetworkInstance
 from repro.cts.tree import ClockTree
-from repro.obs import NULL_TRACER, Span, Tracer, TracerBase, summarize
+from repro.obs import (
+    NULL_TRACER,
+    Span,
+    Tracer,
+    TracerBase,
+    spans_from_artifact,
+    summarize,
+)
 from repro.perf.case import CaseCheck, CaseOutcome, PerfCase, register_case
 from repro.runner import resolve_instance, run_job
 from repro.seeding import derive_rng
@@ -52,6 +62,7 @@ __all__ = [
     "TraceCase",
     "ServeCase",
     "StoreCase",
+    "StartupCase",
 ]
 
 SINKS = 200
@@ -927,5 +938,74 @@ class StoreCase(PerfCase):
                     timing=True,
                 ),
             ]
+        )
+        return outcome
+
+
+#: What the ``startup`` case's fresh interpreter runs: ``argv[1]`` is the
+#: directory holding this ``repro`` package, ``argv[2]`` the instance.  It
+#: prints one JSON line: its trace artifact and the names of every module
+#: it loaded.
+_STARTUP_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from repro.obs import Tracer, trace_artifact
+tracer = Tracer()
+with tracer.span("import_job_stack"):
+    from repro.api.jobs import JobSpec
+    from repro.runner import run_job
+run_job(JobSpec(instance=sys.argv[2], engine="arnoldi"), tracer=tracer)
+print(json.dumps({"trace": trace_artifact(tracer), "modules": list(sys.modules)}))
+"""
+
+
+@register_case
+class StartupCase(PerfCase):
+    """A fresh interpreter: the job stack's import, then one small job.
+
+    Run with ``repro perf run --case startup``.  Each repeat starts a new
+    Python process that imports the job stack (``repro.api.jobs``,
+    ``repro.runner``) and runs one arnoldi ``ti:24`` job under its own
+    tracer.  Its spans hang below this process's ``interpreter`` span,
+    whose self time is what no span inside the child covers: the
+    interpreter's start and exit.  The ``repro`` modules the child loaded
+    are a counter, and a deterministic check fails if it loaded scipy,
+    which only the transient engine needs.
+    """
+
+    name = "startup"
+    description = "fresh interpreter: job-stack import + one ti:24 arnoldi job"
+    repeats = 3
+
+    INSTANCE = "ti:24"
+
+    def fingerprint(self) -> str:
+        return instance_fingerprint(resolve_instance(JobSpec(instance=self.INSTANCE)))
+
+    def run_once(self, tracer: TracerBase) -> CaseOutcome:
+        package_root = str(Path(__file__).resolve().parents[2])
+        with tracer.span("interpreter") as span:
+            child = subprocess.run(
+                [sys.executable, "-c", _STARTUP_SCRIPT, package_root, self.INSTANCE],
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+        if child.returncode != 0:
+            raise RuntimeError(f"the startup interpreter failed:\n{child.stderr}")
+        reported = json.loads(child.stdout.splitlines()[-1])
+        if span is not None:
+            span.children.extend(spans_from_artifact(reported["trace"]))
+        packages = [name.split(".")[0] for name in reported["modules"]]
+
+        outcome = CaseOutcome()
+        outcome.counters["repro_modules"] = packages.count("repro")
+        outcome.checks.append(
+            CaseCheck(
+                name="analytical_job_loads_no_scipy",
+                ok="scipy" not in packages,
+                detail="importing the job stack and running an arnoldi job "
+                "loads no scipy module",
+            )
         )
         return outcome

@@ -239,7 +239,7 @@ class TestZeroVarianceParity:
             config=EvaluatorConfig(engine="spice", slew_limit=instance.slew_limit)
         )
         with pytest.raises(ValueError, match="analytical engine"):
-            evaluator.evaluate_yield(tree, VariationModel(), samples=2)
+            evaluator.evaluate_yield(tree, VariationModel(), samples=2, rng=_rng(0))
 
 
 # ----------------------------------------------------------------------
@@ -305,7 +305,9 @@ class TestEvaluateYield:
     def test_rejects_bad_sample_count(self, optimized_tree):
         instance, tree = optimized_tree
         with pytest.raises(ValueError, match="samples"):
-            _evaluator(instance).evaluate_yield(tree, VariationModel(), samples=0)
+            _evaluator(instance).evaluate_yield(
+                tree, VariationModel(), samples=0, rng=_rng(0)
+            )
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.obs import (
     chrome_trace,
     read_trace,
     render_span_tree,
+    spans_from_artifact,
     strip_timings,
     summarize,
     trace_artifact,
@@ -269,6 +270,28 @@ class TestArtifact:
             )
         assert payloads[0] == payloads[1]
         assert '"timings"' not in payloads[0]
+
+    def test_spans_from_artifact_rebuilds_and_grafts_the_trace(self):
+        tracer = Tracer()
+        record_tree(tracer)
+        artifact = trace_artifact(tracer)
+        rebuilt = Tracer()
+        rebuilt.roots = spans_from_artifact(artifact)
+        again = trace_artifact(rebuilt)
+        assert strip_timings(again) == strip_timings(artifact)
+        for got, want in zip(again["timings"], artifact["timings"]):
+            assert [got[k] for k in ("start_s", "total_s", "gc_s")] == [
+                want[k] for k in ("start_s", "total_s", "gc_s")
+            ]
+        # Grafted below a span of another tracer, the paths nest under it.
+        host = Tracer()
+        with host.span("interpreter") as span:
+            pass
+        span.children.extend(spans_from_artifact(artifact))
+        assert path_counters(host)["interpreter/job/evaluate"] == {
+            "stages": 5,
+            "cache_hits": 1,
+        }
 
     def test_write_read_round_trip(self, tmp_path):
         tracer = Tracer()

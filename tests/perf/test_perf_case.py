@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from repro.obs import strip_timings
+from repro.api.jobs import JobSpec
+from repro.obs import Tracer, path_counters, strip_timings
 from repro.perf.case import (
     CASE_REGISTRY,
     PERF_SCHEMA,
@@ -18,7 +19,8 @@ from repro.perf.case import (
     run_case,
     timing_stats,
 )
-from repro.perf.cases import RunnerCase, StoreCase
+from repro.perf.cases import RunnerCase, StartupCase, StoreCase
+from repro.runner import run_job
 from repro.store.log import encode_line
 
 
@@ -72,6 +74,7 @@ class TestRegistry:
             "propagation",
             "trace",
             "store",
+            "startup",
         } <= set(available_cases())
 
     def test_register_requires_a_name(self, monkeypatch):
@@ -218,3 +221,21 @@ class TestStoreCase:
         assert [check["name"] for check in entry["timings"]["checks"]] == [
             "tail_speedup_floor"
         ]
+
+
+class TestStartupCase:
+    def test_the_fresh_interpreter_trace_hangs_below_its_span(self):
+        entry = run_case(StartupCase(), repeats=1)
+        assert all(check["ok"] for check in entry["checks"])
+        assert entry["counters"]["repro_modules"] > 0
+        assert {"interpreter", "interpreter/import_job_stack", "interpreter/job"} <= set(
+            entry["timings"]["spans"]
+        )
+        # The child's span counters arrive intact: they equal an in-process
+        # trace of the same job.
+        tracer = Tracer()
+        run_job(JobSpec(instance=StartupCase.INSTANCE, engine="arnoldi"), tracer=tracer)
+        assert entry["span_counters"] == {
+            f"interpreter/{path}": counters
+            for path, counters in path_counters(tracer).items()
+        }

@@ -132,8 +132,8 @@ USAGE_ERRORS = {
     "perf-run-unknown-case": (
         ["perf", "run", "--case", "nope"],
         "repro perf run: unknown perf case 'nope'; registered: ['buffering', "
-        "'evaluator', 'propagation', 'runner', 'serve', 'service', 'store', "
-        "'trace', 'variation']",
+        "'evaluator', 'propagation', 'runner', 'serve', 'service', 'startup', "
+        "'store', 'trace', 'variation']",
     ),
     "perf-compare-not-a-document": (
         ["perf", "compare", "TMP/empty.json", "TMP/batch.json"],

@@ -32,25 +32,49 @@ class TestParser:
 
 
 class TestLazyImports:
-    def test_plain_run_path_never_imports_asyncio_or_serve(self):
-        """The acceptance criterion: ``repro run`` pays nothing for serving.
+    """What a process that only runs the analytical engines never loads.
 
-        A real ``repro run`` in a subprocess, then the module table is
-        checked -- the serving stack (and asyncio itself) must only load
-        inside the ``serve`` handler.
-        """
-        code = (
-            "import sys\n"
-            "from repro.cli import main\n"
-            "rc = main(['run', '--instance', 'ti:16', '--engine', 'elmore',"
-            " '--pipeline', 'initial'])\n"
-            "assert rc == 0, rc\n"
-            "leaked = [m for m in ('asyncio', 'repro.serve') if m in sys.modules]\n"
-            "assert not leaked, f'serving stack leaked into repro run: {leaked}'\n"
-        )
+    ``asyncio`` and ``repro.serve`` load only inside the ``serve`` handler;
+    ``scipy`` only on a process's first transient analysis.
+    """
+
+    @staticmethod
+    def _run(code):
         env = dict(os.environ, PYTHONPATH=SRC)
         result = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert result.returncode == 0, result.stderr
+
+    def test_plain_run_path_never_imports_asyncio_or_serve(self):
+        """The acceptance criterion: ``repro run`` pays nothing for serving.
+
+        A real ``repro run`` and ``repro mc`` in a subprocess, then the
+        module table is checked -- the serving stack (and asyncio itself)
+        must only load inside the ``serve`` handler, and scipy only with
+        the transient engine.
+        """
+        self._run(
+            "import sys\n"
+            "from repro.cli import main\n"
+            "rc = main(['run', '--instance', 'ti:16', '--engine', 'elmore',"
+            " '--pipeline', 'initial'])\n"
+            "assert rc == 0, rc\n"
+            "rc = main(['mc', '--instance', 'ti:16', '--engine', 'arnoldi',"
+            " '--samples', '50', '--seed', '3'])\n"
+            "assert rc == 0, rc\n"
+            "leaked = [m for m in ('asyncio', 'repro.serve', 'scipy') if m in sys.modules]\n"
+            "assert not leaked, f'leaked into repro run and mc: {leaked}'\n"
+        )
+
+    def test_transient_engine_loads_scipy_on_its_first_analysis(self):
+        self._run(
+            "import sys\n"
+            "from repro.cli import main\n"
+            "assert 'scipy' not in sys.modules\n"
+            "rc = main(['run', '--instance', 'ti:16', '--engine', 'spice',"
+            " '--pipeline', 'initial'])\n"
+            "assert rc == 0, rc\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+        )
