@@ -19,6 +19,10 @@ INSTANCE = "scenario:banks:sinks=24,clusters=3"
 
 
 def on_event(event: JobEvent) -> None:
+    # Each job streams a "started" event (no record yet), then "completed".
+    if event.record is None:
+        print(f"  [{event.index + 1}/{event.total}] {event.job.instance}: {event.kind}")
+        return
     status = "FAILED" if event.failed else "ok"
     print(f"  [{event.index + 1}/{event.total}] {event.record.job}: {status}")
 

@@ -4,10 +4,10 @@
   tree edges and the slew-driven maximum-load model.
 * :mod:`repro.buffering.vanginneken` -- the van Ginneken dynamic program with
   non-dominated option pruning (the "fast buffer insertion" of the paper),
-  run for a whole ladder of buffer types over one plan of the tree.
-* :mod:`repro.buffering.fast_buffering` -- the composite-inverter sweep: one
-  ladder walk over increasingly strong parallel inverters, keeping the
-  strongest solution within the power budget (Section IV-C).
+  run for one buffer type at a time over one plan of the tree.
+* :mod:`repro.buffering.fast_buffering` -- the composite-inverter sweep: it
+  tries parallel inverters strongest first and keeps the first solution
+  within the power budget, the strongest one that fits (Section IV-C).
 """
 
 from repro.buffering.candidates import (

@@ -17,22 +17,24 @@ An option is a plain tuple ``(cap, req, tau, nbuffers, site, parents)``:
 
 Candidate insertion points are the legal stations enumerated by
 :mod:`repro.buffering.candidates` plus the internal tree nodes.  Contango's
-INITIAL stage tries a whole ladder of composite inverters (see
-:mod:`repro.buffering.fast_buffering`), so :func:`run_ladder` reads the tree
-once into a plan -- the stations, each station interval's wire resistance
-and capacitance, and station and node legality -- and then runs the DP for
-one buffer type after another over that plan, so only one buffer type's
-option graph is alive at a time.  A sink edge that carries no legal station
-gets the same options for every buffer type; they are built once and
-shared.  The baselines run a one-buffer ladder and apply its result with
+INITIAL stage tries a ladder of composite inverters (see
+:mod:`repro.buffering.fast_buffering`), so a :class:`LadderPlan` reads the
+tree once -- the stations, each station interval's wire resistance and
+capacitance, and station and node legality -- and
+:meth:`LadderPlan.insertion` runs the DP of a single buffer type over it;
+only that buffer type's option graph is alive while it runs.  A sink edge
+that carries no legal station gets the same options for every buffer type;
+they are built once, with the plan, and shared.  The INITIAL sweep asks the
+plan for one inverter at a time, strongest first, and stops at the first
+that fits.  :func:`run_ladder` runs every buffer type of a ladder over one
+plan; the baselines run a one-buffer ladder and apply its result with
 :func:`apply_insertion`.
 
-Measured on a 2-vCPU Xeon guest, the DP for the INITIAL stage's
-four-inverter ladder takes ~0.35 s on the ti:4000 seed-1 DME tree and
-~0.15 s on the ``scenario:maze:sinks=160`` seed-0 tree after obstacle
-repair, against ~1.25 s and ~1.1 s for one run per inverter over
-frozen-dataclass options.  ``repro perf run --case buffering`` times the
-whole sweep on both trees.
+Measured on a 2-vCPU Xeon guest, the plan and one inverter's DP take
+~0.08-0.10 s on the ti:4000 seed-1 DME tree, against ~0.24-0.30 s for all
+four inverters of the INITIAL ladder; all four take ~0.16 s on the
+``scenario:maze:sinks=160`` seed-0 tree after obstacle repair.
+``repro perf run --case buffering`` times the whole sweep on both trees.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from repro.geometry.rect import Rect
 
 __all__ = [
     "BufferInsertionResult",
+    "LadderPlan",
     "apply_insertion",
     "place_insertion",
     "run_ladder",
@@ -92,23 +95,22 @@ def run_ladder(
     die: Optional[Rect] = None,
     max_options: int = 32,
 ) -> List[BufferInsertionResult]:
-    """Run the DP on ``tree`` once for each buffer type, in order.
+    """Run the DP on ``tree`` once for each buffer type, in order, over one plan.
 
     ``tree`` is read, never modified; apply a result with
     :func:`apply_insertion`.
     """
-    if max_options < 4:
-        raise ValueError("max_options must be at least 4")
-    plan = _Plan(tree, station_spacing, obstacles, die, max_options)
-    slew_cap = slew_margin * slew_limit
-    return [
-        _select(tree.source_resistance, buffer, plan.walk(buffer, slew_cap), slew_cap)
-        for buffer in buffers
-    ]
+    plan = LadderPlan(
+        tree, slew_limit, slew_margin, station_spacing, obstacles, die, max_options
+    )
+    return [plan.insertion(buffer) for buffer in buffers]
 
 
-class _Plan:
+class LadderPlan:
     """What every buffer type's DP reads from one tree, gathered in one walk.
+
+    :meth:`insertion` runs the DP of one buffer type over the plan; the
+    tree is read, never modified.
 
     ``order`` lists, in postorder, the nodes whose options depend on the
     buffer type as ``(node_id, children, leaf, node_site, steps, tail)``:
@@ -124,16 +126,24 @@ class _Plan:
     def __init__(
         self,
         tree: ClockTree,
-        spacing: float,
-        obstacles: Optional[ObstacleSet],
-        die: Optional[Rect],
-        max_options: int,
+        slew_limit: float = 100.0,
+        slew_margin: float = 0.70,
+        station_spacing: float = 250.0,
+        obstacles: Optional[ObstacleSet] = None,
+        die: Optional[Rect] = None,
+        max_options: int = 32,
     ) -> None:
+        if max_options < 4:
+            raise ValueError("max_options must be at least 4")
+        self.source_resistance = tree.source_resistance
+        self.slew_cap = slew_margin * slew_limit
         self.max_options = max_options
         self.order: List[Tuple[Any, ...]] = []
         self.shared: Dict[int, List[Opt]] = {}
         sites = ObstacleSet() if obstacles is None else obstacles
-        stations = enumerate_stations(tree, spacing=spacing, obstacles=sites, die=die)
+        stations = enumerate_stations(
+            tree, spacing=station_spacing, obstacles=sites, die=die
+        )
         for node in tree.postorder():
             node_id = node.node_id
             if node.parent is None:
@@ -159,9 +169,13 @@ class _Plan:
                 node_site = sites.legal_buffer_location(node.position, die)
                 self.order.append((node_id, node.children, None, node_site, steps, tail))
 
-    def walk(self, buffer: BufferType, slew_cap: float) -> List[Opt]:
+    def insertion(self, buffer: BufferType) -> BufferInsertionResult:
+        """The DP's result when ``buffer`` is the one buffer type."""
+        return _select(self.source_resistance, buffer, self._walk(buffer), self.slew_cap)
+
+    def _walk(self, buffer: BufferType) -> List[Opt]:
         """The root's options when ``buffer`` is the one buffer type."""
-        max_options = self.max_options
+        max_options, slew_cap = self.max_options, self.slew_cap
         drive: Drive = (
             buffer.output_res,
             buffer.intrinsic_delay,

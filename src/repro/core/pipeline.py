@@ -295,10 +295,16 @@ class InitialSynthesisPass(OptimizationPass):
     stage = "INITIAL"
 
     def run(self, ctx: PassContext) -> None:
-        ctx.tree = self._build_initial_tree(ctx)
+        # Child spans without counters: they split the pass's time and leave
+        # every span path's counters as they were.
+        tracer = ctx.evaluator.tracer
+        with tracer.span("dme"):
+            ctx.tree = self._build_initial_tree(ctx)
         self._repair_obstacles(ctx)
-        ctx.tree = self._insert_buffers(ctx)
-        self._correct_polarity(ctx)
+        with tracer.span("buffer_insertion"):
+            ctx.tree = self._insert_buffers(ctx)
+        with tracer.span("polarity"):
+            self._correct_polarity(ctx)
         ctx.report = None  # the driver evaluates the fresh network for INITIAL
 
     # -- construction --------------------------------------------------
@@ -328,16 +334,17 @@ class InitialSynthesisPass(OptimizationPass):
         instance, config = ctx.instance, ctx.config
         if not config.enable_obstacle_avoidance or len(instance.obstacles) == 0:
             return
-        analysis = analyze_composites(
-            instance.buffer_library, max_parallel=config.composite_max_parallel
-        )
-        report = repair_obstacle_violations(
-            ctx.require_tree(),
-            instance.obstacles,
-            die=instance.die,
-            driver=analysis.preferred_base,
-            slew_limit=instance.slew_limit,
-        )
+        with ctx.evaluator.tracer.span("obstacle_repair"):
+            analysis = analyze_composites(
+                instance.buffer_library, max_parallel=config.composite_max_parallel
+            )
+            report = repair_obstacle_violations(
+                ctx.require_tree(),
+                instance.obstacles,
+                die=instance.die,
+                driver=analysis.preferred_base,
+                slew_limit=instance.slew_limit,
+            )
         ctx.result.obstacle_detours = report.subtrees_detoured + report.maze_reroutes
 
     def _buffer_candidates(self, ctx: PassContext) -> List:

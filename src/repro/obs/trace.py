@@ -63,8 +63,9 @@ __all__ = [
 #: schemas instead of misparsing them (the run-store convention).
 TRACE_SCHEMA = 1
 
-#: Spans kept in a :class:`TraceSummary`'s ``top`` list.
-SUMMARY_TOP_N = 8
+#: Spans kept in a :class:`TraceSummary`'s ``top`` list: every span name of
+#: a default Contango job fits (15 on a TI instance, 16 with obstacle repair).
+SUMMARY_TOP_N = 16
 
 
 class Span:

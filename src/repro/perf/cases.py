@@ -13,6 +13,7 @@ disabled-trace overhead <2%) become ``timing=True`` checks so they gate in
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import operator
@@ -112,10 +113,12 @@ class BufferingCase(PerfCase):
 
     Run with ``repro perf run --case buffering``: the default flow's
     four-inverter sweep on the ti:4000 seed-1 DME tree (no obstacles, few
-    stations) and on the ``scenario:maze:sinks=160`` seed-0 tree after
-    obstacle repair (detoured, station-dense edges).  Each candidate's
-    buffer count, the chosen candidate and the station counts (all and
-    legal) are counters; each sweep is timed by its own span.
+    stations; the strongest inverter fits, so one DP runs) and on the
+    ``scenario:maze:sinks=160`` seed-0 tree after obstacle repair (detoured,
+    station-dense edges; none fits, so all four run).  The DP count, each
+    scored candidate's buffer count and the chosen candidate (both keyed by
+    ladder index) and the station counts (all and legal) are counters; each
+    sweep is timed by its own span.
     """
 
     name = "buffering"
@@ -148,6 +151,9 @@ class BufferingCase(PerfCase):
                 ladder_steps=config.composite_ladder_steps,
             ).ladder
             obstacles = instance.obstacles if len(instance.obstacles) else None
+            # Each sweep starts from an empty collector, so a pause the
+            # previous sweep's garbage triggers is not charged to this one.
+            gc.collect()
             with tracer.span(f"sweep_{label}") as span:
                 sweep = insert_buffers_with_sizing(
                     tree,
@@ -174,7 +180,10 @@ class BufferingCase(PerfCase):
             ]
             outcome.counters[f"{label}_stations"] = len(stations)
             outcome.counters[f"{label}_stations_legal"] = sum(s.legal for s in stations)
-            for index, candidate in enumerate(sweep.outcomes):
+            # One DP per scored candidate; counters are keyed by ladder index.
+            outcome.counters[f"{label}_dp_runs"] = len(sweep.outcomes)
+            for candidate in sweep.outcomes:
+                index = ladder.index(candidate.buffer)
                 outcome.counters[f"{label}_buffers_{index}"] = candidate.buffer_count
                 if candidate is sweep.chosen:
                     outcome.counters[f"{label}_chosen"] = index
@@ -565,14 +574,17 @@ class PropagationCase(PerfCase):
         outcome.counters["candidates_batched"] = int(batched.batched)
         outcome.counters["candidate_fallbacks"] = int(batched.fallbacks)
 
-        # Float-keyed timing-cache finding (spice engine, small instance).
+        # Float-keyed timing-cache finding (spice engine, small instance).  A
+        # throwaway transient analysis on its own evaluator first, so the
+        # span never holds the process's one-time transient-engine set-up.
         small = generate_ti_benchmark(40)
+        small_tree = (
+            ContangoFlow(FlowConfig(engine=ENGINE, pipeline=["initial"]))
+            .run(small)
+            .require_tree()
+        )
+        self._make_evaluator(small, engine="spice").evaluate(small_tree)
         with tracer.span("timing_cache_finding"):
-            small_tree = (
-                ContangoFlow(FlowConfig(engine=ENGINE, pipeline=["initial"]))
-                .run(small)
-                .require_tree()
-            )
             edge = self._deepest_buffer_edge(small_tree)
             spice = self._make_evaluator(small, engine="spice")
             spice.evaluate(small_tree)

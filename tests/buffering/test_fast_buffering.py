@@ -1,11 +1,15 @@
 """Tests for the composite-inverter insertion sweep."""
 
+import dataclasses
+
 import pytest
 
 from repro.buffering.fast_buffering import insert_buffers_with_sizing
 from repro.cts import ispd09_buffer_library
 
 from repro.testing import make_zst_tree
+
+import fast_buffering_reference as reference
 
 BUFS = ispd09_buffer_library()
 LADDER = [BUFS.by_name("INV_S").parallel(k) for k in (8, 16, 24)]
@@ -25,9 +29,46 @@ class TestSweep:
         insert_buffers_with_sizing(tree, LADDER, capacitance_limit=1e6)
         assert tree.buffer_count() == 0
 
-    def test_one_outcome_per_candidate(self):
+    def test_unconstrained_tree_scores_one_candidate(self):
         result = insert_buffers_with_sizing(make_zst_tree(20), LADDER, capacitance_limit=1e6)
-        assert len(result.outcomes) == len(LADDER)
+        assert [o.buffer for o in result.outcomes] == [LADDER[-1]]
+        assert result.chosen is result.outcomes[0]
+
+    def test_tight_budget_scores_until_the_first_fit(self):
+        tree = make_zst_tree(20)
+        # A budget nothing fits scores every candidate, in ladder order.
+        everything = insert_buffers_with_sizing(tree, LADDER, capacitance_limit=1e-6)
+        assert [o.buffer for o in everything.outcomes] == LADDER
+        caps = [o.total_capacitance for o in everything.outcomes]
+        assert caps[1] < caps[2]
+        # Between the two strongest: the strongest does not fit, the next does.
+        limit = (caps[1] + caps[2]) / 2.0 / 0.9
+        tight = insert_buffers_with_sizing(tree, LADDER, capacitance_limit=limit)
+        assert [o.buffer for o in tight.outcomes] == LADDER[1:]
+        assert [o.within_power_budget for o in tight.outcomes] == [True, False]
+        assert tight.chosen is tight.outcomes[0]
+        assert [o.total_capacitance for o in tight.outcomes] == caps[1:]
+
+    def test_equal_output_resistance_keeps_the_ladder_order(self):
+        strongest = LADDER[-1]
+        twin = dataclasses.replace(strongest, name=f"{strongest.name} twin")
+        for pair in ([twin, strongest], [strongest, twin]):
+            # Both fit: the first of the two in ladder order is chosen and
+            # the other is never scored.
+            fits = insert_buffers_with_sizing(
+                make_zst_tree(20), [LADDER[0], *pair], capacitance_limit=1e6
+            )
+            assert [o.buffer for o in fits.outcomes] == [pair[0]]
+            assert fits.chosen_buffer is pair[0]
+            # Neither fits: both are scored, and the fallback's minimum over
+            # equal capacitances takes the first, as the reference's does.
+            none_fit = insert_buffers_with_sizing(make_zst_tree(20), pair, capacitance_limit=1e-6)
+            assert [o.buffer for o in none_fit.outcomes] == pair
+            assert none_fit.chosen_buffer is pair[0]
+            want = reference.insert_buffers_with_sizing(
+                make_zst_tree(20), pair, capacitance_limit=1e-6
+            )
+            assert none_fit.outcomes == want.outcomes
 
     def test_strongest_feasible_candidate_chosen(self):
         result = insert_buffers_with_sizing(make_zst_tree(20), LADDER, capacitance_limit=1e6)

@@ -5,7 +5,14 @@ import json
 from repro.api.jobs import JobSpec, McJobSpec
 from repro.api.records import McRecord, RunRecord, record_from_dict
 from repro.cli import main
-from repro.obs import Tracer, TraceSummary, strip_timings, trace_artifact
+from repro.obs import (
+    Tracer,
+    TraceSummary,
+    path_counters,
+    path_timings,
+    strip_timings,
+    trace_artifact,
+)
 from repro.runner import execute_job_traced, run_job, run_mc_job
 from repro.store import RunStore
 
@@ -56,6 +63,27 @@ class TestResultParity:
                 json.dumps(strip_timings(artifact), indent=1, sort_keys=True)
             )
         assert payloads[0] == payloads[1]
+
+
+class TestInitialChildSpans:
+    INITIAL = "job/flow:contango/pass:initial"
+
+    def children(self, tracer):
+        prefix = f"{self.INITIAL}/"
+        return {path[len(prefix):] for path in path_timings(tracer) if path.startswith(prefix)}
+
+    def test_ti200_job_splits_initial_into_its_layers(self):
+        tracer = Tracer()
+        run_job(JobSpec(instance="ti:200"), tracer=tracer)
+        # No blockages on a TI instance, so no obstacle repair.
+        assert self.children(tracer) == {"dme", "buffer_insertion", "polarity"}
+        assert not [path for path in path_counters(tracer) if path.startswith(self.INITIAL)]
+
+    def test_obstacle_repair_span_opens_when_the_repair_runs(self):
+        tracer = Tracer()
+        spec = JobSpec(instance="scenario:maze:sinks=24", engine="elmore", pipeline=FAST)
+        run_job(spec, tracer=tracer)
+        assert self.children(tracer) == {"dme", "obstacle_repair", "buffer_insertion", "polarity"}
 
 
 class TestTraceOnRecords:
