@@ -1,9 +1,12 @@
 """Public-API quickstart: drive the synthesis system with zero CLI involvement.
 
-One :class:`repro.api.SynthesisService` handles three kinds of calls against
-a scenario-lab instance -- a plain synthesis, a Monte Carlo skew-yield sweep,
-and a parameter sweep -- while every completed record is appended to a
-persistent :class:`repro.store.RunStore` and content-addressed for free.
+Work is described by job specs alone.  One :class:`repro.api.SynthesisService`
+runs three kinds of jobs against a scenario-lab instance -- a plain synthesis
+(:class:`repro.api.JobSpec`), a Monte Carlo skew-yield sweep
+(:class:`repro.api.McJobSpec`) and a parameter sweep (a
+:class:`repro.api.JobMatrix`) -- while every completed record is appended to
+a :class:`repro.store.RunStore` and content-addressed for free.  The store
+lives in a temporary directory that is removed on exit.
 
 Run with:  python examples/api_quickstart.py
 """
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import tempfile
 
-from repro.api import JobEvent, SynthesisService
+from repro.api import JobEvent, JobMatrix, JobSpec, McJobSpec, SynthesisService
 from repro.store import RunStore
 
 INSTANCE = "scenario:banks:sinks=24,clusters=3"
@@ -28,14 +31,16 @@ def on_event(event: JobEvent) -> None:
 
 
 def main() -> None:
-    store_dir = tempfile.mkdtemp(prefix="repro-api-quickstart-")
-    store = RunStore(store_dir)
+    with tempfile.TemporaryDirectory(prefix="repro-api-quickstart-") as store_dir:
+        run_quickstart(RunStore(store_dir))
 
+
+def run_quickstart(store: RunStore) -> None:
     # One long-lived service: with max_workers > 1 the worker pool would be
     # created once and stay warm across all three calls below.
     with SynthesisService(max_workers=1, store=store, run_id="quickstart") as service:
         # 1. Plain synthesis: a typed RunRecord with the Table IV metrics.
-        run = service.synthesize(INSTANCE, engine="elmore")
+        run = service.result(JobSpec(INSTANCE, engine="elmore"))
         summary = run.summary
         print(f"synthesize: {INSTANCE}")
         print(f"  skew {summary.skew_ps:.2f} ps, CLR {summary.clr_ps:.2f} ps, "
@@ -46,7 +51,7 @@ def main() -> None:
 
         # 2. Monte Carlo: the same network under 256 sampled supply/process
         # scenarios, batched through the vectorized moment path.
-        mc = service.monte_carlo(INSTANCE, engine="elmore", samples=256, seed=7)
+        mc = service.result(McJobSpec(INSTANCE, engine="elmore", samples=256))
         dist = mc.yield_
         print(f"monte_carlo: {dist.n_samples} scenarios "
               f"({dist.model['family']} family)")
@@ -55,13 +60,13 @@ def main() -> None:
 
         # 3. Sweep: a scenario-family cross product, streamed as events.
         print("sweep: banks x clusters=2,4")
-        batch = service.sweep(
+        matrix = JobMatrix(
             families=["banks"],
             fixed={"sinks": 24},
             sweeps={"clusters": [2, 4]},
             engines=["elmore"],
-            on_event=on_event,
         )
+        batch = service.run(matrix.expand(), on_event=on_event)
         for record in batch.records:
             print(f"  {record.instance}: skew {record.summary.skew_ps:.2f} ps")
 

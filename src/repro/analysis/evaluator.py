@@ -145,7 +145,12 @@ from repro.analysis.rcnetwork import (
 )
 from repro.analysis.spice import TransientSolverConfig, transient_stage_timing
 from repro.analysis.units import LN9
-from repro.analysis.variation import VariationModel, YieldReport
+from repro.analysis.variation import (
+    ANALYTICAL_ENGINES,
+    YIELD_SKEW_LIMIT_PS,
+    VariationModel,
+    YieldReport,
+)
 from repro.cts.bufferlib import BufferType
 from repro.cts.tree import ClockTree, TreeNode
 from repro.obs import NULL_TRACER, TracerBase
@@ -351,7 +356,8 @@ class EvaluationReport:
 
     @property
     def has_slew_violation(self) -> bool:
-        return bool(self.slew_violations)
+        """Some tap's slew exceeds the limit (:class:`CandidateScore`'s definition)."""
+        return self.worst_slew > self.slew_limit
 
     @property
     def within_capacitance_limit(self) -> bool:
@@ -1617,10 +1623,10 @@ class ClockNetworkEvaluator:
         self,
         tree: ClockTree,
         model: VariationModel,
-        samples: int = 1000,
+        samples: int,
         *,
         rng: np.random.Generator,
-        skew_limit_ps: float = 7.5,
+        skew_limit_ps: float = YIELD_SKEW_LIMIT_PS,
     ) -> YieldReport:
         """Evaluate ``tree`` under ``samples`` Monte Carlo variation scenarios.
 
@@ -1642,14 +1648,13 @@ class ClockNetworkEvaluator:
 
         Only the analytical engines can be batched this way; the transient
         engine raises.  ``skew_limit_ps`` sets the yield threshold of the
-        returned :class:`~repro.analysis.variation.YieldReport` (the
-        ISPD'10-contest-style local skew limit of 7.5 ps by default).
+        returned :class:`~repro.analysis.variation.YieldReport`
+        (:data:`~repro.analysis.variation.YIELD_SKEW_LIMIT_PS` by default).
         """
-        if self.config.engine not in ("elmore", "arnoldi"):
+        if self.config.engine not in ANALYTICAL_ENGINES:
             raise ValueError(
-                "evaluate_yield requires an analytical engine ('elmore' or "
-                "'arnoldi'); the transient engine cannot be batched across "
-                "variation samples"
+                f"evaluate_yield requires an analytical engine {ANALYTICAL_ENGINES}; "
+                "the transient engine cannot be batched across variation samples"
             )
         if samples < 1:
             raise ValueError("samples must be >= 1")

@@ -43,7 +43,9 @@ import numpy as np
 from repro.analysis.corners import Corner
 
 __all__ = [
+    "ANALYTICAL_ENGINES",
     "SAMPLING_FAMILIES",
+    "YIELD_SKEW_LIMIT_PS",
     "VariationModel",
     "VariationSamples",
     "YieldReport",
@@ -52,6 +54,14 @@ __all__ = [
 
 SAMPLING_FAMILIES = ("independent", "correlated", "corner_anchored")
 """The supported sampling families, in documentation order."""
+
+ANALYTICAL_ENGINES = ("elmore", "arnoldi")
+"""The evaluation engines that batch Monte Carlo samples through the moment
+path; the transient engine cannot."""
+
+YIELD_SKEW_LIMIT_PS = 7.5
+"""The skew limit (ps) that defines yield: the ISPD'10-contest-style local
+skew target, shared by ``repro mc``, the jobs and the p95 gate."""
 
 
 @dataclass

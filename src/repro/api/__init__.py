@@ -10,14 +10,20 @@ Three layers, bottom-up:
 * :mod:`repro.api.jobs` -- the unified job model (:class:`Job`,
   :class:`JobSpec`, :class:`McJobSpec`) and the single
   :meth:`JobMatrix.expand` fan-out path shared by ``repro run`` / ``repro
-  sweep`` / ``repro mc``;
+  sweep`` / ``repro mc``; the only way to describe work, and the one place
+  each job default is declared;
 * :mod:`repro.api.service` -- :class:`SynthesisService`, the long-lived
-  facade owning a persistent warm worker pool, streaming typed results and
-  recording every call in an attached :class:`~repro.store.RunStore`.
+  facade owning a persistent warm worker pool: it runs job specs
+  (``result(job)`` for one, ``run``/``stream``/``submit`` for many),
+  streams typed results and records every call in an attached
+  :class:`~repro.store.RunStore`.
 
 Import everything from here::
 
-    from repro.api import JobMatrix, RunRecord, SynthesisService
+    from repro.api import JobMatrix, JobSpec, RunRecord, SynthesisService
+
+    with SynthesisService() as service:
+        record = service.result(JobSpec("ti:200"))
 
 The records layer is imported eagerly (it is a dependency-free leaf); the
 job and service layers load lazily on first attribute access, so low-level

@@ -23,7 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.variation import SAMPLING_FAMILIES
+from repro.analysis.variation import (
+    ANALYTICAL_ENGINES,
+    SAMPLING_FAMILIES,
+    YIELD_SKEW_LIMIT_PS,
+)
 from repro.scenarios import expand_families
 
 __all__ = [
@@ -66,6 +70,11 @@ class Job:
     ``pipeline`` overrides :attr:`FlowConfig.pipeline` (pass-registry
     names); ``seed`` overrides the TI generator's (or a scenario's) default
     instance seed and doubles as the flow's base seed.
+
+    Every default of a job is declared once, on the class that owns it:
+    ``Job.flow`` and ``Job.engine`` here, the Monte Carlo axes on
+    :class:`McJobSpec`.  :class:`MonteCarloAxes`, :class:`JobMatrix` and the
+    CLI options refer to these class attributes instead of repeating them.
     """
 
     instance: str
@@ -125,11 +134,11 @@ class McJobSpec(Job):
     ablations are one flag away from the nominal flow.
     """
 
-    #: Monte Carlo jobs always carry a concrete base seed (default 7).
+    #: Monte Carlo jobs always carry a concrete base seed.
     seed: Optional[int] = 7
     samples: int = 1000
     family: str = "independent"
-    skew_limit_ps: float = 7.5
+    skew_limit_ps: float = YIELD_SKEW_LIMIT_PS
     gated: bool = False
     #: Scenario count per gate check during gated synthesis; ``None`` keeps
     #: the :class:`FlowConfig` default (the gate runs once per IVC round, so
@@ -148,10 +157,8 @@ class McJobSpec(Job):
             raise ValueError(
                 f"unknown sampling family {self.family!r}; choose from {SAMPLING_FAMILIES}"
             )
-        if self.engine not in ("elmore", "arnoldi"):
-            raise ValueError(
-                "Monte Carlo jobs need an analytical engine ('elmore' or 'arnoldi')"
-            )
+        if self.engine not in ANALYTICAL_ENGINES:
+            raise ValueError(f"Monte Carlo jobs need an analytical engine {ANALYTICAL_ENGINES}")
         if self.gated and self.flow != "contango":
             raise ValueError(
                 "--gated selects the Contango variation-aware pipeline and is "
@@ -184,14 +191,15 @@ class MonteCarloAxes:
     """The Monte Carlo dimensions of a :class:`JobMatrix`.
 
     ``samples`` is a sweep axis (one job per count); the remaining knobs are
-    shared by every expanded :class:`McJobSpec`.
+    shared by every expanded :class:`McJobSpec`.  Every default is
+    :class:`McJobSpec`'s.
     """
 
-    samples: Tuple[int, ...] = (1000,)
-    family: str = "independent"
-    skew_limit_ps: float = 7.5
-    gated: bool = False
-    gate_samples: Optional[int] = None
+    samples: Tuple[int, ...] = (McJobSpec.samples,)
+    family: str = McJobSpec.family
+    skew_limit_ps: float = McJobSpec.skew_limit_ps
+    gated: bool = McJobSpec.gated
+    gate_samples: Optional[int] = McJobSpec.gate_samples
 
     def __post_init__(self) -> None:
         if not self.samples:
@@ -212,8 +220,8 @@ class JobMatrix:
     families: Sequence[str] = ()
     fixed: Mapping[str, Any] = field(default_factory=dict)
     sweeps: Mapping[str, Sequence[Any]] = field(default_factory=dict)
-    flows: Sequence[str] = ("contango",)
-    engines: Sequence[str] = ("arnoldi",)
+    flows: Sequence[str] = (Job.flow,)
+    engines: Sequence[str] = (Job.engine,)
     pipeline: Optional[Tuple[str, ...]] = None
     seed: Optional[int] = None
     monte_carlo: Optional[MonteCarloAxes] = None

@@ -9,18 +9,21 @@ repeated small requests -- the traffic shape of a synthesis service, as
 opposed to a nightly sweep -- pay the worker spawn cost once instead of per
 call (``repro perf run --case service`` tracks the difference).
 
-The facade speaks the typed API end to end:
+Work is described only by the job specs of :mod:`repro.api.jobs`
+(:class:`~repro.api.jobs.JobSpec`, :class:`~repro.api.jobs.McJobSpec`, or a
+:class:`~repro.api.jobs.JobMatrix` expanded into them); the service adds no
+second vocabulary:
 
-* :meth:`synthesize` / :meth:`monte_carlo` -- one job, returning a
-  :class:`~repro.api.records.RunRecord` / :class:`~repro.api.records.McRecord`
-  (a failed job raises :class:`~repro.runner.JobError` with the worker-side
-  traceback);
-* :meth:`sweep` -- a whole :class:`~repro.api.jobs.JobMatrix` (or keyword
-  axes), returning records in job order;
-* :meth:`stream` / :meth:`run` -- the general interface: an iterator of
+* :meth:`result` -- one job, returning its typed record (a failed job
+  raises :class:`~repro.runner.JobError` with the worker-side traceback);
+* :meth:`stream` / :meth:`run` -- any number of jobs: an iterator of
   :class:`JobEvent` (as jobs complete) or a collected :class:`ServiceBatch`
   with an optional per-event callback;
-* :meth:`compare` -- diff two run selections of the attached store.
+* :meth:`submit` -- one job as a future (the serve scheduler's primitive).
+
+Comparing two runs of an attached store is
+``diff_records(store.records(run_id=a), store.records(run_id=b))``
+(:func:`repro.store.diff_records`).
 
 Attach a :class:`~repro.store.RunStore` and every completed record -- errors
 included -- is appended under the service's ``run_id`` before its event is
@@ -39,29 +42,17 @@ import traceback
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
 
-from repro.api.jobs import Job, JobMatrix, JobSpec, McJobSpec, MonteCarloAxes
-from repro.api.records import ErrorRecord, McRecord, Record, RunRecord
+from repro.api.jobs import Job
+from repro.api.records import ErrorRecord, Record
 from repro.runner import (
     JobError,
     error_record,
     execute_job_guarded,
     execute_job_traced,
 )
-from repro.store import CompareTolerances, ComparisonResult, RunStore, diff_records
+from repro.store import RunStore
 
 __all__ = ["JobEvent", "ServiceBatch", "SynthesisService"]
 
@@ -320,10 +311,9 @@ class SynthesisService:
             workers=self.max_workers,
         )
 
-    # ------------------------------------------------------------------
-    # The typed facade
-    # ------------------------------------------------------------------
-    def _single(self, job: Job) -> Record:
+    def result(self, job: Job) -> Record:
+        """Run one job and return its record; a failed job raises
+        :class:`~repro.runner.JobError` with the worker-side traceback."""
         (event,) = [e for e in self.stream([job]) if e.kind == "completed"]
         if isinstance(event.record, ErrorRecord):
             raise JobError(
@@ -331,104 +321,3 @@ class SynthesisService:
             )
         assert event.record is not None  # completed events always carry one
         return event.record
-
-    def synthesize(
-        self,
-        instance: str,
-        flow: str = "contango",
-        engine: str = "arnoldi",
-        pipeline: Optional[Sequence[str]] = None,
-        seed: Optional[int] = None,
-    ) -> RunRecord:
-        """Run one synthesis job and return its typed record (raises on failure)."""
-        record = self._single(
-            JobSpec(
-                instance=instance,
-                flow=flow,
-                engine=engine,
-                pipeline=tuple(pipeline) if pipeline is not None else None,
-                seed=seed,
-            )
-        )
-        assert isinstance(record, RunRecord)
-        return record
-
-    def monte_carlo(
-        self,
-        instance: str,
-        flow: str = "contango",
-        engine: str = "arnoldi",
-        samples: int = 1000,
-        family: str = "independent",
-        seed: int = 7,
-        skew_limit_ps: float = 7.5,
-        gated: bool = False,
-        gate_samples: Optional[int] = None,
-        pipeline: Optional[Sequence[str]] = None,
-    ) -> McRecord:
-        """Synthesize + Monte Carlo-evaluate one instance (raises on failure)."""
-        record = self._single(
-            McJobSpec(
-                instance=instance,
-                flow=flow,
-                engine=engine,
-                pipeline=tuple(pipeline) if pipeline is not None else None,
-                seed=seed,
-                samples=samples,
-                family=family,
-                skew_limit_ps=skew_limit_ps,
-                gated=gated,
-                gate_samples=gate_samples,
-            )
-        )
-        assert isinstance(record, McRecord)
-        return record
-
-    def sweep(
-        self,
-        matrix: Optional[JobMatrix] = None,
-        *,
-        instances: Sequence[str] = (),
-        families: Sequence[str] = (),
-        fixed: Optional[Mapping[str, Any]] = None,
-        sweeps: Optional[Mapping[str, Sequence[Any]]] = None,
-        flows: Sequence[str] = ("contango",),
-        engines: Sequence[str] = ("arnoldi",),
-        pipeline: Optional[Tuple[str, ...]] = None,
-        seed: Optional[int] = None,
-        monte_carlo: Optional[MonteCarloAxes] = None,
-        on_event: Optional[EventCallback] = None,
-    ) -> ServiceBatch:
-        """Expand a job matrix and run it through the warm pool.
-
-        Pass a ready :class:`~repro.api.jobs.JobMatrix`, or describe one
-        with the keyword axes (the ``repro sweep`` vocabulary).
-        """
-        if matrix is None:
-            matrix = JobMatrix(
-                instances=instances,
-                families=families,
-                fixed=dict(fixed or {}),
-                sweeps=dict(sweeps or {}),
-                flows=flows,
-                engines=engines,
-                pipeline=pipeline,
-                seed=seed,
-                monte_carlo=monte_carlo,
-            )
-        return self.run(matrix.expand(), on_event=on_event)
-
-    def compare(
-        self,
-        baseline_run_id: str,
-        candidate_run_id: str,
-        tolerances: CompareTolerances = CompareTolerances(),
-    ) -> ComparisonResult:
-        """Diff two run ids of the attached store (requires ``store``)."""
-        if self.store is None:
-            raise ValueError("compare() needs a service with an attached RunStore")
-        return diff_records(
-            self.store.records(run_id=baseline_run_id),
-            self.store.records(run_id=candidate_run_id),
-            tolerances,
-        )

@@ -93,11 +93,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Type
 
-from repro.analysis.variation import SAMPLING_FAMILIES
-from repro.api.jobs import JobMatrix, JobSpec, MonteCarloAxes
+from repro.analysis.variation import ANALYTICAL_ENGINES, SAMPLING_FAMILIES
+from repro.api.jobs import Job, JobMatrix, JobSpec, McJobSpec, MonteCarloAxes
 from repro.api.records import ErrorRecord, McRecord, Record, RunRecord, record_from_dict
 from repro.api.service import JobEvent, SynthesisService
-from repro.core import available_passes
+from repro.core import FlowConfig, available_passes
 from repro.obs import (
     Tracer,
     TraceSummary,
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--flow",
         action="append",
         metavar="NAME",
-        help=f"flow to run (repeatable); default contango; one of {available_flows()}",
+        help=f"flow to run (repeatable); default {Job.flow}; one of {available_flows()}",
     )
     batch.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (default 1)")
     batch.add_argument(
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         action="append",
         metavar="NAME",
-        help="evaluation engine (repeatable); default arnoldi (also: spice, elmore)",
+        help=f"evaluation engine (repeatable); default {Job.engine} (also: spice, elmore)",
     )
     run.add_argument(
         "--pipeline",
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         action="append",
         metavar="NAME",
-        help="evaluation engine (repeatable); default arnoldi (also: spice, elmore)",
+        help=f"evaluation engine (repeatable); default {Job.engine} (also: spice, elmore)",
     )
     sweep.add_argument("--seed", type=int, help="instance/flow seed override")
     sweep.add_argument(
@@ -333,15 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="candidate selection, same syntax as the baseline",
     )
     compare.add_argument(
-        "--skew-tol", type=float, default=0.05, metavar="PS",
-        help="allowed skew increase before a job counts as regressed (default 0.05 ps)",
+        "--skew-tol", type=float, default=CompareTolerances.skew_ps, metavar="PS",
+        help="allowed skew increase before a job counts as regressed "
+        f"(default {CompareTolerances.skew_ps} ps)",
     )
     compare.add_argument(
-        "--clr-tol", type=float, default=0.05, metavar="PS",
-        help="allowed CLR increase before a job counts as regressed (default 0.05 ps)",
+        "--clr-tol", type=float, default=CompareTolerances.clr_ps, metavar="PS",
+        help="allowed CLR increase before a job counts as regressed "
+        f"(default {CompareTolerances.clr_ps} ps)",
     )
     compare.add_argument(
-        "--evals-tol", type=int, default=None, metavar="N",
+        "--evals-tol", type=int, default=CompareTolerances.evaluations, metavar="N",
         help="also flag jobs whose evaluation count grew by more than N "
         "(default: evaluations reported but not gated)",
     )
@@ -367,30 +369,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mc.add_argument(
         "--engine",
-        default="arnoldi",
-        choices=["arnoldi", "elmore"],
-        help="analytical evaluation engine used for synthesis and MC (default arnoldi)",
+        default=McJobSpec.engine,
+        choices=sorted(ANALYTICAL_ENGINES),
+        help="analytical evaluation engine used for synthesis and MC "
+        f"(default {McJobSpec.engine})",
     )
     mc.add_argument(
         "--samples",
         action="append",
         type=int,
         metavar="N",
-        help="Monte Carlo scenario count (repeatable for a sample-count sweep); default 1000",
+        help="Monte Carlo scenario count (repeatable for a sample-count sweep); "
+        f"default {McJobSpec.samples}",
     )
     mc.add_argument(
         "--family",
-        default="independent",
+        default=McJobSpec.family,
         choices=list(SAMPLING_FAMILIES),
-        help="variation sampling family (default independent)",
+        help=f"variation sampling family (default {McJobSpec.family})",
     )
     mc.add_argument(
-        "--seed", type=int, default=7,
-        help="base seed; per-job generators derive from it deterministically (default 7)",
+        "--seed", type=int, default=McJobSpec.seed,
+        help="base seed; per-job generators derive from it deterministically "
+        f"(default {McJobSpec.seed})",
     )
     mc.add_argument(
-        "--skew-limit", type=float, default=7.5, metavar="PS",
-        help="skew limit (ps) defining yield (default 7.5, the ISPD'10-style target)",
+        "--skew-limit", type=float, default=McJobSpec.skew_limit_ps, metavar="PS",
+        help=f"skew limit (ps) defining yield (default {McJobSpec.skew_limit_ps:g}, "
+        "the ISPD'10-style target)",
     )
     mc.add_argument(
         "--gated",
@@ -402,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument(
         "--gate-samples", type=int, metavar="N",
         help="scenario count per gate check during --gated synthesis "
-        "(default: the FlowConfig default of 128; the final reported sweep "
-        "always uses --samples)",
+        f"(default: the FlowConfig default of {FlowConfig.variation_samples}; "
+        "the final reported sweep always uses --samples)",
     )
     mc.add_argument(
         "--pipeline",
@@ -430,13 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("spec", metavar="SPEC", help=f"instance spec: {_SPEC_HELP}")
     profile.add_argument(
         "--flow",
-        default="contango",
-        help=f"flow to profile (default contango); one of {available_flows()}",
+        default=Job.flow,
+        help=f"flow to profile (default {Job.flow}); one of {available_flows()}",
     )
     profile.add_argument(
         "--engine",
-        default="arnoldi",
-        help="evaluation engine (default arnoldi; also: spice, elmore)",
+        default=Job.engine,
+        help=f"evaluation engine (default {Job.engine}; also: spice, elmore)",
     )
     profile.add_argument(
         "--pipeline",
@@ -686,8 +692,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise _UsageError("at least one --instance is required")
     jobs = JobMatrix(
         instances=args.instance,
-        flows=args.flow or ["contango"],
-        engines=args.engine or ["arnoldi"],
+        flows=args.flow or JobMatrix.flows,
+        engines=args.engine or JobMatrix.engines,
         pipeline=_parse_pipeline(args.pipeline),
         seed=args.seed,
     ).expand()
@@ -834,8 +840,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 key: [v for v in value.split(",") if v]
                 for key, value in _parse_assignments(args.sweeps, "--sweep").items()
             },
-            flows=args.flow or ["contango"],
-            engines=args.engine or ["arnoldi"],
+            flows=args.flow or JobMatrix.flows,
+            engines=args.engine or JobMatrix.engines,
             seed=args.seed,
         ).expand()
 
@@ -935,12 +941,12 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     with _usage_errors(ValueError):  # spec validation as clean CLI errors
         jobs = JobMatrix(
             instances=args.instance,
-            flows=args.flow or ["contango"],
+            flows=args.flow or JobMatrix.flows,
             engines=[args.engine],
             pipeline=_parse_pipeline(args.pipeline),
             seed=args.seed,
             monte_carlo=MonteCarloAxes(
-                samples=tuple(args.samples or [1000]),
+                samples=tuple(args.samples or MonteCarloAxes.samples),
                 family=args.family,
                 skew_limit_ps=args.skew_limit,
                 gated=args.gated,

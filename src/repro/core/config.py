@@ -7,7 +7,7 @@ from typing import List, Optional
 
 from repro.analysis.corners import Corner, ispd09_corners
 from repro.analysis.spice import TransientSolverConfig
-from repro.analysis.variation import VariationModel
+from repro.analysis.variation import YIELD_SKEW_LIMIT_PS, VariationModel
 
 __all__ = ["DEFAULT_PIPELINE", "VARIATION_PIPELINE", "BATCHED_PIPELINE", "FlowConfig"]
 
@@ -105,7 +105,7 @@ class FlowConfig:
     #: Allowed p95-skew increase (ps) before the gate rejects a round.
     variation_p95_tolerance_ps: float = 0.0
     #: Skew limit (ps) used for yield reporting by the gate and `repro mc`.
-    variation_skew_limit_ps: float = 7.5
+    variation_skew_limit_ps: float = YIELD_SKEW_LIMIT_PS
 
     def pipeline_names(self) -> List[str]:
         """The pass names this flow runs, resolving the default pipeline."""

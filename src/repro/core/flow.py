@@ -43,12 +43,6 @@ __all__ = ["ContangoFlow"]
 class ContangoFlow:
     """End-to-end Contango synthesis for a :class:`ClockNetworkInstance`."""
 
-    STAGE_INITIAL = "INITIAL"
-    STAGE_TBSZ = "TBSZ"
-    STAGE_TWSZ = "TWSZ"
-    STAGE_TWSN = "TWSN"
-    STAGE_BWSN = "BWSN"
-
     def __init__(self, config: Optional[FlowConfig] = None) -> None:
         self.config = config or FlowConfig()
 

@@ -34,7 +34,7 @@ from repro.analysis.evaluator import (
     EvaluationReport,
     EvaluatorConfig,
 )
-from repro.analysis.variation import default_variation_model
+from repro.analysis.variation import ANALYTICAL_ENGINES, default_variation_model
 from repro.buffering.fast_buffering import insert_buffers_with_sizing
 from repro.core.bottom_level import bottom_level_fine_tuning
 from repro.core.buffer_sizing import iterative_buffer_sizing
@@ -254,11 +254,11 @@ class PipelineDriver:
         """One shared p95 gate when the pipeline has variation-aware passes."""
         if not any(p.variation_aware for p in self.passes):
             return None
-        if config.engine not in ("elmore", "arnoldi"):
+        if config.engine not in ANALYTICAL_ENGINES:
             raise ValueError(
-                "variation-aware pipeline passes need an analytical engine "
-                "('elmore' or 'arnoldi'): the Monte Carlo gate batches all "
-                f"samples through the moment path, got engine={config.engine!r}"
+                f"variation-aware pipeline passes need an analytical engine {ANALYTICAL_ENGINES}: "
+                "the Monte Carlo gate batches all samples through the moment path, "
+                f"got engine={config.engine!r}"
             )
         return VariationGate(
             evaluator,

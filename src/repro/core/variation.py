@@ -58,10 +58,11 @@ class VariationGate:
         self,
         evaluator: ClockNetworkEvaluator,
         model: VariationModel,
-        samples: int = 128,
-        seed: Optional[int] = None,
-        tolerance_ps: float = 0.0,
-        skew_limit_ps: float = 7.5,
+        *,
+        samples: int,
+        seed: Optional[int],
+        tolerance_ps: float,
+        skew_limit_ps: float,
     ) -> None:
         if samples < 2:
             raise ValueError("the variation gate needs at least 2 samples")

@@ -18,7 +18,7 @@ intersection therefore reduces to rectangle intersection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.geometry.point import Point
 
@@ -71,12 +71,6 @@ class ManhattanArc:
     def length(self) -> float:
         """Manhattan length of the arc (each unit of u or v spans 1 Manhattan unit)."""
         return max(self.uhi - self.ulo, self.vhi - self.vlo)
-
-    def endpoints(self) -> Tuple[Point, Point]:
-        return (
-            Point.from_uv(self.ulo, self.vlo),
-            Point.from_uv(self.uhi, self.vhi),
-        )
 
     def any_point(self) -> Point:
         return Point.from_uv((self.ulo + self.uhi) / 2.0, (self.vlo + self.vhi) / 2.0)

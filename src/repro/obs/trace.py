@@ -63,10 +63,6 @@ __all__ = [
 #: schemas instead of misparsing them (the run-store convention).
 TRACE_SCHEMA = 1
 
-#: Spans kept in a :class:`TraceSummary`'s ``top`` list: every span name of
-#: a default Contango job fits (15 on a TI instance, 16 with obstacle repair).
-SUMMARY_TOP_N = 16
-
 
 class Span:
     """One named region of execution: children, counters, and timing.
@@ -308,8 +304,9 @@ def path_timings(tracer: Tracer) -> Dict[str, Dict[str, float]]:
 class TraceSummary:
     """Aggregate view of one trace, small enough to ride on a job record.
 
-    ``top`` holds the :data:`SUMMARY_TOP_N` span *names* heaviest by
-    aggregated self-time (one entry per distinct name, not per span);
+    ``top`` lists every distinct span *name*, heaviest aggregated self-time
+    first (one entry per name, not per span; ``repro trace --top`` truncates
+    what it prints);
     ``counters`` merges every span's counters and ``paths`` keeps the same
     counters keyed by span path (:func:`path_counters`), which is what
     ``repro trace --diff`` localizes counter drift with.  Serialized under
@@ -358,7 +355,7 @@ class TraceSummary:
         )
 
 
-def summarize(tracer: Tracer, top_n: int = SUMMARY_TOP_N) -> TraceSummary:
+def summarize(tracer: Tracer) -> TraceSummary:
     """Fold a tracer's span forest into a :class:`TraceSummary`."""
     by_name: Dict[str, Dict[str, Any]] = {}
     counters: Dict[str, int] = {}
@@ -373,7 +370,7 @@ def summarize(tracer: Tracer, top_n: int = SUMMARY_TOP_N) -> TraceSummary:
         entry["self_s"] += span.self_s
         for key, amount in span.counters.items():
             counters[key] = counters.get(key, 0) + amount
-    top = sorted(by_name.values(), key=lambda e: (-e["self_s"], e["name"]))[:top_n]
+    top = sorted(by_name.values(), key=lambda e: (-e["self_s"], e["name"]))
     for entry in top:
         entry["total_s"] = round(entry["total_s"], 6)
         entry["self_s"] = round(entry["self_s"], 6)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 import traceback
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis import ClockNetworkEvaluator, EvaluatorConfig
 from repro.analysis.variation import VariationModel, default_variation_model
@@ -50,6 +50,7 @@ from repro.api.records import (
 )
 from repro.baselines import all_baselines
 from repro.core import ContangoFlow, FlowConfig
+from repro.core.config import VARIATION_PIPELINE
 from repro.core.report import FlowResult
 from repro.cts.spec import ClockNetworkInstance
 from repro.obs import NULL_TRACER, Tracer, TracerBase, summarize
@@ -75,7 +76,6 @@ __all__ = [
     "spec_fingerprint",
     "run_job",
     "run_mc_job",
-    "execute_job",
     "execute_job_guarded",
     "execute_job_traced",
     "error_record",
@@ -133,18 +133,56 @@ def _make_flow(flow_name: str, config: FlowConfig) -> object:
     raise ValueError(f"unknown flow {flow_name!r}; available: {available_flows()}")
 
 
-def job_flow_config(spec: JobSpec) -> FlowConfig:
+def job_flow_config(spec: Job) -> FlowConfig:
     """The exact :class:`FlowConfig` :func:`run_job` executes ``spec`` under.
 
     Factored out so the serving layer can digest the same config a worker
     will use -- :func:`spec_fingerprint` must agree bit-for-bit with the
     ``fingerprint`` field of the record the job eventually produces, and the
     only way to guarantee that is to build the config in exactly one place.
+    :func:`mc_flow_config` starts from it.
     """
     config = FlowConfig(engine=spec.engine, seed=spec.seed)
     if spec.pipeline is not None:
         config.pipeline = list(spec.pipeline)
     return config
+
+
+def _fingerprints(
+    spec: Job, instance: ClockNetworkInstance, config: FlowConfig
+) -> Tuple[str, str, str]:
+    """The instance fingerprint, config digest and job fingerprint of ``spec``.
+
+    The one place they are assembled, for :func:`run_job`'s record and for
+    :func:`spec_fingerprint`.  Content-addressing uses the instance's
+    canonical-serialization hash (not the spec string) plus the config
+    digest, so generator or config drift changes the fingerprint even when
+    the spec text stays the same; a Monte Carlo job is re-keyed over its
+    Monte Carlo axes (see :func:`spec_fingerprint`).
+    """
+    instance_fp = instance_fingerprint(instance)
+    config_fp = config_digest(config)
+    digests = [config_fp]
+    if isinstance(spec, McJobSpec):
+        mc_axes = {
+            "samples": spec.samples,
+            "family": spec.family,
+            "skew_limit_ps": spec.skew_limit_ps,
+            "gated": spec.gated,
+            "gate_samples": spec.gate_samples,
+        }
+        digests.append(config_digest({"mc": mc_axes}))
+    fingerprint = instance_fp
+    for digest in digests:
+        fingerprint = job_fingerprint(
+            instance_fingerprint=fingerprint,
+            flow=spec.flow,
+            engine=spec.engine,
+            pipeline=spec.pipeline,
+            seed=spec.seed,
+            config_digest=digest,
+        )
+    return instance_fp, config_fp, fingerprint
 
 
 def run_job(spec: JobSpec, tracer: Optional[Tracer] = None) -> RunRecord:
@@ -167,21 +205,8 @@ def run_job(spec: JobSpec, tracer: Optional[Tracer] = None) -> RunRecord:
         result: FlowResult = _make_flow(spec.flow, config).run(  # type: ignore[attr-defined]
             instance, tracer=tracer
         )
-        # Content-address the computation for the run store: the instance's
-        # canonical-serialization hash (not the spec string) plus the config
-        # digest, so generator or config drift changes the fingerprint even
-        # when the spec text stays the same.
         with active.span("fingerprint"):
-            instance_fp = instance_fingerprint(instance)
-            config_fp = config_digest(config)
-            fingerprint = job_fingerprint(
-                instance_fingerprint=instance_fp,
-                flow=spec.flow,
-                engine=spec.engine,
-                pipeline=spec.pipeline,
-                seed=spec.seed,
-                config_digest=config_fp,
-            )
+            instance_fp, config_fp, fingerprint = _fingerprints(spec, instance, config)
     return RunRecord(
         job=spec.label,
         instance=spec.instance,
@@ -250,16 +275,12 @@ def mc_flow_config(spec: McJobSpec) -> FlowConfig:
     synthesis and the final sweep); shared with :func:`spec_fingerprint` so
     the serving layer digests the config a worker will actually run.
     """
-    config = FlowConfig(engine=spec.engine, seed=spec.seed)
+    config = job_flow_config(spec)
     config.variation_skew_limit_ps = spec.skew_limit_ps
     config.variation_model = variation_model_for(spec, config)
     if spec.gate_samples is not None:
         config.variation_samples = spec.gate_samples
-    if spec.pipeline is not None:
-        config.pipeline = list(spec.pipeline)
-    elif spec.gated:  # spec validation guarantees flow == "contango" here
-        from repro.core.config import VARIATION_PIPELINE
-
+    if spec.gated:  # spec validation: flow == "contango" and no explicit pipeline
         config.pipeline = list(VARIATION_PIPELINE)
     return config
 
@@ -341,67 +362,30 @@ def spec_fingerprint(spec: Job) -> str:
     if isinstance(spec, McJobSpec):
         config = mc_flow_config(spec)
         instance = resolve_instance(JobSpec(instance=spec.instance))
-        base = job_fingerprint(
-            instance_fingerprint=instance_fingerprint(instance),
-            flow=spec.flow,
-            engine=spec.engine,
-            pipeline=spec.pipeline,
-            seed=spec.seed,
-            config_digest=config_digest(config),
-        )
-        return job_fingerprint(
-            instance_fingerprint=base,
-            flow=spec.flow,
-            engine=spec.engine,
-            pipeline=spec.pipeline,
-            seed=spec.seed,
-            config_digest=config_digest(
-                {
-                    "mc": {
-                        "samples": spec.samples,
-                        "family": spec.family,
-                        "skew_limit_ps": spec.skew_limit_ps,
-                        "gated": spec.gated,
-                        "gate_samples": spec.gate_samples,
-                    }
-                }
-            ),
-        )
-    if isinstance(spec, JobSpec):
+    elif isinstance(spec, JobSpec):
+        config = job_flow_config(spec)
         instance = resolve_instance(spec)
-        return job_fingerprint(
-            instance_fingerprint=instance_fingerprint(instance),
-            flow=spec.flow,
-            engine=spec.engine,
-            pipeline=spec.pipeline,
-            seed=spec.seed,
-            config_digest=config_digest(job_flow_config(spec)),
-        )
-    raise TypeError(f"not a fingerprintable job spec: {spec!r}")
+    else:
+        raise TypeError(f"not a fingerprintable job spec: {spec!r}")
+    return _fingerprints(spec, instance, config)[2]
 
 
 # ----------------------------------------------------------------------
 # Worker entry points
 # ----------------------------------------------------------------------
-def execute_job(
-    spec: Job, tracer: Optional[Tracer] = None
-) -> Union[RunRecord, McRecord]:
-    """Run one job of either kind (under ``tracer``, if given) into its record."""
-    if isinstance(spec, McJobSpec):
-        return run_mc_job(spec, tracer=tracer)
-    if isinstance(spec, JobSpec):
-        return run_job(spec, tracer=tracer)
-    raise TypeError(f"not an executable job spec: {spec!r}")
-
-
 def execute_job_guarded(spec: Job, tracer: Optional[Tracer] = None) -> Record:
-    """Worker entry point: never raises, so one bad job cannot kill the batch.
+    """Worker entry point: run one job of either kind (under ``tracer``, if
+    given) into its record, and never raise, so one bad job cannot kill the
+    batch.
 
-    Handles synthesis and Monte Carlo jobs alike -- the default worker of
-    :class:`~repro.api.service.SynthesisService`.
+    The default worker of :class:`~repro.api.service.SynthesisService`.
     """
     try:
-        return execute_job(spec, tracer)
+        if isinstance(spec, McJobSpec):
+            return run_mc_job(spec, tracer=tracer)
+        if isinstance(spec, JobSpec):
+            return run_job(spec, tracer=tracer)
+        raise TypeError(f"not an executable job spec: {spec!r}")
     except Exception:
         return error_record(spec, traceback.format_exc())
 

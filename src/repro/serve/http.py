@@ -83,18 +83,16 @@ def job_from_payload(payload: Mapping[str, Any]) -> Job:
     if not isinstance(instance, str) or not instance:
         raise ValueError("job payload needs a non-empty 'instance' spec string")
     kind = payload.get("kind", "run")
-    kwargs: Dict[str, Any] = {
-        "instance": instance,
-        "flow": payload.get("flow", "contango"),
-        "engine": payload.get("engine", "arnoldi"),
-    }
+    # An absent (or null) field keeps the spec class's default.
+    kwargs: Dict[str, Any] = {"instance": instance}
+    for key in ("flow", "engine", "seed"):
+        if payload.get(key) is not None:
+            kwargs[key] = payload[key]
     pipeline = payload.get("pipeline")
     if pipeline is not None:
         if isinstance(pipeline, str) or not isinstance(pipeline, (list, tuple)):
             raise ValueError("'pipeline' must be a JSON array of pass names")
         kwargs["pipeline"] = tuple(pipeline)
-    if payload.get("seed") is not None:
-        kwargs["seed"] = payload["seed"]
     if kind == "run":
         return JobSpec(**kwargs)
     if kind == "mc":

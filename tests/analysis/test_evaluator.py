@@ -112,6 +112,18 @@ class TestSlewChecks:
         report = fast_evaluator.evaluate(manual_tree)
         assert not report.has_slew_violation
 
+    @pytest.mark.parametrize("engine", ["elmore", "arnoldi", "spice"])
+    def test_predicate_agrees_with_the_violation_list(self, engine, manual_tree):
+        violating = ClockTree(Point(0, 0), source_resistance=200.0, default_wire=WIRES.widest)
+        violating.add_sink(violating.root_id, Point(6000, 0), Sink("far", 100.0))
+        evaluator = ClockNetworkEvaluator(EvaluatorConfig(engine=engine, slew_limit=100.0))
+        verdicts = []
+        for tree in (violating, manual_tree):
+            report = evaluator.evaluate(tree)
+            assert report.has_slew_violation == bool(report.slew_violations)
+            verdicts.append(report.has_slew_violation)
+        assert verdicts == [True, False]
+
     def test_capacitance_limit_flag(self, manual_tree):
         tight = ClockNetworkEvaluator(EvaluatorConfig(engine="arnoldi"), capacitance_limit=10.0)
         loose = ClockNetworkEvaluator(EvaluatorConfig(engine="arnoldi"), capacitance_limit=1e9)

@@ -10,7 +10,7 @@ from repro.api.service import JobEvent, SynthesisService
 from repro.runner import JobError
 from repro.serve import JobScheduler
 from repro.serve.session import FAILED
-from repro.store import RunStore
+from repro.store import RunStore, diff_records
 
 from pool_faults import FATAL_SEED, execute_or_exit
 
@@ -20,7 +20,7 @@ FAST = ("initial",)  # initial-tree-only pipeline keeps service tests quick
 class TestFacadeCalls:
     def test_synthesize_returns_typed_record(self):
         with SynthesisService() as service:
-            record = service.synthesize("ti:30", engine="elmore", pipeline=FAST)
+            record = service.result(JobSpec("ti:30", engine="elmore", pipeline=FAST))
         assert isinstance(record, RunRecord)
         assert record.sinks == 30
         assert record.pipeline == ["initial"]
@@ -28,8 +28,8 @@ class TestFacadeCalls:
 
     def test_monte_carlo_returns_typed_record(self):
         with SynthesisService() as service:
-            record = service.monte_carlo(
-                "ti:30", samples=16, seed=3, pipeline=FAST
+            record = service.result(
+                McJobSpec("ti:30", samples=16, seed=3, pipeline=FAST)
             )
         assert isinstance(record, McRecord)
         assert record.yield_.n_samples == 16
@@ -37,16 +37,18 @@ class TestFacadeCalls:
     def test_failed_single_job_raises_job_error(self):
         with SynthesisService() as service:
             with pytest.raises(JobError, match="unknown instance spec"):
-                service.synthesize("nope:1")
+                service.result(JobSpec("nope:1"))
 
     def test_sweep_runs_a_matrix_in_job_order(self):
         with SynthesisService() as service:
-            batch = service.sweep(
-                families=["banks"],
-                fixed={"sinks": 16},
-                sweeps={"clusters": [2, 4]},
-                engines=["elmore"],
-                pipeline=FAST,
+            batch = service.run(
+                JobMatrix(
+                    families=["banks"],
+                    fixed={"sinks": 16},
+                    sweeps={"clusters": [2, 4]},
+                    engines=["elmore"],
+                    pipeline=FAST,
+                ).expand()
             )
         assert [r.instance for r in batch.records] == [
             "scenario:banks:clusters=2,sinks=16",
@@ -63,7 +65,7 @@ class TestFacadeCalls:
             monte_carlo=MonteCarloAxes(samples=(8,)),
         )
         with SynthesisService() as service:
-            batch = service.sweep(matrix)
+            batch = service.run(matrix.expand())
         (record,) = batch.records
         assert isinstance(record, McRecord)
         assert record.samples == 8
@@ -103,9 +105,7 @@ class TestStreaming:
 
     def test_traced_service_attaches_span_summaries(self):
         with SynthesisService(trace=True) as traced:
-            record = traced.synthesize(
-                "ti:30", engine="elmore", pipeline=FAST, seed=5
-            )
+            record = traced.result(JobSpec("ti:30", engine="elmore", pipeline=FAST, seed=5))
         assert record.trace is not None
         assert record.trace["schema"] == 1
         assert record.trace["spans"] > 0
@@ -114,9 +114,7 @@ class TestStreaming:
         # Tracing never perturbs results: same job untraced, same fingerprint
         # and summary.
         with SynthesisService() as plain:
-            baseline = plain.synthesize(
-                "ti:30", engine="elmore", pipeline=FAST, seed=5
-            )
+            baseline = plain.result(JobSpec("ti:30", engine="elmore", pipeline=FAST, seed=5))
         assert baseline.trace is None
         assert baseline.fingerprint == record.fingerprint
         traced_dict, plain_dict = record.to_record(), baseline.to_record()
@@ -285,10 +283,10 @@ class TestAttachedStore:
     def test_every_call_is_recorded_and_content_addressed(self, tmp_path):
         store = RunStore(tmp_path / "store")
         with SynthesisService(store=store, run_id="api") as service:
-            record = service.synthesize("ti:30", engine="elmore", pipeline=FAST)
-            service.monte_carlo("ti:30", samples=8, seed=3, pipeline=FAST)
+            record = service.result(JobSpec("ti:30", engine="elmore", pipeline=FAST))
+            service.result(McJobSpec("ti:30", samples=8, seed=3, pipeline=FAST))
             with pytest.raises(JobError):
-                service.synthesize("nope:1")
+                service.result(JobSpec("nope:1"))
         stored = store.typed_records(run_id="api")
         assert [type(r) for r in stored] == [RunRecord, McRecord, ErrorRecord]
         assert stored[0].to_record() == record.to_record()
@@ -297,24 +295,18 @@ class TestAttachedStore:
 
     def test_store_path_is_accepted_directly(self, tmp_path):
         with SynthesisService(store=str(tmp_path / "s")) as service:
-            service.synthesize("ti:30", engine="elmore", pipeline=FAST)
+            service.result(JobSpec("ti:30", engine="elmore", pipeline=FAST))
         assert len(RunStore(tmp_path / "s").records(run_id="service")) == 1
 
     def test_compare_diffs_two_store_runs(self, tmp_path):
         store = RunStore(tmp_path / "store")
         for run_id in ("base", "cand"):
             with SynthesisService(store=store, run_id=run_id) as service:
-                service.synthesize("ti:30", engine="elmore", pipeline=FAST)
-        with SynthesisService(store=store) as service:
-            result = service.compare("base", "cand")
+                service.result(JobSpec("ti:30", engine="elmore", pipeline=FAST))
+        result = diff_records(store.records(run_id="base"), store.records(run_id="cand"))
         (row,) = result.rows
         assert not row.regressed
         assert not row.fingerprint_changed
-
-    def test_compare_without_store_is_an_error(self):
-        with SynthesisService() as service:
-            with pytest.raises(ValueError, match="attached RunStore"):
-                service.compare("a", "b")
 
     def test_bad_run_id_rejected_at_construction(self):
         with pytest.raises(ValueError, match="run_id"):
@@ -330,7 +322,7 @@ class TestWarmPool:
                  JobSpec(instance="ti:24", engine="elmore", pipeline=FAST)]
             )
             assert service.pool_started
-            service.synthesize("ti:20", engine="elmore", pipeline=FAST)
+            service.result(JobSpec("ti:20", engine="elmore", pipeline=FAST))
             service.run([JobSpec(instance="ti:20", engine="elmore", pipeline=FAST)])
             assert service.pools_created == 1
             assert service.jobs_dispatched == 4
@@ -393,6 +385,6 @@ class TestWarmPool:
 
     def test_in_process_mode_never_starts_a_pool(self):
         with SynthesisService(max_workers=1) as service:
-            service.synthesize("ti:20", engine="elmore", pipeline=FAST)
+            service.result(JobSpec("ti:20", engine="elmore", pipeline=FAST))
             assert not service.pool_started
             assert service.pools_created == 0

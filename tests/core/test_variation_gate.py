@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import ClockNetworkEvaluator, EvaluatorConfig
-from repro.analysis.variation import default_variation_model
+from repro.analysis.variation import YIELD_SKEW_LIMIT_PS, default_variation_model
 from repro.core import (
     ContangoFlow,
     FlowConfig,
@@ -33,6 +33,8 @@ def _evaluator(instance):
 def _gate(instance, evaluator=None, **kwargs):
     kwargs.setdefault("samples", 64)
     kwargs.setdefault("seed", 11)
+    kwargs.setdefault("tolerance_ps", 0.0)
+    kwargs.setdefault("skew_limit_ps", YIELD_SKEW_LIMIT_PS)
     return VariationGate(
         evaluator or _evaluator(instance), default_variation_model(), **kwargs
     )

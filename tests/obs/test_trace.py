@@ -190,10 +190,19 @@ class TestSummarize:
         assert summary.counters == {"cache_hits": 1, "corners": 4, "stages": 5}
         assert list(summary.counters) == sorted(summary.counters)
 
-    def test_top_n_truncates(self):
+    def test_top_keeps_every_span_name(self):
         tracer = Tracer()
-        record_tree(tracer)
-        assert len(summarize(tracer, top_n=1).top) == 1
+        with tracer.span("job"):
+            for index in range(19):
+                with tracer.span(f"stage{index:02d}"):
+                    pass
+        top = summarize(tracer).top
+        assert len(top) == 20
+        assert {entry["name"] for entry in top} == {"job"} | {
+            f"stage{index:02d}" for index in range(19)
+        }
+        selfs = [entry["self_s"] for entry in top]
+        assert selfs == sorted(selfs, reverse=True)
 
     def test_round_trips_through_its_record_form(self):
         tracer = Tracer()
