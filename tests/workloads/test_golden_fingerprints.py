@@ -32,27 +32,42 @@ SCENARIO_SPECS = [
     "scenario:banks:sinks=16,clusters=4",
 ]
 
+#: Golden key -> (instance spec, job seed) of the pins a job seed selects.  The
+#: maze spec names its own ``seed=5``, which must win over the job's seed 9.
+JOB_SEEDED = {
+    "ti:200:seed11": ("ti:200", 11),
+    "scenario:banks:sinks=16,clusters=4:seed3": ("scenario:banks:sinks=16,clusters=4", 3),
+    "scenario:maze:sinks=16,walls=3,seed=5:seed9": ("scenario:maze:sinks=16,walls=3,seed=5", 9),
+}
+
 PINNED_SPECS = (
     [f"ispd09:{name}" for name in ISPD09_BENCHMARKS]
     + ["ti:200", "ti:1000", "ti:200:seed11"]
     + SCENARIO_SPECS
+    + [key for key in JOB_SEEDED if key.startswith("scenario:")]
 )
 
 
 def compute_fingerprints():
     fingerprints = {}
-    for spec in PINNED_SPECS:
-        if spec == "ti:200:seed11":  # a non-default-seed TI variant
-            instance = resolve_instance(JobSpec(instance="ti:200", seed=11))
-        else:
-            instance = resolve_instance(JobSpec(instance=spec))
-        fingerprints[spec] = instance_fingerprint(instance)
+    for key in PINNED_SPECS:
+        instance, seed = JOB_SEEDED.get(key, (key, None))
+        fingerprints[key] = instance_fingerprint(
+            resolve_instance(JobSpec(instance=instance, seed=seed))
+        )
     return fingerprints
 
 
 def test_generated_instances_match_golden_fingerprints():
     golden = json.loads(GOLDEN_PATH.read_text())["fingerprints"]
     assert compute_fingerprints() == golden
+
+
+def test_a_seed_named_in_the_spec_wins_over_the_job_seed():
+    golden = json.loads(GOLDEN_PATH.read_text())["fingerprints"]
+    spec, _ = JOB_SEEDED["scenario:maze:sinks=16,walls=3,seed=5:seed9"]
+    unseeded = instance_fingerprint(resolve_instance(JobSpec(instance=spec)))
+    assert golden["scenario:maze:sinks=16,walls=3,seed=5:seed9"] == unseeded
 
 
 def test_every_scenario_family_is_pinned():
