@@ -3,7 +3,7 @@
 Constructs a clock subtree whose sinks sit inside and around a large macro
 blockage, runs the three obstacle-repair steps (L-shape flipping, maze
 rerouting, subtree capture + contour detouring), reports what each step did,
-and writes before/after SVG figures next to this script.
+and writes before/after SVG figures to the working directory.
 
 Run with:  python examples/obstacle_detour.py
 """
@@ -60,7 +60,6 @@ def build_scenario():
 
 
 def main() -> None:
-    out_dir = Path(__file__).resolve().parent
     die, obstacles, sinks = build_scenario()
     wires = ispd09_wire_library()
     buffers = ispd09_buffer_library()
@@ -71,7 +70,7 @@ def main() -> None:
     )
     before_wl = tree.total_wirelength()
     before_svg = save_tree_svg(
-        tree, out_dir / "detour_before.svg", obstacles=obstacles, die=die,
+        tree, Path("detour_before.svg"), obstacles=obstacles, die=die,
         title="Before obstacle repair",
     )
 
@@ -80,7 +79,7 @@ def main() -> None:
     report = avoider.repair(tree)
     crossing_after = len(avoider.find_crossing_edges(tree))
     after_svg = save_tree_svg(
-        tree, out_dir / "detour_after.svg", obstacles=obstacles, die=die,
+        tree, Path("detour_after.svg"), obstacles=obstacles, die=die,
         title="After obstacle repair (contour detours + reroutes)",
     )
 

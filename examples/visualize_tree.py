@@ -1,9 +1,10 @@
 """Render an optimized clock tree with the slow-down-slack gradient (Figure 3).
 
 Synthesizes the block-level ISPD'09-style benchmark (fnb1, scaled down by
-default), annotates every wire with its slow-down slack, and writes an SVG in
-the style of Figure 3 of the paper: sinks as crosses, inverters as blue
-rectangles, wires coloured red (no slack) to green (large slack).
+default), annotates every wire with its slow-down slack, and writes
+``fnb1_tree.svg`` to the working directory in the style of Figure 3 of the
+paper: sinks as crosses, inverters as blue rectangles, wires coloured red (no
+slack) to green (large slack).
 
 Run with:  python examples/visualize_tree.py [sink_scale]
 """
@@ -34,7 +35,7 @@ def main() -> None:
     report = evaluator.evaluate(result.tree)
     annotation = annotate_tree_slacks(result.tree, report)
 
-    out = Path(__file__).resolve().parent / "fnb1_tree.svg"
+    out = Path("fnb1_tree.svg")
     save_tree_svg(
         result.tree,
         out,

@@ -8,10 +8,8 @@ interface used by every optimization pass and benchmark.
 
 from repro.analysis.corners import (
     Corner,
-    default_corners,
     driver_scale_for_vdd,
     ispd09_corners,
-    nominal_corner,
     supply_driver_multiplier,
 )
 from repro.analysis.evaluator import (
@@ -33,10 +31,8 @@ from repro.analysis.spice import TransientSolverConfig, transient_stage_timing
 
 __all__ = [
     "Corner",
-    "default_corners",
     "driver_scale_for_vdd",
     "ispd09_corners",
-    "nominal_corner",
     "supply_driver_multiplier",
     "VariationModel",
     "VariationSamples",

@@ -17,9 +17,7 @@ import numpy as np
 
 __all__ = [
     "Corner",
-    "default_corners",
     "ispd09_corners",
-    "nominal_corner",
     "driver_scale_for_vdd",
     "supply_driver_multiplier",
 ]
@@ -131,19 +129,9 @@ def supply_driver_multiplier(vdd: float, vdd_shift: np.ndarray) -> np.ndarray:
     return scaled / (vdd / (vdd - _VTH) ** _ALPHA)
 
 
-def nominal_corner() -> Corner:
-    """The 1.2 V corner used for nominal-skew optimization."""
-    return Corner(name="nominal_1.2V", vdd=1.2, driver_scale=1.0)
-
-
 def ispd09_corners() -> List[Corner]:
     """The two supply corners of the ISPD'09 contest (1.2 V fast, 1.0 V slow)."""
     return [
         Corner(name="fast_1.2V", vdd=1.2, driver_scale=driver_scale_for_vdd(1.2)),
         Corner(name="slow_1.0V", vdd=1.0, driver_scale=driver_scale_for_vdd(1.0)),
     ]
-
-
-def default_corners() -> List[Corner]:
-    """Default corner set: the ISPD'09 pair."""
-    return ispd09_corners()

@@ -1116,12 +1116,6 @@ class ClockNetworkEvaluator:
         stats["candidate_fallbacks"] = self.candidate_fallbacks
         return stats
 
-    def clear_cache(self) -> None:
-        """Drop all cached stage analyses (results are unaffected)."""
-        self.cache.clear()
-        self._prop = None
-        self._snapshot = _RevisionSnapshot()
-
     # ------------------------------------------------------------------
     # The propagation kernel
     # ------------------------------------------------------------------

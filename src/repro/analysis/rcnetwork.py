@@ -105,14 +105,6 @@ class StageNetwork:
     def size(self) -> int:
         return len(self.parent)
 
-    def children_lists(self) -> List[List[int]]:
-        """Return the child adjacency derived from the parent array."""
-        children: List[List[int]] = [[] for _ in range(self.size)]
-        for idx, par in enumerate(self.parent):
-            if par >= 0:
-                children[par].append(idx)
-        return children
-
     def downstream_capacitance(self) -> List[float]:
         """Total capacitance at or below each network node (O(n))."""
         downstream = list(self.capacitance)

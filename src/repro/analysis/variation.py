@@ -81,14 +81,6 @@ class VariationSamples:
     wire_cap: np.ndarray
     vdd_shift: np.ndarray
 
-    @property
-    def n_samples(self) -> int:
-        return self.driver.shape[0]
-
-    @property
-    def n_stages(self) -> int:
-        return self.driver.shape[1]
-
 
 @dataclass(frozen=True)
 class VariationModel:
@@ -165,36 +157,14 @@ class VariationModel:
 
         The anchors are ordered strongest supply first, so the reference
         anchor (``t = 0``, all multipliers exactly 1) coincides with the
-        evaluator's fast corner and :meth:`anchor_corner` round-trips the
-        input corners at integer ``t``.
+        evaluator's fast corner; sampling interpolates between consecutive
+        anchors (see :meth:`_sample_anchored`).
         """
         if len(corners) < 2:
             raise ValueError("from_corners needs at least two corners")
         anchors = tuple(sorted(corners, key=lambda c: -c.vdd))
         overrides.setdefault("family", "corner_anchored")
         return cls(anchors=anchors, **overrides)
-
-    def anchor_corner(self, t: float) -> Corner:
-        """The interpolated corner at anchor coordinate ``t``.
-
-        ``t = 0`` is the first (strongest-supply) anchor, ``t = 1`` the next,
-        and so on; fractional ``t`` interpolates every scale linearly, so
-        ``anchor_corner(i)`` reproduces the ``i``-th anchor exactly -- the
-        round-trip property the corner tests pin down.
-        """
-        if self.family != "corner_anchored":
-            raise ValueError("anchor_corner is only defined for corner_anchored models")
-        grid = np.arange(len(self.anchors), dtype=float)
-        t = float(np.clip(t, 0.0, grid[-1]))
-        if t == int(t):  # exact anchors round-trip bit-for-bit
-            return self.anchors[int(t)]
-        return Corner(
-            name=f"anchor@t={t:g}",
-            vdd=float(np.interp(t, grid, [a.vdd for a in self.anchors])),
-            driver_scale=float(np.interp(t, grid, [a.driver_scale for a in self.anchors])),
-            wire_res_scale=float(np.interp(t, grid, [a.wire_res_scale for a in self.anchors])),
-            wire_cap_scale=float(np.interp(t, grid, [a.wire_cap_scale for a in self.anchors])),
-        )
 
     @property
     def perturbs_wire_cap(self) -> bool:
@@ -442,10 +412,6 @@ class YieldReport:
     def slew_yield(self) -> float:
         """Fraction of scenarios with every tap slew inside the limit."""
         return float((self.worst_slew_samples <= self.slew_limit_ps).mean())
-
-    def yield_at(self, skew_limit_ps: float) -> float:
-        """Skew yield against an arbitrary limit (for yield-vs-limit curves)."""
-        return float((self.skew_samples <= skew_limit_ps).mean())
 
     def summary(self) -> Dict[str, object]:
         """Compact JSON-able record (no raw sample arrays)."""

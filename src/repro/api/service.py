@@ -158,11 +158,6 @@ class SynthesisService:
     # ------------------------------------------------------------------
     # Pool lifecycle
     # ------------------------------------------------------------------
-    @property
-    def pool_started(self) -> bool:
-        """True once the warm pool exists (it never exists at ``max_workers=1``)."""
-        return self._executor is not None
-
     def _pool(self) -> Executor:
         if self._closed:
             raise RuntimeError("SynthesisService is closed")

@@ -18,6 +18,7 @@ from repro.cts.tree import ClockTree
 from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.geometry.segment import Segment
 
 __all__ = [
     "BufferStation",
@@ -123,7 +124,6 @@ def _position_along_route(route: List[Point], distance_from_start: float) -> Poi
     for a, b in zip(route, route[1:]):
         seg = a.manhattan_to(b)
         if seg >= remaining and seg > 0.0:
-            t = remaining / seg
-            return Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
+            return Segment(a, b).point_at(remaining / seg)
         remaining -= seg
     return route[-1]

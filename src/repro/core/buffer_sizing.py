@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.analysis.evaluator import ClockNetworkEvaluator, EvaluationReport
-from repro.core.buffer_sliding import find_trunk_chain
+from repro.core.buffer_sliding import trunk_buffer_nodes
 from repro.core.ivc import IvcEngine, IvcGate, IvcState, capacitance_cap_constraints
 from repro.core.tuning import PassResult
 from repro.cts.tree import ClockTree
@@ -142,9 +142,7 @@ def _apply_sizing_step(
     capacitance_limit: Optional[float],
 ) -> int:
     """Upsize trunk + upper-branch buffers by ``growth``; borrow capacitance if needed."""
-    trunk_nodes: Set[int] = {
-        node_id for node_id in find_trunk_chain(tree) if tree.node(node_id).has_buffer
-    }
+    trunk_nodes: Set[int] = set(trunk_buffer_nodes(tree))
     depths = buffer_depths(tree)
     trunk_depth = max((depths[n] for n in trunk_nodes), default=0)
     upper_branch = {

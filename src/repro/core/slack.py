@@ -46,14 +46,6 @@ class SinkSlacks:
     slow: Dict[int, float]
     fast: Dict[int, float]
 
-    def worst_sink(self) -> int:
-        """The sink with zero slow-down slack (the slowest sink)."""
-        return min(self.slow, key=lambda node_id: self.slow[node_id])
-
-    def fastest_sink(self) -> int:
-        """The sink with zero speed-up slack (the fastest sink)."""
-        return min(self.fast, key=lambda node_id: self.fast[node_id])
-
 
 @dataclass
 class SlackAnnotation:

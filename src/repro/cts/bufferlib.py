@@ -141,10 +141,6 @@ class BufferLibrary:
     def __iter__(self) -> Iterator[BufferType]:
         return iter(self._types)
 
-    @property
-    def types(self) -> List[BufferType]:
-        return list(self._types)
-
     def by_name(self, name: str) -> BufferType:
         try:
             return self._types[self._index[name]]

@@ -39,7 +39,6 @@ from repro.geometry.maze import MazeRouteError, MazeRouter
 from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.geometry.segment import Segment
 
 __all__ = [
     "ObstacleAvoidanceReport",
@@ -134,22 +133,16 @@ class ObstacleAvoider:
         for node in tree.nodes():
             if node.parent is None:
                 continue
-            if self._route_crosses(node.route):
+            if not self.obstacles.is_route_clear(node.route):
                 crossing.append(node.node_id)
         return crossing
-
-    def _route_crosses(self, route: Sequence[Point]) -> bool:
-        for a, b in zip(route, route[1:]):
-            if self.obstacles.crossing_obstacles(Segment(a, b)):
-                return True
-        return False
 
     def _reroute_crossing_edges(self, tree: ClockTree, report: ObstacleAvoidanceReport) -> None:
         for node in list(tree.preorder()):
             if node.parent is None:
                 continue
             report.edges_checked += 1
-            if not self._route_crosses(node.route):
+            if self.obstacles.is_route_clear(node.route):
                 continue
             parent = tree.parent_of(node.node_id)
             if self._endpoint_blocked(parent.position) or self._endpoint_blocked(node.position):
@@ -183,7 +176,7 @@ class ObstacleAvoider:
     def _clear_lshape(self, start: Point, end: Point) -> Optional[List[Point]]:
         for candidate in lshape_routes(start, end):
             points = _dedupe([candidate.start, candidate.bend, candidate.end])
-            if not self._route_crosses(points):
+            if self.obstacles.is_route_clear(points):
                 return points
         return None
 

@@ -42,9 +42,6 @@ class ClockNetworkInstance:
     def sink_count(self) -> int:
         return len(self.sinks)
 
-    def total_sink_capacitance(self) -> float:
-        return sum(s.capacitance for s in self.sinks)
-
     def validate(self) -> None:
         """Check basic consistency of the instance."""
         if not self.sinks:

@@ -536,9 +536,6 @@ class ClockTree:
         """All nodes carrying a buffer/inverter."""
         return [n for n in self._nodes.values() if n.has_buffer]
 
-    def children_of(self, node_id: int) -> List[TreeNode]:
-        return [self._nodes[c] for c in self.node(node_id).children]
-
     def parent_of(self, node_id: int) -> Optional[TreeNode]:
         parent = self.node(node_id).parent
         return None if parent is None else self._nodes[parent]
@@ -575,9 +572,6 @@ class ClockTree:
             path.append(node)
             current = node.parent
         return path
-
-    def depth_of(self, node_id: int) -> int:
-        return len(self.path_to_root(node_id)) - 1
 
     def subtree_node_ids(self, node_id: int) -> List[int]:
         return [n.node_id for n in self.preorder(node_id)]

@@ -2,9 +2,9 @@
 
 The ISPD'09 CNS contest provided two wire codes (a default and a wide wire);
 clock wire *sizing* in Contango means switching an edge between library
-entries.  "Downsizing" selects a narrower (higher-resistance) wire, which
-slows the downstream sinks; "upsizing" selects a wider (lower-resistance,
-higher-capacitance) wire, which speeds them up at a power cost.
+entries.  The flow builds every edge with the widest wire and only ever
+*downsizes*: it selects a narrower (higher-resistance, lower-capacitance)
+wire, which slows the downstream sinks.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class WireLibrary:
     """An ordered collection of wire types, from narrowest to widest.
 
     "Narrow" means high resistance per unit length.  The ordering defines what
-    wire up-/down-sizing means for the optimization passes.
+    wire downsizing means for the optimization passes.
     """
 
     def __init__(self, types: Sequence[WireType]) -> None:
@@ -73,10 +73,6 @@ class WireLibrary:
 
     def __contains__(self, wire: WireType) -> bool:
         return wire.name in self._index
-
-    @property
-    def narrowest(self) -> WireType:
-        return self._types[0]
 
     @property
     def widest(self) -> WireType:
@@ -107,16 +103,8 @@ class WireLibrary:
         idx = self.index_of(wire)
         return self._types[max(idx - 1, 0)]
 
-    def wider(self, wire: WireType) -> WireType:
-        """Return the next-wider wire type, or ``wire`` if already widest."""
-        idx = self.index_of(wire)
-        return self._types[min(idx + 1, len(self._types) - 1)]
-
     def can_downsize(self, wire: WireType) -> bool:
         return self.index_of(wire) > 0
-
-    def can_upsize(self, wire: WireType) -> bool:
-        return self.index_of(wire) < len(self._types) - 1
 
 
 def ispd09_wire_library() -> WireLibrary:

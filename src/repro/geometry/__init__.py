@@ -14,7 +14,7 @@ This package provides those primitives plus two routing helpers:
   obstacle-overlap scoring.
 """
 
-from repro.geometry.point import Point, manhattan_distance
+from repro.geometry.point import Point
 from repro.geometry.segment import Segment, LShape
 from repro.geometry.rect import Rect
 from repro.geometry.trr import ManhattanArc, TRR, merging_segment
@@ -24,7 +24,6 @@ from repro.geometry.lshape import lshape_routes, best_lshape
 
 __all__ = [
     "Point",
-    "manhattan_distance",
     "Segment",
     "LShape",
     "Rect",

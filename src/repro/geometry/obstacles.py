@@ -29,10 +29,6 @@ class Obstacle:
     rect: Rect
     name: str = ""
 
-    @property
-    def area(self) -> float:
-        return self.rect.area
-
 
 @dataclass
 class CompoundObstacle:
@@ -199,7 +195,3 @@ class ObstacleSet:
             return min(legal, key=lambda c: p.manhattan_to(c))
         span = max((o.rect.width + o.rect.height for o in self._obstacles), default=1.0)
         return self.nearest_legal_point(p, die, step=max(span / 100.0, 1.0))
-
-    def total_blocked_area(self) -> float:
-        """Sum of member areas (overlaps double-counted; used only for reporting)."""
-        return sum(o.area for o in self._obstacles)

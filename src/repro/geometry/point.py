@@ -8,9 +8,9 @@ The choice of unit only matters for the technology constants in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
+from typing import Iterator
 
-__all__ = ["Point", "manhattan_distance", "bounding_box_of_points"]
+__all__ = ["Point"]
 
 
 @dataclass(frozen=True, order=True)
@@ -24,10 +24,6 @@ class Point:
         """Return the Manhattan (L1) distance to ``other``."""
         return abs(self.x - other.x) + abs(self.y - other.y)
 
-    def euclidean_to(self, other: "Point") -> float:
-        """Return the Euclidean (L2) distance to ``other``."""
-        return ((self.x - other.x) ** 2 + (self.y - other.y) ** 2) ** 0.5
-
     def translated(self, dx: float, dy: float) -> "Point":
         """Return a copy shifted by ``(dx, dy)``."""
         return Point(self.x + dx, self.y + dy)
@@ -35,10 +31,6 @@ class Point:
     def midpoint(self, other: "Point") -> "Point":
         """Return the Euclidean midpoint between this point and ``other``."""
         return Point((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-
-    def as_tuple(self) -> Tuple[float, float]:
-        """Return ``(x, y)`` as a plain tuple."""
-        return (self.x, self.y)
 
     def is_close(self, other: "Point", tol: float = 1e-9) -> bool:
         """Return True when both coordinates match within ``tol``."""
@@ -65,18 +57,3 @@ class Point:
     def from_uv(u: float, v: float) -> "Point":
         """Build a point from rotated coordinates ``u = x + y``, ``v = x - y``."""
         return Point((u + v) / 2.0, (u - v) / 2.0)
-
-
-def manhattan_distance(a: Point, b: Point) -> float:
-    """Return the Manhattan distance between two points."""
-    return a.manhattan_to(b)
-
-
-def bounding_box_of_points(points: Iterable[Point]) -> Tuple[float, float, float, float]:
-    """Return ``(xmin, ymin, xmax, ymax)`` of a non-empty iterable of points."""
-    pts = list(points)
-    if not pts:
-        raise ValueError("bounding_box_of_points() requires at least one point")
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    return (min(xs), min(ys), max(xs), max(ys))

@@ -30,16 +30,6 @@ class Rect:
         """Build the bounding rectangle of two corner points."""
         return Rect(min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
 
-    @staticmethod
-    def from_center(center: Point, width: float, height: float) -> "Rect":
-        """Build a rectangle of the given size centred on ``center``."""
-        return Rect(
-            center.x - width / 2.0,
-            center.y - height / 2.0,
-            center.x + width / 2.0,
-            center.y + height / 2.0,
-        )
-
     @property
     def width(self) -> float:
         return self.xhi - self.xlo
@@ -140,9 +130,3 @@ class Rect:
         return Point(
             min(max(p.x, self.xlo), self.xhi), min(max(p.y, self.ylo), self.yhi)
         )
-
-    def distance_to_point(self, p: Point) -> float:
-        """Return the Manhattan distance from ``p`` to the rectangle (0 if inside)."""
-        dx = max(self.xlo - p.x, 0.0, p.x - self.xhi)
-        dy = max(self.ylo - p.y, 0.0, p.y - self.yhi)
-        return dx + dy

@@ -68,11 +68,6 @@ class Segment:
             self.a.y + (self.b.y - self.a.y) * fraction,
         )
 
-    def split_at(self, fraction: float) -> List["Segment"]:
-        """Split the segment into two at the given fraction."""
-        mid = self.point_at(fraction)
-        return [Segment(self.a, mid), Segment(mid, self.b)]
-
     def intersects_rect(self, rect: Rect, *, strict: bool = True) -> bool:
         """Return True when the segment crosses the interior of ``rect``.
 

@@ -54,37 +54,10 @@ class ManhattanArc:
     def from_point(p: Point) -> "ManhattanArc":
         return ManhattanArc(p.u, p.u, p.v, p.v)
 
-    @staticmethod
-    def from_endpoints(a: Point, b: Point) -> "ManhattanArc":
-        """Build an arc from two points that lie on a common +/-45-degree line."""
-        ulo, uhi = sorted((a.u, b.u))
-        vlo, vhi = sorted((a.v, b.v))
-        if uhi - ulo > _TOL and vhi - vlo > _TOL:
-            raise ValueError(f"points {a} and {b} do not lie on a Manhattan arc")
-        return ManhattanArc(ulo, uhi, vlo, vhi)
-
-    @property
-    def is_point(self) -> bool:
-        return self.uhi - self.ulo <= _TOL and self.vhi - self.vlo <= _TOL
-
     @property
     def length(self) -> float:
         """Manhattan length of the arc (each unit of u or v spans 1 Manhattan unit)."""
         return max(self.uhi - self.ulo, self.vhi - self.vlo)
-
-    def any_point(self) -> Point:
-        return Point.from_uv((self.ulo + self.uhi) / 2.0, (self.vlo + self.vhi) / 2.0)
-
-    def distance_to_point(self, p: Point) -> float:
-        """Manhattan distance from ``p`` to the closest point of the arc."""
-        du = max(self.ulo - p.u, 0.0, p.u - self.uhi)
-        dv = max(self.vlo - p.v, 0.0, p.v - self.vhi)
-        # In rotated space the Manhattan distance between two points equals
-        # max(|du|, |dv|) ... actually L1(x,y) == max(|du|,|dv|) when both are
-        # measured between single points; for separations along independent
-        # axes of an axis-aligned region the closest point realises both gaps
-        # simultaneously, so the distance is max(du, dv).
-        return max(du, dv)
 
     def closest_point_to(self, p: Point) -> Point:
         """Return the point of the arc closest (in Manhattan distance) to ``p``."""

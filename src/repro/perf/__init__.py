@@ -42,7 +42,7 @@ from repro.perf.compare import (
     diff_counter_maps,
     diff_path_counters,
 )
-from repro.perf.ledger import PerfLedger, entry_key
+from repro.perf.ledger import PerfLedger
 from repro.perf.trend import trend_columns, trend_rows
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "run_case",
     "timing_stats",
     "PerfLedger",
-    "entry_key",
     "TimingBands",
     "PerfComparison",
     "compare_entries",

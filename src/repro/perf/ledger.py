@@ -10,31 +10,22 @@ never rewrites existing lines, a torn last line is skipped and repaired,
 and readers reject lines from a newer schema rather than misinterpreting
 them.
 
-Entries are keyed by ``(case, fingerprint, package_version)`` -- the
-trajectory of one case on one workload across package versions is the
-slice ``repro perf trend`` renders, and ``repro perf compare`` only diffs
-entries whose case and fingerprint agree.
+Each entry carries its ``case``, workload ``fingerprint`` and
+``package_version``: ``repro perf trend`` renders one case's entries in
+append order, and ``repro perf compare`` only diffs entries whose case and
+fingerprint agree.
 """
 
 from __future__ import annotations
 
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.perf.case import PERF_SCHEMA
 from repro.store.log import AppendOnlyLog
 
-__all__ = ["PerfLedger", "entry_key"]
-
-
-def entry_key(entry: Dict[str, Any]) -> Tuple[str, str, str]:
-    """The identity a ledger entry is keyed (and compared) by."""
-    return (
-        str(entry.get("case", "")),
-        str(entry.get("fingerprint", "")),
-        str(entry.get("package_version", "")),
-    )
+__all__ = ["PerfLedger"]
 
 
 class PerfLedger:
@@ -75,26 +66,13 @@ class PerfLedger:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def entries(
-        self,
-        case: Optional[str] = None,
-        fingerprint: Optional[str] = None,
-        package_version: Optional[str] = None,
-    ) -> List[Dict[str, Any]]:
-        """Stored entries, in append order, filtered by the key axes."""
-        selected: List[Dict[str, Any]] = []
-        for entry in self.log.read():
-            if case is not None and entry.get("case") != case:
-                continue
-            if fingerprint is not None and entry.get("fingerprint") != fingerprint:
-                continue
-            if (
-                package_version is not None
-                and entry.get("package_version") != package_version
-            ):
-                continue
-            selected.append(entry)
-        return selected
+    def entries(self, case: Optional[str] = None) -> List[Dict[str, Any]]:
+        """Stored entries in append order, only ``case``'s when given."""
+        return [
+            entry
+            for entry in self.log.read()
+            if case is None or entry.get("case") == case
+        ]
 
     def cases(self) -> List[str]:
         """Distinct case names in first-appended order."""
@@ -105,14 +83,7 @@ class PerfLedger:
                 seen.append(name)
         return seen
 
-    def latest(
-        self,
-        case: str,
-        fingerprint: Optional[str] = None,
-        package_version: Optional[str] = None,
-    ) -> Optional[Dict[str, Any]]:
+    def latest(self, case: str) -> Optional[Dict[str, Any]]:
         """The most recent entry of ``case`` (``None`` if absent)."""
-        matching = self.entries(
-            case=case, fingerprint=fingerprint, package_version=package_version
-        )
+        matching = self.entries(case)
         return matching[-1] if matching else None

@@ -54,7 +54,7 @@ from repro.core.config import VARIATION_PIPELINE
 from repro.core.report import FlowResult
 from repro.cts.spec import ClockNetworkInstance
 from repro.obs import NULL_TRACER, Tracer, TracerBase, summarize
-from repro.scenarios import parse_scenario_overrides
+from repro.scenarios import generate_scenario
 from repro.seeding import derive_rng
 from repro.store.fingerprint import config_digest, job_fingerprint
 from repro.workloads import (
@@ -109,13 +109,7 @@ def resolve_instance(spec: Job) -> ClockNetworkInstance:
         name, _, scale = rest.partition(":")
         return generate_ispd09_benchmark(name, sink_scale=float(scale) if scale else None)
     if kind == "scenario":
-        family, overrides = parse_scenario_overrides(spec.instance)
-        params = family.resolve(overrides)
-        # An explicit seed= inside the spec pins the instance; otherwise the
-        # job seed selects the scenario variant, mirroring the ti: behavior.
-        if spec.seed is not None and "seed" not in overrides:
-            params["seed"] = spec.seed
-        return family.generate(**params)
+        return generate_scenario(spec.instance, seed=spec.seed)
     if kind == "file":
         return read_instance(rest)
     raise ValueError(

@@ -3,7 +3,9 @@
 See :mod:`repro.scenarios.base` for the family/registry machinery and
 :mod:`repro.scenarios.families` for the built-in families (importing this
 package registers them).  Spec strings look like ``scenario:maze:sinks=64``
-and resolve anywhere an instance spec is accepted.
+and resolve anywhere an instance spec is accepted: :func:`generate_scenario`
+materializes one, with the job seed selecting the variant unless the spec
+names its own ``seed=``.
 """
 
 from repro.scenarios.base import (
@@ -16,7 +18,6 @@ from repro.scenarios.base import (
     generate_scenario,
     get_family,
     parse_scenario_overrides,
-    parse_scenario_spec,
     register_family,
     scenario_names,
 )
@@ -32,7 +33,6 @@ __all__ = [
     "generate_scenario",
     "get_family",
     "parse_scenario_overrides",
-    "parse_scenario_spec",
     "register_family",
     "scenario_names",
 ]

@@ -37,7 +37,6 @@ __all__ = [
     "get_family",
     "scenario_names",
     "parse_scenario_overrides",
-    "parse_scenario_spec",
     "generate_scenario",
     "canonical_scenario_spec",
     "expand_sweep",
@@ -188,9 +187,8 @@ def parse_scenario_overrides(spec: str) -> Tuple[ScenarioFamily, Dict[str, str]]
     """Parse ``[scenario:]<family>[:k=v,...]`` into (family, raw overrides).
 
     The overrides dict holds only the parameters the spec *explicitly* names
-    (unvalidated beyond syntax) -- callers that need to know whether e.g.
-    ``seed`` was given use this; :func:`parse_scenario_spec` resolves to the
-    full parameter set.
+    (unvalidated beyond syntax), so a caller can tell whether e.g. ``seed``
+    was given; ``family.resolve(overrides)`` gives the full parameter set.
     """
     body = spec[len("scenario:"):] if spec.startswith("scenario:") else spec
     family_name, _, param_text = body.partition(":")
@@ -209,12 +207,6 @@ def parse_scenario_overrides(spec: str) -> Tuple[ScenarioFamily, Dict[str, str]]
     return family, overrides
 
 
-def parse_scenario_spec(spec: str) -> Tuple[ScenarioFamily, Dict[str, ParamValue]]:
-    """Parse ``[scenario:]<family>[:k=v,...]`` into (family, resolved params)."""
-    family, overrides = parse_scenario_overrides(spec)
-    return family, family.resolve(overrides)
-
-
 def canonical_scenario_spec(
     family: ScenarioFamily,
     params: Mapping[str, ParamValue],
@@ -224,8 +216,8 @@ def canonical_scenario_spec(
 
     Parameters named in ``keep`` are emitted even at their default value --
     sweeps use this for ``seed``, because an elided default seed would fall
-    through to the job-level ``--seed`` override in
-    :func:`repro.runner.resolve_instance` and silently change the instance.
+    through to the job-level ``--seed`` that :func:`generate_scenario` applies
+    and silently change the instance.
     """
     resolved = family.resolve(params)
     tags = [
@@ -238,9 +230,17 @@ def canonical_scenario_spec(
     return f"scenario:{family.name}:" + ",".join(tags)
 
 
-def generate_scenario(spec: str) -> ClockNetworkInstance:
-    """Materialize the instance a ``scenario:`` spec string names."""
-    family, params = parse_scenario_spec(spec)
+def generate_scenario(spec: str, seed: Optional[int] = None) -> ClockNetworkInstance:
+    """Materialize the instance a ``scenario:`` spec string names.
+
+    ``seed`` is the job seed: it selects the scenario variant, as it does for
+    ``ti:`` instances, unless the spec string names its own ``seed=``, which
+    pins the instance and wins.
+    """
+    family, overrides = parse_scenario_overrides(spec)
+    params = family.resolve(overrides)
+    if seed is not None and "seed" not in overrides:
+        params["seed"] = seed
     return family.generate(**params)
 
 

@@ -185,6 +185,8 @@ class ServeApp:
                     length = int(value.strip())
                 except ValueError as exc:
                     raise HttpError(400, "bad Content-Length") from exc
+        if length < 0:
+            raise HttpError(400, "bad Content-Length")
         if length > MAX_BODY_BYTES:
             raise HttpError(400, f"body larger than {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
@@ -305,7 +307,6 @@ async def run_app(
     port: int = 8765,
     max_queue: int = 64,
     policy: str = "wait",
-    workers: Optional[int] = None,
     port_file: Union[str, Path, None] = None,
     ready: Optional[Callable[[int], None]] = None,
 ) -> None:
@@ -315,7 +316,7 @@ async def run_app(
     ``port_file`` (when given) and passed to ``ready`` once the server is
     accepting, so scripted callers need no sleep-and-retry loop.
     """
-    scheduler = JobScheduler(service, max_queue=max_queue, policy=policy, workers=workers)
+    scheduler = JobScheduler(service, max_queue=max_queue, policy=policy)
     await scheduler.start()
     app = ServeApp(scheduler)
     server = await asyncio.start_server(app.handle, host=host, port=port)
@@ -336,23 +337,14 @@ class ServerHandle:
 
     ``start()`` blocks until the socket is bound and returns the handle;
     ``stop()`` drains the scheduler, closes the server and joins the thread.
-    The handle exposes ``port`` for clients and ``scheduler`` for
-    assertions about executions, queue state and cache counters.
+    The stack runs a default :class:`JobScheduler` and listens on an
+    ephemeral loopback port.  The handle exposes ``port`` for clients and
+    ``scheduler`` for assertions about executions, queue state and cache
+    counters.
     """
 
-    def __init__(
-        self,
-        service: SynthesisService,
-        host: str = "127.0.0.1",
-        max_queue: int = 64,
-        policy: str = "wait",
-        workers: Optional[int] = None,
-    ) -> None:
+    def __init__(self, service: SynthesisService) -> None:
         self.service = service
-        self.host = host
-        self.max_queue = max_queue
-        self.policy = policy
-        self.workers = workers
         self.port = 0
         self.scheduler: Optional[JobScheduler] = None
         self._thread: Optional[threading.Thread] = None
@@ -395,16 +387,11 @@ class ServerHandle:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._shutdown = asyncio.Event()
-        scheduler = JobScheduler(
-            self.service,
-            max_queue=self.max_queue,
-            policy=self.policy,
-            workers=self.workers,
-        )
+        scheduler = JobScheduler(self.service)
         self.scheduler = scheduler
         await scheduler.start()
         server = await asyncio.start_server(
-            ServeApp(scheduler).handle, host=self.host, port=0
+            ServeApp(scheduler).handle, host="127.0.0.1", port=0
         )
         self.port = int(server.sockets[0].getsockname()[1])
         self._ready.set()

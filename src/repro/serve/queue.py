@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Generic, List, Optional, TypeVar
+from typing import Deque, Dict, Generic, Optional, TypeVar
 
 __all__ = ["QueueFullError", "QueuedItem", "FairQueue"]
 
@@ -63,14 +63,6 @@ class FairQueue(Generic[T]):
     def full(self) -> bool:
         return self._size >= self.max_depth
 
-    def depth(self, client: Optional[str] = None) -> int:
-        """Queued item count, overall or for one client."""
-        if client is None:
-            return self._size
-        return sum(
-            len(bucket[client]) for bucket in self._buckets.values() if client in bucket
-        )
-
     def push(self, client: str, payload: T, priority: int = 0) -> QueuedItem[T]:
         """Enqueue one item; raises :class:`QueueFullError` at ``max_depth``."""
         if self.full:
@@ -103,12 +95,3 @@ class FairQueue(Generic[T]):
             del self._buckets[priority]
         self._size -= 1
         return item
-
-    def clients(self) -> List[str]:
-        """Distinct clients with queued work, in rotation order (highest band first)."""
-        seen: List[str] = []
-        for priority in sorted(self._buckets, reverse=True):
-            for client in self._buckets[priority]:
-                if client not in seen:
-                    seen.append(client)
-        return seen

@@ -26,14 +26,14 @@ identical submission re-executes.
 Concurrency notes: all mutable scheduler state is touched only from the
 owning event loop; the only worker threads are the executor bridge (job
 fingerprinting, and inline execution for poolless services), which runs pure
-functions and returns results to the loop.  The stack-based
-:class:`~repro.obs.Tracer` is not safe for spans held across ``await`` by
-concurrent coroutines, so the scheduler confines spans to synchronous
-bridge sections and reports everything else through :meth:`JobScheduler.stats`
-counters.  Those include ``evaluator``: the sum of the ``evaluator_cache`` of
-every :class:`~repro.api.records.RunRecord` the service returned, so work done
-inside pool workers shows up too (cache hits and coalesced followers add
-nothing; Monte Carlo records carry no evaluator counters).
+functions and returns results to the loop.  The scheduler opens no tracer
+spans (the stack-based :class:`~repro.obs.Tracer` is not safe for spans held
+across ``await`` by concurrent coroutines); it reports through
+:meth:`JobScheduler.stats` counters.  Those include ``evaluator``: the sum of
+the ``evaluator_cache`` of every :class:`~repro.api.records.RunRecord` the
+service returned, so work done inside pool workers shows up too (cache hits
+and coalesced followers add nothing; Monte Carlo records carry no evaluator
+counters).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from typing import Dict, List, Optional
 from repro.api.jobs import Job
 from repro.api.records import ErrorRecord, Record, RunRecord
 from repro.api.service import JobEvent, SynthesisService
-from repro.obs import NULL_TRACER, TracerBase
 from repro.runner import error_record, spec_fingerprint
 from repro.serve.cache import ResultCache
 from repro.serve.queue import FairQueue, QueueFullError
@@ -76,7 +75,6 @@ class JobScheduler:
         max_queue: int = 64,
         policy: str = "wait",
         workers: Optional[int] = None,
-        tracer: TracerBase = NULL_TRACER,
     ) -> None:
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
@@ -84,7 +82,6 @@ class JobScheduler:
         self.policy = policy
         self.registry = SessionRegistry()
         self.cache = ResultCache(service.store)
-        self.tracer = tracer
         self._queue: FairQueue[JobState] = FairQueue(max_queue)
         #: fingerprint -> [leader, *followers] for work not yet completed.
         self._inflight: Dict[str, List[JobState]] = {}
@@ -195,9 +192,7 @@ class JobScheduler:
         if self._closing or self._closed:
             raise RuntimeError("JobScheduler is closing")
         loop = asyncio.get_running_loop()
-        fingerprint = await loop.run_in_executor(
-            self._bridge, self._fingerprint_sync, job
-        )
+        fingerprint = await loop.run_in_executor(self._bridge, spec_fingerprint, job)
         state = self.registry.create(
             job=job, client=client, priority=priority, fingerprint=fingerprint
         )
@@ -226,10 +221,6 @@ class JobScheduler:
         self._inflight[fingerprint] = [state]
         await self._enqueue(state)
         return state
-
-    def _fingerprint_sync(self, job: Job) -> str:
-        with self.tracer.span("serve.fingerprint"):
-            return spec_fingerprint(job)
 
     async def _enqueue(self, state: JobState) -> None:
         while True:

@@ -12,9 +12,8 @@ from repro.workloads.ispd09 import (
     ISPD09BenchmarkSpec,
     ISPD09_BENCHMARKS,
     generate_ispd09_benchmark,
-    generate_all_ispd09_benchmarks,
 )
-from repro.workloads.ti import TIBenchmarkSpec, generate_ti_benchmark, TI_SINK_COUNTS
+from repro.workloads.ti import generate_ti_benchmark, TI_SINK_COUNTS
 from repro.workloads.format import (
     instance_fingerprint,
     instance_lines,
@@ -26,8 +25,6 @@ __all__ = [
     "ISPD09BenchmarkSpec",
     "ISPD09_BENCHMARKS",
     "generate_ispd09_benchmark",
-    "generate_all_ispd09_benchmarks",
-    "TIBenchmarkSpec",
     "generate_ti_benchmark",
     "TI_SINK_COUNTS",
     "instance_fingerprint",

@@ -35,7 +35,6 @@ __all__ = [
     "ISPD09BenchmarkSpec",
     "ISPD09_BENCHMARKS",
     "generate_ispd09_benchmark",
-    "generate_all_ispd09_benchmarks",
     "capacitance_budget",
 ]
 
@@ -126,16 +125,6 @@ def generate_ispd09_benchmark(
     )
     instance.validate()
     return instance
-
-
-def generate_all_ispd09_benchmarks(
-    sink_scale: Optional[float] = None,
-) -> List[ClockNetworkInstance]:
-    """Generate the full seven-benchmark suite in contest order."""
-    return [
-        generate_ispd09_benchmark(name, sink_scale=sink_scale)
-        for name in ISPD09_BENCHMARKS
-    ]
 
 
 # ----------------------------------------------------------------------

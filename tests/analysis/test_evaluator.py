@@ -75,10 +75,8 @@ class TestClrAndCorners:
         assert report.max_latency == slow > fast
 
     def test_single_corner_clr_equals_skew_roughly(self, manual_tree):
-        from repro.analysis.corners import nominal_corner
-
         evaluator = ClockNetworkEvaluator(
-            EvaluatorConfig(engine="arnoldi"), corners=[nominal_corner()]
+            EvaluatorConfig(engine="arnoldi"), corners=ispd09_corners()[:1]
         )
         report = evaluator.evaluate(manual_tree)
         assert report.clr == pytest.approx(report.skew, abs=1e-9)

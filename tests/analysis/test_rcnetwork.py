@@ -111,9 +111,9 @@ class TestStageNetwork:
         assert downstream[0] == pytest.approx(network.total_capacitance, rel=1e-9)
 
     def test_children_lists_consistent_with_parents(self):
+        # Every parent precedes its children, which the reverse sweeps rely on.
         tree, _ = buffered_chain_tree()
         network = build_stage_network(tree, extract_stages(tree)[0])
-        children = network.children_lists()
-        for child, parent in enumerate(network.parent):
-            if parent >= 0:
-                assert child in children[parent]
+        assert network.parent[0] == -1
+        for child, parent in enumerate(network.parent[1:], start=1):
+            assert 0 <= parent < child

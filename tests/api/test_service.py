@@ -316,12 +316,12 @@ class TestAttachedStore:
 class TestWarmPool:
     def test_workers_are_reused_across_calls(self):
         with SynthesisService(max_workers=2) as service:
-            assert not service.pool_started
+            assert service.pools_created == 0
             service.run(
                 [JobSpec(instance="ti:20", engine="elmore", pipeline=FAST),
                  JobSpec(instance="ti:24", engine="elmore", pipeline=FAST)]
             )
-            assert service.pool_started
+            assert service.pools_created == 1
             service.result(JobSpec("ti:20", engine="elmore", pipeline=FAST))
             service.run([JobSpec(instance="ti:20", engine="elmore", pipeline=FAST)])
             assert service.pools_created == 1
@@ -386,5 +386,4 @@ class TestWarmPool:
     def test_in_process_mode_never_starts_a_pool(self):
         with SynthesisService(max_workers=1) as service:
             service.result(JobSpec("ti:20", engine="elmore", pipeline=FAST))
-            assert not service.pool_started
             assert service.pools_created == 0

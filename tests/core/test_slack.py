@@ -21,11 +21,11 @@ class TestSinkSlacks:
 
     def test_slowest_sink_has_zero_slow_slack(self, manual_tree):
         slacks = compute_sink_slacks(evaluate(manual_tree))
-        assert slacks.slow[slacks.worst_sink()] == pytest.approx(0.0, abs=1e-9)
+        assert min(slacks.slow.values()) == pytest.approx(0.0, abs=1e-9)
 
     def test_fastest_sink_has_zero_fast_slack(self, manual_tree):
         slacks = compute_sink_slacks(evaluate(manual_tree))
-        assert slacks.fast[slacks.fastest_sink()] == pytest.approx(0.0, abs=1e-9)
+        assert min(slacks.fast.values()) == pytest.approx(0.0, abs=1e-9)
 
     def test_definition_1_slow_plus_fast_equals_spread(self, manual_tree):
         """Per transition, Slack_slow(s) + Slack_fast(s) = Tmax - Tmin."""

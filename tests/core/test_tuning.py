@@ -17,6 +17,7 @@ from repro.cts import ispd09_wire_library
 from repro.testing import make_manual_tree, make_zst_tree
 
 WIRES = ispd09_wire_library()
+NARROW = WIRES.narrower(WIRES.widest)
 
 
 def evaluated(tree):
@@ -120,7 +121,7 @@ class TestCalibratedModels:
         tree = make_zst_tree(sink_count=10)
         for node in tree.nodes():
             if node.parent is not None:
-                tree.set_wire_type(node.node_id, WIRES.narrowest)
+                tree.set_wire_type(node.node_id, NARROW)
         evaluator, report = evaluated(tree)
         assert calibrate_downsize_model(tree, evaluator, WIRES, report) is None
 

@@ -13,6 +13,7 @@ from repro.cts import ispd09_buffer_library, ispd09_wire_library
 from repro.testing import make_zst_tree
 
 WIRES = ispd09_wire_library()
+NARROW = WIRES.narrower(WIRES.widest)
 BUFS = ispd09_buffer_library()
 
 
@@ -56,7 +57,7 @@ class TestTopDownWiresizing:
         evaluator = fresh_evaluator()
         result = top_down_wiresizing(tree, evaluator, WIRES)
         narrow_edges = sum(
-            1 for n in tree.nodes() if n.parent is not None and n.wire_type == WIRES.narrowest
+            1 for n in tree.nodes() if n.parent is not None and n.wire_type == NARROW
         )
         if result.improved:
             assert narrow_edges >= 1
@@ -77,7 +78,7 @@ class TestTopDownWiresizing:
         tree = buffered_tree()
         for node in tree.nodes():
             if node.parent is not None:
-                tree.set_wire_type(node.node_id, WIRES.narrowest)
+                tree.set_wire_type(node.node_id, NARROW)
         result = top_down_wiresizing(tree, fresh_evaluator(), WIRES)
         assert not result.improved
 

@@ -56,4 +56,3 @@ class TestValidation:
     def test_helpers(self):
         instance = valid_instance()
         assert instance.sink_count == 2
-        assert instance.total_sink_capacitance() == pytest.approx(20.0)

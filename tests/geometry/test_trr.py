@@ -12,18 +12,30 @@ coords = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinit
 points = st.builds(Point, coords, coords)
 
 
+def distance(arc, p):
+    """Manhattan distance from ``p`` to the closest point of ``arc``."""
+    return arc.distance_to_arc(ManhattanArc.from_point(p))
+
+
+def diagonal_arc(a, b):
+    """The arc from ``a`` to ``b``, built from their rotated coordinates."""
+    ulo, uhi = sorted((a.u, b.u))
+    vlo, vhi = sorted((a.v, b.v))
+    return ManhattanArc(ulo, uhi, vlo, vhi)
+
+
 class TestManhattanArc:
     def test_from_point_is_degenerate(self):
         arc = ManhattanArc.from_point(Point(3, 4))
-        assert arc.is_point and arc.length == 0.0
+        assert arc.length == 0.0
 
     def test_from_endpoints_on_diagonal(self):
-        arc = ManhattanArc.from_endpoints(Point(0, 0), Point(2, 2))
+        arc = diagonal_arc(Point(0, 0), Point(2, 2))
         assert arc.length == pytest.approx(4.0)  # u spans 0..4
 
     def test_from_endpoints_off_diagonal_raises(self):
         with pytest.raises(ValueError):
-            ManhattanArc.from_endpoints(Point(0, 0), Point(3, 1))
+            diagonal_arc(Point(0, 0), Point(3, 1))
 
     def test_invalid_extents_raise(self):
         with pytest.raises(ValueError):
@@ -35,22 +47,22 @@ class TestManhattanArc:
 
     def test_distance_to_point_matches_manhattan_for_point_arc(self):
         arc = ManhattanArc.from_point(Point(1, 1))
-        assert arc.distance_to_point(Point(4, 5)) == pytest.approx(7.0)
+        assert distance(arc, Point(4, 5)) == pytest.approx(7.0)
 
     def test_closest_point_lies_on_arc(self):
-        arc = ManhattanArc.from_endpoints(Point(0, 0), Point(4, 4))
+        arc = diagonal_arc(Point(0, 0), Point(4, 4))
         closest = arc.closest_point_to(Point(10, 0))
-        assert arc.distance_to_point(closest) <= 1e-9
+        assert distance(arc, closest) <= 1e-9
 
     def test_distance_to_arc_zero_when_touching(self):
         a = ManhattanArc.from_point(Point(0, 0))
-        b = ManhattanArc.from_endpoints(Point(0, 0), Point(3, 3))
+        b = diagonal_arc(Point(0, 0), Point(3, 3))
         assert a.distance_to_arc(b) == 0.0
 
     @given(points, points)
     def test_point_arc_distance_equals_manhattan(self, p, q):
         arc = ManhattanArc.from_point(p)
-        assert math.isclose(arc.distance_to_point(q), p.manhattan_to(q), rel_tol=1e-9, abs_tol=1e-6)
+        assert math.isclose(distance(arc, q), p.manhattan_to(q), rel_tol=1e-9, abs_tol=1e-6)
 
 
 class TestTRR:
@@ -73,8 +85,8 @@ class TestTRR:
         a = TRR(ManhattanArc.from_point(Point(0, 0)), 5.0)
         b = TRR(ManhattanArc.from_point(Point(10, 0)), 5.0)
         arc = a.intersect(b)
-        assert arc is not None and arc.is_point
-        assert arc.any_point().is_close(Point(5, 0))
+        assert arc is not None and arc.length == 0.0
+        assert arc.closest_point_to(Point(0, 0)).is_close(Point(5, 0))
 
 
 class TestMergingSegment:
@@ -88,15 +100,15 @@ class TestMergingSegment:
         a = ManhattanArc.from_point(Point(0, 0))
         b = ManhattanArc.from_point(Point(10, 0))
         arc = merging_segment(a, b, 4.0, 6.0)
-        point = arc.any_point()
-        assert a.distance_to_point(point) == pytest.approx(4.0, abs=1e-6)
-        assert b.distance_to_point(point) == pytest.approx(6.0, abs=1e-6)
+        point = arc.closest_point_to(Point(0, 0))
+        assert distance(a, point) == pytest.approx(4.0, abs=1e-6)
+        assert distance(b, point) == pytest.approx(6.0, abs=1e-6)
 
     def test_detour_radius_keeps_segment_on_near_arc(self):
         a = ManhattanArc.from_point(Point(0, 0))
         b = ManhattanArc.from_point(Point(10, 0))
         arc = merging_segment(a, b, 0.0, 14.0)
-        assert a.distance_to_point(arc.any_point()) <= 1e-9
+        assert distance(a, arc.closest_point_to(Point(0, 0))) <= 1e-9
 
     @given(points, points, st.floats(min_value=0.0, max_value=1.0))
     def test_split_property(self, p, q, fraction):
@@ -106,6 +118,6 @@ class TestMergingSegment:
         ra = dist * fraction
         rb = dist - ra
         arc = merging_segment(a, b, ra, rb)
-        sample = arc.any_point()
-        assert a.distance_to_point(sample) <= ra + 1e-6
-        assert b.distance_to_point(sample) <= rb + 1e-6
+        sample = arc.closest_point_to(p)
+        assert distance(a, sample) <= ra + 1e-6
+        assert distance(b, sample) <= rb + 1e-6

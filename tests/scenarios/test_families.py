@@ -11,11 +11,18 @@ from repro.scenarios import (
     expand_sweep,
     generate_scenario,
     get_family,
-    parse_scenario_spec,
+    parse_scenario_overrides,
     register_family,
     scenario_names,
 )
 from repro.workloads import instance_fingerprint
+
+
+def parse_resolved(spec):
+    """A spec's family and its full, resolved parameter set."""
+    family, overrides = parse_scenario_overrides(spec)
+    return family, family.resolve(overrides)
+
 
 #: Small parameterizations so the whole suite generates in milliseconds.
 SMALL = {
@@ -129,35 +136,35 @@ class TestFamilyStructure:
 
 class TestSpecParsing:
     def test_parse_resolves_defaults(self):
-        family, params = parse_scenario_spec("scenario:maze")
+        family, params = parse_resolved("scenario:maze")
         assert family.name == "maze"
         assert params["sinks"] == 48
         assert params["seed"] == 7
 
     def test_parse_coerces_types(self):
-        _, params = parse_scenario_spec("scenario:banks:clusters=4,tightness=0.1")
+        _, params = parse_resolved("scenario:banks:clusters=4,tightness=0.1")
         assert params["clusters"] == 4 and isinstance(params["clusters"], int)
         assert params["tightness"] == pytest.approx(0.1)
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(KeyError, match="no parameter"):
-            parse_scenario_spec("scenario:maze:frobs=3")
+            parse_resolved("scenario:maze:frobs=3")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ValueError, match="not a valid int"):
-            parse_scenario_spec("scenario:maze:sinks=lots")
+            parse_resolved("scenario:maze:sinks=lots")
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="below minimum"):
-            parse_scenario_spec("scenario:maze:sinks=1")
+            parse_resolved("scenario:maze:sinks=1")
 
     def test_malformed_item_rejected(self):
         with pytest.raises(ValueError, match="expected k=v"):
-            parse_scenario_spec("scenario:maze:sinks")
+            parse_resolved("scenario:maze:sinks")
 
     def test_duplicate_parameter_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            parse_scenario_spec("scenario:maze:sinks=8,sinks=9")
+            parse_resolved("scenario:maze:sinks=8,sinks=9")
 
     def test_canonical_spec_drops_defaults_and_sorts(self):
         family = get_family("maze")

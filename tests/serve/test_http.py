@@ -18,6 +18,7 @@ import pytest
 from repro.api.records import stable_record
 from repro.api.service import SynthesisService
 from repro.serve import ServerHandle
+from repro.serve.http import MAX_BODY_BYTES
 
 FAST_JOB = {"instance": "ti:24", "engine": "elmore", "pipeline": ["initial"]}
 
@@ -42,6 +43,18 @@ def request(handle, path, payload=None, method=None):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def raw_exchange(handle, request_bytes):
+    """Send raw bytes on one connection; returns everything the server sent."""
+    with socket.create_connection(("127.0.0.1", handle.port), timeout=60) as sock:
+        sock.sendall(request_bytes)
+        raw = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return raw
+            raw += chunk
 
 
 def wait_result(handle, job_id, tries=300):
@@ -80,6 +93,19 @@ class TestEndpoints:
     def test_bad_payload_is_400(self, server):
         status, body = request(server, "/jobs", {"engine": "elmore"})
         assert status == 400 and "instance" in body["error"]
+
+    @pytest.mark.parametrize("length", ["-1", "abc", str(MAX_BODY_BYTES + 1)])
+    def test_bad_content_length_is_400(self, server, length):
+        raw = raw_exchange(
+            server,
+            f"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {length}\r\n\r\n".encode(),
+        )
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.splitlines()[0].endswith(b"400 Bad Request")
+        assert "error" in json.loads(body)
+        status, _ = request(server, "/healthz")
+        assert status == 200
 
     def test_unknown_route_is_404(self, server):
         status, _ = request(server, "/nope")

@@ -5,7 +5,6 @@ import pytest
 from repro.workloads.ispd09 import (
     ISPD09_BENCHMARKS,
     ISPD09BenchmarkSpec,
-    generate_all_ispd09_benchmarks,
     generate_ispd09_benchmark,
 )
 
@@ -83,6 +82,8 @@ class TestGeneration:
         assert instance.sink_count == 40
 
     def test_generate_all(self):
-        instances = generate_all_ispd09_benchmarks(sink_scale=0.1)
+        instances = [
+            generate_ispd09_benchmark(name, sink_scale=0.1) for name in ISPD09_BENCHMARKS
+        ]
         assert len(instances) == 7
         assert all(i.sink_count >= 4 for i in instances)

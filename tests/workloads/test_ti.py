@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workloads.ti import TI_SINK_COUNTS, TIBenchmarkSpec, generate_ti_benchmark
+from repro.workloads.ti import ROW_PITCH, TI_SINK_COUNTS, generate_ti_benchmark
 
 
 class TestTIGenerator:
@@ -30,18 +30,17 @@ class TestTIGenerator:
         assert [s.position for s in a.sinks] != [s.position for s in b.sinks]
 
     def test_sinks_snapped_to_placement_rows(self):
-        spec = TIBenchmarkSpec(sink_count=400, row_pitch=10.0)
-        instance = generate_ti_benchmark(400, spec=spec)
+        instance = generate_ti_benchmark(400)
         for sink in instance.sinks:
-            offset = sink.position.y % 10.0
-            assert min(offset, 10.0 - offset) < 1e-6 or sink.position.y in (0.0, 3000.0)
+            offset = sink.position.y % ROW_PITCH
+            assert min(offset, ROW_PITCH - offset) < 1e-6 or sink.position.y in (0.0, 3000.0)
 
     def test_larger_families_scale(self):
         small = generate_ti_benchmark(200)
         large = generate_ti_benchmark(2000)
         assert large.sink_count == 10 * small.sink_count
-        assert large.total_sink_capacitance() > small.total_sink_capacitance()
+        assert sum(s.capacitance for s in large.sinks) > sum(s.capacitance for s in small.sinks)
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
-            TIBenchmarkSpec(sink_count=0)
+            generate_ti_benchmark(0)
