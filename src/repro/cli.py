@@ -1348,8 +1348,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     if args.list_rules:
         for name in sorted(RULE_REGISTRY):
-            rule = RULE_REGISTRY[name]()
-            print(f"{name:32s} {rule.default_severity.value:8s} {rule.description}")
+            print(f"{name:32s} {RULE_REGISTRY[name].description}")
         return 0
     if args.paths:
         paths = [Path(p) for p in args.paths]
@@ -1363,7 +1362,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.output:
         Path(args.output).write_text(report, encoding="utf-8")
     print(report, end="")
-    return 1 if result.errors else 0
+    return 1 if result.findings else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

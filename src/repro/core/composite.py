@@ -26,6 +26,9 @@ __all__ = [
     "table1_rows",
 ]
 
+#: Largest parallel count :func:`smallest_dominating_count` tries.
+MAX_DOMINATING_COUNT = 64
+
 
 @dataclass
 class CompositeAnalysis:
@@ -64,15 +67,13 @@ def non_dominated_composites(composites: Sequence[BufferType]) -> List[BufferTyp
     return kept
 
 
-def smallest_dominating_count(
-    small: BufferType, large: BufferType, max_parallel: int = 64
-) -> Optional[int]:
+def smallest_dominating_count(small: BufferType, large: BufferType) -> Optional[int]:
     """Smallest number of parallel ``small`` inverters that dominates ``large``.
 
-    Returns None when no count up to ``max_parallel`` dominates.  For the
-    ISPD'09 Table I values the answer is 8, matching the paper.
+    Returns None when no count up to :data:`MAX_DOMINATING_COUNT` dominates.
+    For the ISPD'09 Table I values the answer is 8, matching the paper.
     """
-    for count in range(1, max_parallel + 1):
+    for count in range(1, MAX_DOMINATING_COUNT + 1):
         if small.parallel(count).dominates(large):
             return count
     return None

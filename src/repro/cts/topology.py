@@ -16,7 +16,7 @@ binary merge topology.  Two generators are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro.geometry.point import Point
 
@@ -89,18 +89,6 @@ class Topology:
             stack.extend(self.nodes[idx].children)
         for idx in reversed(order):
             yield self.nodes[idx]
-
-    def depth(self) -> int:
-        """Length (in edges) of the longest root-to-leaf path."""
-        depths: Dict[int, int] = {}
-        result = 0
-        for node in self.postorder():
-            if node.is_leaf:
-                depths[node.index] = 0
-            else:
-                depths[node.index] = 1 + max(depths[c] for c in node.children)
-            result = max(result, depths[node.index])
-        return result
 
     def validate(self, sink_count: int) -> None:
         """Check that every sink appears exactly once as a leaf."""

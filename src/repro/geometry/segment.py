@@ -48,9 +48,6 @@ class Segment:
     def bounding_box(self) -> Rect:
         return Rect.from_corners(self.a, self.b)
 
-    def reversed(self) -> "Segment":
-        return Segment(self.b, self.a)
-
     def midpoint(self) -> Point:
         return self.a.midpoint(self.b)
 

@@ -11,7 +11,6 @@ from repro.lintkit.base import (
     RULE_REGISTRY,
     Finding,
     LintRule,
-    Severity,
     available_rules,
     register_rule,
     resolve_rules,
@@ -28,7 +27,6 @@ from repro.lintkit.report import JSON_SCHEMA_VERSION, render_json, render_text
 __all__ = [
     "Finding",
     "LintRule",
-    "Severity",
     "RULE_REGISTRY",
     "register_rule",
     "available_rules",

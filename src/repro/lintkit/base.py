@@ -1,24 +1,22 @@
-"""Core lintkit types: findings, severities, rules and the rule registry.
+"""Core lintkit types: findings, rules and the rule registry.
 
 The registry mirrors the :data:`repro.core.pipeline.PASS_REGISTRY` idiom --
 rule classes register themselves under their ``name`` via the
 :func:`register_rule` class decorator, and consumers (the engine, the CLI,
-the reporters) resolve rules by name.  Each rule carries a default severity
-and a ``defaults`` option mapping; both can be overridden per run through
-:class:`repro.lintkit.engine.LintSettings` without touching the rule class.
+the reporters) resolve rules by name.  A rule's scope (allowed modules,
+forbidden calls, roots) is its own class attributes; a run can only select
+or ignore rules, and every finding fails the run.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Type
+from typing import TYPE_CHECKING, Dict, Iterator, List, Type
 
 if TYPE_CHECKING:  # import cycle: context needs Finding for parse errors
     from repro.lintkit.context import LintProject, ModuleContext
 
 __all__ = [
-    "Severity",
     "Finding",
     "LintRule",
     "RULE_REGISTRY",
@@ -26,13 +24,6 @@ __all__ = [
     "available_rules",
     "resolve_rules",
 ]
-
-
-class Severity(enum.Enum):
-    """How a finding affects the exit code: errors gate, warnings inform."""
-
-    WARNING = "warning"
-    ERROR = "error"
 
 
 @dataclass(frozen=True, order=True)
@@ -49,61 +40,33 @@ class Finding:
     col: int
     rule: str
     message: str
-    severity: str = Severity.ERROR.value
-
-    def to_record(self) -> Dict[str, Any]:
-        """The JSON-reporter shape of this finding."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "severity": self.severity,
-            "message": self.message,
-        }
 
 
 class LintRule:
     """One named, registrable invariant check.
 
     Subclasses set ``name`` (the registry key), ``description`` (one line,
-    shown by ``repro lint --list-rules``), optionally ``default_severity``
-    and ``defaults`` -- the rule's option mapping, overridable per run via
-    :attr:`repro.lintkit.engine.LintSettings.rule_options`.  ``check``
-    yields :class:`Finding` objects for one module; the shared
+    shown by ``repro lint --list-rules``) and whatever class attributes scope
+    the check (``allow_modules``, ``forbidden``, ...).  ``check`` yields
+    :class:`Finding` objects for one module; the shared
     :class:`~repro.lintkit.context.LintProject` gives rules cross-module
     context (import graph, reachability) when they need it.
     """
 
     name: str = ""
     description: str = ""
-    default_severity: Severity = Severity.ERROR
-    defaults: Mapping[str, Any] = {}
 
     def check(
-        self,
-        ctx: "ModuleContext",
-        project: "LintProject",
-        options: Mapping[str, Any],
+        self, ctx: "ModuleContext", project: "LintProject"
     ) -> Iterator[Finding]:
         raise NotImplementedError
 
     def finding(
-        self,
-        ctx: "ModuleContext",
-        line: int,
-        col: int,
-        message: str,
-        severity: Severity,
+        self, ctx: "ModuleContext", line: int, col: int, message: str
     ) -> Finding:
         """Build one finding anchored in ``ctx`` with this rule's name."""
         return Finding(
-            path=str(ctx.path),
-            line=line,
-            col=col,
-            rule=self.name,
-            message=message,
-            severity=severity.value,
+            path=str(ctx.path), line=line, col=col, rule=self.name, message=message
         )
 
 

@@ -50,11 +50,11 @@ def module_name_for(path: Path) -> str:
 class ModuleContext:
     """One parsed source file plus the resolution tables the rules share."""
 
-    def __init__(self, path: Path, source: str, module: Optional[str] = None) -> None:
+    def __init__(self, path: Path, source: str) -> None:
         self.path = path
         self.source = source
         self.lines: List[str] = source.splitlines()
-        self.module: str = module if module is not None else module_name_for(path)
+        self.module: str = module_name_for(path)
         self.tree: ast.Module = ast.parse(source, filename=str(path))
         #: Child AST node -> parent AST node, for rules that need enclosure
         #: (registry-drift checks whether a constructor call sits inside a

@@ -6,23 +6,18 @@ parses each into a :class:`~repro.lintkit.context.ModuleContext`, builds the
 cross-module :class:`~repro.lintkit.context.LintProject`, runs the selected
 rules and returns findings in the canonical (path, line, col, rule) order.
 Files that fail to parse surface as ``parse-error`` findings rather than
-aborting the run.
+aborting the run.  A run chooses which rules to run and nothing else: each
+rule's scope is its class, and any finding fails the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.lintkit import rules as _rules  # noqa: F401  (registers the rules)
-from repro.lintkit.base import (
-    Finding,
-    LintRule,
-    Severity,
-    available_rules,
-    resolve_rules,
-)
+from repro.lintkit.base import Finding, LintRule, available_rules, resolve_rules
 from repro.lintkit.context import LintProject, ModuleContext
 
 __all__ = ["LintSettings", "LintResult", "collect_files", "lint_paths"]
@@ -33,29 +28,17 @@ PARSE_ERROR_RULE = "parse-error"
 
 @dataclass
 class LintSettings:
-    """Per-run configuration: rule selection, severities and options."""
+    """Per-run rule selection (``repro lint --select/--ignore``)."""
 
     #: Rule names to run; ``None`` means every registered rule.
     select: Optional[List[str]] = None
     #: Rule names to drop after selection.
     ignore: List[str] = field(default_factory=list)
-    #: rule name -> "warning"/"error", overriding the rule's default.
-    severity_overrides: Dict[str, str] = field(default_factory=dict)
-    #: rule name -> option mapping merged over the rule's ``defaults``.
-    rule_options: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
     def resolve(self) -> List[LintRule]:
         names = list(self.select) if self.select is not None else available_rules()
         names = [name for name in names if name not in set(self.ignore)]
         return resolve_rules(names)
-
-    def options_for(self, rule: LintRule) -> Mapping[str, Any]:
-        merged: Dict[str, Any] = dict(rule.defaults)
-        merged.update(self.rule_options.get(rule.name, {}))
-        override = self.severity_overrides.get(rule.name)
-        if override is not None:
-            merged["severity"] = Severity(override).value
-        return merged
 
 
 @dataclass
@@ -65,14 +48,6 @@ class LintResult:
     findings: List[Finding]
     files_checked: int
     rules_run: List[str]
-
-    @property
-    def errors(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == Severity.ERROR.value]
-
-    @property
-    def warnings(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == Severity.WARNING.value]
 
 
 def collect_files(paths: Iterable[Path]) -> List[Path]:
@@ -114,7 +89,6 @@ def _parse_contexts(
                     col=(exc.offset or 1) - 1,
                     rule=PARSE_ERROR_RULE,
                     message=f"cannot parse: {exc.msg}",
-                    severity=Severity.ERROR.value,
                 )
             )
     return contexts, failures
@@ -131,8 +105,7 @@ def lint_paths(
     project = LintProject(contexts)
     for ctx in contexts:
         for rule in rules:
-            options = settings.options_for(rule)
-            for finding in rule.check(ctx, project, options):
+            for finding in rule.check(ctx, project):
                 if ctx.suppressed(finding.line, finding.rule):
                     continue
                 findings.append(finding)

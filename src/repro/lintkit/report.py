@@ -4,12 +4,15 @@ The JSON report is the CI artifact, so it is deliberately boring: a fixed
 ``schema`` number, no timestamps, no absolute environment detail, findings
 pre-sorted by the engine.  Two runs over an unchanged tree must emit
 byte-identical documents -- the lint gate itself obeys the same
-reproducibility contract as the run store.
+reproducibility contract as the run store.  Every finding fails the run, so
+both reports call each one an ``error`` and count no warnings; the words stay
+in the formats so their readers keep parsing them.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Any, Dict, List
 
 from repro.lintkit.engine import LintResult
@@ -21,15 +24,15 @@ JSON_SCHEMA_VERSION = 1
 
 
 def render_text(result: LintResult) -> str:
-    """One ``path:line:col: severity rule: message`` line per finding."""
+    """One ``path:line:col: error [rule] message`` line per finding."""
     lines: List[str] = [
-        f"{f.path}:{f.line}:{f.col}: {f.severity} [{f.rule}] {f.message}"
+        f"{f.path}:{f.line}:{f.col}: error [{f.rule}] {f.message}"
         for f in result.findings
     ]
     summary = (
         f"{result.files_checked} files checked, "
         f"{len(result.rules_run)} rules, "
-        f"{len(result.errors)} errors, {len(result.warnings)} warnings"
+        f"{len(result.findings)} errors, 0 warnings"
     )
     lines.append(summary)
     return "\n".join(lines) + "\n"
@@ -42,10 +45,7 @@ def render_json(result: LintResult) -> str:
         "tool": "repro-lintkit",
         "files_checked": result.files_checked,
         "rules_run": list(result.rules_run),
-        "summary": {
-            "errors": len(result.errors),
-            "warnings": len(result.warnings),
-        },
-        "findings": [f.to_record() for f in result.findings],
+        "summary": {"errors": len(result.findings), "warnings": 0},
+        "findings": [{**asdict(f), "severity": "error"} for f in result.findings],
     }
     return json.dumps(document, indent=2, sort_keys=True) + "\n"

@@ -5,26 +5,18 @@ discipline (:mod:`repro.seeding`), journalled tree mutation
 (:mod:`repro.cts.tree`), fingerprint purity (:mod:`repro.store.fingerprint`),
 process-pool picklability, registry completeness, and the typed-record
 contract of :mod:`repro.api.records`.  Rules are registered under kebab-case
-names and configured through their ``defaults`` mapping; intentional
-violations are annotated in the source with ``# repro: lint-ok[rule-name]``.
+names; a rule's scope (allowed modules, forbidden calls, roots) is its own
+class attributes, and a subclass that needs another scope overrides them.
+Intentional violations are annotated in the source with
+``# repro: lint-ok[rule-name]``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import (
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.lintkit.base import Finding, LintRule, Severity, register_rule
+from repro.lintkit.base import Finding, LintRule, register_rule
 from repro.lintkit.context import LintProject, ModuleContext
 
 __all__ = [
@@ -40,21 +32,6 @@ __all__ = [
     "UntimedWallclockRule",
     "BlockingInAsyncRule",
 ]
-
-
-def _option_names(options: Mapping[str, Any], key: str) -> Tuple[str, ...]:
-    """A tuple-of-strings option (accepts any iterable of strings)."""
-    value = options.get(key, ())
-    return tuple(str(item) for item in value)
-
-
-def _in_allowed_module(ctx: ModuleContext, options: Mapping[str, Any]) -> bool:
-    return ctx.module in _option_names(options, "allow_modules")
-
-
-def _severity(rule: LintRule, options: Mapping[str, Any]) -> Severity:
-    raw = options.get("severity")
-    return Severity(raw) if isinstance(raw, str) else rule.default_severity
 
 
 # ----------------------------------------------------------------------
@@ -73,17 +50,11 @@ class UnseededRngRule(LintRule):
     description = (
         "RNG constructed outside repro.seeding (use derive_rng/derive_seed)"
     )
-    defaults: Mapping[str, Any] = {"allow_modules": ("repro.seeding",)}
+    allow_modules: Tuple[str, ...] = ("repro.seeding",)
 
-    def check(
-        self,
-        ctx: ModuleContext,
-        project: LintProject,
-        options: Mapping[str, Any],
-    ) -> Iterator[Finding]:
-        if _in_allowed_module(ctx, options):
+    def check(self, ctx: ModuleContext, project: LintProject) -> Iterator[Finding]:
+        if ctx.module in self.allow_modules:
             return
-        severity = _severity(self, options)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -102,7 +73,6 @@ class UnseededRngRule(LintRule):
                 node.col_offset,
                 f"direct RNG use {source}(); derive deterministic streams "
                 "via repro.seeding.derive_rng/derive_seed",
-                severity,
             )
 
 
@@ -124,38 +94,28 @@ class WallclockInFingerprintPathRule(LintRule):
         "time/uuid call in a module transitively imported by the "
         "fingerprint computation"
     )
-    defaults: Mapping[str, Any] = {
-        "roots": ("repro.store.fingerprint", "repro.workloads.format"),
-        "forbidden": (
-            "time.time",
-            "time.time_ns",
-            "datetime.datetime.now",
-            "datetime.datetime.utcnow",
-            "datetime.datetime.today",
-            "datetime.date.today",
-            "uuid.uuid1",
-            "uuid.uuid4",
-        ),
-    }
+    roots: Tuple[str, ...] = ("repro.store.fingerprint", "repro.workloads.format")
+    forbidden: Tuple[str, ...] = (
+        "time.time",
+        "time.time_ns",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+        "uuid.uuid1",
+        "uuid.uuid4",
+    )
 
-    def check(
-        self,
-        ctx: ModuleContext,
-        project: LintProject,
-        options: Mapping[str, Any],
-    ) -> Iterator[Finding]:
+    def check(self, ctx: ModuleContext, project: LintProject) -> Iterator[Finding]:
         if not ctx.module:
             return
-        roots = _option_names(options, "roots")
-        if ctx.module not in project.reachable_from(roots):
+        if ctx.module not in project.reachable_from(self.roots):
             return
-        forbidden = frozenset(_option_names(options, "forbidden"))
-        severity = _severity(self, options)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             qualified = ctx.resolve(node.func)
-            if qualified is None or qualified not in forbidden:
+            if qualified is None or qualified not in self.forbidden:
                 continue
             yield self.finding(
                 ctx,
@@ -163,7 +123,6 @@ class WallclockInFingerprintPathRule(LintRule):
                 node.col_offset,
                 f"{qualified}() in fingerprint-feeding module {ctx.module}; "
                 "content addresses must be pure functions of their inputs",
-                severity,
             )
 
 
@@ -185,40 +144,30 @@ class UnjournaledMutationRule(LintRule):
     description = (
         "direct tree-node attribute write outside the journaling mutators"
     )
-    defaults: Mapping[str, Any] = {
-        "allow_modules": ("repro.cts.tree",),
-        "attrs": (
-            "buffer",
-            "wire_type",
-            "snake_length",
-            "route",
-            "position",
-            "parent",
-            "children",
-            "sink",
-        ),
-        #: The rule only applies to modules that actually work with the
-        #: journaled tree; unrelated classes may reuse attribute names.
-        "tree_modules": ("repro.cts.tree",),
-    }
+    allow_modules: Tuple[str, ...] = ("repro.cts.tree",)
+    attrs: Tuple[str, ...] = (
+        "buffer",
+        "wire_type",
+        "snake_length",
+        "route",
+        "position",
+        "parent",
+        "children",
+        "sink",
+    )
+    #: The rule only applies to modules that actually work with the
+    #: journaled tree; unrelated classes may reuse attribute names.
+    tree_modules: Tuple[str, ...] = ("repro.cts.tree",)
 
-    def check(
-        self,
-        ctx: ModuleContext,
-        project: LintProject,
-        options: Mapping[str, Any],
-    ) -> Iterator[Finding]:
-        if _in_allowed_module(ctx, options):
+    def check(self, ctx: ModuleContext, project: LintProject) -> Iterator[Finding]:
+        if ctx.module in self.allow_modules:
             return
-        tree_modules = set(_option_names(options, "tree_modules"))
         if not any(
             imported == module or imported.startswith(module + ".")
             for imported in ctx.imported_modules
-            for module in tree_modules
+            for module in self.tree_modules
         ):
             return
-        attrs = frozenset(_option_names(options, "attrs"))
-        severity = _severity(self, options)
         journal_lines = self._journal_call_lines(ctx)
         for node in ast.walk(ctx.tree):
             targets: List[ast.expr] = []
@@ -227,7 +176,7 @@ class UnjournaledMutationRule(LintRule):
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                 targets = [node.target]
             for target in targets:
-                if not isinstance(target, ast.Attribute) or target.attr not in attrs:
+                if not isinstance(target, ast.Attribute) or target.attr not in self.attrs:
                     continue
                 receiver = target.value
                 if isinstance(receiver, ast.Name) and receiver.id in ("self", "cls"):
@@ -241,7 +190,6 @@ class UnjournaledMutationRule(LintRule):
                     f"direct write to .{target.attr} bypasses the journaling "
                     "mutators of repro.cts.tree.ClockTree; use the mutator "
                     "APIs or call journal_node()/touch() around the edit",
-                    severity,
                 )
 
     @staticmethod
@@ -293,15 +241,8 @@ class PoolUnpicklableRule(LintRule):
 
     name = "pool-unpicklable"
     description = "lambda/nested function handed to ProcessPoolExecutor.submit"
-    defaults: Mapping[str, Any] = {}
 
-    def check(
-        self,
-        ctx: ModuleContext,
-        project: LintProject,
-        options: Mapping[str, Any],
-    ) -> Iterator[Finding]:
-        severity = _severity(self, options)
+    def check(self, ctx: ModuleContext, project: LintProject) -> Iterator[Finding]:
         nested = self._nested_callables(ctx)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -321,7 +262,6 @@ class PoolUnpicklableRule(LintRule):
                     candidate.col_offset,
                     f"{problem} cannot be pickled into a worker process; "
                     "pass a module-level function instead",
-                    severity,
                 )
 
     @staticmethod
@@ -370,15 +310,8 @@ class FingerprintCompareFieldRule(LintRule):
         "compare=False dataclass field violating the derived-state "
         "conventions (init/default, underscore name, no to_record use)"
     )
-    defaults: Mapping[str, Any] = {}
 
-    def check(
-        self,
-        ctx: ModuleContext,
-        project: LintProject,
-        options: Mapping[str, Any],
-    ) -> Iterator[Finding]:
-        severity = _severity(self, options)
+    def check(self, ctx: ModuleContext, project: LintProject) -> Iterator[Finding]:
         for class_node in ast.walk(ctx.tree):
             if not isinstance(class_node, ast.ClassDef):
                 continue
@@ -421,7 +354,6 @@ class FingerprintCompareFieldRule(LintRule):
                         f"compare=False field {name!r} must set init=False or "
                         "provide a default: derived state cannot be a "
                         "required constructor input",
-                        severity,
                     )
                 if not name.startswith("_"):
                     yield self.finding(
@@ -431,7 +363,6 @@ class FingerprintCompareFieldRule(LintRule):
                         f"compare=False field {name!r} should be underscore-"
                         "named: it is derived state, not part of the "
                         "record's identity",
-                        severity,
                     )
                 if name in to_record_reads:
                     yield self.finding(
@@ -441,7 +372,6 @@ class FingerprintCompareFieldRule(LintRule):
                         f"compare=False field {name!r} is serialized by "
                         "to_record(); records that digest equally must "
                         "serialize equally",
-                        severity,
                     )
 
     @staticmethod
@@ -489,30 +419,20 @@ class RegistryDriftRule(LintRule):
     description = (
         "OptimizationPass subclass / ScenarioFamily instance never registered"
     )
-    defaults: Mapping[str, Any] = {
-        #: base class name -> required registrar function name
-        "subclass_registrars": {"OptimizationPass": "register_pass"},
-        "instance_registrars": {"ScenarioFamily": "register_family"},
-    }
+    #: base class name -> the registrar its concrete subclasses must reach
+    #: (the rule reads one registrar: every base shares it)
+    subclass_registrars: Mapping[str, str] = {"OptimizationPass": "register_pass"}
+    #: class name -> the registrar every constructed instance must reach
+    instance_registrars: Mapping[str, str] = {"ScenarioFamily": "register_family"}
 
-    def check(
-        self,
-        ctx: ModuleContext,
-        project: LintProject,
-        options: Mapping[str, Any],
-    ) -> Iterator[Finding]:
-        severity = _severity(self, options)
-        subclass_map = dict(options.get("subclass_registrars", {}))
-        instance_map = dict(options.get("instance_registrars", {}))
+    def check(self, ctx: ModuleContext, project: LintProject) -> Iterator[Finding]:
         registered_names = self._registrar_argument_names(
-            ctx, set(subclass_map.values()) | set(instance_map.values())
+            ctx,
+            set(self.subclass_registrars.values())
+            | set(self.instance_registrars.values()),
         )
-        yield from self._check_subclasses(
-            ctx, subclass_map, registered_names, severity
-        )
-        yield from self._check_instances(
-            ctx, instance_map, registered_names, severity
-        )
+        yield from self._check_subclasses(ctx, registered_names)
+        yield from self._check_instances(ctx, registered_names)
 
     # -- shared helpers -------------------------------------------------
     @staticmethod
@@ -544,16 +464,13 @@ class RegistryDriftRule(LintRule):
 
     # -- subclass-style registries (OptimizationPass) -------------------
     def _check_subclasses(
-        self,
-        ctx: ModuleContext,
-        subclass_map: Dict[str, str],
-        registered_names: Set[str],
-        severity: Severity,
+        self, ctx: ModuleContext, registered_names: Set[str]
     ) -> Iterator[Finding]:
-        if not subclass_map:
+        registrar = next(iter(self.subclass_registrars.values()), None)
+        if registrar is None:
             return
         # Local subclasses count as bases too (pass hierarchies).
-        base_names: Set[str] = set(subclass_map)
+        base_names: Set[str] = set(self.subclass_registrars)
         local_subclasses: Dict[str, ast.ClassDef] = {}
         changed = True
         while changed:
@@ -570,9 +487,6 @@ class RegistryDriftRule(LintRule):
                         changed = True
                         break
         for class_node in local_subclasses.values():
-            registrar = self._registrar_for(ctx, class_node, subclass_map)
-            if registrar is None:
-                continue
             if not self._has_concrete_name(class_node):
                 continue  # abstract intermediate: registration needs a name
             if self._decorated_with(ctx, class_node, registrar):
@@ -586,20 +500,7 @@ class RegistryDriftRule(LintRule):
                 f"class {class_node.name} defines a registrable name but is "
                 f"never passed to {registrar}(); pipelines and the CLI "
                 "cannot see it",
-                severity,
             )
-
-    def _registrar_for(
-        self,
-        ctx: ModuleContext,
-        class_node: ast.ClassDef,
-        subclass_map: Dict[str, str],
-    ) -> Optional[str]:
-        """The registrar this class must reach (single-registry codebases)."""
-        del ctx, class_node
-        # All subclass-style registries share one registrar in this codebase;
-        # extendable to per-base lookups when a second registry appears.
-        return next(iter(subclass_map.values()), None)
 
     @staticmethod
     def _has_concrete_name(class_node: ast.ClassDef) -> bool:
@@ -627,23 +528,19 @@ class RegistryDriftRule(LintRule):
 
     # -- instance-style registries (ScenarioFamily) ---------------------
     def _check_instances(
-        self,
-        ctx: ModuleContext,
-        instance_map: Dict[str, str],
-        registered_names: Set[str],
-        severity: Severity,
+        self, ctx: ModuleContext, registered_names: Set[str]
     ) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             constructed = self._callable_name(ctx, node.func)
-            if constructed not in instance_map:
+            if constructed not in self.instance_registrars:
                 continue
             if ctx.resolve(node.func) is None and not self._defined_elsewhere(
                 ctx, constructed
             ):
                 continue  # local class of the same name, not the registry type
-            registrar = instance_map[constructed]
+            registrar = self.instance_registrars[constructed]
             if self._inside_registrar_call(ctx, node, registrar):
                 continue
             assigned = self._assigned_name(ctx, node)
@@ -656,7 +553,6 @@ class RegistryDriftRule(LintRule):
                 f"{constructed}(...) instance is never passed to "
                 f"{registrar}(); it is unreachable by spec strings and "
                 "sweeps",
-                severity,
             )
 
     @staticmethod
@@ -707,10 +603,8 @@ class PerfCaseRegisteredRule(RegistryDriftRule):
 
     name = "perfcase-registered"
     description = "concrete PerfCase subclass never passed to register_case"
-    defaults: Mapping[str, Any] = {
-        "subclass_registrars": {"PerfCase": "register_case"},
-        "instance_registrars": {},
-    }
+    subclass_registrars: Mapping[str, str] = {"PerfCase": "register_case"}
+    instance_registrars: Mapping[str, str] = {}
 
 
 # ----------------------------------------------------------------------
@@ -730,15 +624,8 @@ class RecordRoundtripSymmetryRule(LintRule):
 
     name = "record-roundtrip-symmetry"
     description = "to_record()/from_record() literal key sets disagree"
-    defaults: Mapping[str, Any] = {}
 
-    def check(
-        self,
-        ctx: ModuleContext,
-        project: LintProject,
-        options: Mapping[str, Any],
-    ) -> Iterator[Finding]:
-        severity = _severity(self, options)
+    def check(self, ctx: ModuleContext, project: LintProject) -> Iterator[Finding]:
         for class_node in ast.walk(ctx.tree):
             if not isinstance(class_node, ast.ClassDef):
                 continue
@@ -757,7 +644,6 @@ class RecordRoundtripSymmetryRule(LintRule):
                         f"{class_node.name}.to_record() writes key {key!r} "
                         "that from_record() never reads; the round trip "
                         "drops it",
-                        severity,
                     )
             if not to_dynamic:
                 for key in sorted(from_keys - to_keys):
@@ -768,7 +654,6 @@ class RecordRoundtripSymmetryRule(LintRule):
                         f"{class_node.name}.from_record() reads key {key!r} "
                         "that to_record() never writes; serialized records "
                         "can never carry it",
-                        severity,
                     )
 
     @staticmethod
@@ -847,27 +732,16 @@ class BareDictRecordRule(LintRule):
         "hand-rolled result-record dict bypassing the repro.api.records "
         "schemas"
     )
-    defaults: Mapping[str, Any] = {
-        "allow_modules": ("repro.api.records",),
-        "signatures": (
-            ("job", "instance", "flow", "engine"),
-            ("job", "error"),
-        ),
-    }
+    allow_modules: Tuple[str, ...] = ("repro.api.records",)
+    #: Key sets that mark a dict literal as a job-result record.
+    signatures: Tuple[Tuple[str, ...], ...] = (
+        ("job", "instance", "flow", "engine"),
+        ("job", "error"),
+    )
 
-    def check(
-        self,
-        ctx: ModuleContext,
-        project: LintProject,
-        options: Mapping[str, Any],
-    ) -> Iterator[Finding]:
-        if _in_allowed_module(ctx, options):
+    def check(self, ctx: ModuleContext, project: LintProject) -> Iterator[Finding]:
+        if ctx.module in self.allow_modules:
             return
-        severity = _severity(self, options)
-        signatures = [
-            frozenset(str(key) for key in signature)
-            for signature in options.get("signatures", ())
-        ]
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Dict):
                 continue
@@ -877,7 +751,7 @@ class BareDictRecordRule(LintRule):
                 if isinstance(key, ast.Constant) and isinstance(key.value, str)
             }
             matched = next(
-                (s for s in signatures if s <= literal_keys), None
+                (s for s in self.signatures if literal_keys.issuperset(s)), None
             )
             if matched is None:
                 continue
@@ -888,7 +762,6 @@ class BareDictRecordRule(LintRule):
                 "dict literal carries the job-record signature keys "
                 f"({', '.join(sorted(matched))}); build a typed "
                 "repro.api.records record and serialize via to_record()",
-                severity,
             )
 
 
@@ -912,40 +785,27 @@ class UntimedWallclockRule(LintRule):
     description = (
         "raw monotonic-timer call outside repro.obs (use tracer spans)"
     )
-    defaults: Mapping[str, Any] = {
-        "allow_modules": (
-            "repro.obs",
-            "repro.obs.trace",
-        ),
-        #: Path components that exempt a file wholesale (benchmark harnesses
-        #: measure overhead of the tracer itself, so they need raw timers).
-        "allow_path_parts": ("benchmarks",),
-        "forbidden": (
-            "time.perf_counter",
-            "time.perf_counter_ns",
-            "time.monotonic",
-            "time.monotonic_ns",
-        ),
-    }
+    allow_modules: Tuple[str, ...] = ("repro.obs", "repro.obs.trace")
+    #: Path components that exempt a file wholesale (benchmark harnesses
+    #: measure overhead of the tracer itself, so they need raw timers).
+    allow_path_parts: Tuple[str, ...] = ("benchmarks",)
+    forbidden: Tuple[str, ...] = (
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+    )
 
-    def check(
-        self,
-        ctx: ModuleContext,
-        project: LintProject,
-        options: Mapping[str, Any],
-    ) -> Iterator[Finding]:
-        if _in_allowed_module(ctx, options):
+    def check(self, ctx: ModuleContext, project: LintProject) -> Iterator[Finding]:
+        if ctx.module in self.allow_modules:
             return
-        allowed_parts = set(_option_names(options, "allow_path_parts"))
-        if allowed_parts.intersection(ctx.path.parts):
+        if set(self.allow_path_parts).intersection(ctx.path.parts):
             return
-        forbidden = frozenset(_option_names(options, "forbidden"))
-        severity = _severity(self, options)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             qualified = ctx.resolve(node.func)
-            if qualified is None or qualified not in forbidden:
+            if qualified is None or qualified not in self.forbidden:
                 continue
             yield self.finding(
                 ctx,
@@ -954,7 +814,6 @@ class UntimedWallclockRule(LintRule):
                 f"raw timer {qualified}() outside repro.obs; measure the "
                 "region with tracer.span(...) so the timing reaches trace "
                 "artifacts and repro profile",
-                severity,
             )
 
 
@@ -982,15 +841,13 @@ class BlockingInAsyncRule(LintRule):
     description = (
         "blocking wait (time.sleep / Future.result / pool wait) inside async def"
     )
-    defaults: Mapping[str, Any] = {
-        "forbidden": (
-            "time.sleep",
-            "concurrent.futures.wait",
-            "concurrent.futures.as_completed",
-        ),
-        #: Method names whose bare-attribute calls block on pool machinery.
-        "blocking_methods": ("result", "shutdown"),
-    }
+    forbidden: Tuple[str, ...] = (
+        "time.sleep",
+        "concurrent.futures.wait",
+        "concurrent.futures.as_completed",
+    )
+    #: Method names whose bare-attribute calls block on pool machinery.
+    blocking_methods: Tuple[str, ...] = ("result", "shutdown")
 
     @staticmethod
     def _async_body(func: ast.AsyncFunctionDef) -> Iterator[ast.AST]:
@@ -1003,15 +860,7 @@ class BlockingInAsyncRule(LintRule):
                 continue  # a new function scope runs outside this coroutine
             stack.extend(ast.iter_child_nodes(node))
 
-    def check(
-        self,
-        ctx: ModuleContext,
-        project: LintProject,
-        options: Mapping[str, Any],
-    ) -> Iterator[Finding]:
-        forbidden = frozenset(_option_names(options, "forbidden"))
-        methods = frozenset(_option_names(options, "blocking_methods"))
-        severity = _severity(self, options)
+    def check(self, ctx: ModuleContext, project: LintProject) -> Iterator[Finding]:
         for func in ast.walk(ctx.tree):
             if not isinstance(func, ast.AsyncFunctionDef):
                 continue
@@ -1021,11 +870,11 @@ class BlockingInAsyncRule(LintRule):
                 if isinstance(ctx.parents.get(node), ast.Await):
                     continue  # directly awaited -> not a synchronous wait
                 qualified = ctx.resolve(node.func)
-                if qualified is not None and qualified in forbidden:
+                if qualified is not None and qualified in self.forbidden:
                     blocking = f"{qualified}()"
                 elif (
                     isinstance(node.func, ast.Attribute)
-                    and node.func.attr in methods
+                    and node.func.attr in self.blocking_methods
                 ):
                     blocking = f".{node.func.attr}()"
                 else:
@@ -1037,5 +886,4 @@ class BlockingInAsyncRule(LintRule):
                     f"blocking call {blocking} inside async def "
                     f"{func.name!r}; await it off-loop (asyncio.sleep, "
                     "wrap_future, or a run_in_executor bridge)",
-                    severity,
                 )

@@ -225,10 +225,6 @@ class Tracer(TracerBase):
             self.gc_collections += 1
 
     # -- reading --------------------------------------------------------
-    @property
-    def current(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
-
     def spans(self) -> Iterator[Span]:
         """Every recorded span, pre-order across the root forest."""
         for root in self.roots:

@@ -48,6 +48,8 @@ __all__ = ["HttpError", "ServeApp", "ServerHandle", "job_from_payload", "run_app
 
 #: Upper bound on request head/body sizes (a synthesis job spec is tiny).
 MAX_BODY_BYTES = 1 << 20
+#: How long ``ServerHandle`` waits for its serve thread to start or to exit (s).
+THREAD_WAIT_S = 60.0
 
 _REASONS = {
     200: "OK",
@@ -358,18 +360,18 @@ class ServerHandle:
             target=self._run, name="repro-serve-http", daemon=True
         )
         self._thread.start()
-        if not self._ready.wait(timeout=60):
-            raise RuntimeError("serve thread did not come up within 60s")
+        if not self._ready.wait(timeout=THREAD_WAIT_S):
+            raise RuntimeError(f"serve thread did not come up within {THREAD_WAIT_S:g}s")
         if self._startup_error is not None:
             raise RuntimeError("serve thread failed to start") from self._startup_error
         return self
 
-    def stop(self, timeout: float = 60.0) -> None:
+    def stop(self) -> None:
         loop, shutdown = self._loop, self._shutdown
         if loop is not None and shutdown is not None:
             loop.call_soon_threadsafe(shutdown.set)
         if self._thread is not None:
-            self._thread.join(timeout=timeout)
+            self._thread.join(timeout=THREAD_WAIT_S)
 
     def __enter__(self) -> "ServerHandle":
         return self.start()

@@ -52,7 +52,6 @@ from repro.serve.queue import FairQueue, QueueFullError
 from repro.serve.session import (
     COMPLETED,
     FAILED,
-    QUEUED,
     REJECTED,
     RUNNING,
     JobState,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 

@@ -20,6 +20,9 @@ from repro.geometry.rect import Rect
 
 __all__ = ["render_tree_svg", "save_tree_svg"]
 
+#: Width of every rendered figure (px); the height follows the tree's aspect.
+WIDTH_PX = 900
+
 
 def _slack_color(normalized: float) -> str:
     """Red (no slack) to green (maximum slack) gradient."""
@@ -34,7 +37,6 @@ def render_tree_svg(
     annotation: Optional[SlackAnnotation] = None,
     obstacles: Optional[ObstacleSet] = None,
     die: Optional[Rect] = None,
-    width: int = 900,
     title: Optional[str] = None,
 ) -> str:
     """Return an SVG document depicting ``tree``.
@@ -55,7 +57,7 @@ def render_tree_svg(
     span_x = max(xmax - xmin, 1.0)
     span_y = max(ymax - ymin, 1.0)
     margin = 0.04 * max(span_x, span_y)
-    scale = (width - 20.0) / (span_x + 2 * margin)
+    scale = (WIDTH_PX - 20.0) / (span_x + 2 * margin)
     height = int((span_y + 2 * margin) * scale) + 20
 
     def sx(x: float) -> float:
@@ -65,11 +67,11 @@ def render_tree_svg(
         # SVG y grows downward; flip so the die is drawn in conventional orientation.
         return height - 10.0 - (y - ymin + margin) * scale
 
-    marker = max(2.0, 0.006 * width)
+    marker = max(2.0, 0.006 * WIDTH_PX)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH_PX}" height="{height}" '
+        f'viewBox="0 0 {WIDTH_PX} {height}">',
+        f'<rect x="0" y="0" width="{WIDTH_PX}" height="{height}" fill="white"/>',
     ]
     if title:
         parts.append(
@@ -135,7 +137,6 @@ def save_tree_svg(
     annotation: Optional[SlackAnnotation] = None,
     obstacles: Optional[ObstacleSet] = None,
     die: Optional[Rect] = None,
-    width: int = 900,
     title: Optional[str] = None,
 ) -> Path:
     """Render ``tree`` and write the SVG to ``path``; returns the path."""
@@ -146,7 +147,6 @@ def save_tree_svg(
             annotation=annotation,
             obstacles=obstacles,
             die=die,
-            width=width,
             title=title,
         ),
         encoding="utf-8",

@@ -39,6 +39,18 @@ __all__ = [
 ]
 
 
+#: Share of the regular sinks drawn around the register-bank clusters.
+CLUSTER_FRACTION = 0.45
+#: Uniform ranges of the flip-flop and macro clock-pin capacitances (fF).
+SINK_CAP_RANGE = (20.0, 80.0)
+MACRO_CAP_RANGE = (150.0, 300.0)
+#: Scale of :func:`capacitance_budget` for every contest chip.
+CAP_LIMIT_FACTOR = 2.2
+#: The contest's slew limit (ps) and the clock source's output resistance (ohm).
+SLEW_LIMIT = 100.0
+SOURCE_RESISTANCE = 80.0
+
+
 @dataclass(frozen=True)
 class ISPD09BenchmarkSpec:
     """Generation parameters of one ISPD'09-style benchmark."""
@@ -49,13 +61,7 @@ class ISPD09BenchmarkSpec:
     sink_count: int
     obstacle_count: int
     seed: int
-    cluster_fraction: float = 0.45
     macro_sink_count: int = 4
-    sink_cap_range: tuple = (20.0, 80.0)
-    macro_cap_range: tuple = (150.0, 300.0)
-    cap_limit_factor: float = 2.2
-    slew_limit: float = 100.0
-    source_resistance: float = 80.0
 
     def scaled(self, sink_scale: float) -> "ISPD09BenchmarkSpec":
         """Return a spec with proportionally fewer sinks (for quick test runs)."""
@@ -84,23 +90,20 @@ ISPD09_BENCHMARKS: Dict[str, ISPD09BenchmarkSpec] = {
 
 
 def generate_ispd09_benchmark(
-    name_or_spec, sink_scale: Optional[float] = None
+    name: str, sink_scale: Optional[float] = None
 ) -> ClockNetworkInstance:
-    """Generate the named benchmark (or one from an explicit spec).
+    """Generate the named benchmark.
 
     ``sink_scale`` optionally shrinks the instance (fewer sinks/obstacles) for
     fast unit tests while preserving the spatial structure.
     """
-    if isinstance(name_or_spec, ISPD09BenchmarkSpec):
-        spec = name_or_spec
-    else:
-        try:
-            spec = ISPD09_BENCHMARKS[name_or_spec]
-        except KeyError:
-            raise KeyError(
-                f"unknown ISPD'09 benchmark {name_or_spec!r}; "
-                f"available: {sorted(ISPD09_BENCHMARKS)}"
-            ) from None
+    try:
+        spec = ISPD09_BENCHMARKS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown ISPD'09 benchmark {name!r}; "
+            f"available: {sorted(ISPD09_BENCHMARKS)}"
+        ) from None
     if sink_scale is not None:
         spec = spec.scaled(sink_scale)
 
@@ -109,7 +112,7 @@ def generate_ispd09_benchmark(
     obstacles = _generate_obstacles(rng, die, spec.obstacle_count)
     sinks = _generate_sinks(rng, die, obstacles, spec)
     source = Point(spec.die_width / 2.0, 0.0)
-    cap_limit = capacitance_budget(die, sinks, spec.cap_limit_factor)
+    cap_limit = capacitance_budget(die, sinks, CAP_LIMIT_FACTOR)
 
     instance = ClockNetworkInstance(
         name=spec.name,
@@ -119,9 +122,9 @@ def generate_ispd09_benchmark(
         obstacles=obstacles,
         wire_library=ispd09_wire_library(),
         buffer_library=ispd09_buffer_library(),
-        source_resistance=spec.source_resistance,
+        source_resistance=SOURCE_RESISTANCE,
         capacitance_limit=cap_limit,
-        slew_limit=spec.slew_limit,
+        slew_limit=SLEW_LIMIT,
     )
     instance.validate()
     return instance
@@ -169,7 +172,7 @@ def _generate_sinks(
     n_regular = spec.sink_count - n_macro
 
     for index in range(n_regular):
-        if float(rng.random()) < spec.cluster_fraction and clusters:
+        if float(rng.random()) < CLUSTER_FRACTION and clusters:
             center = clusters[int(rng.integers(len(clusters)))]
             radius = 0.05 * min(die.width, die.height)
             position = Point(
@@ -189,7 +192,7 @@ def _generate_sinks(
             SinkInstance(
                 name=f"sink_{index}",
                 position=position,
-                capacitance=float(rng.uniform(*spec.sink_cap_range)),
+                capacitance=float(rng.uniform(*SINK_CAP_RANGE)),
             )
         )
 
@@ -204,7 +207,7 @@ def _generate_sinks(
             SinkInstance(
                 name=f"macro_sink_{index}",
                 position=position,
-                capacitance=float(rng.uniform(*spec.macro_cap_range)),
+                capacitance=float(rng.uniform(*MACRO_CAP_RANGE)),
             )
         )
     return sinks

@@ -31,7 +31,7 @@ class TestDominance:
         assert smallest_dominating_count(ISPD09_SMALL_INVERTER, ISPD09_LARGE_INVERTER) == 8
 
     def test_smallest_dominating_count_none_when_unreachable(self):
-        assert smallest_dominating_count(ISPD09_LARGE_INVERTER, ISPD09_SMALL_INVERTER, max_parallel=4) is None
+        assert smallest_dominating_count(ISPD09_LARGE_INVERTER, ISPD09_SMALL_INVERTER) is None
 
     def test_non_dominated_filter(self):
         composites = enumerate_composites(LIB, max_parallel=8)

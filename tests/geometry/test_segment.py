@@ -19,10 +19,6 @@ class TestSegment:
     def test_degenerate(self):
         assert Segment(Point(1, 1), Point(1, 1)).is_degenerate
 
-    def test_reversed(self):
-        seg = Segment(Point(0, 0), Point(1, 0))
-        assert seg.reversed() == Segment(Point(1, 0), Point(0, 0))
-
     def test_point_at_endpoints(self):
         seg = Segment(Point(0, 0), Point(10, 0))
         assert seg.point_at(0.0) == Point(0, 0)

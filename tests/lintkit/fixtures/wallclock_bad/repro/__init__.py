@@ -1,0 +1,1 @@
+"""Fixture package: its module names are the rule's real fingerprint roots."""

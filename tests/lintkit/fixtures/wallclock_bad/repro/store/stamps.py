@@ -1,4 +1,4 @@
-"""Fixture: transitively reachable from fp_root; the wallclock call is bad."""
+"""Fixture: reachable from repro.store.fingerprint; the wallclock calls are bad."""
 
 import time
 import uuid

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 from repro.cli import main
+from repro.lintkit import RULE_REGISTRY
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -66,15 +67,8 @@ class TestLintCli:
     def test_list_rules_prints_all_eight(self, capsys):
         code = main(["lint", "--list-rules"])
         assert code == 0
-        out = capsys.readouterr().out
-        for rule in (
-            "unseeded-rng",
-            "wallclock-in-fingerprint-path",
-            "unjournaled-mutation",
-            "pool-unpicklable",
-            "fingerprint-compare-field",
-            "registry-drift",
-            "record-roundtrip-symmetry",
-            "bare-dict-record",
-        ):
-            assert rule in out
+        lines = capsys.readouterr().out.splitlines()
+        # One "name  description" line per registered rule, sorted by name.
+        assert [line.split()[0] for line in lines] == sorted(RULE_REGISTRY)
+        for line, name in zip(lines, sorted(RULE_REGISTRY)):
+            assert line.endswith(" " + RULE_REGISTRY[name].description)

@@ -1,5 +1,6 @@
 """Framework-level tests: registry contract, import resolution, suppressions."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -16,25 +17,36 @@ from repro.lintkit import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+#: Every registered rule; README's rule table lists the same names.
+ALL_RULES = {
+    "unseeded-rng",
+    "wallclock-in-fingerprint-path",
+    "unjournaled-mutation",
+    "pool-unpicklable",
+    "fingerprint-compare-field",
+    "registry-drift",
+    "perfcase-registered",
+    "record-roundtrip-symmetry",
+    "bare-dict-record",
+    "untimed-wallclock",
+    "blocking-in-async",
+}
 
-def ctx_for(source: str, name: str = "fixture_mod") -> ModuleContext:
-    return ModuleContext(Path(f"{name}.py"), source, module=name)
+
+def ctx_for(source: str) -> ModuleContext:
+    # Outside any package, so module_name_for names it by its stem.
+    return ModuleContext(FIXTURES / "fixture_mod.py", source)
 
 
 class TestRegistry:
     def test_eight_domain_rules_registered(self):
-        expected = {
-            "unseeded-rng",
-            "wallclock-in-fingerprint-path",
-            "unjournaled-mutation",
-            "pool-unpicklable",
-            "fingerprint-compare-field",
-            "registry-drift",
-            "record-roundtrip-symmetry",
-            "bare-dict-record",
-        }
-        assert expected <= set(RULE_REGISTRY)
-        assert len(RULE_REGISTRY) >= 8
+        assert set(RULE_REGISTRY) == ALL_RULES
+
+    def test_readme_rule_table_lists_every_rule(self):
+        readme = (Path(__file__).resolve().parents[2] / "README.md").read_text()
+        section = readme.split("## Static analysis (`repro lint`)")[1].split("\n## ")[0]
+        table = re.findall(r"^\| `([a-z-]+)` \|", section, flags=re.MULTILINE)
+        assert sorted(table) == available_rules()
 
     def test_register_rejects_missing_name(self):
         class Nameless(LintRule):
@@ -72,6 +84,7 @@ class TestModuleNames:
 
     def test_loose_file_keeps_its_stem(self):
         assert module_name_for(FIXTURES / "bad_unseeded_rng.py") == "bad_unseeded_rng"
+        assert ctx_for("x = 1\n").module == "fixture_mod"
 
 
 class TestImportResolution:

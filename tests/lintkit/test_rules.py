@@ -1,32 +1,29 @@
 """Per-rule fixture tests: every rule fires on its bad fixture, stays quiet
-on the good one, and suppressions silence real findings."""
+on the good one, and suppressions silence real findings.
+
+Every rule runs as registered.  A fixture that needs a module name the rule
+scopes on (the fingerprint roots, ``repro.seeding``) mirrors it in a fixture
+package: ``module_name_for`` names ``wallclock_bad/repro/store/fingerprint.py``
+``repro.store.fingerprint`` by walking its ``__init__.py`` files.
+"""
 
 from pathlib import Path
 
 import pytest
 
-from repro.lintkit import LintSettings, lint_paths
+from repro.lintkit import lint_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-#: Extra per-rule options needed to anchor fixtures outside the repro tree.
-FIXTURE_OPTIONS = {
-    "wallclock-in-fingerprint-path": {"roots": ("fp_root",)},
-}
 
-
-def findings_for(rule, *files):
-    settings = LintSettings(
-        select=[rule],
-        rule_options={rule: FIXTURE_OPTIONS.get(rule, {})},
-    )
-    result = lint_paths([FIXTURES / name for name in files], settings)
+def findings_for(rule, *paths):
+    result = lint_paths([FIXTURES / name for name in paths])
     return [f for f in result.findings if f.rule == rule]
 
 
 CASES = [
     ("unseeded-rng", "bad_unseeded_rng.py", "good_unseeded_rng.py", 5),
-    ("wallclock-in-fingerprint-path", "fp_helper.py", "good_wallclock.py", 3),
+    ("wallclock-in-fingerprint-path", "wallclock_bad", "wallclock_good", 3),
     ("unjournaled-mutation", "bad_unjournaled.py", "good_unjournaled.py", 3),
     ("pool-unpicklable", "bad_pool.py", "good_pool.py", 3),
     ("fingerprint-compare-field", "bad_compare_field.py", "good_compare_field.py", 3),
@@ -49,20 +46,11 @@ CASES = [
 )
 class TestRuleFixturePairs:
     def test_bad_fixture_fires(self, rule, bad, good, expected):
-        files = (bad,) if rule != "wallclock-in-fingerprint-path" else (
-            "fp_root.py",
-            bad,
-        )
-        findings = findings_for(rule, *files)
+        findings = findings_for(rule, bad)
         assert len(findings) == expected, [f.message for f in findings]
-        assert all(f.rule == rule for f in findings)
 
     def test_good_fixture_is_clean(self, rule, bad, good, expected):
-        files = (good,) if rule != "wallclock-in-fingerprint-path" else (
-            "fp_root.py",
-            good,
-        )
-        assert findings_for(rule, *files) == []
+        assert findings_for(rule, good) == []
 
 
 class TestFindingAnchors:
@@ -73,11 +61,15 @@ class TestFindingAnchors:
         assert "repro.seeding" in first.message
 
     def test_wallclock_names_the_reaching_module(self):
-        findings = findings_for(
-            "wallclock-in-fingerprint-path", "fp_root.py", "fp_helper.py"
-        )
-        assert {f.path.split("/")[-1] for f in findings} == {"fp_helper.py"}
+        findings = findings_for("wallclock-in-fingerprint-path", "wallclock_bad")
+        assert {Path(f.path).name for f in findings} == {"stamps.py"}
+        assert all("module repro.store.stamps;" in f.message for f in findings)
         assert any("time.time" in f.message for f in findings)
+
+    def test_helper_alone_is_not_reachable(self):
+        # Without the root in the run, nothing reaches the helper.
+        helper = Path("wallclock_bad", "repro", "store", "stamps.py")
+        assert findings_for("wallclock-in-fingerprint-path", helper) == []
 
     def test_roundtrip_reports_both_directions(self):
         findings = findings_for("record-roundtrip-symmetry", "bad_roundtrip.py")
@@ -95,20 +87,8 @@ class TestSuppressionsInPractice:
         assert sorted(f.line for f in findings) == [20, 25]
 
 
-class TestRuleConfiguration:
-    def test_severity_override_downgrades_to_warning(self):
-        settings = LintSettings(
-            select=["unseeded-rng"],
-            severity_overrides={"unseeded-rng": "warning"},
-        )
-        result = lint_paths([FIXTURES / "bad_unseeded_rng.py"], settings)
-        assert result.errors == []
-        assert len(result.warnings) == 5
-
-    def test_allow_modules_option_exempts_a_module(self):
-        settings = LintSettings(
-            select=["unseeded-rng"],
-            rule_options={"unseeded-rng": {"allow_modules": ("bad_unseeded_rng",)}},
-        )
-        result = lint_paths([FIXTURES / "bad_unseeded_rng.py"], settings)
-        assert result.findings == []
+class TestRuleScope:
+    def test_allowed_module_is_exempt(self):
+        # seeding_exempt/repro/seeding.py is named repro.seeding, the one
+        # module UnseededRngRule.allow_modules lets construct RNGs.
+        assert findings_for("unseeded-rng", "seeding_exempt") == []

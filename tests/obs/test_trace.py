@@ -74,14 +74,20 @@ class TestTracer:
         # tracer.count targets the innermost open span
         assert root.children[2].counters == {"corners": 4}
 
-    def test_current_tracks_the_open_span(self):
+    def test_spans_nest_under_the_open_span(self):
         tracer = Tracer()
-        assert tracer.current is None
-        with tracer.span("outer"):
-            assert tracer.current.name == "outer"
-            with tracer.span("inner"):
-                assert tracer.current.name == "inner"
-        assert tracer.current is None
+        with tracer.span("outer") as outer:
+            with tracer.span("inner") as inner:
+                pass
+            with tracer.span("sibling") as sibling:
+                pass
+        with tracer.span("next") as after:
+            pass
+        # A span opened inside another is its child; once every span has
+        # closed, the next one starts a new root.
+        assert tracer.roots == [outer, after]
+        assert outer.children == [inner, sibling]
+        assert inner.children == sibling.children == after.children == []
 
     def test_timings_are_monotone(self):
         tracer = Tracer()

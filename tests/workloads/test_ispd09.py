@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.workloads.ispd09 import (
-    ISPD09_BENCHMARKS,
-    ISPD09BenchmarkSpec,
-    generate_ispd09_benchmark,
-)
+from repro.workloads.ispd09 import ISPD09_BENCHMARKS, generate_ispd09_benchmark
 
 
 class TestSuiteDefinition:
@@ -76,10 +72,10 @@ class TestGeneration:
             ISPD09_BENCHMARKS["ispd09f11"].scaled(0.0)
 
     def test_explicit_spec_accepted(self):
-        spec = ISPD09BenchmarkSpec("custom", 5000.0, 5000.0, 40, 6, seed=1)
-        instance = generate_ispd09_benchmark(spec)
-        assert instance.name == "custom"
-        assert instance.sink_count == 40
+        spec = ISPD09_BENCHMARKS["ispd09f22"].scaled(0.5)
+        instance = generate_ispd09_benchmark("ispd09f22", sink_scale=0.5)
+        assert instance.name == spec.name
+        assert instance.sink_count == spec.sink_count == 45
 
     def test_generate_all(self):
         instances = [
